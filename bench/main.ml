@@ -172,14 +172,18 @@ let () =
       Report.heading "Bechamel microbenchmarks (wall clock, implementation hot paths)";
       bechamel_benchmarks ()
   | names ->
+      (* check every name before running any, so a typo fails fast *)
+      let known name = name = "bechamel" || List.mem_assoc name experiments in
+      (match List.filter (fun n -> not (known n)) names with
+      | [] -> ()
+      | unknown ->
+          List.iter (Printf.eprintf "unknown experiment: %s\n") unknown;
+          exit 2);
       List.iter
         (fun name ->
           if name = "bechamel" then begin
             Report.heading "Bechamel microbenchmarks";
             bechamel_benchmarks ()
           end
-          else
-            match List.assoc_opt name experiments with
-            | Some f -> f ()
-            | None -> Printf.eprintf "unknown experiment: %s\n" name)
+          else (List.assoc name experiments) ())
         names

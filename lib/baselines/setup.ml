@@ -13,13 +13,13 @@ type mode =
 let mode_label = function
   | Native -> "Native"
   | Device_assign -> "Device-Assign."
-  | Paradice c -> (
-      match c.Paradice.Config.comm_mode with
-      | Paradice.Config.Interrupts ->
-          if c.Paradice.Config.hybrid then "Paradice(H)"
-          else if c.Paradice.Config.data_isolation then "Paradice(DI)"
-          else "Paradice"
-      | Paradice.Config.Polling -> "Paradice(P)")
+  | Paradice c ->
+      (* polling: a leg costs no more than a poll handoff *)
+      let s = c.Paradice.Config.signalling in
+      if s.leg_us <= s.handoff_us then "Paradice(P)"
+      else if s.window_us > 0. then "Paradice(H)"
+      else if c.Paradice.Config.data_isolation then "Paradice(DI)"
+      else "Paradice"
   | Paradice_freebsd _ -> "Paradice(FL)"
 
 type device = Gpu | Mouse | Keyboard | Camera | Audio | Netmap | Null

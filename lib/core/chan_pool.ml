@@ -33,12 +33,12 @@ let notify_channel t = t.channels.(0)
 
 let iter_channels t f = Array.iter f t.channels
 
-(** Live notification-mode switch across the whole pool (an operator
-    flipping a guest's links between interrupts / hybrid / polling
-    mid-stream). *)
-let set_comm_mode t mode = Array.iter (fun c -> Channel.set_comm_mode c mode) t.channels
+(** The pool's live signalling parameters (every channel shares them). *)
+let signalling t = Channel.signalling t.channels.(0)
 
-let set_hybrid t on = Array.iter (fun c -> Channel.set_hybrid c on) t.channels
+(** Live signalling switch across the whole pool (an operator flipping
+    a guest's links between interrupts / hybrid / polling mid-stream). *)
+let set_signalling t s = Array.iter (fun c -> Channel.set_signalling c s) t.channels
 
 (** Retire every channel (planned handoff): stragglers inside {!rpc}
     raise {!Channel.Retired} and replay on the successor pool. *)

@@ -27,11 +27,12 @@ val notify_channel : t -> Channel.t
 
 val iter_channels : t -> (Channel.t -> unit) -> unit
 
-(** Live notification-mode switch applied to every channel (see
-    {!Channel.set_comm_mode} / {!Channel.set_hybrid}). *)
-val set_comm_mode : t -> Config.comm_mode -> unit
+(** The live signalling parameters, shared by every channel. *)
+val signalling : t -> Config.signalling
 
-val set_hybrid : t -> bool -> unit
+(** Live signalling switch applied to every channel (see
+    {!Channel.set_signalling}). *)
+val set_signalling : t -> Config.signalling -> unit
 
 (** Retire every channel (planned handoff — see {!Channel.retire}). *)
 val retire : t -> unit
@@ -53,8 +54,8 @@ type stats = {
   retries : int;
   stale_responses : int;
   protocol_violations : int;  (** responds on slots not in service *)
-  req_poll_pickups : int;  (** hybrid request handoffs at polling cost *)
-  resp_poll_deliveries : int;  (** hybrid response handoffs at polling cost *)
+  req_poll_pickups : int;  (** request handoffs to a polling backend *)
+  resp_poll_deliveries : int;  (** response handoffs to a polling waiter *)
 }
 
 val stats : t -> stats

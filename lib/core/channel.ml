@@ -4,10 +4,14 @@
     The frontend serialises file operations into ring slots in the
     shared region and rings a doorbell; the backend drains every ready
     descriptor per wakeup and publishes responses the same way back.
-    Two signalling modes exist:
-    - {b interrupts}: each doorbell leg is an inter-VM interrupt (~17 us);
-    - {b polling}: both sides spin on the ring head, so a handoff costs
-      under a microsecond.
+
+    {b Signalling} is one poll-then-sleep machine, parameterised by
+    {!Config.signalling}: a receiver whose ring runs dry polls it for a
+    window, then sleeps behind a doorbell.  A signal to a receiver
+    inside its window is a cheap shared-page handoff; a signal to a
+    sleeping one is a leg (an inter-VM interrupt, ~17 us, under the
+    default parameters).  Interrupts, dedicated polling and the
+    NAPI-style hybrid are three parameter sets of this machine.
 
     {b Ring layout.}  The shared region is a control page followed by
     slot pages:
@@ -22,15 +26,13 @@
 
     {b Doorbell coalescing.}  A doorbell leg is sent only when the
     receiver might actually be asleep: while the backend is awake and
-    draining ([back_active]) — or an earlier request doorbell is still
-    in flight ([req_irq_pending]) — newly published descriptors are
-    picked up by the backend's next head re-scan at no signalling
-    cost.  Responses coalesce symmetrically on [resp_irq_pending]: one
-    interrupt delivers every response marked ready since the leg was
-    raised.  This is the adaptive-polling extension of the hot-poll
-    path: a busy receiver polls the ring head between operations and
-    never takes an interrupt; only an idle (possibly cold) receiver
-    needs one.
+    draining — or an earlier leg is still in flight — newly published
+    descriptors are picked up by the backend's next head re-scan, or
+    by the in-flight leg, at no signalling cost.  Responses coalesce
+    the same way: one leg delivers every response marked ready since
+    it was raised.  A busy receiver polls the ring head between
+    operations and never takes an interrupt; only an idle (possibly
+    cold) receiver needs one.
 
     {b Sequencing.}  Every publish stamps a fresh sequence number into
     the descriptor ({!Proto.seq_off}); the backend echoes the sequence
@@ -43,6 +45,15 @@
     A channel whose receiving endpoint has been idle longer than the
     cold threshold pays a per-leg surcharge (idle worker wakeup — see
     {!Config}). *)
+
+(* Fault sites (driven by [Config.injector]).  Keys are stable strings
+   so tests and experiments can arm them by name; all of them act at
+   doorbell-leg granularity — a dropped doorbell loses the interrupt,
+   not the descriptor, so only a deadline recovers. *)
+let site_drop_req = "chan.drop_req"
+let site_drop_resp = "chan.drop_resp"
+let site_corrupt_req = "chan.corrupt_req"
+let site_delay_req = "chan.delay_req"
 
 type t = {
   engine : Sim.Engine.t;
@@ -63,28 +74,10 @@ type t = {
                                    state word, a guest cannot rewrite it — so
                                    it is the authority on whether a respond
                                    pairs with an outstanding claim. *)
-  (* doorbell-coalescing state *)
-  mutable back_active : bool; (* backend awake and draining the ring *)
-  mutable req_irq_pending : bool; (* a request doorbell leg is in flight *)
-  mutable resp_irq_pending : bool; (* a response doorbell leg is in flight *)
-  (* hybrid (NAPI-style) notification state.  While a side is inside
-     its bounded poll window the other side skips the interrupt leg and
-     hands work over at polling cost instead. *)
-  mutable back_polling : bool; (* backend inside its hybrid poll window *)
-  mutable req_poll_pending : bool; (* a request poll pickup is scheduled *)
-  mutable resp_poll_pending : bool; (* a response poll delivery is scheduled *)
-  mutable back_poll_budget_left : float; (* dry-poll budget this episode *)
-  (* runtime overrides for live mode switching: [None] defers to the
-     immutable [config], so defaults leave behaviour bit-identical *)
-  mutable mode_override : Config.comm_mode option;
-  mutable hybrid_override : bool option;
-  (* Cold-path tracking is per receiving endpoint: a leg towards a
-     worker that has been idle pays the cold surcharge (idle wakeup,
-     scheduler, cache refill), while a recently-active receiver is
-     hot.  This is what makes back-to-back no-ops cost ~35us while an
-     isolated input event costs hundreds (§6.1.1 vs §6.1.5). *)
-  mutable front_last_wake : float;
-  mutable back_last_wake : float;
+  req : dir;
+  resp : dir;
+  mutable signalling : Config.signalling; (* live: see [set_signalling] *)
+  mutable poll_budget_left : float; (* backend dry-poll budget this episode *)
   mutable scan_cursor : int; (* backend drain fairness *)
   mutable legs : int;
   mutable cold_legs : int;
@@ -97,8 +90,6 @@ type t = {
   mutable notify_seen : int; (* frontend: last counter value observed *)
   mutable stale_responses : int;
   mutable protocol_violations : int; (* responds on slots not in service *)
-  mutable req_poll_pickups : int; (* request handoffs at polling cost *)
-  mutable resp_poll_deliveries : int; (* response handoffs at polling cost *)
   (* A killed channel (driver-VM crash) never completes an exchange
      again: senders fail fast with EIO, blocked receivers are woken so
      they can observe the death instead of hanging forever. *)
@@ -114,6 +105,39 @@ type t = {
   tracer : Obs.Trace.t; (* from [Config.tracer]; disabled = no-op *)
   chan_uid : int; (* distinguishes this ring's counter series *)
   service_trace : int array; (* backend: trace id drained per slot *)
+}
+
+(* One signalling direction: requests towards the backend worker, or
+   responses (and notifications) towards the frontend. *)
+and dir = {
+  spec : spec;
+  mutable watchers : int; (* receivers inside their poll window: the
+                              backend worker, or poll-watching waiters *)
+  mutable awake : bool; (* receiver draining without a window; only a
+                            request leg's arrival sets it, and the
+                            backend clears it as it sleeps *)
+  mutable leg_pending : bool; (* a doorbell leg is in flight *)
+  mutable handoff_pending : bool; (* a poll handoff is scheduled *)
+  (* Cold-path tracking is per receiving endpoint: a leg towards a
+     worker that has been idle pays the cold surcharge (idle wakeup,
+     scheduler, cache refill), while a recently-active receiver is
+     hot.  This is what makes back-to-back no-ops cost ~35us while an
+     isolated input event costs hundreds (§6.1.1 vs §6.1.5). *)
+  mutable last_wake : float;
+  mutable handoffs : int;
+}
+
+(* The fixed half of a direction: what a landing signal does, the
+   fault site that loses its legs, and the names it is traced under.
+   Shared constants, so a channel stores one pointer per direction. *)
+and spec = {
+  arrive : t -> leg:bool -> unit; (* engine context, on landing *)
+  drop_site : string;
+  leg_span : string;
+  handoff_span : string;
+  legs_counter : string;
+  suppressed_counter : string;
+  coalesced_counter : string;
 }
 
 (* Channel ordinal for trace counter-series names ("ring3.occupancy").
@@ -133,17 +157,66 @@ let st_resp_ready = 3
 let st_delivered = 4
 let state_off slot = 4 * slot
 let notify_off = 512
-
-(* Doorbell-suppression counter: the number of frontend waiters
-   currently poll-watching for their response.  While it is non-zero
-   the backend's [respond] skips the response interrupt and hands the
-   completion over at polling cost instead (the frontend mirror of the
-   backend's hybrid poll window). *)
-let front_watch_off = 516
 let slot_off slot = Memory.Addr.page_size + (slot * Proto.slot_size)
 
 (* the control page holds up to 128 slot state words before notify_off *)
 let max_slots = notify_off / 4
+
+(* ---- the two signalling directions ---- *)
+
+(* A request signal landed: a leg wakes the backend into draining. *)
+let wake_backend t ~leg =
+  if leg then t.req.awake <- true;
+  Sim.Mailbox.send t.req_rx ()
+
+(* A response signal landed: deliver every response published since it
+   was raised (engine context: page reads and mailbox sends only, no
+   waits). *)
+let deliver_responses t ~leg:_ =
+  if not t.dead then
+    for slot = 0 to t.slots - 1 do
+      if
+        t.front_view.Hypervisor.Shared_page.read_u32 ~offset:(state_off slot)
+        = st_resp_ready
+      then begin
+        t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
+          st_delivered;
+        Sim.Mailbox.send t.resp_box.(slot) ()
+      end
+    done
+
+let req_spec =
+  {
+    arrive = wake_backend;
+    drop_site = site_drop_req;
+    leg_span = "doorbell:req";
+    handoff_span = "doorbell:req_poll";
+    legs_counter = "doorbell.req_legs";
+    suppressed_counter = "doorbell.req_suppressed";
+    coalesced_counter = "doorbell.req_coalesced";
+  }
+
+let resp_spec =
+  {
+    arrive = deliver_responses;
+    drop_site = site_drop_resp;
+    leg_span = "doorbell:resp";
+    handoff_span = "doorbell:resp_poll";
+    legs_counter = "doorbell.resp_legs";
+    suppressed_counter = "doorbell.resp_suppressed";
+    coalesced_counter = "doorbell.resp_coalesced";
+  }
+
+let new_dir spec =
+  {
+    spec;
+    watchers = 0;
+    awake = false;
+    leg_pending = false;
+    handoff_pending = false;
+    last_wake = neg_infinity;
+    handoffs = 0;
+  }
 
 let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
   let uid =
@@ -185,17 +258,10 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
     next_seq = 0;
     service_seq = Array.make slots 0;
     service_active = Array.make slots false;
-    back_active = false;
-    req_irq_pending = false;
-    resp_irq_pending = false;
-    back_polling = false;
-    req_poll_pending = false;
-    resp_poll_pending = false;
-    back_poll_budget_left = config.Config.hybrid_poll_budget_us;
-    mode_override = None;
-    hybrid_override = None;
-    front_last_wake = neg_infinity;
-    back_last_wake = neg_infinity;
+    req = new_dir req_spec;
+    resp = new_dir resp_spec;
+    signalling = config.Config.signalling;
+    poll_budget_left = config.Config.signalling.budget_us;
     scan_cursor = 0;
     legs = 0;
     cold_legs = 0;
@@ -208,8 +274,6 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
     notify_seen = 0;
     stale_responses = 0;
     protocol_violations = 0;
-    req_poll_pickups = 0;
-    resp_poll_deliveries = 0;
     dead = false;
     retired = false;
     timeouts = 0;
@@ -222,42 +286,15 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
 let is_dead t = t.dead
 let ring_slots t = t.slots
 
-(* ---- live mode switching ----
-   [Config.t] is immutable, so runtime notification-mode changes (an
-   operator flipping a fleet from interrupts to hybrid mid-stream) are
-   per-channel overrides consulted at every signalling decision.  The
-   default [None] defers to the config, leaving behaviour — and every
-   simulated-time table — bit-identical. *)
+let signalling t = t.signalling
 
-let comm_mode t =
-  match t.mode_override with
-  | Some m -> m
-  | None -> t.config.Config.comm_mode
-
-let hybrid_enabled t =
-  match t.hybrid_override with
-  | Some h -> h
-  | None -> t.config.Config.hybrid
-
-let set_comm_mode t mode = t.mode_override <- Some mode
-
-let set_hybrid t on =
-  t.hybrid_override <- Some on;
-  (* a backend mid-window finishes that window; switching off leaves a
-     zero budget so no new window opens, switching on grants a fresh
-     episode budget immediately *)
-  t.back_poll_budget_left <-
-    (if on then t.config.Config.hybrid_poll_budget_us else 0.)
-
-let leg_latency t =
-  match comm_mode t with
-  | Config.Interrupts -> t.config.Config.interrupt_latency_us
-  | Config.Polling -> t.config.Config.polling_latency_us
-
-let cold_extra t =
-  match comm_mode t with
-  | Config.Interrupts -> t.config.Config.cold_extra_interrupt_us
-  | Config.Polling -> t.config.Config.cold_extra_polling_us
+(* Live switch (an operator flipping a guest from interrupts to hybrid
+   mid-stream).  Legs already in flight keep their latency and a
+   backend mid-window finishes that window; the new budget applies at
+   once, so a window of 0 opens no new one. *)
+let set_signalling t s =
+  t.signalling <- s;
+  t.poll_budget_left <- s.Config.budget_us
 
 (** No operation in flight on either side of the ring. *)
 let quiescent t = t.in_flight = 0 && t.in_service = 0
@@ -298,49 +335,23 @@ let retire t =
     kill t
   end
 
-(* Deterministic fault sites (driven by [Config.injector]).  Keys are
-   stable strings so tests and experiments can arm them by name; all
-   of them act at doorbell-leg granularity — a dropped doorbell loses
-   the interrupt, not the descriptor, so only a deadline recovers. *)
-let site_drop_req = "chan.drop_req"
-let site_drop_resp = "chan.drop_resp"
-let site_corrupt_req = "chan.corrupt_req"
-let site_delay_req = "chan.delay_req"
-
 let fault_fires t key =
   match t.config.Config.injector with
   | None -> false
   | Some inj -> Sim.Fault_inject.fires inj ~key
 
-(* One signalling leg towards [receiver]: transfer latency, plus the
-   cold surcharge when that receiver has been idle.  [k] runs in
-   engine context on arrival. *)
-let leg t ~receiver k =
+(* One signalling leg in direction [d]: transfer latency, plus the
+   cold surcharge when the receiver has been idle.  [k] runs in engine
+   context on arrival. *)
+let leg t d k =
   let now = Sim.Engine.now t.engine in
-  let last =
-    match receiver with `Front -> t.front_last_wake | `Back -> t.back_last_wake
-  in
-  let cold = now -. last > t.config.Config.cold_threshold_us in
-  (match receiver with
-  | `Front -> t.front_last_wake <- now
-  | `Back -> t.back_last_wake <- now);
+  let cold = now -. d.last_wake > t.config.Config.cold_threshold_us in
+  d.last_wake <- now;
   t.legs <- t.legs + 1;
   if cold then t.cold_legs <- t.cold_legs + 1;
-  let delay = leg_latency t +. (if cold then cold_extra t else 0.) in
+  let s = t.signalling in
+  let delay = s.Config.leg_us +. (if cold then s.Config.cold_extra_us else 0.) in
   Sim.Engine.at t.engine ~delay k
-
-(* One poll handoff towards an actively-polling receiver: no interrupt,
-   no cold surcharge (a poll-watcher is awake by definition), just the
-   shared-page pickup latency.  This is the hybrid win: while the
-   receiver stays inside its window every transfer costs
-   [polling_latency_us] even though the channel's steady-state mode is
-   interrupts. *)
-let poll_handoff t ~receiver k =
-  let now = Sim.Engine.now t.engine in
-  (match receiver with
-  | `Front -> t.front_last_wake <- now
-  | `Back -> t.back_last_wake <- now);
-  Sim.Engine.at t.engine ~delay:t.config.Config.polling_latency_us k
 
 let marshal t = Sim.Engine.wait t.config.Config.marshal_us
 
@@ -364,52 +375,53 @@ let occupancy_sample t =
     Obs.Metrics.observe (Obs.Trace.metrics t.tracer) "ring.occupancy" occ
   end
 
-(* Request doorbell, with the injected transport faults applied.  The
-   delay fault stalls the publish path; the drop fault loses the
-   doorbell (evaluated only when a leg would actually be sent — a
-   coalesced publish has no doorbell to lose).  A suppressed doorbell
-   is the coalescing win: the backend is either draining (it will see
-   the descriptor on its next head re-scan) or already has an
-   interrupt in flight that covers every descriptor marked since. *)
+(* The one signalling decision, for requests and responses alike.  A
+   receiver inside its poll window gets a handoff: no interrupt and no
+   cold surcharge (a poll-watcher is awake by definition), and one
+   scheduled handoff covers everything published before it lands.  A
+   receiver that is awake, or already has a leg coming, needs nothing:
+   its next head re-scan, or that leg, picks the work up.  Anyone else
+   gets a leg, which the drop fault can lose (the descriptor stays
+   marked, so a later leg or the deadline recovers it).  Only a leg's
+   arrival clears [leg_pending]. *)
+let signal t d ~trace =
+  if d.watchers > 0 then begin
+    m_incr t d.spec.suppressed_counter;
+    if not d.handoff_pending then begin
+      d.handoff_pending <- true;
+      d.handoffs <- d.handoffs + 1;
+      let sp =
+        Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
+          ~cat:"stage" ~name:d.spec.handoff_span ()
+      in
+      d.last_wake <- Sim.Engine.now t.engine;
+      Sim.Engine.at t.engine ~delay:t.signalling.Config.handoff_us (fun () ->
+          d.handoff_pending <- false;
+          Obs.Trace.span_end t.tracer sp;
+          d.spec.arrive t ~leg:false)
+    end
+  end
+  else if d.awake || d.leg_pending then m_incr t d.spec.coalesced_counter
+  else if fault_fires t d.spec.drop_site then m_incr t "fault.doorbell_dropped"
+  else begin
+    d.leg_pending <- true;
+    m_incr t d.spec.legs_counter;
+    let sp =
+      Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
+        ~cat:"stage" ~name:d.spec.leg_span ()
+    in
+    leg t d (fun () ->
+        d.leg_pending <- false;
+        Obs.Trace.span_end t.tracer sp;
+        d.spec.arrive t ~leg:true)
+  end
+
+(* Request doorbell.  The delay fault stalls the publish path before
+   the signalling decision. *)
 let ring_req_doorbell t ~trace =
   if fault_fires t site_delay_req then
     Sim.Engine.wait t.config.Config.fault_delay_us;
-  if t.back_polling then begin
-    (* the backend is inside its hybrid poll window: no interrupt —
-       schedule a poll pickup token at polling cost (coalesced while
-       one is already scheduled; the backend's re-scan drains every
-       descriptor published meanwhile) *)
-    m_incr t "doorbell.req_suppressed";
-    if not t.req_poll_pending then begin
-      t.req_poll_pending <- true;
-      t.req_poll_pickups <- t.req_poll_pickups + 1;
-      let sp =
-        Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
-          ~cat:"stage" ~name:"doorbell:req_poll" ()
-      in
-      poll_handoff t ~receiver:`Back (fun () ->
-          t.req_poll_pending <- false;
-          Obs.Trace.span_end t.tracer sp;
-          Sim.Mailbox.send t.req_rx ())
-    end
-  end
-  else if (not t.back_active) && not t.req_irq_pending then begin
-    if not (fault_fires t site_drop_req) then begin
-      t.req_irq_pending <- true;
-      m_incr t "doorbell.req_legs";
-      let sp =
-        Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
-          ~cat:"stage" ~name:"doorbell:req" ()
-      in
-      leg t ~receiver:`Back (fun () ->
-          t.req_irq_pending <- false;
-          t.back_active <- true;
-          Obs.Trace.span_end t.tracer sp;
-          Sim.Mailbox.send t.req_rx ())
-    end
-    else m_incr t "fault.doorbell_dropped"
-  end
-  else m_incr t "doorbell.req_coalesced"
+  signal t t.req ~trace
 
 (* Publish one request descriptor: marshal, stamp the attempt's
    sequence number, write the slot, mark it ready, ring.  Corruption
@@ -432,23 +444,6 @@ let publish t ~slot ~seq (req_bytes : bytes) =
     st_req_ready;
   ring_req_doorbell t ~trace;
   Obs.Trace.span_end t.tracer sp
-
-(* Response-interrupt arrival: deliver every response published since
-   the leg was raised (engine context: page reads and mailbox sends
-   only, no waits). *)
-let deliver_responses t =
-  t.resp_irq_pending <- false;
-  if not t.dead then
-    for slot = 0 to t.slots - 1 do
-      if
-        t.front_view.Hypervisor.Shared_page.read_u32 ~offset:(state_off slot)
-        = st_resp_ready
-      then begin
-        t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
-          st_delivered;
-        Sim.Mailbox.send t.resp_box.(slot) ()
-      end
-    done
 
 let fresh_seq t =
   t.next_seq <- t.next_seq + 1;
@@ -530,40 +525,25 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
                 Sim.Mailbox.recv_timeout box ~timeout:deadline
               else Some (Sim.Mailbox.recv box)
             in
+            let window = t.signalling.Config.window_us in
             let got =
-              if hybrid_enabled t && not t.dead then begin
-                (* hybrid frontend mirror: poll-watch the response for
-                   one window before sleeping behind the response
-                   doorbell.  While the watch counter in the control
-                   page is non-zero, [respond] skips the interrupt and
-                   hands completions over at polling cost. *)
-                let window = t.config.Config.hybrid_poll_window_us in
+              if window > 0. && not t.dead then begin
+                (* poll-watch the response for one window before
+                   sleeping behind the response doorbell; while we are
+                   a watcher, [respond] hands completions over instead
+                   of raising a leg *)
                 let window =
                   if deadline > 0. then min window deadline else window
                 in
-                let v =
-                  t.front_view.Hypervisor.Shared_page.read_u32
-                    ~offset:front_watch_off
-                in
-                t.front_view.Hypervisor.Shared_page.write_u32
-                  ~offset:front_watch_off (v + 1);
-                let watched =
-                  Fun.protect
-                    ~finally:(fun () ->
-                      let v =
-                        t.front_view.Hypervisor.Shared_page.read_u32
-                          ~offset:front_watch_off
-                      in
-                      t.front_view.Hypervisor.Shared_page.write_u32
-                        ~offset:front_watch_off (max 0 (v - 1)))
-                    (fun () -> Sim.Mailbox.recv_timeout box ~timeout:window)
-                in
+                t.resp.watchers <- t.resp.watchers + 1;
+                let watched = Sim.Mailbox.recv_timeout box ~timeout:window in
+                t.resp.watchers <- t.resp.watchers - 1;
                 match watched with
                 | Some () -> watched
                 | None ->
-                    (* window dry: re-arm the response doorbell and
-                       sleep (the full deadline still applies — a dry
-                       watch window is polling time, not RPC time) *)
+                    (* window dry: sleep (the full deadline still
+                       applies — a dry watch window is polling time,
+                       not RPC time) *)
                     if t.dead then Some () else block ()
               end
               else block ()
@@ -650,7 +630,7 @@ let next_request t : (int * bytes) option =
     let rec next () =
       (* the drain span measures the scan-and-claim work itself, so its
          start is stamped at the point the scan actually begins — not
-         at function entry, and never inside a hybrid poll window's
+         at function entry, and never inside a poll window's
          wait, which would inflate drain spans under load *)
       start := Sim.Engine.now t.engine;
       match scan () with
@@ -674,23 +654,21 @@ let next_request t : (int * bytes) option =
             ~cat:"stage" ~name:"back:drain" ~start:!start ();
           Some (slot, bytes)
       | None ->
-          if hybrid_enabled t && t.back_poll_budget_left > 0. then begin
-            (* hybrid: the ring just went dry, but more work may be a
-               microsecond away.  Stay awake inside a bounded poll
-               window — publishes hand over at polling cost instead of
-               raising an interrupt — and only re-arm doorbells once a
-               whole window passes with nothing arriving (or the
-               episode's dry-poll budget runs out). *)
-            let window =
-              min t.config.Config.hybrid_poll_window_us t.back_poll_budget_left
-            in
-            t.back_polling <- true;
+          let window = t.signalling.Config.window_us in
+          if window > 0. && t.poll_budget_left > 0. then begin
+            (* the ring just went dry, but more work may be a
+               microsecond away.  Stay inside a bounded poll window —
+               publishes hand over instead of raising a leg — and only
+               sleep once a whole window passes with nothing arriving
+               (or the episode's dry-poll budget runs out). *)
+            let window = min window t.poll_budget_left in
+            t.req.watchers <- t.req.watchers + 1;
             m_incr t "hybrid.poll_windows";
             let t0 = Sim.Engine.now t.engine in
             let got = Sim.Mailbox.recv_timeout t.req_rx ~timeout:window in
-            t.back_polling <- false;
-            t.back_poll_budget_left <-
-              t.back_poll_budget_left -. (Sim.Engine.now t.engine -. t0);
+            t.req.watchers <- t.req.watchers - 1;
+            t.poll_budget_left <-
+              t.poll_budget_left -. (Sim.Engine.now t.engine -. t0);
             match got with
             | Some () -> if t.dead then None else next ()
             | None -> if t.dead then None else sleep ()
@@ -699,27 +677,26 @@ let next_request t : (int * bytes) option =
     and sleep () =
       (* ring drained (and any poll window dry): go back to sleep.  No
          wakeup can be lost — there is no suspension point between the
-         empty scan, clearing [back_active] and blocking, so any
-         publish after this point sees [back_active = false] and sends
-         a doorbell; a poll pickup scheduled during the final window is
-         still in flight and lands in the mailbox. *)
-      t.back_active <- false;
+         empty scan, clearing [awake] and blocking, so any publish
+         after this point sees a sleeping backend and sends a doorbell;
+         a handoff scheduled during the final window is still in
+         flight and lands in the mailbox. *)
+      t.req.awake <- false;
       let () = Sim.Mailbox.recv t.req_rx in
-      (* a real doorbell wakeup starts a fresh hybrid episode *)
-      t.back_poll_budget_left <-
-        (if hybrid_enabled t then t.config.Config.hybrid_poll_budget_us else 0.);
+      (* a wakeup starts a fresh poll episode *)
+      t.poll_budget_left <- t.signalling.Config.budget_us;
       if t.dead then None else next ()
     in
     next ()
   end
 
 (** Backend: complete the descriptor claimed from slot [slot], echoing
-    the sequence number it was drained with.  The response interrupt
-    coalesces: if one is already in flight it covers this response
-    too.  Dropped silently on a dead channel (a crashed driver VM
-    answers nobody); the response-drop fault loses the interrupt leg
-    (the descriptor stays ready and would ride a later response's leg
-    — or the frontend deadline recovers). *)
+    the sequence number it was drained with, and signal the frontend
+    ([signal]: a leg already in flight covers this response too).
+    Dropped silently on a dead channel (a crashed driver VM answers
+    nobody); the response-drop fault loses the leg (the descriptor
+    stays ready and would ride a later response's leg — or the
+    frontend deadline recovers). *)
 let respond t ~slot (resp_bytes : bytes) =
   if not t.dead then begin
     if slot < 0 || slot >= t.slots then invalid_arg "Channel.respond";
@@ -753,42 +730,7 @@ let respond t ~slot (resp_bytes : bytes) =
       st_resp_ready;
     t.in_service <- t.in_service - 1;
     Obs.Trace.span_end t.tracer sp;
-    if
-      t.back_view.Hypervisor.Shared_page.read_u32 ~offset:front_watch_off > 0
-    then begin
-      (* the waiter is poll-watching (hybrid frontend mirror): skip the
-         interrupt, deliver at polling cost.  Coalesces like the
-         interrupt path: one scheduled delivery sweeps every response
-         marked ready since. *)
-      m_incr t "doorbell.resp_suppressed";
-      if not t.resp_poll_pending then begin
-        t.resp_poll_pending <- true;
-        t.resp_poll_deliveries <- t.resp_poll_deliveries + 1;
-        let db_sp =
-          Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
-            ~cat:"stage" ~name:"doorbell:resp_poll" ()
-        in
-        poll_handoff t ~receiver:`Front (fun () ->
-            t.resp_poll_pending <- false;
-            Obs.Trace.span_end t.tracer db_sp;
-            deliver_responses t)
-      end
-    end
-    else if not t.resp_irq_pending then begin
-      if not (fault_fires t site_drop_resp) then begin
-        t.resp_irq_pending <- true;
-        m_incr t "doorbell.resp_legs";
-        let db_sp =
-          Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
-            ~cat:"stage" ~name:"doorbell:resp" ()
-        in
-        leg t ~receiver:`Front (fun () ->
-            Obs.Trace.span_end t.tracer db_sp;
-            deliver_responses t)
-      end
-      else m_incr t "fault.doorbell_dropped"
-    end
-    else m_incr t "doorbell.resp_coalesced"
+    signal t t.resp ~trace
   end
 
 (** Backend: asynchronous notification towards the frontend (§5.1's
@@ -812,7 +754,7 @@ let notify t =
     if not t.pending_notify then begin
       t.pending_notify <- true;
       m_incr t "notify.legs";
-      leg t ~receiver:`Front (fun () -> Sim.Mailbox.send t.notify_rx ())
+      leg t t.resp (fun () -> Sim.Mailbox.send t.notify_rx ())
     end
     else m_incr t "notify.collapsed"
   end
@@ -869,6 +811,6 @@ let stats (t : t) : stats =
     retries = t.retries;
     stale_responses = t.stale_responses;
     protocol_violations = t.protocol_violations;
-    req_poll_pickups = t.req_poll_pickups;
-    resp_poll_deliveries = t.resp_poll_deliveries;
+    req_poll_pickups = t.req.handoffs;
+    resp_poll_deliveries = t.resp.handoffs;
   }

@@ -1,7 +1,8 @@
 (** CVD transport: a shared-memory descriptor ring plus inter-VM
-    signalling (§5.1), in interrupt or polling mode, with doorbell
-    coalescing, per-receiver cold-path accounting, sequence-numbered
-    at-least-once retries and signal-collapsing notifications. *)
+    signalling (§5.1) — one poll-then-sleep machine whose costs and
+    poll window are a {!Config.signalling} — with doorbell coalescing,
+    per-receiver cold-path accounting, sequence-numbered at-least-once
+    retries and signal-collapsing notifications. *)
 
 type t
 
@@ -21,23 +22,15 @@ val create :
 (** Ring depth: how many RPCs may be in flight on this channel. *)
 val ring_slots : t -> int
 
-(** Effective signalling mode, honouring any live override. *)
-val comm_mode : t -> Config.comm_mode
+(** The live signalling parameters ([Config.signalling] until
+    {!set_signalling}). *)
+val signalling : t -> Config.signalling
 
-(** Hybrid (NAPI-style) notification currently enabled, honouring any
-    live override: interrupt to wake, bounded ring polling while work
-    keeps arriving, doorbells suppressed meanwhile. *)
-val hybrid_enabled : t -> bool
-
-(** Live mode switch: override the config's signalling mode for this
-    channel from now on (in-flight legs keep the latency they were
-    scheduled with). *)
-val set_comm_mode : t -> Config.comm_mode -> unit
-
-(** Live hybrid switch: enable/disable the poll windows from now on.
-    Disabling lets a backend mid-window finish that window but opens no
-    new one; enabling grants a fresh dry-poll budget immediately. *)
-val set_hybrid : t -> bool -> unit
+(** Live switch to new signalling parameters.  In-flight legs keep the
+    latency they were scheduled with and a backend mid-window finishes
+    that window; the new dry-poll budget applies at once, so window 0
+    opens no new one. *)
+val set_signalling : t -> Config.signalling -> unit
 
 (** Dispatch weight for {!Chan_pool}: outstanding frontend operations,
     heavily penalised while the backend worker is busy in the driver. *)
@@ -87,9 +80,9 @@ val inject_raw : t -> slot:int -> bytes -> unit
 val next_request : t -> (int * bytes) option
 
 (** Complete the descriptor claimed from [slot] (dropped on a dead
-    channel); the response interrupt coalesces with any already in
-    flight (and is skipped entirely, in favour of a polling-cost
-    handoff, while the frontend waiter is poll-watching).  A respond on
+    channel); the response leg coalesces with any already in flight
+    (and is skipped entirely, in favour of a handoff, while a frontend
+    waiter is inside its poll window).  A respond on
     a slot that is not in service — double-complete, never claimed, or
     a guest rewriting the state word — is a counted protocol violation
     and raises EIO instead of corrupting ring accounting. *)
@@ -129,8 +122,8 @@ type stats = {
   retries : int;
   stale_responses : int;  (** late answers to timed-out attempts, discarded *)
   protocol_violations : int;  (** responds on slots not in service *)
-  req_poll_pickups : int;  (** hybrid request handoffs at polling cost *)
-  resp_poll_deliveries : int;  (** hybrid response handoffs at polling cost *)
+  req_poll_pickups : int;  (** request handoffs to a polling backend *)
+  resp_poll_deliveries : int;  (** response handoffs to a polling waiter *)
 }
 
 val stats : t -> stats

@@ -6,14 +6,26 @@
     - a no-op file operation costs ~35 us with interrupts, "most of
       which comes from two inter-VM interrupts", and ~2 us with
       polling;
-    - the CVD polls the shared page for 200 us before sleeping;
     - cold-path forwarding (an idle channel, as in the mouse-latency
       experiment) costs substantially more per leg than the hot
       pipelined path, which is why §6.1.5's mouse latency (296 us
       interrupts / 179 us polling) is far above 2 x the no-op cost.
       The cold surcharges below are calibrated to those two numbers. *)
 
-type comm_mode = Interrupts | Polling
+(* The CVD's one notification design (§5.1): a receiver polls the
+   shared page for a while, then sleeps behind a doorbell.  Interrupts,
+   dedicated polling and the NAPI-style hybrid are three settings of
+   these five values, not three code paths. *)
+type signalling = {
+  leg_us : float; (* one doorbell leg to a sleeping receiver, hot path *)
+  cold_extra_us : float; (* per-leg surcharge when that receiver is cold *)
+  handoff_us : float; (* one shared-page pickup by a receiver still
+                          inside its poll window *)
+  window_us : float; (* how long a receiver polls a dry ring before
+                         sleeping; 0 = sleep at once *)
+  budget_us : float; (* cap on cumulative dry polling per wakeup
+                         episode, so a trickle load cannot pin a CPU *)
+}
 
 type ioctl_id_mode =
   | Analyzer_table (* static entries + JIT slices from the analyzer (§4.1) *)
@@ -28,31 +40,15 @@ type dispatch =
                     constant factor of the full scan. *)
 
 type t = {
-  comm_mode : comm_mode;
   (* -- transport -- *)
-  interrupt_latency_us : float; (* one inter-VM interrupt, hot path *)
-  polling_latency_us : float; (* one shared-page handoff under polling *)
+  signalling : signalling; (* doorbell costs and poll window *)
   marshal_us : float; (* serialise/deserialise one message *)
-  poll_window_us : float; (* spin window before sleeping (§5.1) *)
-  hybrid : bool; (* NAPI-style adaptive notification: an interrupt wakes
-                     each side, which then polls the ring while work
-                     keeps arriving, suppressing further doorbells until
-                     the poll window drains dry *)
-  hybrid_poll_window_us : float; (* how long a dry hybrid poll waits for
-                                     more work before re-arming doorbells
-                                     and sleeping *)
-  hybrid_poll_budget_us : float; (* cap on cumulative dry polling per
-                                     wakeup episode, so a trickle load
-                                     cannot pin a CPU indefinitely *)
   cold_threshold_us : float; (* channel idle longer than this = cold *)
-  cold_extra_interrupt_us : float; (* per-leg surcharge, cold, interrupts *)
-  cold_extra_polling_us : float; (* per-leg surcharge, cold, polling *)
   (* -- isolation -- *)
   validate_grants : bool; (* fault-isolation runtime checks (§4.1) *)
   data_isolation : bool; (* protected memory regions (§4.2) *)
   hypercall_us : float; (* one hypervisor API call from the driver VM *)
   grant_declare_us : float; (* frontend writes one grant entry *)
-  region_switch_per_page_us : float; (* IOMMU remap cost per page (§5.3) *)
   (* -- CVD policy -- *)
   ioctl_id_mode : ioctl_id_mode;
   max_queued_ops : int; (* per-guest wait-queue cap, DoS protection (§5.1) *)
@@ -121,31 +117,32 @@ type t = {
                             single boolean check per instrumentation
                             point and records nothing *)
   (* -- guest/OS costs -- *)
-  sched_wake_us : float; (* waking a blocked application thread *)
   da_irq_extra_us : float; (* interrupt-injection overhead under device
                                assignment (native = 0) *)
   (* -- workload-visible device costs -- *)
   input_delivery_us : float; (* USB + input-core path, event -> evdev queue *)
 }
 
+(* Interrupts: every leg is an inter-VM interrupt and a dry ring puts
+   the receiver straight back to sleep. *)
+let interrupts =
+  {
+    leg_us = 17.3;
+    cold_extra_us = 103.2;
+    handoff_us = 0.9;
+    window_us = 0.;
+    budget_us = 0.;
+  }
+
 let default =
   {
-    comm_mode = Interrupts;
-    interrupt_latency_us = 17.3;
-    polling_latency_us = 0.9;
+    signalling = interrupts;
     marshal_us = 0.1;
-    poll_window_us = 200.;
-    hybrid = false;
-    hybrid_poll_window_us = 20.;
-    hybrid_poll_budget_us = 200.;
     cold_threshold_us = 1_000.;
-    cold_extra_interrupt_us = 103.2;
-    cold_extra_polling_us = 60.7;
     validate_grants = true;
     data_isolation = false;
     hypercall_us = 0.9;
     grant_declare_us = 0.15;
-    region_switch_per_page_us = 0.6;
     ioctl_id_mode = Analyzer_table;
     max_queued_ops = 100;
     channels_per_guest = 4;
@@ -172,21 +169,34 @@ let default =
     fault_delay_us = 50.;
     injector = None;
     tracer = Obs.Trace.disabled;
-    sched_wake_us = 38.4;
     da_irq_extra_us = 16.;
     input_delivery_us = 38.4;
   }
 
-let polling = { default with comm_mode = Polling }
+(** Dedicated polling: both sides spin on the ring head, so a leg costs
+    a shared-page handoff.  The window stays 0 rather than unbounded:
+    an unbounded window would treat every leg as a handoff and drop the
+    cold surcharge that §6.1.5's 179 us polling mouse latency is
+    calibrated on. *)
+let polling =
+  {
+    default with
+    signalling = { interrupts with leg_us = 0.9; cold_extra_us = 60.7 };
+  }
 
-(** Hybrid notification: interrupts to wake an idle side, bounded
-    polling while the ring stays busy.  Steady-state cost approaches
-    the polling figure without a dedicated polling CPU per channel. *)
-let hybrid = { default with hybrid = true }
+(** Hybrid notification: interrupts to wake an idle side, then a 20 us
+    poll window (within a 200 us budget per wakeup) while the ring
+    stays busy.  Steady-state cost approaches the polling figure
+    without a dedicated polling CPU per channel. *)
+let hybrid =
+  {
+    default with
+    signalling = { interrupts with window_us = 20.; budget_us = 200. };
+  }
 
 let with_data_isolation t = { t with data_isolation = true }
 
-(** The DSM-based cross-machine configuration sketched in Â§8's future
+(** The DSM-based cross-machine configuration sketched in §8's future
     work: guest VM and driver VM on separate physical hosts, the
     shared pages kept coherent over the network.  Each signalling leg
     then costs a network one-way plus the DSM protocol; this preset
@@ -194,26 +204,10 @@ let with_data_isolation t = { t with data_isolation = true }
 let remote_dsm =
   {
     default with
-    interrupt_latency_us = 65.0; (* one-way network + DSM coherence *)
-    polling_latency_us = 55.0; (* polling cannot beat the wire *)
-    cold_extra_interrupt_us = 103.2;
-    cold_extra_polling_us = 103.2;
+    signalling =
+      {
+        interrupts with
+        leg_us = 65.0 (* one-way network + DSM coherence *);
+        handoff_us = 55.0 (* polling cannot beat the wire *);
+      };
   }
-
-(** One-way transfer latency for the current mode (hot path). *)
-let leg_latency t =
-  match t.comm_mode with
-  | Interrupts -> t.interrupt_latency_us
-  | Polling -> t.polling_latency_us
-
-let cold_extra t =
-  match t.comm_mode with
-  | Interrupts -> t.cold_extra_interrupt_us
-  | Polling -> t.cold_extra_polling_us
-
-let mode_name t =
-  match (t.comm_mode, t.hybrid) with
-  | Interrupts, false -> "interrupts"
-  | Interrupts, true -> "hybrid"
-  | Polling, false -> "polling"
-  | Polling, true -> "polling+hybrid"

@@ -533,21 +533,18 @@ let export t ~path ~cls ~driver ?(exclusive = false) ?entries ~kinds () =
              until an event the caller asked about is ready, so the
              guest pays one forwarded operation per ready poll syscall,
              as the netmap batching analysis assumes (§6.1.2).  Between
-             not-ready chunks the guest backs off adaptively: under
-             hybrid notification it starts at the hybrid poll window
-             (sleeping the full fixed backoff would double-pay the
-             wakeup the window just saved), doubling on each not-ready
-             chunk up to [poll_forward_backoff_us] — the spin bound
-             that keeps a never-ready device from starving the ring.
-             With hybrid off the backoff is the old constant from the
-             first chunk, unchanged. *)
+             not-ready chunks the guest backs off adaptively: with a
+             poll window it starts at the pool's live window (sleeping
+             the full fixed backoff would double-pay the wakeup the
+             window just saved), doubling on each not-ready chunk up
+             to [poll_forward_backoff_us] — the spin bound that keeps
+             a never-ready device from starving the ring.  Without a
+             window the backoff is that constant from the first
+             chunk. *)
           let vfd = vfd_of t file in
           let cap = t.config.Config.poll_forward_backoff_us in
-          let initial =
-            if t.config.Config.hybrid then
-              Float.min t.config.Config.hybrid_poll_window_us cap
-            else cap
-          in
+          let window = (Chan_pool.signalling t.pool).Config.window_us in
+          let initial = if window > 0. then Float.min window cap else cap in
           let rec ask backoff =
             match
               forward t task ~ops:[]

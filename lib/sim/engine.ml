@@ -20,7 +20,6 @@ type t = {
   events : (unit -> unit) Heap.t;
   mutable live_processes : int;
   mutable spawned : int;
-  trace : (float -> string -> unit) option ref;
 }
 
 type _ Effect.t +=
@@ -35,16 +34,8 @@ type _ Effect.t +=
 
 exception Deadlock of string
 
-let create ?trace () =
-  ignore trace;
-  {
-    now = 0.;
-    seq = 0;
-    events = Heap.create ();
-    live_processes = 0;
-    spawned = 0;
-    trace = ref None;
-  }
+let create () =
+  { now = 0.; seq = 0; events = Heap.create (); live_processes = 0; spawned = 0 }
 
 let now t = t.now
 

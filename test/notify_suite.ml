@@ -57,13 +57,14 @@ let switch_run () =
   let g = M.add_guest m ~name:"g1" () in
   let pool = g.M.link.CB.pool in
   let ok, enodev, eio, other = start_stream m g ~ops:400 ~gap_us:5. in
-  let switch delay f = Sim.Engine.at (M.engine m) ~delay f in
-  switch 500. (fun () -> Pool.set_hybrid pool true);
-  switch 1_500. (fun () ->
-      Pool.set_hybrid pool false;
-      Pool.set_comm_mode pool Config.Polling);
-  switch 2_500. (fun () -> Pool.set_comm_mode pool Config.Interrupts);
-  switch 3_000. (fun () -> Pool.set_hybrid pool true);
+  let switch delay (preset : Config.t) =
+    Sim.Engine.at (M.engine m) ~delay (fun () ->
+        Pool.set_signalling pool preset.Config.signalling)
+  in
+  switch 500. Config.hybrid;
+  switch 1_500. Config.polling;
+  switch 2_500. Config.default;
+  switch 3_000. Config.hybrid;
   Sim.Engine.run (M.engine m);
   let s = Pool.stats pool in
   (!ok, !enodev, !eio, !other, s, Sim.Engine.now (M.engine m))

@@ -77,32 +77,6 @@ let test_shared_page_respects_ept_perms () =
     | exception Memory.Fault.Ept_violation info ->
         info.Memory.Fault.addr = gpa && info.Memory.Fault.access = Memory.Perm.Write)
 
-let test_interrupt_latency () =
-  let eng = Sim.Engine.create () in
-  let ch = Interrupt.create eng ~latency_us:17.5 in
-  let fired_at = ref nan in
-  Interrupt.bind ch Interrupt.B (fun () -> fired_at := Sim.Engine.now eng);
-  Sim.Engine.spawn eng (fun () ->
-      Sim.Engine.wait 10.;
-      Interrupt.send ch ~from:Interrupt.A);
-  Sim.Engine.run eng;
-  Alcotest.(check (float 1e-9)) "delivered after latency" 27.5 !fired_at;
-  Alcotest.(check int) "counted" 1 (Interrupt.sent_count ch)
-
-let test_interrupt_directionality () =
-  let eng = Sim.Engine.create () in
-  let ch = Interrupt.create eng ~latency_us:1. in
-  let a_count = ref 0 and b_count = ref 0 in
-  Interrupt.bind ch Interrupt.A (fun () -> incr a_count);
-  Interrupt.bind ch Interrupt.B (fun () -> incr b_count);
-  Sim.Engine.spawn eng (fun () ->
-      Interrupt.send ch ~from:Interrupt.A;
-      Interrupt.send ch ~from:Interrupt.A;
-      Interrupt.send ch ~from:Interrupt.B);
-  Sim.Engine.run eng;
-  Alcotest.(check int) "B got two" 2 !b_count;
-  Alcotest.(check int) "A got one" 1 !a_count
-
 (* ---- grant tables ---- *)
 
 let test_grant_declare_lookup () =
@@ -453,11 +427,6 @@ let suites =
       [
         Alcotest.test_case "two-vm sharing" `Quick test_shared_page_two_vms;
         Alcotest.test_case "ept perms respected" `Quick test_shared_page_respects_ept_perms;
-      ] );
-    ( "hypervisor.interrupt",
-      [
-        Alcotest.test_case "latency" `Quick test_interrupt_latency;
-        Alcotest.test_case "directionality" `Quick test_interrupt_directionality;
       ] );
     ( "hypervisor.grant_table",
       [

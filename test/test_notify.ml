@@ -142,13 +142,21 @@ let test_drain_spans_tight_and_tiling () =
 
 (* ---- satellite: adaptive forwarded-poll backoff ---- *)
 
-let forwarded_poll_latency config =
+let link_pool (g : M.guest) = g.M.link.Paradice.Cvd_back.pool
+
+(* live-switch a guest's channels to [preset]'s signalling parameters *)
+let switch_signalling g (preset : Config.t) =
+  Paradice.Chan_pool.set_signalling (link_pool g) preset.Config.signalling
+
+let forwarded_poll_latency ?switch_to config =
   (* Event becomes ready 2 us into the frontend's backoff gap after the
      first not-ready chunk; the elapsed time to the ready reply exposes
-     the backoff the frontend slept. *)
+     the backoff the frontend slept.  [switch_to] live-switches the
+     guest's signalling before anything runs. *)
   let m = M.create ~config () in
   let mouse = M.attach_mouse m in
   let g = M.add_guest m ~name:"g" () in
+  Option.iter (switch_signalling g) switch_to;
   let chunk = config.Config.poll_forward_chunk_us in
   run_in (M.engine m) (fun () ->
       let app = M.spawn_app m g.M.kernel ~name:"poller" in
@@ -182,6 +190,14 @@ let test_poll_backoff_adapts_under_hybrid () =
     (Printf.sprintf "hybrid backs off sooner (%.1f vs %.1f us)" hybrid fixed)
     true
     (hybrid +. 20. <= fixed)
+
+let test_poll_backoff_follows_live_switch () =
+  (* the backoff reads the pool's live window, not the static config:
+     a default machine switched to hybrid before its first poll backs
+     off exactly like a machine built hybrid *)
+  let built = forwarded_poll_latency Config.hybrid in
+  let switched = forwarded_poll_latency ~switch_to:Config.hybrid Config.default in
+  Alcotest.(check (float 0.)) "switched = built hybrid" built switched
 
 (* ---- multi-op descriptors: wire format and validation ---- *)
 
@@ -287,19 +303,22 @@ let test_batch_end_to_end () =
 
 (* ---- hybrid notification: latency and live switching ---- *)
 
-let noop_avg config ~ops =
+(* A noop stream: (average latency, pool stats, simulated end time).
+   [switch_to] live-switches the guest before its first op. *)
+let noop_run ?switch_to config ~ops =
   let m, env = Baselines.Setup.make ~devices:[ Baselines.Setup.Null ]
       (Baselines.Setup.Paradice config)
   in
-  let avg = Workloads.Noop_bench.run env ~ops () in
   let g = List.hd (M.guests m) in
+  Option.iter (switch_signalling g) switch_to;
+  let avg = Workloads.Noop_bench.run env ~ops () in
   let _, _, st = Paradice.Cvd_front.stats g.M.frontend in
-  (avg, st)
+  (avg, st, Sim.Engine.now (M.engine m))
 
 let test_hybrid_noop_latency_near_polling () =
-  let hybrid, hst = noop_avg Config.hybrid ~ops:300 in
-  let polling, _ = noop_avg Config.polling ~ops:300 in
-  let interrupts, _ = noop_avg Config.default ~ops:300 in
+  let hybrid, hst, _ = noop_run Config.hybrid ~ops:300 in
+  let polling, _, _ = noop_run Config.polling ~ops:300 in
+  let interrupts, _, _ = noop_run Config.default ~ops:300 in
   Alcotest.(check bool)
     (Printf.sprintf "hybrid %.2f us <= 2x polling %.2f us" hybrid polling)
     true
@@ -318,8 +337,8 @@ let test_hybrid_noop_latency_near_polling () =
 
 let test_live_mode_switch_on_channel () =
   (* interrupt -> hybrid -> polling -> back, mid-stream on one raw
-     channel with a live echo backend: every exchange completes in
-     every mode and the poll-cost handoffs only appear under hybrid. *)
+     channel with a live echo backend: every exchange completes under
+     every parameter set and handoffs only appear with a window. *)
   let m, g = boot_null () in
   let ch = raw_channel (m, g) in
   let eng = M.engine m in
@@ -340,26 +359,52 @@ let test_live_mode_switch_on_channel () =
           incr completed
         done
       in
-      Alcotest.(check bool) "starts in interrupt mode" true
-        (Ch.comm_mode ch = Config.Interrupts && not (Ch.hybrid_enabled ch));
+      Alcotest.(check bool) "starts with the default parameters" true
+        (Ch.signalling ch = Config.default.Config.signalling);
       burst ();
       let s0 = Ch.stats ch in
       Alcotest.(check int) "no handoffs in interrupt mode" 0
         (s0.Ch.req_poll_pickups + s0.Ch.resp_poll_deliveries);
-      Ch.set_hybrid ch true;
+      Ch.set_signalling ch Config.hybrid.Config.signalling;
       burst ();
       let s1 = Ch.stats ch in
       Alcotest.(check bool) "hybrid burst rode poll handoffs" true
         (s1.Ch.req_poll_pickups > 5);
-      Ch.set_hybrid ch false;
-      Ch.set_comm_mode ch Config.Polling;
+      Ch.set_signalling ch Config.polling.Config.signalling;
       burst ();
-      Ch.set_comm_mode ch Config.Interrupts;
+      Ch.set_signalling ch Config.default.Config.signalling;
       burst ());
   Sim.Engine.spawn eng (fun () -> Ch.kill ~poison:true ch);
   Sim.Engine.run eng;
   Alcotest.(check int) "every exchange completed across the switches" 40
-    !completed
+    !completed;
+  (* a default machine switched to a preset's parameters before its
+     first op runs the preset's noop stream exactly *)
+  List.iter
+    (fun (name, preset) ->
+      let _, built_stats, built_end = noop_run preset ~ops:50 in
+      let _, switched_stats, switched_end =
+        noop_run ~switch_to:preset Config.default ~ops:50
+      in
+      Alcotest.(check (float 0.)) (name ^ ": same end time") built_end switched_end;
+      Alcotest.(check bool) (name ^ ": same pool stats") true
+        (built_stats = switched_stats))
+    [ ("polling", Config.polling); ("hybrid", Config.hybrid) ]
+
+let test_mode_labels () =
+  (* the column headers of every EXPERIMENTS.md table, derived from the
+     signalling parameters *)
+  List.iter
+    (fun (config, label) ->
+      Alcotest.(check string) label label
+        (Baselines.Setup.mode_label (Baselines.Setup.Paradice config)))
+    [
+      (Config.default, "Paradice");
+      (Config.polling, "Paradice(P)");
+      (Config.hybrid, "Paradice(H)");
+      (Config.with_data_isolation Config.default, "Paradice(DI)");
+      (Config.remote_dsm, "Paradice");
+    ]
 
 let suites =
   [
@@ -386,9 +431,13 @@ let suites =
       [
         Alcotest.test_case "forwarded-poll backoff adapts" `Quick
           test_poll_backoff_adapts_under_hybrid;
+        Alcotest.test_case "forwarded-poll backoff follows live switch" `Quick
+          test_poll_backoff_follows_live_switch;
         Alcotest.test_case "hybrid noop latency near polling" `Quick
           test_hybrid_noop_latency_near_polling;
         Alcotest.test_case "live mode switch mid-stream" `Quick
           test_live_mode_switch_on_channel;
+        Alcotest.test_case "mode labels from parameters" `Quick
+          test_mode_labels;
       ] );
   ]
