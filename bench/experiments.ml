@@ -1,14 +1,34 @@
 (* Every table and figure of the paper's evaluation (§6), regenerated
    against the simulated substrate.  Absolute numbers come from the
    calibrated cost model (see Paradice.Config and DESIGN.md); the
-   comparisons and crossovers are the reproduced result. *)
+   comparisons and crossovers are the reproduced result.  Each
+   experiment returns an [Obs.Outcome.t]: the metrics behind its
+   printed numbers and the gates behind its acceptance claims. *)
 
 open Baselines
+module O = Obs.Outcome
 
 (* scale factor: CLI can shrink run lengths for quick smoke runs *)
 let scale = ref 1.0
 
 let scaled n = max 1 (int_of_float (float_of_int n *. !scale))
+let outcome ?(gates = []) metrics = { O.metrics; gates }
+let modes = Report.labelled Setup.mode_label
+let ints = Report.labelled string_of_int
+let resolutions = Report.labelled (fun (w, h) -> Printf.sprintf "%dx%d" w h)
+let one col = [ (col, ()) ]
+
+(* Native, device assignment and Paradice with interrupts, then [extra]
+   Paradice configurations: the columns most of §6 compares. *)
+let native_da_paradice extra =
+  modes
+    ([ Setup.Native; Setup.Device_assign; Setup.Paradice Paradice.Config.default ]
+    @ List.map (fun c -> Setup.Paradice c) extra)
+
+let with_polling = native_da_paradice [ Paradice.Config.polling ]
+
+let with_di =
+  native_da_paradice [ Paradice.Config.with_data_isolation Paradice.Config.default ]
 
 (* ------------------------------------------------------------------ *)
 (* §6.1.1: no-op file operation latency                                *)
@@ -16,23 +36,14 @@ let scaled n = max 1 (int_of_float (float_of_int n *. !scale))
 
 let noop () =
   Report.heading "§6.1.1 — No-op file operation latency";
-  let measure mode =
-    let _machine, env = Setup.make ~devices:[ Setup.Null ] mode in
-    Workloads.Noop_bench.run env ~ops:(scaled 2000) ()
+  let metrics =
+    Report.grid ~corner:"config" ~unit:"us" ~cols:(one "added latency (us/op)") with_polling
+      (fun mode () ->
+        let _machine, env = Setup.make ~devices:[ Setup.Null ] mode in
+        Workloads.Noop_bench.run env ~ops:(scaled 2000) ())
   in
-  let rows =
-    List.map
-      (fun mode ->
-        let avg = measure mode in
-        [ Setup.mode_label mode; Report.f2 avg ])
-      [
-        Setup.Native; Setup.Device_assign;
-        Setup.Paradice Paradice.Config.default;
-        Setup.Paradice Paradice.Config.polling;
-      ]
-  in
-  Report.table ~header:[ "config"; "added latency (us/op)" ] rows;
-  Report.note "paper: ~35us with interrupts (two inter-VM interrupts), ~2us with polling"
+  Report.note "paper: ~35us with interrupts (two inter-VM interrupts), ~2us with polling";
+  outcome metrics
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: netmap transmit rate vs batch size                        *)
@@ -40,69 +51,47 @@ let noop () =
 
 let fig2 () =
   Report.heading "Figure 2 — netmap TX rate (Mpps), 64-byte packets";
-  let batches = [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ] in
-  let modes =
-    [
-      Setup.Native; Setup.Device_assign;
-      Setup.Paradice Paradice.Config.default;
-      Setup.Paradice_freebsd Paradice.Config.default;
-      Setup.Paradice Paradice.Config.polling;
-    ]
-  in
   let packets = scaled 20_000 in
-  let rows =
-    List.map
-      (fun batch ->
-        string_of_int batch
-        :: List.map
-             (fun mode ->
-               let _m, env = Setup.make ~devices:[ Setup.Netmap ] mode in
-               let r = Workloads.Netmap_pktgen.run env ~packets ~batch () in
-               Report.f3 r.Workloads.Netmap_pktgen.rate_mpps)
-             modes)
-      batches
+  let metrics =
+    Report.grid ~corner:"batch" ~unit:"Mpps" ~fmt:Report.f3
+      ~cols:
+        (modes
+           [
+             Setup.Native; Setup.Device_assign;
+             Setup.Paradice Paradice.Config.default;
+             Setup.Paradice_freebsd Paradice.Config.default;
+             Setup.Paradice Paradice.Config.polling;
+           ])
+      (ints [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ])
+      (fun batch mode ->
+        let _m, env = Setup.make ~devices:[ Setup.Netmap ] mode in
+        (Workloads.Netmap_pktgen.run env ~packets ~batch ()).Workloads.Netmap_pktgen.rate_mpps)
   in
-  Report.table
-    ~header:("batch" :: List.map Setup.mode_label modes)
-    rows;
   Report.note "line rate at 64B on 1GbE = 1.488 Mpps";
   Report.note
     "paper: native/DA at line rate from small batches; Paradice(P) joins at batch >= 4;";
   Report.note
-    "       Paradice with interrupts needs batch ~30-64; FreeBSD guest ~= Linux guest"
+    "       Paradice with interrupts needs batch ~30-64; FreeBSD guest ~= Linux guest";
+  outcome metrics
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: OpenGL microbenchmarks                                    *)
 (* ------------------------------------------------------------------ *)
 
-let gfx_modes =
-  [
-    Setup.Native; Setup.Device_assign;
-    Setup.Paradice Paradice.Config.default;
-    Setup.Paradice Paradice.Config.polling;
-  ]
-
 let fig3 () =
   Report.heading "Figure 3 — OpenGL benchmarks (FPS, fullscreen teapot)";
   let frames = scaled 60 in
-  let rows =
-    List.map
-      (fun profile ->
-        profile.Workloads.Gfx.name
-        :: List.map
-             (fun mode ->
-               let _m, env = Setup.make ~devices:[ Setup.Gpu ] mode in
-               let fps =
-                 Workloads.Gfx.run env ~profile ~width:1024 ~height:768 ~frames ()
-               in
-               Report.f1 fps)
-             gfx_modes)
-      Workloads.Gfx.opengl_benchmarks
+  let metrics =
+    Report.grid ~corner:"benchmark" ~unit:"fps" ~fmt:Report.f1 ~cols:with_polling
+      (Report.labelled (fun p -> p.Workloads.Gfx.name) Workloads.Gfx.opengl_benchmarks)
+      (fun profile mode ->
+        let _m, env = Setup.make ~devices:[ Setup.Gpu ] mode in
+        Workloads.Gfx.run env ~profile ~width:1024 ~height:768 ~frames ())
   in
-  Report.table ~header:("benchmark" :: List.map Setup.mode_label gfx_modes) rows;
   Report.note
     "paper: Paradice(interrupts) visibly below native on these cheap frames;";
-  Report.note "       Paradice(P) closes the gap to native"
+  Report.note "       Paradice(P) closes the gap to native";
+  outcome metrics
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: 3D games at four resolutions                              *)
@@ -110,33 +99,22 @@ let fig3 () =
 
 let fig4 () =
   Report.heading "Figure 4 — 3D HD games (FPS) at different resolutions";
-  let modes =
-    [
-      Setup.Native; Setup.Device_assign;
-      Setup.Paradice Paradice.Config.default;
-      Setup.Paradice (Paradice.Config.with_data_isolation Paradice.Config.default);
-    ]
-  in
   let frames = scaled 40 in
-  List.iter
-    (fun game ->
-      Printf.printf "\n  -- %s --\n" game.Workloads.Gfx.name;
-      let rows =
-        List.map
-          (fun (w, h) ->
-            Printf.sprintf "%dx%d" w h
-            :: List.map
-                 (fun mode ->
-                   let _m, env = Setup.make ~devices:[ Setup.Gpu ] mode in
-                   let fps = Workloads.Gfx.run env ~profile:game ~width:w ~height:h ~frames () in
-                   Report.f1 fps)
-                 modes)
-          Workloads.Gfx.resolutions
-      in
-      Report.table ~header:("resolution" :: List.map Setup.mode_label modes) rows)
-    Workloads.Gfx.games;
+  let metrics =
+    List.concat_map
+      (fun game ->
+        let name = game.Workloads.Gfx.name in
+        Printf.printf "\n  -- %s --\n" name;
+        Report.grid ~prefix:name ~corner:"resolution" ~unit:"fps" ~fmt:Report.f1
+          ~cols:with_di (resolutions Workloads.Gfx.resolutions)
+          (fun (width, height) mode ->
+            let _m, env = Setup.make ~devices:[ Setup.Gpu ] mode in
+            Workloads.Gfx.run env ~profile:game ~width ~height ~frames ()))
+      Workloads.Gfx.games
+  in
   Report.note "paper: Paradice close to native for demanding games;";
-  Report.note "       data isolation (DI) has no noticeable impact"
+  Report.note "       data isolation (DI) has no noticeable impact";
+  outcome metrics
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: OpenCL matrix multiplication                              *)
@@ -144,29 +122,15 @@ let fig4 () =
 
 let fig5 () =
   Report.heading "Figure 5 — OpenCL matmul experiment time (seconds)";
-  let modes =
-    [
-      Setup.Native; Setup.Device_assign;
-      Setup.Paradice Paradice.Config.default;
-      Setup.Paradice (Paradice.Config.with_data_isolation Paradice.Config.default);
-    ]
+  let metrics =
+    Report.grid ~corner:"matrix order" ~unit:"s" ~cols:with_di (ints [ 1; 100; 500; 1000 ])
+      (fun order mode ->
+        let _m, env = Setup.make ~devices:[ Setup.Gpu ] mode in
+        Workloads.Opencl_matmul.run env ~order ())
   in
-  let orders = [ 1; 100; 500; 1000 ] in
-  let rows =
-    List.map
-      (fun order ->
-        string_of_int order
-        :: List.map
-             (fun mode ->
-               let _m, env = Setup.make ~devices:[ Setup.Gpu ] mode in
-               let t = Workloads.Opencl_matmul.run env ~order () in
-               Report.f2 t)
-             modes)
-      orders
-  in
-  Report.table ~header:("matrix order" :: List.map Setup.mode_label modes) rows;
   Report.note "paper (log-log plot): all four configurations nearly identical;";
-  Report.note "       experiment time dominated by the GPU itself at large orders"
+  Report.note "       experiment time dominated by the GPU itself at large orders";
+  outcome metrics
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: concurrent guests on one GPU                              *)
@@ -175,25 +139,24 @@ let fig5 () =
 let fig6 () =
   Report.heading "Figure 6 — concurrent OpenCL (order 500) across guest VMs";
   let reps = scaled 5 in
-  let rows =
-    List.map
-      (fun n_guests ->
-        let machine, _env =
-          Setup.make ~devices:[ Setup.Gpu ] ~extra_guests:(n_guests - 1)
-            (Setup.Paradice Paradice.Config.default)
-        in
-        let guests = Paradice.Machine.guests machine in
-        let times =
-          Workloads.Opencl_matmul.run_concurrent machine ~guests ~order:500 ~reps
-        in
-        string_of_int n_guests
-        :: List.init 3 (fun i ->
-               if i < Array.length times then Report.f2 times.(i) else "-"))
-      [ 1; 2; 3 ]
+  let run n_guests =
+    let machine, _env =
+      Setup.make ~devices:[ Setup.Gpu ] ~extra_guests:(n_guests - 1)
+        (Setup.Paradice Paradice.Config.default)
+    in
+    let guests = Paradice.Machine.guests machine in
+    Workloads.Opencl_matmul.run_concurrent machine ~guests ~order:500 ~reps
   in
-  Report.table ~header:[ "# guest VMs"; "VM1 (s)"; "VM2 (s)"; "VM3 (s)" ] rows;
+  let metrics =
+    Report.grid ~corner:"# guest VMs" ~unit:"s"
+      ~fmt:(fun t -> if Float.is_nan t then "-" else Report.f2 t)
+      ~cols:[ ("VM1 (s)", 0); ("VM2 (s)", 1); ("VM3 (s)", 2) ]
+      (List.map (fun n -> (string_of_int n, run n)) [ 1; 2; 3 ])
+      (fun times vm -> if vm < Array.length times then times.(vm) else nan)
+  in
   Report.note "paper: experiment time grows ~linearly with the number of guests";
-  Report.note "       (the GPU's processing time is shared)"
+  Report.note "       (the GPU's processing time is shared)";
+  outcome metrics
 
 (* ------------------------------------------------------------------ *)
 (* §6.1.5: mouse latency                                               *)
@@ -201,21 +164,16 @@ let fig6 () =
 
 let mouse () =
   Report.heading "§6.1.5 — Mouse latency (event reported -> read reaches driver)";
-  let rows =
-    List.map
-      (fun mode ->
+  let metrics =
+    Report.grid ~corner:"config" ~unit:"us" ~fmt:Report.f1 ~cols:(one "latency (us)")
+      with_polling
+      (fun mode () ->
         let _m, env = Setup.make ~devices:[ Setup.Mouse ] mode in
-        let avg = Workloads.Mouse_latency.run env ~moves:(scaled 50) () in
-        [ Setup.mode_label mode; Report.f1 avg ])
-      [
-        Setup.Native; Setup.Device_assign;
-        Setup.Paradice Paradice.Config.default;
-        Setup.Paradice Paradice.Config.polling;
-      ]
+        Workloads.Mouse_latency.run env ~moves:(scaled 50) ())
   in
-  Report.table ~header:[ "config"; "latency (us)" ] rows;
   Report.note "paper: native 39us, device assignment 55us,";
-  Report.note "       Paradice 296us (interrupts), 179us (polling) -- all << 1ms"
+  Report.note "       Paradice 296us (interrupts), 179us (polling) -- all << 1ms";
+  outcome metrics
 
 (* ------------------------------------------------------------------ *)
 (* §6.1.6: camera and speaker                                          *)
@@ -223,36 +181,28 @@ let mouse () =
 
 let camera () =
   Report.heading "§6.1.6 — Camera capture rate (FPS, MJPG)";
-  let modes =
-    [ Setup.Native; Setup.Device_assign; Setup.Paradice Paradice.Config.default ]
+  let metrics =
+    Report.grid ~corner:"resolution" ~unit:"fps" ~fmt:Report.f1
+      ~cols:(native_da_paradice [])
+      (resolutions [ (1280, 720); (1600, 896); (1920, 1080) ])
+      (fun (width, height) mode ->
+        let _m, env = Setup.make ~devices:[ Setup.Camera ] mode in
+        Workloads.Camera_app.run env ~width ~height ~frames:(scaled 20) ())
   in
-  let rows =
-    List.map
-      (fun (w, h) ->
-        Printf.sprintf "%dx%d" w h
-        :: List.map
-             (fun mode ->
-               let _m, env = Setup.make ~devices:[ Setup.Camera ] mode in
-               let fps = Workloads.Camera_app.run env ~width:w ~height:h ~frames:(scaled 20) () in
-               Report.f1 fps)
-             modes)
-      [ (1280, 720); (1600, 896); (1920, 1080) ]
-  in
-  Report.table ~header:("resolution" :: List.map Setup.mode_label modes) rows;
-  Report.note "paper: ~29.5 FPS at every resolution for all configurations"
+  Report.note "paper: ~29.5 FPS at every resolution for all configurations";
+  outcome metrics
 
 let audio () =
   Report.heading "§6.1.6 — Audio playback time (1.0 s PCM file)";
-  let rows =
-    List.map
-      (fun mode ->
+  let metrics =
+    Report.grid ~corner:"config" ~unit:"s" ~fmt:Report.f3 ~cols:(one "playback time (s)")
+      (native_da_paradice [])
+      (fun mode () ->
         let _m, env = Setup.make ~devices:[ Setup.Audio ] mode in
-        let t = Workloads.Audio_app.run env ~seconds:1.0 () in
-        [ Setup.mode_label mode; Report.f3 t ])
-      [ Setup.Native; Setup.Device_assign; Setup.Paradice Paradice.Config.default ]
+        Workloads.Audio_app.run env ~seconds:1.0 ())
   in
-  Report.table ~header:[ "config"; "playback time (s)" ] rows;
-  Report.note "paper: all configurations take the same time (same audio rate)"
+  Report.note "paper: all configurations take the same time (same audio rate)";
+  outcome metrics
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: devices paravirtualized                                    *)
@@ -271,7 +221,8 @@ let table1 () =
       [ "Ethernet"; "Intel Gigabit (netmap)"; "netmap/e1000e"; "Device_info.ethernet" ];
     ];
   Report.note "paper: 5 classes, ~900 class-specific LoC of ~7700 total";
-  Report.note "       (~400 of the class-specific lines are GPU data isolation)"
+  Report.note "       (~400 of the class-specific lines are GPU data isolation)";
+  outcome []
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: code breakdown, measured from this repository              *)
@@ -306,25 +257,28 @@ let count_loc dir =
 let table2 () =
   Report.heading "Table 2 — code breakdown (this repository, measured)";
   let root = "lib" in
-  if Sys.file_exists root && Sys.is_directory root then begin
-    let component label dir = [ label; dir; string_of_int (count_loc dir) ] in
-    let rows =
-      [
-        component "CVD + machine (generic)" "lib/core";
-        component "Hypervisor (generic)" "lib/hypervisor";
-        component "Memory virtualization (generic)" "lib/memory";
-        component "Kernel substrate (generic)" "lib/oskit";
-        component "Simulation engine (generic)" "lib/sim";
-        component "ioctl analyzer (generic)" "lib/analyzer";
-        component "Device models + drivers" "lib/devices";
-        component "Baselines" "lib/baselines";
-        component "Workloads" "lib/workloads";
-      ]
-    in
-    Report.table ~header:[ "component"; "directory"; "LoC" ] rows
-  end
-  else Report.note "run from the repository root to measure LoC";
-  Report.note "paper: 7700 LoC total, 6833 generic, ~900 class-specific"
+  let metrics =
+    if Sys.file_exists root && Sys.is_directory root then
+      Report.rows ~corner:"component"
+        [ Report.text "directory" Fun.id; Report.int "LoC" count_loc ]
+        [
+          ("CVD + machine (generic)", "lib/core");
+          ("Hypervisor (generic)", "lib/hypervisor");
+          ("Memory virtualization (generic)", "lib/memory");
+          ("Kernel substrate (generic)", "lib/oskit");
+          ("Simulation engine (generic)", "lib/sim");
+          ("ioctl analyzer (generic)", "lib/analyzer");
+          ("Device models + drivers", "lib/devices");
+          ("Baselines", "lib/baselines");
+          ("Workloads", "lib/workloads");
+        ]
+    else begin
+      Report.note "run from the repository root to measure LoC";
+      []
+    end
+  in
+  Report.note "paper: 7700 LoC total, 6833 generic, ~900 class-specific";
+  outcome metrics
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: I/O virtualization strategies                              *)
@@ -361,12 +315,11 @@ let table3 () =
         done;
         (Workloads.Runner.now_us sv_env -. t0) /. float_of_int n)
   in
-  let lat_of = function
-    | "Emulation" -> Report.f1 emu_lat
-    | "Direct I/O" -> Report.f1 direct_lat
-    | "Self Virt." -> Report.f1 sv_lat
-    | "Paradice" -> Report.f1 paradice_lat
-    | _ -> "-"
+  let measured =
+    [
+      ("Emulation", emu_lat); ("Direct I/O", direct_lat); ("Self Virt.", sv_lat);
+      ("Paradice", paradice_lat);
+    ]
   in
   let rows =
     List.map
@@ -377,7 +330,8 @@ let table3 () =
           Strategy.yesno c.Strategy.low_development_effort;
           Strategy.sharing_string c.Strategy.device_sharing;
           Strategy.yesno c.Strategy.legacy_devices;
-          lat_of c.Strategy.strategy;
+          Option.fold ~none:"-" ~some:Report.f1
+            (List.assoc_opt c.Strategy.strategy measured);
         ])
       Strategy.all
   in
@@ -385,7 +339,8 @@ let table3 () =
     ~header:
       [ "strategy"; "high perf"; "low dev effort"; "sharing"; "legacy"; "noop us (measured)" ]
     rows;
-  Report.note "capability columns as in the paper's Table 3; latency measured here"
+  Report.note "capability columns as in the paper's Table 3; latency measured here";
+  outcome (List.map (fun (s, us) -> Report.sim ~unit:"us" s us) measured)
 
 (* ------------------------------------------------------------------ *)
 (* §4.1 / §5.3: the static analyzer                                    *)
@@ -393,32 +348,37 @@ let table3 () =
 
 let analyzer () =
   Report.heading "§4.1 — ioctl analyzer over the Radeon driver IR";
-  let t_new = Analyzer.Extract.analyze Analyzer.Radeon_ir.driver_3_2_0 in
-  let t_old = Analyzer.Extract.analyze Analyzer.Radeon_ir.driver_2_6_35 in
-  Report.table ~header:[ "metric"; "2.6.35"; "3.2.0"; "paper (3.2)" ]
-    [
-      [ "handlers analyzed";
-        string_of_int (t_old.Analyzer.Extract.static_count + t_old.Analyzer.Extract.jit_count);
-        string_of_int (t_new.Analyzer.Extract.static_count + t_new.Analyzer.Extract.jit_count);
-        "many" ];
-      [ "static entries"; string_of_int t_old.Analyzer.Extract.static_count;
-        string_of_int t_new.Analyzer.Extract.static_count; "-" ];
-      [ "JIT (nested-copy) commands";
-        string_of_int (List.length (Analyzer.Extract.nested_cmds t_old));
-        string_of_int (List.length (Analyzer.Extract.nested_cmds t_new));
-        "14" ];
-      [ "extracted slice lines"; string_of_int t_old.Analyzer.Extract.extracted_lines;
-        string_of_int t_new.Analyzer.Extract.extracted_lines; "~760" ];
-    ];
+  let module E = Analyzer.Extract in
+  let t_new = E.analyze Analyzer.Radeon_ir.driver_3_2_0 in
+  let t_old = E.analyze Analyzer.Radeon_ir.driver_2_6_35 in
+  let metrics =
+    Report.rows ~corner:"metric"
+      [
+        Report.int "2.6.35" (fun (f, _) -> f t_old);
+        Report.int "3.2.0" (fun (f, _) -> f t_new);
+        Report.text "paper (3.2)" snd;
+      ]
+      [
+        ("handlers analyzed", ((fun t -> t.E.static_count + t.E.jit_count), "many"));
+        ("static entries", ((fun t -> t.E.static_count), "-"));
+        ("JIT (nested-copy) commands", ((fun t -> List.length (E.nested_cmds t)), "14"));
+        ("extracted slice lines", ((fun t -> t.E.extracted_lines), "~760"));
+      ]
+  in
   let stable =
     List.for_all
       (fun (h : Analyzer.Ir.handler) ->
-        Analyzer.Extract.entry_for t_old h.Analyzer.Ir.cmd
-        = Analyzer.Extract.entry_for t_new h.Analyzer.Ir.cmd)
+        E.entry_for t_old h.Analyzer.Ir.cmd = E.entry_for t_new h.Analyzer.Ir.cmd)
       Analyzer.Radeon_ir.driver_2_6_35.Analyzer.Ir.handlers
   in
   Report.note "memory operations of common commands identical across versions: %b" stable;
-  Report.note "paper: identical across 2.6.35 -> 3.2.0; four new commands to analyze"
+  Report.note "paper: identical across 2.6.35 -> 3.2.0; four new commands to analyze";
+  outcome metrics
+    ~gates:
+      [
+        O.gate "common commands' memory operations identical across versions" stable
+          (string_of_bool stable);
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Isolation demonstration + overhead                                  *)
@@ -443,16 +403,15 @@ let isolation () =
         done;
         (Workloads.Runner.now_us env -. t0) /. float_of_int n)
   in
-  let with_checks = measure_info Paradice.Config.default in
-  let without_checks =
-    measure_info
-      { Paradice.Config.default with Paradice.Config.validate_grants = false }
+  let overhead =
+    Report.grid ~corner:"configuration" ~unit:"us" ~cols:(one "INFO ioctl latency (us)")
+      [
+        ("fault-isolation checks ON", Paradice.Config.default);
+        ( "fault-isolation checks OFF (ablation)",
+          { Paradice.Config.default with Paradice.Config.validate_grants = false } );
+      ]
+      (fun cfg () -> measure_info cfg)
   in
-  Report.table ~header:[ "configuration"; "INFO ioctl latency (us)" ]
-    [
-      [ "fault-isolation checks ON"; Report.f2 with_checks ];
-      [ "fault-isolation checks OFF (ablation)"; Report.f2 without_checks ];
-    ];
   (* attack suite against a data-isolated two-guest GPU machine *)
   let machine, _env =
     Setup.make ~devices:[ Setup.Gpu ] ~extra_guests:1
@@ -464,12 +423,8 @@ let isolation () =
   let g1 = List.nth guests 0 in
   let att = Option.get machine.Paradice.Machine.gpu in
   let mgr = Option.get att.Paradice.Machine.isolation in
-  let blocked = ref [] and passed = ref [] in
-  let attack name f =
-    match f () with
-    | `Blocked -> blocked := name :: !blocked
-    | `Succeeded -> passed := name :: !passed
-  in
+  let outcomes = ref [] in
+  let attack name f = outcomes := (name, f () = `Blocked) :: !outcomes in
   attack "driver VM reads protected pool page" (fun () ->
       let spa = Hypervisor.Region.alloc_protected_page mgr ~rid:0 in
       let gpas = Memory.Ept.gpas_of_spn (Hypervisor.Vm.ept driver_vm) (Memory.Addr.pfn spa) in
@@ -539,12 +494,20 @@ let isolation () =
       with
       | () -> `Succeeded
       | exception Hypervisor.Hyp.Rejected _ -> `Blocked);
+  let outcomes = List.rev !outcomes in
+  let blocked, passed = List.partition snd outcomes in
   Report.table ~header:[ "attack"; "outcome" ]
-    (List.rev_map (fun name -> [ name; "BLOCKED" ]) !blocked
-    @ List.rev_map (fun name -> [ name; "!!! SUCCEEDED" ]) !passed);
+    (List.map (fun (name, _) -> [ name; "BLOCKED" ]) blocked
+    @ List.map (fun (name, _) -> [ name; "!!! SUCCEEDED" ]) passed);
   let audit = Hypervisor.Hyp.audit hyp in
   Report.note "audit: %s" (Format.asprintf "%a" Hypervisor.Audit.pp audit);
-  Report.note "paper: fault + data isolation hold with no noticeable overhead"
+  Report.note "paper: fault + data isolation hold with no noticeable overhead";
+  outcome overhead
+    ~gates:
+      (List.map
+         (fun (name, ok) ->
+           O.gate ("blocked: " ^ name) ok (if ok then "BLOCKED" else "SUCCEEDED"))
+         outcomes)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out, plus the        *)
@@ -624,11 +587,13 @@ let ablations () =
     Sim.Engine.run ~until:2_000_000. (Workloads.Runner.engine env);
     !result
   in
-  Report.table ~header:[ "channels/guest"; "noop while a read blocks (us)" ]
-    [
-      [ "1"; (let r = stall_probe 1 in if Float.is_nan r then "stalled (never completed)" else Report.f2 r) ];
-      [ "4 (default)"; Report.f2 (stall_probe 4) ];
-    ];
+  let stall =
+    Report.grid ~prefix:"channels/guest" ~corner:"channels/guest" ~unit:"us"
+      ~fmt:(fun r -> if Float.is_nan r then "stalled (never completed)" else Report.f2 r)
+      ~cols:(one "noop while a read blocks (us)")
+      [ ("1", 1); ("4 (default)", 4) ]
+      (fun n () -> stall_probe n)
+  in
 
   (* 3. cross-machine DSM transport (§8 future work) *)
   Printf.printf "\n  -- DSM-based cross-machine Paradice (§8) --\n";
@@ -636,11 +601,14 @@ let ablations () =
     let _m, env = Setup.make ~devices:[ Setup.Null ] (Setup.Paradice cfg) in
     Workloads.Noop_bench.run env ~ops:(scaled 500) ()
   in
-  Report.table ~header:[ "transport"; "noop (us)" ]
-    [
-      [ "same machine, interrupts"; Report.f2 (noop_of Paradice.Config.default) ];
-      [ "cross-machine DSM (10GbE-class)"; Report.f2 (noop_of Paradice.Config.remote_dsm) ];
-    ];
+  let dsm =
+    Report.grid ~prefix:"transport" ~corner:"transport" ~unit:"us" ~cols:(one "noop (us)")
+      [
+        ("same machine, interrupts", Paradice.Config.default);
+        ("cross-machine DSM (10GbE-class)", Paradice.Config.remote_dsm);
+      ]
+      (fun cfg () -> noop_of cfg)
+  in
 
   (* 4. software-emulated VSync (§5.3 extension) *)
   Printf.printf "\n  -- software-emulated VSync --\n";
@@ -649,11 +617,12 @@ let ablations () =
     Workloads.Gfx.run env ~vsync ~profile:Workloads.Gfx.vbo ~width:1024 ~height:768
       ~frames:(scaled 40) ()
   in
-  Report.table ~header:[ "vsync"; "VBO FPS" ]
-    [
-      [ "off (as in §6.1.3)"; Report.f1 (fps_with false) ];
-      [ "on (emulated, 60 Hz)"; Report.f1 (fps_with true) ];
-    ];
+  let vsync =
+    Report.grid ~prefix:"vsync" ~corner:"vsync" ~unit:"fps" ~fmt:Report.f1
+      ~cols:(one "VBO FPS")
+      [ ("off (as in §6.1.3)", false); ("on (emulated, 60 Hz)", true) ]
+      (fun on () -> fps_with on)
+  in
 
   (* 5. device breakage and recovery (§8) *)
   Printf.printf "\n  -- malicious command stream: breakage and recovery --\n";
@@ -699,15 +668,15 @@ let ablations () =
           [ "after recovery"; after ] ])
   in
   Report.table ~header:[ "step"; "outcome" ] rows;
-  Report.note "recoveries performed: %d"
-    (Devices.Radeon_drv.stats_recoveries att.Paradice.Machine.radeon);
+  let recoveries = Devices.Radeon_drv.stats_recoveries att.Paradice.Machine.radeon in
+  Report.note "recoveries performed: %d" recoveries;
 
   (* 6. command-streamer protection (§8's "protect certain parts of the
      device programming interface") *)
   let machine2, env2 = Setup.make ~devices:[ Setup.Gpu ] (Setup.Paradice Paradice.Config.default) in
   let att2 = Option.get machine2.Paradice.Machine.gpu in
   Devices.Radeon_drv.set_command_streamer_protection att2.Paradice.Machine.radeon true;
-  let outcome =
+  let protected =
     Workloads.Runner.run_to_completion env2 (fun () ->
         let task = Workloads.Runner.spawn_app env2 ~name:"evil" in
         let fd = Workloads.Gem.open_gpu env2 task in
@@ -721,7 +690,7 @@ let ablations () =
             "rejected with " ^ Oskit.Errno.to_string e)
   in
   Report.table ~header:[ "with command-streamer protection"; "outcome" ]
-    [ [ "clock-control register write"; outcome ] ];
+    [ [ "clock-control register write"; protected ] ];
 
   (* 7. fair GPU scheduling across guests (§8's TimeGraph pointer) *)
   Printf.printf "\n  -- per-guest GPU scheduling under a flooding guest --\n";
@@ -771,12 +740,14 @@ let ablations () =
     Workloads.Runner.run env_v;
     !latency /. 1000.
   in
-  Report.table ~header:[ "GPU scheduling"; "victim job latency (ms)" ]
-    [
-      [ "FIFO (paper's prototype)"; Report.f1 (victim_latency false) ];
-      [ "fair round-robin (extension)"; Report.f1 (victim_latency true) ];
-    ];
-  Report.note "one flooding guest queues ~40 expensive frames; the victim submits one small job"
+  let sched =
+    Report.grid ~prefix:"gpu scheduling" ~corner:"GPU scheduling" ~unit:"ms" ~fmt:Report.f1
+      ~cols:(one "victim job latency (ms)")
+      [ ("FIFO (paper's prototype)", false); ("fair round-robin (extension)", true) ]
+      (fun fair () -> victim_latency fair)
+  in
+  Report.note "one flooding guest queues ~40 expensive frames; the victim submits one small job";
+  outcome (stall @ dsm @ vsync @ [ Report.count "gpu recoveries" recoveries ] @ sched)
 
 
 (* ------------------------------------------------------------------ *)
@@ -841,18 +812,24 @@ let recovery () =
         | Error _ -> ());
     Sim.Engine.run ~until:2_000_000. eng;
     CF.stop_watchdog g.M.frontend;
-    [ label; Report.f1 !detection; Report.f2 !teardown; Report.f1 !reopen ]
+    (label, (!detection, !teardown, !reopen))
   in
-  Report.table
-    ~header:
-      [ "crash mode"; "detection (us)"; "teardown (us)"; "reboot->first op (us)" ]
-    [
-      run ~label:"poisoned (in-flight RPC)" ~silent:false;
-      run ~label:"silent (watchdog)" ~silent:true;
-    ];
+  let metrics =
+    Report.rows ~corner:"crash mode"
+      [
+        Report.num ~unit:"us" ~fmt:Report.f1 "detection (us)" (fun (d, _, _) -> d);
+        Report.num ~unit:"us" "teardown (us)" (fun (_, t, _) -> t);
+        Report.num ~unit:"us" ~fmt:Report.f1 "reboot->first op (us)" (fun (_, _, r) -> r);
+      ]
+      [
+        run ~label:"poisoned (in-flight RPC)" ~silent:false;
+        run ~label:"silent (watchdog)" ~silent:true;
+      ]
+  in
   Report.note
     "reboot dominated by Config.driver_reboot_us (%.0f us); paper §7.2: the driver VM 'can be rebooted in a few seconds'"
-    Paradice.Config.default.Paradice.Config.driver_reboot_us
+    Paradice.Config.default.Paradice.Config.driver_reboot_us;
+  outcome metrics
 
 (* ------------------------------------------------------------------ *)
 (* Ring throughput: no-op ops/sec vs in-flight depth                   *)
@@ -907,28 +884,38 @@ let throughput () =
     in
     (us_per_op, legs_per_op)
   in
-  let sweep label config =
-    let base_us, _ = run_depth config 1 in
-    Report.table
-      ~header:
-        [ "depth"; "us/op"; "ops/sec"; "speedup"; "interrupt legs/op" ]
-      (List.map
-         (fun depth ->
-           let us_per_op, legs_per_op = run_depth config depth in
-           [
-             string_of_int depth;
-             Report.f2 us_per_op;
-             Printf.sprintf "%.0f" (1e6 /. us_per_op);
-             Report.f2 (base_us /. us_per_op);
-             Report.f2 legs_per_op;
-           ])
-         [ 1; 2; 4; 8 ]);
-    Report.note "%s: serial baseline pays 2 legs/op" label
+  let config = { Paradice.Config.default with Paradice.Config.channels_per_guest = 1 } in
+  let base_us, _ = run_depth config 1 in
+  let depths = List.map (fun depth -> (depth, run_depth config depth)) [ 1; 2; 4; 8 ] in
+  let speedup us = base_us /. us in
+  let metrics =
+    Report.rows ~prefix:"depth" ~corner:"depth"
+      [
+        Report.num ~unit:"us" "us/op" fst;
+        Report.num ~unit:"1/s" ~fmt:Report.f0 "ops/sec" (fun (us, _) -> 1e6 /. us);
+        Report.num ~unit:"x" "speedup" (fun (us, _) -> speedup us);
+        Report.num ~unit:"count" "interrupt legs/op" snd;
+      ]
+      (List.map (fun (depth, r) -> (string_of_int depth, r)) depths)
   in
-  sweep "interrupts"
-    { Paradice.Config.default with Paradice.Config.channels_per_guest = 1 };
+  Report.note "interrupts: serial baseline pays 2 legs/op";
   Report.note
-    "acceptance: depth >= 4 at >= 2x the depth-1 ops/sec with < 1 interrupt leg/op"
+    "acceptance: depth >= 4 at >= 2x the depth-1 ops/sec with < 1 interrupt leg/op";
+  outcome metrics
+    ~gates:
+      (List.concat_map
+         (fun (depth, (us, legs)) ->
+           if depth < 4 then []
+           else
+             [
+               O.gate
+                 (Printf.sprintf "depth %d: >= 2x the depth-1 ops/sec" depth)
+                 (speedup us >= 2.) (Printf.sprintf "%.2fx" (speedup us));
+               O.gate
+                 (Printf.sprintf "depth %d: < 1 interrupt leg/op" depth)
+                 (legs < 1.) (Printf.sprintf "%.2f legs/op" legs);
+             ])
+         depths)
 
 (* ------------------------------------------------------------------ *)
 (* Memory-operation fast path: wall-clock MB/s, 64 B - 1 MiB           *)
@@ -1069,25 +1056,25 @@ let memops () =
                   ~src_off:0 ~len:size
               done)
         in
-        (size, total,
-         mbps total legacy_read, mbps total fast_read,
-         mbps total legacy_write, mbps total fast_write))
+        ( string_of_int size,
+          ( mbps total legacy_read, mbps total fast_read,
+            mbps total legacy_write, mbps total fast_write ) ))
       sizes
   in
-  Report.table
-    ~header:
-      [ "size (B)"; "legacy rd MB/s"; "fast rd MB/s"; "rd speedup";
-        "legacy wr MB/s"; "fast wr MB/s"; "wr speedup" ]
-    (List.map
-       (fun (size, _, lr, fr, lw, fw) ->
-         [
-           string_of_int size;
-           Printf.sprintf "%.0f" lr; Printf.sprintf "%.0f" fr;
-           Report.f1 (fr /. lr);
-           Printf.sprintf "%.0f" lw; Printf.sprintf "%.0f" fw;
-           Report.f1 (fw /. lw);
-         ])
-       results);
+  let mbps header get = Report.num ~clock:Wall ~unit:"MB/s" ~fmt:Report.f0 header get in
+  let speedup header get = Report.num ~clock:Wall ~unit:"x" ~fmt:Report.f1 header get in
+  let metrics =
+    Report.rows ~corner:"size (B)"
+      [
+        mbps "legacy rd MB/s" (fun (lr, _, _, _) -> lr);
+        mbps "fast rd MB/s" (fun (_, fr, _, _) -> fr);
+        speedup "rd speedup" (fun (lr, fr, _, _) -> fr /. lr);
+        mbps "legacy wr MB/s" (fun (_, _, lw, _) -> lw);
+        mbps "fast wr MB/s" (fun (_, _, _, fw) -> fw);
+        speedup "wr speedup" (fun (_, _, lw, fw) -> fw /. lw);
+      ]
+      results
+  in
   let hits = Hypervisor.Audit.tlb_hits audit
   and misses = Hypervisor.Audit.tlb_misses audit
   and walks = Hypervisor.Audit.walks_performed audit in
@@ -1095,36 +1082,26 @@ let memops () =
     if hits + misses = 0 then 0.
     else float_of_int hits /. float_of_int (hits + misses)
   in
+  let grant_hits = audit.Hypervisor.Audit.grant_cache_hits in
   Report.note "tlb_hits=%d tlb_misses=%d walks_performed=%d grant_cache_hits=%d"
-    hits misses walks audit.Hypervisor.Audit.grant_cache_hits;
-  Report.note "TLB hit rate %.1f%% (acceptance: > 90%%)" (100. *. hit_rate);
+    hits misses walks grant_hits;
+  Report.note "TLB hit rate %.1f%% (gate: > 90%%)" (100. *. hit_rate);
   Report.note
-    "acceptance: >= 5x wall-clock MB/s over the legacy path on 64 KiB copies";
+    "target: >= 5x wall-clock MB/s over the legacy path on 64 KiB copies";
   Report.note
     "simulated-time results are unaffected: the fast path changes harness speed only";
-  (* machine-readable record for CI *)
-  let oc = open_out "BENCH_memops.json" in
-  let row_json (size, total, lr, fr, lw, fw) =
-    Printf.sprintf
-      {|    {"size": %d, "bytes_moved": %d, "read": {"legacy_mbps": %.1f, "fast_mbps": %.1f, "speedup": %.2f}, "write": {"legacy_mbps": %.1f, "fast_mbps": %.1f, "speedup": %.2f}}|}
-      size total lr fr (fr /. lr) lw fw (fw /. lw)
-  in
-  Printf.fprintf oc
-    {|{
-  "experiment": "memops",
-  "scale": %g,
-  "sizes": [
-%s
-  ],
-  "audit": {"tlb_hits": %d, "tlb_misses": %d, "walks_performed": %d, "grant_cache_hits": %d},
-  "tlb_hit_rate": %.4f
-}
-|}
-    !scale
-    (String.concat ",\n" (List.map row_json results))
-    hits misses walks audit.Hypervisor.Audit.grant_cache_hits hit_rate;
-  close_out oc;
-  Report.note "wrote BENCH_memops.json"
+  outcome
+    (metrics
+    @ [
+        Report.count "tlb hits" hits; Report.count "tlb misses" misses;
+        Report.count "walks performed" walks; Report.count "grant cache hits" grant_hits;
+        Report.sim ~unit:"ratio" "tlb hit rate" hit_rate;
+      ])
+    ~gates:
+      [
+        O.gate "TLB hit rate > 90%" (hit_rate > 0.9)
+          (Printf.sprintf "%.1f%%" (100. *. hit_rate));
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Operation tracing: Chrome trace export + §6.1 cost reconciliation   *)
@@ -1153,74 +1130,60 @@ let trace () =
   let nm_off = netmap_run Obs.Trace.disabled in
   let nm_tr = Obs.Trace.create () in
   let nm_on = netmap_run nm_tr in
-  let span_count t = List.length (Obs.Trace.completed t) in
-  let row name t off on =
-    let r = Obs.Trace.reconcile t in
-    ( name, r, span_count t,
-      [
-        name;
-        string_of_int (span_count t);
-        string_of_int r.Obs.Trace.r_ops;
-        Printf.sprintf "%.3f" r.Obs.Trace.r_max_gap_us;
-        (if off = on then "identical" else "PERTURBED");
-      ] )
+  let runs =
+    [
+      ("noop (ioctl)", (noop_tr, Obs.Trace.reconcile noop_tr, noop_off = noop_on));
+      ("netmap pktgen", (nm_tr, Obs.Trace.reconcile nm_tr, nm_off = nm_on));
+    ]
   in
-  let noop_row = row "noop (ioctl)" noop_tr noop_off noop_on in
-  let nm_row = row "netmap pktgen" nm_tr nm_off nm_on in
-  Report.table
-    ~header:
-      [ "workload"; "spans"; "ops reconciled"; "max gap (us)"; "off vs on" ]
-    [ (fun (_, _, _, r) -> r) noop_row; (fun (_, _, _, r) -> r) nm_row ];
+  let summary =
+    Report.rows ~corner:"workload"
+      [
+        Report.int "spans" (fun (t, _, _) -> List.length (Obs.Trace.completed t));
+        Report.int "ops reconciled" (fun (_, r, _) -> r.Obs.Trace.r_ops);
+        Report.num ~unit:"us" ~fmt:Report.f3 "max gap (us)" (fun (_, r, _) ->
+            r.Obs.Trace.r_max_gap_us);
+        Report.text "off vs on" (fun (_, _, same) -> if same then "identical" else "PERTURBED");
+      ]
+      runs
+  in
   Report.note
     "acceptance: per-stage span sums reconcile with end-to-end op latency";
   Report.note
     "            within one simulated tick; tracing on = bit-identical timing";
   (* per-stage latency histograms from the span metrics (noop run) *)
-  Report.table ~header:[ "span (noop run)"; "count"; "mean (us)" ]
-    (List.filter_map
-       (fun (name, h) ->
-         if Sim.Stats.count h = 0 then None
-         else
-           Some
-             [
-               name;
-               string_of_int (Sim.Stats.count h);
-               Report.f2 (Sim.Stats.mean h);
-             ])
-       (Obs.Metrics.histograms (Obs.Trace.metrics noop_tr)));
-  List.iter
-    (fun (name, count) -> Report.note "counter %s = %d" name count)
-    (Obs.Metrics.counters (Obs.Trace.metrics noop_tr));
-  (* Perfetto-loadable exports + machine-readable summary for CI *)
+  let noop_metrics = Obs.Trace.metrics noop_tr in
+  let stages =
+    Report.rows ~prefix:"noop span" ~corner:"span (noop run)"
+      [ Report.int "count" Sim.Stats.count; Report.num ~unit:"us" "mean (us)" Sim.Stats.mean ]
+      (List.filter
+         (fun (_, h) -> Sim.Stats.count h > 0)
+         (Obs.Metrics.histograms noop_metrics))
+  in
+  let counters = Obs.Metrics.counters noop_metrics in
+  List.iter (fun (name, count) -> Report.note "counter %s = %d" name count) counters;
+  (* Perfetto-loadable exports *)
   let dump path t =
-    let oc = open_out path in
-    output_string oc (Obs.Trace.to_chrome_json t);
-    close_out oc
+    Out_channel.with_open_text path (fun oc -> output_string oc (Obs.Trace.to_chrome_json t))
   in
   dump "BENCH_trace_noop.json" noop_tr;
   dump "BENCH_trace_netmap.json" nm_tr;
-  let oc = open_out "BENCH_trace.json" in
-  let summary (name, r, spans, _) off on =
-    Printf.sprintf
-      {|    {"workload": "%s", "spans": %d, "ops_reconciled": %d, "max_gap_us": %.3f, "identical_off_on": %b}|}
-      name spans r.Obs.Trace.r_ops r.Obs.Trace.r_max_gap_us (off = on)
-  in
-  Printf.fprintf oc
-    {|{
-  "experiment": "trace",
-  "scale": %g,
-  "runs": [
-%s
-  ]
-}
-|}
-    !scale
-    (String.concat ",\n"
-       [ summary noop_row noop_off noop_on; summary nm_row nm_off nm_on ]);
-  close_out oc;
-  Report.note
-    "wrote BENCH_trace.json, BENCH_trace_noop.json, BENCH_trace_netmap.json";
-  Report.note "load the trace files in https://ui.perfetto.dev to inspect"
+  Report.note "wrote BENCH_trace_noop.json, BENCH_trace_netmap.json";
+  Report.note "load the trace files in https://ui.perfetto.dev to inspect";
+  outcome
+    (summary @ stages
+    @ List.map (fun (name, n) -> Report.count ("noop counter/" ^ name) n) counters)
+    ~gates:
+      (List.concat_map
+         (fun (name, (_, r, same)) ->
+           let gap = r.Obs.Trace.r_max_gap_us in
+           [
+             O.gate (name ^ ": tracing off vs on identical") same
+               (if same then "identical" else "PERTURBED");
+             O.gate (name ^ ": reconcile gap <= 0.001 us") (gap <= 0.001)
+               (Printf.sprintf "%.3f us over %d ops" gap r.Obs.Trace.r_ops);
+           ])
+         runs)
 
 (* ------------------------------------------------------------------ *)
 (* Backend containment: sanitization cost + quarantine isolation       *)
@@ -1238,20 +1201,19 @@ let containment () =
     let _m, env = Setup.make ~devices:[ Setup.Null ] (Setup.Paradice config) in
     Workloads.Noop_bench.run env ~ops:(scaled 2000) ()
   in
-  let s_on = measure Paradice.Config.default in
-  let s_off =
-    measure
-      { Paradice.Config.default with Paradice.Config.sanitize_requests = false }
+  let sanitize =
+    Report.grid ~corner:"config" ~unit:"us" ~cols:(one "noop added latency (us/op)")
+      [
+        ("sanitize on (default)", Paradice.Config.default);
+        ( "sanitize off (ablation)",
+          { Paradice.Config.default with Paradice.Config.sanitize_requests = false } );
+      ]
+      (fun config () -> measure config)
   in
-  Report.table
-    ~header:[ "config"; "noop added latency (us/op)" ]
-    [
-      [ "sanitize on (default)"; Report.f2 s_on ];
-      [ "sanitize off (ablation)"; Report.f2 s_off ];
-    ];
   Report.note
     "sanitization bounds every field off the data path: delta = %+.3f us/op"
-    (s_on -. s_off);
+    (Report.value sanitize "sanitize on (default)"
+    -. Report.value sanitize "sanitize off (ablation)");
   (* victim latency while a sibling attacks its way into quarantine *)
   let module M = Paradice.Machine in
   let module CB = Paradice.Cvd_back in
@@ -1291,31 +1253,54 @@ let containment () =
     Sim.Engine.run ~until:5_000_000. (M.engine m);
     (!elapsed /. float_of_int ops, !served, ops, attacker.M.link.CB.quarantined)
   in
-  let solo_us, solo_served, solo_ops, _ = victim_run ~attack:false in
-  let att_us, att_served, att_ops, quarantined = victim_run ~attack:true in
-  Report.table
-    ~header:[ "victim workload"; "noops served"; "us/op"; "attacker state" ]
-    [
+  let ((solo_us, _, _, _) as solo) = victim_run ~attack:false in
+  let ((att_us, _, _, quarantined) as attacked) = victim_run ~attack:true in
+  let victim =
+    Report.rows ~prefix:"victim" ~corner:"victim workload"
       [
-        "solo baseline";
-        Printf.sprintf "%d/%d" solo_served solo_ops;
-        Report.f2 solo_us;
-        "-";
-      ];
+        Report.text "noops served" (fun ((_, served, ops, _), _) ->
+            Printf.sprintf "%d/%d" served ops);
+        Report.num ~unit:"us" "us/op" (fun ((us, _, _, _), _) -> us);
+        Report.text "attacker state" snd;
+      ]
       [
-        "sibling under attack";
-        Printf.sprintf "%d/%d" att_served att_ops;
-        Report.f2 att_us;
-        (if quarantined then "quarantined" else "NOT QUARANTINED");
-      ];
-    ];
+        ("solo baseline", (solo, "-"));
+        ( "sibling under attack",
+          (attacked, if quarantined then "quarantined" else "NOT QUARANTINED") );
+      ]
+  in
+  let ratio = att_us /. solo_us in
   Report.note
     "acceptance: victim within 20%% of the solo baseline (ratio %.3f); attacker quarantined"
-    (att_us /. solo_us)
+    ratio;
+  outcome
+    (sanitize @ victim @ [ Report.sim ~unit:"ratio" "victim/ratio" ratio ])
+    ~gates:
+      [
+        O.gate "victim within 20% of the solo baseline" (ratio <= 1.2)
+          (Printf.sprintf "ratio %.3f" ratio);
+        O.gate "attacker quarantined" quarantined
+          (if quarantined then "quarantined" else "NOT QUARANTINED");
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Hot upgrade: guest-visible blackout per op class                    *)
 (* ------------------------------------------------------------------ *)
+
+(* One op class across the upgrade: worst per-op latency without and
+   with it, guest-visible errors, and whether two no-upgrade runs were
+   bit-identical. *)
+type upgrade_row = {
+  base : float;
+  worst : float;
+  enodev : int;
+  eio : int;
+  other : int;
+  completed : int;
+  target : int;
+  deterministic : bool;
+  upgraded : Paradice.Machine.upgrade_outcome option;
+}
 
 (* The live-operations claim: a planned driver-VM upgrade is invisible
    to guests except as latency.  Each op class runs a steady operation
@@ -1431,33 +1416,33 @@ let upgrade () =
       (fun (label, cls) ->
         let t_a, lats_a, _, _, _, _ = run ~cls ~do_upgrade:false in
         let t_b, lats_b, _, _, _, _ = run ~cls ~do_upgrade:false in
-        let deterministic = t_a = t_b && lats_a = lats_b in
-        let _, lats_u, (enodev, eio, other), completed, target, outcome =
+        let _, lats_u, (enodev, eio, other), completed, target, upgraded =
           run ~cls ~do_upgrade:true
         in
-        (label, max_lat lats_a, max_lat lats_u, enodev, eio, other, completed,
-         target, deterministic, outcome))
+        ( label,
+          {
+            base = max_lat lats_a; worst = max_lat lats_u; enodev; eio; other;
+            completed; target; deterministic = t_a = t_b && lats_a = lats_b; upgraded;
+          } ))
       classes
   in
-  Report.table
-    ~header:
-      [ "op class"; "baseline max (us)"; "upgraded max (us)"; "stall (us)";
-        "completed"; "ENODEV"; "EIO"; "no-upgrade runs" ]
-    (List.map
-       (fun (label, base, worst, enodev, eio, _other, completed, target, det, _) ->
-         [
-           label;
-           Report.f1 base;
-           Report.f1 worst;
-           Report.f1 (worst -. base);
-           Printf.sprintf "%d/%d" completed target;
-           string_of_int enodev;
-           string_of_int eio;
-           (if det then "bit-identical" else "DIVERGED");
-         ])
-       results);
+  let us header f = Report.num ~unit:"us" ~fmt:Report.f1 header f in
+  let table =
+    Report.rows ~corner:"op class"
+      [
+        us "baseline max (us)" (fun r -> r.base);
+        us "upgraded max (us)" (fun r -> r.worst);
+        us "stall (us)" (fun r -> r.worst -. r.base);
+        Report.text "completed" (fun r -> Printf.sprintf "%d/%d" r.completed r.target);
+        Report.int "ENODEV" (fun r -> r.enodev);
+        Report.int "EIO" (fun r -> r.eio);
+        Report.text "no-upgrade runs" (fun r ->
+            if r.deterministic then "bit-identical" else "DIVERGED");
+      ]
+      results
+  in
   (match results with
-  | (_, _, _, _, _, _, _, _, _, Some (M.Upgraded s)) :: _ ->
+  | (_, { upgraded = Some (M.Upgraded s); _ }) :: _ ->
       Report.note
         "upgrade phases (noop run): boot %.1f us (overlapped), blackout %.1f us = quiesce %.1f + checkpoint %.1f + swap %.1f + restore %.1f + resume %.1f"
         s.M.up_boot_us s.M.up_blackout_us s.M.up_quiesce_us s.M.up_checkpoint_us
@@ -1470,51 +1455,39 @@ let upgrade () =
   | _ -> Report.note "upgrade did not complete as Upgraded — see JSON");
   Report.note
     "acceptance: 100%% completion, zero ENODEV/EIO across the upgrade; no-upgrade runs bit-identical";
-  (* machine-readable record for CI *)
-  let oc = open_out "BENCH_upgrade.json" in
-  let row_json (label, base, worst, enodev, eio, other, completed, target, det, outcome) =
-    let phases =
-      match outcome with
-      | Some (M.Upgraded s) ->
-          Printf.sprintf
-            {|, "blackout_us": %.3f, "boot_us": %.3f, "quiesce_us": %.3f, "checkpoint_us": %.3f, "swap_us": %.3f, "restore_us": %.3f, "resume_us": %.3f, "checkpoint_bytes": %d, "parked_ops": %d, "files_restored": %d, "files_dropped": %d|}
-            s.M.up_blackout_us s.M.up_boot_us s.M.up_quiesce_us
-            s.M.up_checkpoint_us s.M.up_swap_us s.M.up_restore_us s.M.up_resume_us
-            s.M.up_checkpoint_bytes s.M.up_parked_ops s.M.up_files_restored
-            s.M.up_files_dropped
-      | _ -> {|, "upgraded": false|}
-    in
-    Printf.sprintf
-      {|    {"class": "%s", "baseline_max_us": %.3f, "upgraded_max_us": %.3f, "stall_us": %.3f, "completed": %d, "target": %d, "enodev": %d, "eio": %d, "other_errors": %d, "deterministic": %b%s}|}
-      label base worst (worst -. base) completed target enodev eio other det
-      phases
-  in
-  Printf.fprintf oc
-    {|{
-  "experiment": "upgrade",
-  "scale": %g,
-  "classes": [
-%s
-  ]
-}
-|}
-    !scale
-    (String.concat ",\n" (List.map row_json results));
-  close_out oc;
-  Report.note "wrote BENCH_upgrade.json";
-  (* hard acceptance gate — CI fails if the handoff was guest-visible *)
-  List.iter
-    (fun (label, _, _, enodev, eio, _, completed, target, det, _) ->
-      if enodev > 0 || eio > 0 then
-        failwith
-          (Printf.sprintf "upgrade: %s saw %d ENODEV / %d EIO" label enodev eio);
-      if not det then
-        failwith
-          (Printf.sprintf "upgrade: %s no-upgrade runs diverged" label);
-      if label <> "netmap" && completed < target then
-        failwith
-          (Printf.sprintf "upgrade: %s completed %d/%d" label completed target))
-    results
+  outcome
+    (table
+    @ List.concat_map
+        (fun (label, r) ->
+          let us (k, v) = Report.sim ~unit:"us" (label ^ "/" ^ k) v in
+          Report.count (label ^ "/other errors") r.other
+          ::
+          (match r.upgraded with
+          | Some (M.Upgraded s) ->
+              Report.count (label ^ "/snapshot bytes") s.M.up_checkpoint_bytes
+              :: Report.count (label ^ "/parked ops") s.M.up_parked_ops
+              :: List.map us
+                   [
+                     ("boot", s.M.up_boot_us); ("blackout", s.M.up_blackout_us);
+                     ("quiesce", s.M.up_quiesce_us); ("checkpoint", s.M.up_checkpoint_us);
+                     ("swap", s.M.up_swap_us); ("restore", s.M.up_restore_us);
+                     ("resume", s.M.up_resume_us);
+                   ]
+          | _ -> []))
+        results)
+    ~gates:
+      (List.concat_map
+         (fun (label, r) ->
+           [
+             O.gate (label ^ ": zero ENODEV/EIO across the upgrade")
+               (r.enodev = 0 && r.eio = 0)
+               (Printf.sprintf "%d ENODEV / %d EIO" r.enodev r.eio);
+             O.gate (label ^ ": no-upgrade runs bit-identical") r.deterministic
+               (if r.deterministic then "bit-identical" else "DIVERGED");
+             O.gate (label ^ ": 100% completion") (r.completed >= r.target)
+               (Printf.sprintf "%d/%d" r.completed r.target);
+           ])
+         results)
 
 (* ------------------------------------------------------------------ *)
 (* Hybrid notification + multi-op descriptors (ROADMAP item 2)         *)
@@ -1556,28 +1529,22 @@ let notify () =
         in
         let g = List.hd (Paradice.Machine.guests m) in
         let _fwd, _jit, st = Paradice.Cvd_front.stats g.Paradice.Machine.frontend in
-        (name, avg, st))
+        (name, (avg, st, if name = "polling" then 2 else 0)))
       noop_modes
   in
-  Report.table
-    ~header:
-      [ "mode"; "added latency (us/op)"; "notify legs"; "poll pickups";
-        "poll deliveries"; "dedicated poll CPUs" ]
-    (List.map
-       (fun (name, avg, st) ->
-         [
-           name;
-           Report.f2 avg;
-           string_of_int st.Paradice.Chan_pool.legs;
-           string_of_int st.Paradice.Chan_pool.req_poll_pickups;
-           string_of_int st.Paradice.Chan_pool.resp_poll_deliveries;
-           (if name = "polling" then "2" else "0");
-         ])
-       noop_results);
-  let noop_of name =
-    let _, avg, _ = List.find (fun (n, _, _) -> n = name) noop_results in
-    avg
+  let noop_table =
+    Report.rows ~corner:"mode"
+      [
+        Report.num ~unit:"us" "added latency (us/op)" (fun (avg, _, _) -> avg);
+        Report.int "notify legs" (fun (_, st, _) -> st.Paradice.Chan_pool.legs);
+        Report.int "poll pickups" (fun (_, st, _) -> st.Paradice.Chan_pool.req_poll_pickups);
+        Report.int "poll deliveries" (fun (_, st, _) ->
+            st.Paradice.Chan_pool.resp_poll_deliveries);
+        Report.int "dedicated poll CPUs" (fun (_, _, cpus) -> cpus);
+      ]
+      noop_results
   in
+  let noop_of name = (fun (avg, _, _) -> avg) (List.assoc name noop_results) in
   Report.note
     "hybrid rides the poll window between back-to-back ops: polling-cost handoffs,";
   Report.note
@@ -1587,54 +1554,44 @@ let notify () =
   let packets = scaled 20_000 in
   let ops_per_desc = 16 in
   let fig2_cols =
-    [
-      ("Paradice", Paradice.Config.default, false);
-      ("Paradice+mop", Paradice.Config.default, true);
-      ("Paradice(H)+mop", Paradice.Config.hybrid, true);
-      ("Paradice(P)", Paradice.Config.polling, false);
-    ]
+    Report.labelled
+      (fun (name, _, _) -> name)
+      [
+        ("Paradice", Paradice.Config.default, false);
+        ("Paradice+mop", Paradice.Config.default, true);
+        ("Paradice(H)+mop", Paradice.Config.hybrid, true);
+        ("Paradice(P)", Paradice.Config.polling, false);
+      ]
   in
   let batches = [ 1; 2; 4; 8; 16; 32; 64 ] in
-  let grid =
-    List.map
-      (fun batch ->
-        ( batch,
-          List.map
-            (fun (name, cfg, batched) ->
-              guard
-                ~what:(Printf.sprintf "fig2/%s/batch=%d" name batch)
-                ~fallback:nan
-                (fun () ->
-                  let _m, env =
-                    Setup.make ~devices:[ Setup.Netmap ] (Setup.Paradice cfg)
-                  in
-                  let r =
-                    if batched then
-                      Workloads.Netmap_pktgen.run_batched env ~packets ~batch
-                        ~ops_per_desc ()
-                    else Workloads.Netmap_pktgen.run env ~packets ~batch ()
-                  in
-                  r.Workloads.Netmap_pktgen.rate_mpps))
-            fig2_cols ))
-      batches
+  let fig2 =
+    Report.grid ~prefix:"fig2" ~corner:"batch" ~unit:"Mpps" ~fmt:Report.f3 ~cols:fig2_cols
+      (ints batches)
+      (fun batch (name, cfg, batched) ->
+        guard
+          ~what:(Printf.sprintf "fig2/%s/batch=%d" name batch)
+          ~fallback:nan
+          (fun () ->
+            let _m, env = Setup.make ~devices:[ Setup.Netmap ] (Setup.Paradice cfg) in
+            let r =
+              if batched then
+                Workloads.Netmap_pktgen.run_batched env ~packets ~batch ~ops_per_desc ()
+              else Workloads.Netmap_pktgen.run env ~packets ~batch ()
+            in
+            r.Workloads.Netmap_pktgen.rate_mpps))
   in
-  Report.table
-    ~header:("batch" :: List.map (fun (n, _, _) -> n) fig2_cols)
-    (List.map
-       (fun (batch, rates) -> string_of_int batch :: List.map Report.f3 rates)
-       grid);
   Report.note "line rate at 64B on 1GbE = 1.488 Mpps; +mop = %d txsyncs per descriptor"
     ops_per_desc;
-  let crossover col =
-    List.fold_left
-      (fun acc (batch, rates) ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            if List.nth rates col >= 0.95 *. line_rate then Some batch else None)
-      None grid
+  let crossovers =
+    List.map
+      (fun (name, _) ->
+        ( name,
+          List.find_opt
+            (fun batch ->
+              Report.value fig2 (Printf.sprintf "fig2/%d/%s" batch name) >= 0.95 *. line_rate)
+            batches ))
+      fig2_cols
   in
-  let crossovers = List.mapi (fun i (name, _, _) -> (name, crossover i)) fig2_cols in
   List.iter
     (fun (name, c) ->
       Report.note "crossover to line rate: %-16s %s" name
@@ -1651,7 +1608,7 @@ let notify () =
           guard ~what:("reconcile/" ^ name) ~fallback:nan (fun () ->
               Workloads.Noop_bench.run env ~ops:(scaled 50) ())
         in
-        (name, Obs.Trace.reconcile tracer, Obs.Trace.metrics tracer))
+        (name, (Obs.Trace.reconcile tracer, Obs.Trace.metrics tracer)))
       noop_modes
   in
   let batch_reconcile =
@@ -1665,21 +1622,20 @@ let notify () =
         ~fallback:
           { Workloads.Netmap_pktgen.rate_mpps = nan; packets = 0; elapsed_s = nan }
     in
-    ("hybrid+mop", Obs.Trace.reconcile tracer, Obs.Trace.metrics tracer)
+    ("hybrid+mop", (Obs.Trace.reconcile tracer, Obs.Trace.metrics tracer))
   in
   let reconcile_rows = reconcile_rows @ [ batch_reconcile ] in
-  Report.table
-    ~header:[ "mode (traced noop)"; "ops reconciled"; "max gap (us)" ]
-    (List.map
-       (fun (name, r, _) ->
-         [
-           name;
-           string_of_int r.Obs.Trace.r_ops;
-           Printf.sprintf "%.3f" r.Obs.Trace.r_max_gap_us;
-         ])
-       reconcile_rows);
+  let reconcile =
+    Report.rows ~prefix:"reconcile" ~corner:"mode (traced noop)"
+      [
+        Report.int "ops reconciled" (fun (r, _) -> r.Obs.Trace.r_ops);
+        Report.num ~unit:"us" ~fmt:Report.f3 "max gap (us)" (fun (r, _) ->
+            r.Obs.Trace.r_max_gap_us);
+      ]
+      reconcile_rows
+  in
   List.iter
-    (fun (name, _, metrics) ->
+    (fun (name, (_, metrics)) ->
       List.iter
         (fun (counter, count) ->
           if
@@ -1692,100 +1648,36 @@ let notify () =
   Report.note
     "acceptance: stage spans (incl. hybrid handoffs, per-sub-op spans excluded)";
   Report.note "            tile each op exactly in every notification mode";
-  (* machine-readable record for CI *)
-  let oc = open_out "BENCH_notify.json" in
-  let noop_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, avg, st) ->
-           Printf.sprintf
-             {|    {"mode": "%s", "latency_us": %.3f, "legs": %d, "poll_pickups": %d, "poll_deliveries": %d}|}
-             name avg st.Paradice.Chan_pool.legs
-             st.Paradice.Chan_pool.req_poll_pickups
-             st.Paradice.Chan_pool.resp_poll_deliveries)
-         noop_results)
-  in
-  let fig2_json =
-    String.concat ",\n"
-      (List.map
-         (fun (batch, rates) ->
-           Printf.sprintf {|    {"batch": %d, %s}|} batch
-             (String.concat ", "
-                (List.map2
-                   (fun (name, _, _) rate ->
-                     Printf.sprintf {|"%s": %.3f|} name rate)
-                   fig2_cols rates)))
-         grid)
-  in
-  let crossover_json =
-    String.concat ", "
-      (List.map
-         (fun (name, c) ->
-           Printf.sprintf {|"%s": %s|} name
-             (match c with Some b -> string_of_int b | None -> "null"))
-         crossovers)
-  in
-  let reconcile_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, r, _) ->
-           Printf.sprintf
-             {|    {"mode": "%s", "ops": %d, "max_gap_us": %.3f}|}
-             name r.Obs.Trace.r_ops r.Obs.Trace.r_max_gap_us)
-         reconcile_rows)
-  in
-  Printf.fprintf oc
-    {|{
-  "experiment": "notify",
-  "scale": %g,
-  "ops_per_desc": %d,
-  "noop": [
-%s
-  ],
-  "hybrid_over_polling": %.3f,
-  "fig2": [
-%s
-  ],
-  "crossover": {%s},
-  "reconcile": [
-%s
-  ],
-  "errors": [%s]
-}
-|}
-    !scale ops_per_desc noop_json
-    (noop_of "hybrid" /. noop_of "polling")
-    fig2_json crossover_json reconcile_json
-    (String.concat ", "
-       (List.map (fun e -> Printf.sprintf "%S" e) !errors));
-  close_out oc;
-  Report.note "wrote BENCH_notify.json";
-  (* hard acceptance gates — CI fails on any of these *)
-  (match !errors with
-  | [] -> ()
-  | es -> failwith ("notify: op errors: " ^ String.concat "; " es));
   let hybrid_noop = noop_of "hybrid" and polling_noop = noop_of "polling" in
-  if not (hybrid_noop <= 2. *. polling_noop) then
-    failwith
-      (Printf.sprintf "notify: hybrid noop %.2f us exceeds 2x polling %.2f us"
-         hybrid_noop polling_noop);
-  (match List.assoc "Paradice+mop" crossovers with
-  | Some b when b <= 4 -> ()
-  | Some b ->
-      failwith
-        (Printf.sprintf
-           "notify: interrupt-mode crossover with multi-op descriptors at batch %d (> 4)"
-           b)
-  | None ->
-      failwith
-        "notify: interrupt-mode multi-op descriptors never reach line rate");
-  List.iter
-    (fun (name, r, _) ->
-      if r.Obs.Trace.r_max_gap_us > 0.001 then
-        failwith
-          (Printf.sprintf "notify: %s trace tiling gap %.3f us" name
-             r.Obs.Trace.r_max_gap_us))
-    reconcile_rows
+  let mop_crossover = List.assoc "Paradice+mop" crossovers in
+  outcome
+    (noop_table
+    @ [ Report.sim ~unit:"ratio" "hybrid over polling" (hybrid_noop /. polling_noop) ]
+    @ fig2
+    @ List.map
+        (fun (name, c) ->
+          Report.sim ~unit:"batch" ("crossover/" ^ name)
+            (match c with Some b -> float_of_int b | None -> nan))
+        crossovers
+    @ reconcile)
+    ~gates:
+      ([
+         O.gate "no op errors" (!errors = []) (String.concat "; " (List.rev !errors));
+         O.gate "hybrid noop within 2x dedicated polling"
+           (hybrid_noop <= 2. *. polling_noop)
+           (Printf.sprintf "hybrid %.2f us, polling %.2f us" hybrid_noop polling_noop);
+         O.gate "interrupt-mode multi-op crossover at batch <= 4"
+           (match mop_crossover with Some b -> b <= 4 | None -> false)
+           (match mop_crossover with
+           | Some b -> Printf.sprintf "batch %d" b
+           | None -> "never reaches line rate");
+       ]
+      @ List.map
+          (fun (name, (r, _)) ->
+            let gap = r.Obs.Trace.r_max_gap_us in
+            O.gate (name ^ ": spans tile each op") (gap <= 0.001)
+              (Printf.sprintf "max gap %.3f us" gap))
+          reconcile_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-scale sharded execution (ROADMAP item 1)                      *)
@@ -1800,6 +1692,18 @@ let notify () =
    by exact histogram pooling (Sim.Stats.merge / Obs.Metrics.merge),
    and a Zipf-skewed offered load checks that per-guest isolation
    (rings + caps, §5.1) keeps the fleet fair. *)
+
+(* One fleet run at a given shard count: domains used, wall-clock
+   time, completed and errored ops, the per-shard results, and every
+   guest's latency samples pooled. *)
+type fleet_row = {
+  domains : int;
+  wall : float;
+  ok : int;
+  err : int;
+  shard_results : Workloads.Fleet_load.result array;
+  pooled : Sim.Stats.t;
+}
 
 let fleet () =
   let module FL = Workloads.Fleet_load in
@@ -1825,44 +1729,42 @@ let fleet () =
       (fun shards ->
         let specs = FL.make_specs ~shards ~seed ~ops:uniform () in
         let domains = max 1 (min shards cores) in
-        let results, wall = timed_run ~domains specs in
-        let ok = Array.fold_left (fun a r -> a + r.FL.r_ok) 0 results in
-        let err = Array.fold_left (fun a r -> a + r.FL.r_err) 0 results in
-        let merged =
-          Sim.Stats.merge "fleet"
-            (List.map (fun g -> g.FL.g_lat) (FL.all_guests results))
-        in
-        (shards, domains, results, wall, ok, err, merged))
+        let shard_results, wall = timed_run ~domains specs in
+        ( string_of_int shards,
+          {
+            domains; wall; shard_results;
+            ok = Array.fold_left (fun a r -> a + r.FL.r_ok) 0 shard_results;
+            err = Array.fold_left (fun a r -> a + r.FL.r_err) 0 shard_results;
+            pooled =
+              Sim.Stats.merge "fleet"
+                (List.map (fun g -> g.FL.g_lat) (FL.all_guests shard_results));
+          } ))
       shard_counts
   in
-  Report.table
-    ~header:
-      [ "shards"; "domains"; "wall s"; "ops/s"; "p50 us"; "p99 us"; "p999 us"; "errs" ]
-    (List.map
-       (fun (shards, domains, _, wall, ok, err, merged) ->
-         [
-           string_of_int shards; string_of_int domains; Report.f2 wall;
-           Report.f1 (float_of_int ok /. wall);
-           Report.f1 (Sim.Stats.median merged);
-           Report.f1 (Sim.Stats.p99 merged);
-           Report.f1 (Sim.Stats.p999 merged);
-           string_of_int err;
-         ])
-       scaling);
-  let wall_of n =
-    let _, _, _, w, _, _, _ = List.find (fun (s, _, _, _, _, _, _) -> s = n) scaling in
-    w
+  let p name stat = Report.num ~unit:"us" ~fmt:Report.f1 name stat in
+  let scaling_table =
+    Report.rows ~prefix:"shards" ~corner:"shards"
+      [
+        Report.int ~clock:Wall "domains" (fun r -> r.domains);
+        Report.num ~clock:Wall ~unit:"s" "wall s" (fun r -> r.wall);
+        Report.num ~clock:Wall ~unit:"1/s" ~fmt:Report.f1 "ops/s" (fun r ->
+            float_of_int r.ok /. r.wall);
+        p "p50 us" (fun r -> Sim.Stats.median r.pooled);
+        p "p99 us" (fun r -> Sim.Stats.p99 r.pooled);
+        p "p999 us" (fun r -> Sim.Stats.p999 r.pooled);
+        Report.int "errs" (fun r -> r.err);
+      ]
+      scaling
   in
-  let speedup_4 = wall_of 1 /. wall_of 4 in
+  let at n = List.assoc (string_of_int n) scaling in
+  let speedup_4 = (at 1).wall /. (at 4).wall in
   Report.note "1 -> 4 shard wall-clock speedup: %.2fx (gate >= 3x needs >= 4 cores)"
     speedup_4;
 
   (* -- determinism: 4 shards on 1 domain vs all cores -- *)
   let specs4 = FL.make_specs ~shards:4 ~seed ~ops:uniform () in
   let seq4, _ = timed_run ~domains:1 specs4 in
-  let _, _, par4, _, _, _, _ =
-    List.find (fun (s, _, _, _, _, _, _) -> s = 4) scaling
-  in
+  let par4 = (at 4).shard_results in
   let fingerprint (r : FL.result) =
     (r.FL.r_shard, r.FL.r_ok, r.FL.r_err, r.FL.r_digest, r.FL.r_sim_end_us)
   in
@@ -1909,80 +1811,54 @@ let fleet () =
     let err = Array.fold_left (fun a r -> a + r.FL.r_err) 0 results in
     (wall, Sim.Stats.p99 merged, err)
   in
-  let ll_wall, ll_p99, ll_err = run_dispatch Paradice.Config.Least_loaded in
-  let p2c_wall, p2c_p99, p2c_err = run_dispatch Paradice.Config.Two_choices in
-  Report.table
-    ~header:[ "dispatch (16 rings/guest)"; "wall s"; "p99 us"; "errs" ]
-    [
-      [ "least-loaded scan"; Report.f2 ll_wall; Report.f1 ll_p99; string_of_int ll_err ];
-      [ "two-choices"; Report.f2 p2c_wall; Report.f1 p2c_p99; string_of_int p2c_err ];
-    ];
+  let least_loaded = run_dispatch Paradice.Config.Least_loaded in
+  let two_choices = run_dispatch Paradice.Config.Two_choices in
+  let dispatch =
+    Report.rows ~prefix:"dispatch" ~corner:"dispatch (16 rings/guest)"
+      [
+        Report.num ~clock:Wall ~unit:"s" "wall s" (fun (w, _, _) -> w);
+        p "p99 us" (fun (_, p99, _) -> p99);
+        Report.int "errs" (fun (_, _, err) -> err);
+      ]
+      [ ("least-loaded scan", least_loaded); ("two-choices", two_choices) ]
+  in
   Report.note "two-choices probes 2 rings per op instead of scanning all 16";
 
-  (* -- CI artifact -- *)
-  let oc = open_out "BENCH_fleet.json" in
-  Printf.fprintf oc
-    {|{
-  "experiment": "fleet",
-  "scale": %g,
-  "cores": %d,
-  "guests": %d,
-  "ops_per_guest": %d,
-  "scaling": [
-%s
-  ],
-  "speedup_1_to_4": %.3f,
-  "deterministic_across_domains": %b,
-  "zipf_fairness": %.3f,
-  "zipf_errors": %d,
-  "dispatch": {
-    "least_loaded": {"wall_s": %.3f, "p99_us": %.3f, "errors": %d},
-    "two_choices": {"wall_s": %.3f, "p99_us": %.3f, "errors": %d}
-  }
-}
-|}
-    !scale cores guests base_ops
-    (String.concat ",\n"
-       (List.map
-          (fun (shards, domains, _, wall, ok, err, merged) ->
-            Printf.sprintf
-              {|    {"shards": %d, "domains": %d, "wall_s": %.3f, "ops": %d, "ops_per_sec": %.1f, "p50_us": %.3f, "p99_us": %.3f, "p999_us": %.3f, "errors": %d}|}
-              shards domains wall ok
-              (float_of_int ok /. wall)
-              (Sim.Stats.median merged) (Sim.Stats.p99 merged)
-              (Sim.Stats.p999 merged) err)
-          scaling))
-    speedup_4 deterministic fairness zerr ll_wall ll_p99 ll_err p2c_wall
-    p2c_p99 p2c_err;
-  close_out oc;
-  Report.note "wrote BENCH_fleet.json";
-
-  (* hard acceptance gates — CI fails on any of these *)
-  if guests < 200 then
-    failwith (Printf.sprintf "fleet: only %d guest links (need >= 200)" guests);
-  List.iter
-    (fun (shards, _, _, _, ok, err, _) ->
-      if err > 0 then
-        failwith (Printf.sprintf "fleet: %d errored ops at %d shards" err shards);
-      if ok <> guests * base_ops then
-        failwith
-          (Printf.sprintf "fleet: completed %d/%d ops at %d shards" ok
-             (guests * base_ops) shards))
-    scaling;
-  if not deterministic then
-    failwith "fleet: per-shard results depend on the domain count";
-  if zerr > 0 then
-    failwith (Printf.sprintf "fleet: %d errored ops under zipf load" zerr);
-  if Float.is_nan fairness || fairness > 3.0 then
-    failwith
-      (Printf.sprintf "fleet: zipf fairness %.2f exceeds 3.0" fairness);
-  if ll_err > 0 || p2c_err > 0 then
-    failwith "fleet: errored ops in dispatch comparison";
-  if cores >= 4 then begin
-    if speedup_4 < 3.0 then
-      failwith
-        (Printf.sprintf "fleet: 1->4 shard speedup %.2fx below 3x on %d cores"
-           speedup_4 cores)
-  end
-  else
-    Report.note "scaling gate skipped: only %d core(s) available" cores
+  if cores < 4 then Report.note "scaling gate skipped: only %d core(s) available" cores;
+  let errors_gate name n =
+    O.gate (name ^ ": no errored ops") (n = 0) (Printf.sprintf "%d errored ops" n)
+  in
+  let _, _, ll_err = least_loaded and _, _, p2c_err = two_choices in
+  outcome
+    ([
+       Report.count "guests" guests; Report.count "ops per guest" base_ops;
+       Report.wall ~unit:"count" "cores" (float_of_int cores);
+       Report.wall ~unit:"x" "speedup 1 to 4 shards" speedup_4;
+       Report.sim ~unit:"x" "zipf fairness" fairness; Report.count "zipf errors" zerr;
+     ]
+    @ scaling_table @ dispatch)
+    ~gates:
+      ([ O.gate ">= 200 guest links" (guests >= 200) (Printf.sprintf "%d links" guests) ]
+      @ List.concat_map
+          (fun (shards, r) ->
+            let name = shards ^ " shards" in
+            [
+              errors_gate name r.err;
+              O.gate (name ^ ": every op completed") (r.ok = guests * base_ops)
+                (Printf.sprintf "%d/%d ops" r.ok (guests * base_ops));
+            ])
+          scaling
+      @ [
+          O.gate "per-shard results identical on 1 vs N domains" deterministic
+            (if deterministic then "bit-identical" else "DIVERGED");
+          errors_gate "zipf" zerr;
+          O.gate "zipf fairness <= 3x" (fairness <= 3.0) (Printf.sprintf "%.2fx" fairness);
+          errors_gate "dispatch comparison" (ll_err + p2c_err);
+        ]
+      @
+      if cores >= 4 then
+        [
+          O.gate "1 -> 4 shard wall-clock speedup >= 3x" (speedup_4 >= 3.0)
+            (Printf.sprintf "%.2fx on %d cores" speedup_4 cores);
+        ]
+      else [])

@@ -1,40 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the
    paper's evaluation (run with no arguments for everything), plus
    Bechamel wall-clock microbenchmarks of the implementation's hot
-   paths (`bechamel` subcommand). *)
-
-let experiments =
-  [
-    ("noop", Experiments.noop);
-    ("fig2", Experiments.fig2);
-    ("fig3", Experiments.fig3);
-    ("fig4", Experiments.fig4);
-    ("fig5", Experiments.fig5);
-    ("fig6", Experiments.fig6);
-    ("mouse", Experiments.mouse);
-    ("camera", Experiments.camera);
-    ("audio", Experiments.audio);
-    ("table1", Experiments.table1);
-    ("table2", Experiments.table2);
-    ("table3", Experiments.table3);
-    ("analyzer", Experiments.analyzer);
-    ("isolation", Experiments.isolation);
-    ("ablations", Experiments.ablations);
-    ("recovery", Experiments.recovery);
-    ("throughput", Experiments.throughput);
-    ("memops", Experiments.memops);
-    ("trace", Experiments.trace);
-    ("containment", Experiments.containment);
-    ("upgrade", Experiments.upgrade);
-    ("notify", Experiments.notify);
-    ("fleet", Experiments.fleet);
-  ]
+   paths (the [bechamel] entry).  Every entry returns its metrics and
+   gates; each is written to BENCH_<name>.json, and the run exits 1
+   naming every failed gate. *)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks: wall-clock cost of the hot paths          *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_benchmarks () =
+let bechamel () =
+  Report.heading "Bechamel microbenchmarks (wall clock, implementation hot paths)";
   let open Bechamel in
   let open Toolkit in
   (* two-level page walk *)
@@ -143,12 +119,52 @@ let bechamel_benchmarks () =
       (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
       Instance.monotonic_clock results
   in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some (est :: _) -> Printf.printf "  %-45s %12.1f ns/op\n" name est
-      | Some [] | None -> Printf.printf "  %-45s (no estimate)\n" name)
-    ols
+  let metrics =
+    Report.rows ~corner:"hot path"
+      [
+        Report.num ~clock:Wall ~unit:"ns" ~fmt:Report.f1 "ns/op" (function
+          | Some (ns :: _) -> ns
+          | Some [] | None -> nan);
+      ]
+      (Hashtbl.fold (fun name r acc -> (name, Analyze.OLS.estimates r) :: acc) ols []
+      |> List.sort compare)
+  in
+  { Obs.Outcome.metrics; gates = [] }
+
+let entries =
+  [
+    ("noop", Experiments.noop);
+    ("fig2", Experiments.fig2);
+    ("fig3", Experiments.fig3);
+    ("fig4", Experiments.fig4);
+    ("fig5", Experiments.fig5);
+    ("fig6", Experiments.fig6);
+    ("mouse", Experiments.mouse);
+    ("camera", Experiments.camera);
+    ("audio", Experiments.audio);
+    ("table1", Experiments.table1);
+    ("table2", Experiments.table2);
+    ("table3", Experiments.table3);
+    ("analyzer", Experiments.analyzer);
+    ("isolation", Experiments.isolation);
+    ("ablations", Experiments.ablations);
+    ("recovery", Experiments.recovery);
+    ("throughput", Experiments.throughput);
+    ("memops", Experiments.memops);
+    ("trace", Experiments.trace);
+    ("containment", Experiments.containment);
+    ("upgrade", Experiments.upgrade);
+    ("notify", Experiments.notify);
+    ("fleet", Experiments.fleet);
+    ("bechamel", bechamel);
+  ]
+
+let run (name, f) =
+  let r = f () in
+  let path = Printf.sprintf "BENCH_%s.json" name in
+  Obs.Outcome.write ~path ~name ~scale:!Experiments.scale r;
+  Printf.eprintf "wrote %s\n%!" path;
+  List.map (fun g -> (name, g)) (Obs.Outcome.failed r)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -159,31 +175,27 @@ let () =
         rest
     | rest -> rest
   in
-  match args with
-  | [] ->
-      print_endline "Paradice benchmark harness — reproducing every table and figure";
-      print_endline "(pass experiment names to run a subset: noop fig2 fig3 fig4 fig5";
-      print_endline " fig6 mouse camera audio table1 table2 table3 analyzer isolation";
-      print_endline " recovery throughput memops trace containment upgrade notify";
-      print_endline " fleet bechamel;";
-      print_endline " --quick";
-      print_endline " shortens runs)";
-      List.iter (fun (_, f) -> f ()) experiments;
-      Report.heading "Bechamel microbenchmarks (wall clock, implementation hot paths)";
-      bechamel_benchmarks ()
-  | names ->
-      (* check every name before running any, so a typo fails fast *)
-      let known name = name = "bechamel" || List.mem_assoc name experiments in
-      (match List.filter (fun n -> not (known n)) names with
-      | [] -> ()
-      | unknown ->
-          List.iter (Printf.eprintf "unknown experiment: %s\n") unknown;
-          exit 2);
+  let selected =
+    match args with
+    | [] ->
+        print_endline "Paradice benchmark harness — reproducing every table and figure";
+        Printf.printf "(pass experiment names to run a subset: %s;\n --quick shortens runs)\n"
+          (String.concat " " (List.map fst entries));
+        entries
+    | names -> (
+        (* check every name before running any, so a typo fails fast *)
+        match List.filter (fun n -> not (List.mem_assoc n entries)) names with
+        | [] -> List.map (fun n -> (n, List.assoc n entries)) names
+        | unknown ->
+            List.iter (Printf.eprintf "unknown experiment: %s\n") unknown;
+            exit 2)
+  in
+  match List.concat_map run selected with
+  | [] -> ()
+  | failed ->
       List.iter
-        (fun name ->
-          if name = "bechamel" then begin
-            Report.heading "Bechamel microbenchmarks";
-            bechamel_benchmarks ()
-          end
-          else (List.assoc name experiments) ())
-        names
+        (fun (name, g) ->
+          Printf.eprintf "FAILED gate %s: %s (%s)\n" name g.Obs.Outcome.name
+            g.Obs.Outcome.detail)
+        failed;
+      exit 1

@@ -345,7 +345,7 @@ let fault_fires t key =
    context on arrival. *)
 let leg t d k =
   let now = Sim.Engine.now t.engine in
-  let cold = now -. d.last_wake > t.config.Config.cold_threshold_us in
+  let cold = now -. d.last_wake > Config.cold_threshold_us in
   d.last_wake <- now;
   t.legs <- t.legs + 1;
   if cold then t.cold_legs <- t.cold_legs + 1;
@@ -353,7 +353,7 @@ let leg t d k =
   let delay = s.Config.leg_us +. (if cold then s.Config.cold_extra_us else 0.) in
   Sim.Engine.at t.engine ~delay k
 
-let marshal t = Sim.Engine.wait t.config.Config.marshal_us
+let marshal () = Sim.Engine.wait Config.marshal_us
 
 let fail_dead t =
   if t.retired then raise Retired
@@ -420,7 +420,7 @@ let signal t d ~trace =
    the signalling decision. *)
 let ring_req_doorbell t ~trace =
   if fault_fires t site_delay_req then
-    Sim.Engine.wait t.config.Config.fault_delay_us;
+    Sim.Engine.wait Config.fault_delay_us;
   signal t t.req ~trace
 
 (* Publish one request descriptor: marshal, stamp the attempt's
@@ -434,7 +434,7 @@ let publish t ~slot ~seq (req_bytes : bytes) =
     Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
       ~name:"front:publish" ()
   in
-  marshal t;
+  marshal ();
   let wire = Bytes.copy req_bytes in
   Proto.set_seq wire seq;
   if fault_fires t site_corrupt_req then
@@ -552,7 +552,7 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
             match got with
             | Some () ->
                 let wake = Sim.Engine.now t.engine in
-                marshal t;
+                marshal ();
                 let resp =
                   t.front_view.Hypervisor.Shared_page.read
                     ~offset:(slot_off slot) ~len:Proto.slot_size
@@ -640,7 +640,7 @@ let next_request t : (int * bytes) option =
             st_in_service;
           t.service_active.(slot) <- true;
           t.in_service <- t.in_service + 1;
-          marshal t;
+          marshal ();
           let bytes =
             t.back_view.Hypervisor.Shared_page.read ~offset:(slot_off slot)
               ~len:Proto.slot_size
@@ -721,7 +721,7 @@ let respond t ~slot (resp_bytes : bytes) =
       Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Backend ~cat:"stage"
         ~name:"back:respond" ()
     in
-    marshal t;
+    marshal ();
     let wire = Bytes.copy resp_bytes in
     Proto.set_seq wire t.service_seq.(slot);
     Proto.set_trace wire trace;

@@ -42,13 +42,9 @@ type dispatch =
 type t = {
   (* -- transport -- *)
   signalling : signalling; (* doorbell costs and poll window *)
-  marshal_us : float; (* serialise/deserialise one message *)
-  cold_threshold_us : float; (* channel idle longer than this = cold *)
   (* -- isolation -- *)
   validate_grants : bool; (* fault-isolation runtime checks (§4.1) *)
   data_isolation : bool; (* protected memory regions (§4.2) *)
-  hypercall_us : float; (* one hypervisor API call from the driver VM *)
-  grant_declare_us : float; (* frontend writes one grant entry *)
   (* -- CVD policy -- *)
   ioctl_id_mode : ioctl_id_mode;
   max_queued_ops : int; (* per-guest wait-queue cap, DoS protection (§5.1) *)
@@ -59,9 +55,6 @@ type t = {
                         publishers block (doorbells coalesce across all
                         descriptors queued since the last one) *)
   dispatch : dispatch; (* how the pool routes an op to a ring *)
-  dispatch_seed : int64; (* seeds the per-link Two_choices probe stream
-                             (derived per guest VM id, so dispatch is
-                             deterministic and per-link independent) *)
   (* -- fault containment & recovery (§4.1, §7.2) -- *)
   rpc_timeout_us : float; (* per-attempt RPC deadline; 0 = block forever
                               (blocking reads on quiet devices are
@@ -71,8 +64,6 @@ type t = {
   heartbeat_interval_us : float; (* frontend watchdog ping period; 0 = off *)
   heartbeat_miss_limit : int; (* consecutive missed pings before the
                                   driver VM is declared dead *)
-  poll_forward_chunk_us : float; (* bounded chunk a forwarded poll blocks
-                                     in the backend before re-asking *)
   poll_forward_backoff_us : float; (* frontend sleep between not-ready poll
                                        chunks: bounds the RPC rate of a
                                        never-ready device so one guest poll
@@ -106,22 +97,45 @@ type t = {
                                   link); 0 = never quarantine *)
   driver_reboot_us : float; (* driver-VM kill -> serving again (§7.2's
                                 "rebooted in seconds") *)
-  upgrade_drain_us : float; (* hot upgrade/migration: how long quiesce
-                                waits for in-flight operations to drain
-                                before parking the stragglers for
-                                replay on the successor (bounds the
-                                blackout window) *)
-  fault_delay_us : float; (* extra latency when the delay fault fires *)
   injector : Sim.Fault_inject.t option; (* deterministic fault plan *)
   tracer : Obs.Trace.t; (* span tracing sink; the disabled sink is a
                             single boolean check per instrumentation
                             point and records nothing *)
-  (* -- guest/OS costs -- *)
-  da_irq_extra_us : float; (* interrupt-injection overhead under device
-                               assignment (native = 0) *)
-  (* -- workload-visible device costs -- *)
-  input_delivery_us : float; (* USB + input-core path, event -> evdev queue *)
 }
+
+(* Calibrated constants: one value each, read directly by the model. *)
+
+(* -- transport -- *)
+let marshal_us = 0.1 (* serialise/deserialise one message *)
+let cold_threshold_us = 1_000. (* channel idle longer than this = cold *)
+
+(* -- isolation -- *)
+let hypercall_us = 0.9 (* one hypervisor API call from the driver VM *)
+let grant_declare_us = 0.15 (* frontend writes one grant entry *)
+
+(* -- CVD policy -- *)
+let dispatch_seed = 0x5EEDL
+(* seeds the per-link Two_choices probe stream (derived per guest VM
+   id, so dispatch is deterministic and per-link independent) *)
+
+let poll_forward_chunk_us = 5_000.
+(* bounded chunk a forwarded poll blocks in the backend before
+   re-asking *)
+
+(* -- fault containment & recovery -- *)
+let upgrade_drain_us = 50.
+(* hot upgrade/migration: how long quiesce waits for in-flight
+   operations to drain before parking the stragglers for replay on the
+   successor (bounds the blackout window) *)
+
+let fault_delay_us = 50. (* extra latency when the delay fault fires *)
+
+(* -- guest/OS costs -- *)
+let da_irq_extra_us = 16.
+(* interrupt-injection overhead under device assignment (native = 0) *)
+
+(* -- workload-visible device costs -- *)
+let input_delivery_us = 38.4 (* USB + input-core path, event -> evdev queue *)
 
 (* Interrupts: every leg is an inter-VM interrupt and a dry ring puts
    the receiver straight back to sleep. *)
@@ -137,23 +151,17 @@ let interrupts =
 let default =
   {
     signalling = interrupts;
-    marshal_us = 0.1;
-    cold_threshold_us = 1_000.;
     validate_grants = true;
     data_isolation = false;
-    hypercall_us = 0.9;
-    grant_declare_us = 0.15;
     ioctl_id_mode = Analyzer_table;
     max_queued_ops = 100;
     channels_per_guest = 4;
     ring_slots = 8;
     dispatch = Least_loaded;
-    dispatch_seed = 0x5EEDL;
     rpc_timeout_us = 0.;
     rpc_retries = 2;
     heartbeat_interval_us = 0.;
     heartbeat_miss_limit = 3;
-    poll_forward_chunk_us = 5_000.;
     poll_forward_backoff_us = 50.;
     sanitize_requests = true;
     ioctl_guards = true;
@@ -165,12 +173,8 @@ let default =
     cpu_budget_window_us = 10_000.;
     quarantine_threshold = 50;
     driver_reboot_us = 1_000_000.;
-    upgrade_drain_us = 50.;
-    fault_delay_us = 50.;
     injector = None;
     tracer = Obs.Trace.disabled;
-    da_irq_extra_us = 16.;
-    input_delivery_us = 38.4;
   }
 
 (** Dedicated polling: both sides spin on the ring head, so a leg costs

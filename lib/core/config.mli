@@ -30,27 +30,19 @@ type t = {
   signalling : signalling;
       (** initial doorbell parameters; live ones via
           {!Channel.set_signalling} *)
-  marshal_us : float;
-  cold_threshold_us : float;
   validate_grants : bool;
   data_isolation : bool;
-  hypercall_us : float;
-  grant_declare_us : float;
   ioctl_id_mode : ioctl_id_mode;
   max_queued_ops : int;
   channels_per_guest : int;
   ring_slots : int;
       (** descriptor-ring depth per channel (in-flight RPC bound) *)
   dispatch : dispatch;  (** how the pool routes an op to a ring *)
-  dispatch_seed : int64;
-      (** seeds the per-link [Two_choices] probe stream (derived per
-          guest VM id: deterministic, per-link independent) *)
   rpc_timeout_us : float;
       (** per-attempt RPC deadline; 0 = block forever (default) *)
   rpc_retries : int;  (** resends after a timeout before ETIMEDOUT *)
   heartbeat_interval_us : float;  (** watchdog ping period; 0 = off *)
   heartbeat_miss_limit : int;  (** missed pings before declaring death *)
-  poll_forward_chunk_us : float;  (** backend blocking chunk per poll RPC *)
   poll_forward_backoff_us : float;
       (** frontend sleep between not-ready poll chunks (spin bound) *)
   sanitize_requests : bool;
@@ -71,14 +63,8 @@ type t = {
   quarantine_threshold : int;
       (** misbehavior score triggering quarantine; 0 = never *)
   driver_reboot_us : float;  (** driver-VM kill -> serving again *)
-  upgrade_drain_us : float;
-      (** hot upgrade/migration: quiesce drain bound before stragglers
-          are parked for replay on the successor *)
-  fault_delay_us : float;  (** extra latency when the delay fault fires *)
   injector : Sim.Fault_inject.t option;  (** deterministic fault plan *)
   tracer : Obs.Trace.t;  (** span tracing sink; default {!Obs.Trace.disabled} *)
-  da_irq_extra_us : float;
-  input_delivery_us : float;
 }
 
 (** Interrupts: 17.3 us legs, 103.2 us cold surcharge, window 0. *)
@@ -95,3 +81,41 @@ val with_data_isolation : t -> t
 (** §8's cross-machine DSM transport (future work), modelled as a
     10GbE RDMA-class interconnect: 65 us legs, 55 us handoffs. *)
 val remote_dsm : t
+
+(** {2 Calibrated constants}
+
+    Single-valued model parameters: no configuration varies them. *)
+
+(** Serialise or deserialise one message: 0.1 us. *)
+val marshal_us : float
+
+(** A channel idle longer than this is cold: 1000 us. *)
+val cold_threshold_us : float
+
+(** One hypervisor API call from the driver VM: 0.9 us. *)
+val hypercall_us : float
+
+(** Frontend writes one grant entry: 0.15 us. *)
+val grant_declare_us : float
+
+(** Seeds the per-link [Two_choices] probe stream (derived per guest
+    VM id: deterministic, per-link independent). *)
+val dispatch_seed : int64
+
+(** Backend blocking chunk per forwarded poll RPC: 5000 us. *)
+val poll_forward_chunk_us : float
+
+(** Hot upgrade/migration: quiesce drain bound before stragglers are
+    parked for replay on the successor: 50 us. *)
+val upgrade_drain_us : float
+
+(** Extra latency when the delay fault fires: 50 us. *)
+val fault_delay_us : float
+
+(** Interrupt-injection overhead under device assignment: 16 us
+    (§6.1.5: 55 us device-assignment mouse latency). *)
+val da_irq_extra_us : float
+
+(** USB + input-core path, event -> evdev queue: 38.4 us (§6.1.5:
+    39 us native mouse latency). *)
+val input_delivery_us : float

@@ -491,7 +491,7 @@ let serve_one t link worker (bytes : bytes) : Proto.response =
                         rc_grant = grant_ref;
                         rc_charge =
                           (fun n ->
-                            let us = n *. t.config.Config.hypercall_us in
+                            let us = n *. Config.hypercall_us in
                             link.cpu_used_us <- link.cpu_used_us +. us;
                             Kernel.charge t.kernel us);
                         rc_trace = Proto.get_trace bytes;
@@ -552,7 +552,7 @@ let connect t ~guest_vm =
            function of (dispatch_seed, vm id) — independent of how
            many links exist or connect order *)
         Some
-          (Sim.Rng.derive ~seed:t.config.Config.dispatch_seed
+          (Sim.Rng.derive ~seed:Config.dispatch_seed
              ~index:(Hypervisor.Vm.id guest_vm))
   in
   let pool =

@@ -104,7 +104,7 @@ let fault_session t ~reason =
       let torn = Hypervisor.Hyp.teardown_vm_mappings t.hyp ~target:t.guest_vm in
       (* one hypercall per destroyed mapping plus the revoke sweep *)
       Kernel.charge t.kernel
-        (float_of_int (1 + torn) *. t.config.Config.hypercall_us);
+        (float_of_int (1 + torn) *. Config.hypercall_us);
       let finished = Sim.Engine.now (Kernel.engine t.kernel) in
       t.fstats <-
         {
@@ -280,7 +280,7 @@ let declare t ops =
     declare_checked [ Hypervisor.Grant_table.Copy_from_user { addr = 0; len = 0 } ]
   else begin
     Kernel.charge t.kernel
-      (float_of_int (List.length ops) *. t.config.Config.grant_declare_us);
+      (float_of_int (List.length ops) *. Config.grant_declare_us);
     declare_checked ops
   end
 
@@ -553,7 +553,7 @@ let export t ~path ~cls ~driver ?(exclusive = false) ?entries ~kinds () =
                      vfd;
                      want_in;
                      want_out;
-                     timeout_us = t.config.Config.poll_forward_chunk_us;
+                     timeout_us = Config.poll_forward_chunk_us;
                    })
             with
             | Proto.Rpoll_reply { pollin; pollout } ->

@@ -7,7 +7,7 @@
     share {e no} mutable simulation state (PR 8 removed the last
     process-global counters), so they may execute on concurrent
     domains; cross-shard interaction happens only before they start
-    (placement, {!Placement.route_open}) and after they finish (result
+    (assigning guests to shards) and after they finish (result
     aggregation, {!Sim.Stats.merge} / [Obs.Metrics.merge]).
 
     Determinism contract: a shard's simulated-time results are a pure

@@ -160,7 +160,7 @@ let guests t = List.rev t.guests
 let irq_extra t =
   match t.mode with
   | Native -> 0.
-  | Device_assignment | Paradice -> t.config.Config.da_irq_extra_us
+  | Device_assignment | Paradice -> Config.da_irq_extra_us
 
 (* ------------------------------------------------------------------ *)
 (* Guests                                                              *)
@@ -312,7 +312,7 @@ let boot_driver ~name t =
    channel retirement and replayed on the successor pool. *)
 let drain_links t links =
   let now () = Sim.Engine.now t.engine in
-  let deadline = now () +. t.config.Config.upgrade_drain_us in
+  let deadline = now () +. Config.upgrade_drain_us in
   let busy () =
     List.exists (fun link -> not (Chan_pool.quiescent link.Cvd_back.pool)) links
   in
@@ -332,7 +332,7 @@ let reconcile_hyp t ~guest_vm ~(snap : Snapshot.link_snap) =
     | None -> 0
   in
   Sim.Engine.wait
-    (float_of_int (1 + kept + dropped + revoked) *. t.config.Config.hypercall_us);
+    (float_of_int (1 + kept + dropped + revoked) *. Config.hypercall_us);
   (kept, dropped, revoked)
 
 type upgrade_stats = {
@@ -444,7 +444,7 @@ let upgrade_driver_vm t =
                 let blob =
                   Snapshot.encode (Cvd_back.checkpoint_link t.backend g.link)
                 in
-                Sim.Engine.wait t.config.Config.marshal_us;
+                Sim.Engine.wait Config.marshal_us;
                 (g, blob))
               guests)
       with
@@ -484,7 +484,7 @@ let upgrade_driver_vm t =
               t.backend <- new_backend;
               t.driver_generation <- generation;
               (* the kill_vm hypercall *)
-              Sim.Engine.wait t.config.Config.hypercall_us);
+              Sim.Engine.wait Config.hypercall_us);
           let swap_us = now () -. swap_began in
           (* -- restore: decode, re-validate, re-open on the successor -- *)
           let restore_began = now () in
@@ -493,7 +493,7 @@ let upgrade_driver_vm t =
                 List.map
                   (fun (g, blob) ->
                     let snap = Snapshot.decode blob in
-                    Sim.Engine.wait t.config.Config.marshal_us;
+                    Sim.Engine.wait Config.marshal_us;
                     let link, rstats =
                       Cvd_back.restore_link new_backend ~snap ~guest_vm:g.vm
                         ~fail_site:site_upgrade_crash_restore ()
@@ -657,7 +657,7 @@ let migrate_guest t g ~dst =
     stage "migrate:checkpoint" (fun () ->
         fault_check t site_migrate_crash_checkpoint;
         let blob = Snapshot.encode (Cvd_back.checkpoint_link src g.link) in
-        Sim.Engine.wait t.config.Config.marshal_us;
+        Sim.Engine.wait Config.marshal_us;
         blob)
   with
   | exception Sim.Fault_inject.Injected key -> soft_abort key
@@ -666,7 +666,7 @@ let migrate_guest t g ~dst =
         stage "migrate:transfer" (fun () ->
             fault_check t site_migrate_crash_transfer;
             let snap = Snapshot.decode blob in
-            Sim.Engine.wait t.config.Config.marshal_us;
+            Sim.Engine.wait Config.marshal_us;
             snap)
       with
       | exception Sim.Fault_inject.Injected key -> soft_abort key
@@ -819,7 +819,7 @@ let enable_gpu_data_isolation t ?(pool_pages_per_guest = 8192) () =
 let attach_mouse t =
   let ev =
     Devices.Evdev.create t.driver_kernel ~name:"usbmouse"
-      ~delivery_latency_us:(t.config.Config.input_delivery_us +. irq_extra t)
+      ~delivery_latency_us:(Config.input_delivery_us +. irq_extra t)
   in
   let (_ : Defs.device) = Devices.Evdev.register ev ~path:"/dev/input/event0" in
   t.mouse <- Some ev;
@@ -840,7 +840,7 @@ let attach_mouse t =
 let attach_keyboard t =
   let ev =
     Devices.Evdev.create t.driver_kernel ~name:"usbkbd"
-      ~delivery_latency_us:(t.config.Config.input_delivery_us +. irq_extra t)
+      ~delivery_latency_us:(Config.input_delivery_us +. irq_extra t)
   in
   let (_ : Defs.device) = Devices.Evdev.register ev ~path:"/dev/input/event1" in
   t.keyboard <- Some ev;

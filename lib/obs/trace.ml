@@ -253,19 +253,6 @@ let reset t =
 
 (* ---- Chrome trace-event JSON export (Perfetto-loadable) ---- *)
 
-let escape_json s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let add_event buf ~first json =
   if not !first then Buffer.add_string buf ",\n";
   first := false;
@@ -287,19 +274,19 @@ let to_chrome_json t =
         (Printf.sprintf
            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
            (lane_pid lane)
-           (escape_json (lane_name lane))))
+           (Outcome.escape_json (lane_name lane))))
     lanes;
   List.iter
     (fun c ->
       let args =
         String.concat ","
-          ((Printf.sprintf "\"status\":\"%s\"" (escape_json c.c_status))
-          :: List.map (fun (k, v) -> Printf.sprintf "\"%s\":%g" (escape_json k) v) c.c_args)
+          ((Printf.sprintf "\"status\":\"%s\"" (Outcome.escape_json c.c_status))
+          :: List.map (fun (k, v) -> Printf.sprintf "\"%s\":%g" (Outcome.escape_json k) v) c.c_args)
       in
       add_event buf ~first
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{%s}}"
-           (escape_json c.c_name) (escape_json c.c_cat) c.c_start c.c_dur
+           (Outcome.escape_json c.c_name) (Outcome.escape_json c.c_cat) c.c_start c.c_dur
            (lane_pid c.c_lane) c.c_trace args))
     (completed t);
   List.iter
@@ -307,7 +294,7 @@ let to_chrome_json t =
       add_event buf ~first
         (Printf.sprintf
            "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"value\":%g}}"
-           (escape_json k.k_name) k.k_ts (lane_pid k.k_lane) k.k_value))
+           (Outcome.escape_json k.k_name) k.k_ts (lane_pid k.k_lane) k.k_value))
     (counter_events t);
   Buffer.add_string buf "\n]\n";
   Buffer.contents buf

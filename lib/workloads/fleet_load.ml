@@ -20,11 +20,6 @@
 open Oskit
 module M = Paradice.Machine
 
-(** The single device class the standard workload exercises; shards
-    register it with {!Paradice.Placement} and guests open its
-    export. *)
-let device_class = "char/null"
-
 let device_path = "/dev/null0"
 
 type spec = {
@@ -57,15 +52,9 @@ type result = {
   r_metrics : Obs.Metrics.t; (* per-shard namespace, merged by caller *)
 }
 
-(** Route [guests] link opens across [shards] with the placement map
-    (every shard owns {!device_class}): returns the owning shard per
-    global guest index.  Deterministic round-robin by least-loaded. *)
-let assign ~shards ~guests =
-  let p = Paradice.Placement.create ~shards in
-  for s = 0 to shards - 1 do
-    Paradice.Placement.register p ~shard:s ~cls:device_class
-  done;
-  Array.init guests (fun _ -> Paradice.Placement.route_open p device_class)
+(** The owning shard per global guest index: every shard serves the
+    one device class, so links go round-robin. *)
+let assign ~shards ~guests = Array.init guests (fun g -> g mod shards)
 
 (** Uniform load: every guest issues [base] operations. *)
 let uniform_ops ~guests ~base = Array.make guests base

@@ -4,9 +4,6 @@
     concurrent domains via {!Paradice.Fleet.run_shards}.  Seeding:
     master seed → [derive ~index:shard_id] → per-guest streams. *)
 
-(** Device class exercised ([{!device_path}]'s export). *)
-val device_class : string
-
 val device_path : string
 
 type spec = {
@@ -37,7 +34,8 @@ type result = {
   r_metrics : Obs.Metrics.t;  (** per-shard namespace, merged by caller *)
 }
 
-(** Owning shard per global guest index, via the placement map. *)
+(** Owning shard per global guest index: round-robin, since every
+    shard serves the one device class. *)
 val assign : shards:int -> guests:int -> int array
 
 val uniform_ops : guests:int -> base:int -> int array

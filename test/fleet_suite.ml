@@ -88,32 +88,6 @@ let () =
         violation "sibling shard %d perturbed by shard %d's crash" i crash_shard)
     cres;
 
-  (* -- 4: placement map routes and rebalances deterministically -- *)
-  let p = Paradice.Placement.create ~shards:3 in
-  Paradice.Placement.register p ~shard:0 ~cls:"char/null";
-  Paradice.Placement.register p ~shard:2 ~cls:"char/null";
-  (match Paradice.Placement.owners p "char/null" with
-  | [ 0; 2 ] -> ()
-  | _ -> violation "placement owners wrong");
-  let picks = List.init 4 (fun _ -> Paradice.Placement.route_open p "char/null") in
-  if picks <> [ 0; 2; 0; 2 ] then violation "route_open not least-loaded round-robin";
-  (match Paradice.Placement.route_open p "gpu" with
-  | exception Paradice.Placement.No_owner _ -> ()
-  | _ -> violation "route_open invented an owner for an unregistered class");
-  for _ = 1 to 6 do
-    ignore (Paradice.Placement.route_open p "char/null")
-  done;
-  Paradice.Placement.register p ~shard:1 ~cls:"char/null";
-  (match Paradice.Placement.rebalance_plan p with
-  | [] -> violation "rebalance plan empty despite an idle owner"
-  | plan ->
-      if
-        not
-          (List.for_all
-             (fun mv -> mv.Paradice.Placement.mv_dst = 1)
-             plan)
-      then violation "rebalance plan targets a loaded shard");
-
   (match !violations with
   | [] ->
       Printf.printf

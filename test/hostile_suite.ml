@@ -46,7 +46,7 @@
       metrics with sanitizers on vs. off.
 
    A machine-readable summary (including per-seed coverage) is written
-   to HOSTILE_fuzz.json for the CI artifact. *)
+   to HOSTILE_fuzz.json in the shared bench result schema. *)
 
 module M = Paradice.Machine
 module CB = Paradice.Cvd_back
@@ -811,73 +811,63 @@ let () =
       "victim throughput degraded past 20%%: solo=%.1fus attacked=%.1fus \
        (ratio %.3f)"
       solo_us attacked_us ratio;
-  let n_violations = List.length !violations in
-  let oc = open_out "HOSTILE_fuzz.json" in
-  Printf.fprintf oc
-    {|{
-  "seeds": %d,
-  "descriptors_per_seed": %d,
-  "total_descriptors": %d,
-  "responses": { "ok": %d, "err": %d, "poll_replies": %d },
-  "malformed": %d,
-  "sanitize_rejected": %d,
-  "escaped_exceptions": %d,
-  "victim_solo_us": %.1f,
-  "victim_attacked_us": %.1f,
-  "victim_ratio": %.4f,
-  "grammar_fuzz": {
-    "per_seed": [
-%s
-    ],
-    "decode_branches": %d,
-    "sanitize_branches": %d,
-    "blind_decode_branches": %d,
-    "blind_sanitize_branches": %d
-  },
-  "class_campaigns": [
-%s
-  ],
-  "clean_control": [
-%s
-  ],
-  "violations": %d
-}
-|}
-    (List.length seeds) descriptors_per_seed totals.served totals.ok totals.err
-    totals.poll_replies totals.malformed totals.sanitize_rejected totals.escapes
-    solo_us attacked_us ratio
-    (String.concat ",\n"
-       (List.map
-          (fun (seed, decode, sanitize) ->
-            Printf.sprintf
-              {|      { "seed": "%#Lx", "decode_branches": %d, "sanitize_rejects": %d }|}
-              seed decode sanitize)
-          grammar_per_seed))
-    grammar_decode grammar_sanitize blind_decode blind_sanitize
-    (String.concat ",\n"
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              {|    { "class": "%s", "served": %d, "rejected": %d, "escapes": %d,
-      "handler_branches": %d, "sanitize_branches": %d,
-      "per_seed": [%s] }|}
-              r.cr_class r.cr_served r.cr_rejected r.cr_escapes
-              r.cr_handler_branches r.cr_sanitize_branches
-              (String.concat ", "
-                 (List.map
-                    (fun (seed, h, s) ->
-                      Printf.sprintf
-                        {|{ "seed": "%#Lx", "handler_branches": %d, "sanitize_branches": %d }|}
-                        seed h s)
-                    r.cr_per_seed)))
-          class_results))
-    (String.concat ",\n"
-       (List.map
-          (fun (name, v) ->
-            Printf.sprintf {|    { "metric": "%s", "value": %.9g }|} name v)
-          clean_metrics))
-    n_violations;
-  close_out oc;
+  let count key n = Obs.Outcome.metric ~clock:Sim ~unit:"count" key (float_of_int n) in
+  let seed_key prefix seed name = Printf.sprintf "%s/%#Lx/%s" prefix seed name in
+  Obs.Outcome.write ~path:"HOSTILE_fuzz.json" ~name:"hostile_fuzz" ~scale:1.
+    {
+      metrics =
+        [
+          count "seeds" (List.length seeds);
+          count "descriptors per seed" descriptors_per_seed;
+          count "total descriptors" totals.served;
+          count "responses/ok" totals.ok; count "responses/err" totals.err;
+          count "responses/poll replies" totals.poll_replies;
+          count "malformed" totals.malformed;
+          count "sanitize rejected" totals.sanitize_rejected;
+          count "escaped exceptions" totals.escapes;
+          Obs.Outcome.metric ~clock:Sim ~unit:"us" "victim/solo" solo_us;
+          Obs.Outcome.metric ~clock:Sim ~unit:"us" "victim/attacked" attacked_us;
+          Obs.Outcome.metric ~clock:Sim ~unit:"ratio" "victim/ratio" ratio;
+          count "grammar fuzz/decode branches" grammar_decode;
+          count "grammar fuzz/sanitize branches" grammar_sanitize;
+          count "blind fuzz/decode branches" blind_decode;
+          count "blind fuzz/sanitize branches" blind_sanitize;
+        ]
+        @ List.concat_map
+            (fun (seed, decode, sanitize) ->
+              [
+                count (seed_key "grammar fuzz" seed "decode branches") decode;
+                count (seed_key "grammar fuzz" seed "sanitize rejects") sanitize;
+              ])
+            grammar_per_seed
+        @ List.concat_map
+            (fun r ->
+              let key = Printf.sprintf "class %s/%s" r.cr_class in
+              [
+                count (key "served") r.cr_served; count (key "rejected") r.cr_rejected;
+                count (key "escapes") r.cr_escapes;
+                count (key "handler branches") r.cr_handler_branches;
+                count (key "sanitize branches") r.cr_sanitize_branches;
+              ]
+              @ List.concat_map
+                  (fun (seed, h, s) ->
+                    let prefix = "class " ^ r.cr_class in
+                    [
+                      count (seed_key prefix seed "handler branches") h;
+                      count (seed_key prefix seed "sanitize branches") s;
+                    ])
+                  r.cr_per_seed)
+            class_results
+        @ List.map
+            (fun (name, v) -> Obs.Outcome.metric ~clock:Sim ~unit:"" ("clean control/" ^ name) v)
+            clean_metrics
+        @ [ count "violations" (List.length !violations) ];
+      gates =
+        [
+          Obs.Outcome.gate "no invariant violations" (!violations = [])
+            (match !violations with [] -> "none" | vs -> String.concat "; " (List.rev vs));
+        ];
+    };
   Printf.printf
     "hostile suite: %d seeds x %d descriptors, %d served (ok=%d err=%d \
      poll=%d), malformed=%d sanitized=%d escapes=%d\n"

@@ -157,7 +157,7 @@ let forwarded_poll_latency ?switch_to config =
   let mouse = M.attach_mouse m in
   let g = M.add_guest m ~name:"g" () in
   Option.iter (switch_signalling g) switch_to;
-  let chunk = config.Config.poll_forward_chunk_us in
+  let chunk = Config.poll_forward_chunk_us in
   run_in (M.engine m) (fun () ->
       let app = M.spawn_app m g.M.kernel ~name:"poller" in
       let k = g.M.kernel in

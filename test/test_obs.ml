@@ -287,6 +287,61 @@ let test_metrics_merge_namespaces () =
     (Sim.Stats.count (Option.get (Metrics.find_histogram a "lat")));
   Alcotest.(check int) "source counter unchanged" 3 (Metrics.count a "ops")
 
+(* ---- the shared bench result writer ---- *)
+
+module Outcome = Obs.Outcome
+
+let sample =
+  {
+    Outcome.metrics =
+      [
+        Outcome.metric ~clock:Sim ~unit:"us" "nan" nan;
+        Outcome.metric ~clock:Sim ~unit:"us" "inf" infinity;
+        Outcome.metric ~clock:Wall ~unit:"us" "-inf" neg_infinity;
+        Outcome.metric ~clock:Sim ~unit:"us" "finite" 35.6;
+      ];
+    gates =
+      [
+        Outcome.gate "holds" true "ok";
+        Outcome.gate "broken" false "ratio 1.5";
+        Outcome.gate "also holds" true "ok";
+      ];
+  }
+
+let test_outcome_non_finite_is_null () =
+  List.iter
+    (fun x -> Alcotest.(check string) "non-finite" "null" (Outcome.json_float x))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check string) "finite round-trips" "35.6" (Outcome.json_float 35.6);
+  let js = Outcome.to_json ~name:"t" ~scale:0.2 sample in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " is null") true
+        (contains ~sub:(Printf.sprintf {|"key": "%s", "value": null|} key) js))
+    [ "nan"; "inf"; "-inf" ];
+  Alcotest.(check bool) "no OCaml float spellings" false
+    (contains ~sub:"nan," js || contains ~sub:"inf," js)
+
+let test_outcome_escapes_strings () =
+  Alcotest.(check string) "quote, backslash, newline, control byte"
+    {|a\"b\\c\nd\u0001e|}
+    (Outcome.escape_json "a\"b\\c\nd\001e");
+  let js =
+    Outcome.to_json ~name:"x\"y" ~scale:1.
+      { Outcome.metrics = []; gates = [ Outcome.gate "g" true "line\nbreak" ] }
+  in
+  Alcotest.(check bool) "name escaped" true (contains ~sub:{|"experiment": "x\"y"|} js);
+  Alcotest.(check bool) "detail escaped" true (contains ~sub:{|"detail": "line\nbreak"|} js)
+
+let test_outcome_reports_failed_gate () =
+  (match Outcome.failed sample with
+  | [ g ] -> Alcotest.(check string) "the failing gate" "broken" g.Outcome.name
+  | gs -> Alcotest.failf "expected one failed gate, got %d" (List.length gs));
+  let js = Outcome.to_json ~name:"t" ~scale:1. sample in
+  Alcotest.(check bool) "result not passed" true (contains ~sub:{|"passed": false|} js);
+  Alcotest.(check bool) "gate recorded as failed" true
+    (contains ~sub:{|"name": "broken", "pass": false|} js)
+
 let suites =
   [
     ( "obs",
@@ -307,5 +362,11 @@ let suites =
           test_fasync_failure_keeps_subscription_state;
         Alcotest.test_case "metrics merge with shard prefixes" `Quick
           test_metrics_merge_namespaces;
+        Alcotest.test_case "result writer: non-finite floats are null" `Quick
+          test_outcome_non_finite_is_null;
+        Alcotest.test_case "result writer: strings are escaped" `Quick
+          test_outcome_escapes_strings;
+        Alcotest.test_case "result writer: failed gate reported" `Quick
+          test_outcome_reports_failed_gate;
       ] );
   ]
