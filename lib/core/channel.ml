@@ -423,11 +423,13 @@ let ring_req_doorbell t ~trace =
     Sim.Engine.wait Config.fault_delay_us;
   signal t t.req ~trace
 
-(* Publish one request descriptor: marshal, stamp the attempt's
-   sequence number, write the slot, mark it ready, ring.  Corruption
-   garbles the opcode byte in the shared slot (the backend must
-   reject, not crash); the sequence number is stamped first, so even a
-   corrupt descriptor's rejection pairs with its attempt. *)
+(* Publish one request descriptor: marshal, write the slot, stamp the
+   attempt's sequence number into it, mark it ready, ring.  The
+   caller's bytes are never modified (one encoded heartbeat is shared
+   by every frontend).  Corruption garbles the opcode byte in the
+   shared slot (the backend must reject, not crash); the sequence
+   number is stamped first, so even a corrupt descriptor's rejection
+   pairs with its attempt. *)
 let publish t ~slot ~seq (req_bytes : bytes) =
   let trace = Proto.get_trace req_bytes in
   let sp =
@@ -435,15 +437,19 @@ let publish t ~slot ~seq (req_bytes : bytes) =
       ~name:"front:publish" ()
   in
   marshal ();
-  let wire = Bytes.copy req_bytes in
-  Proto.set_seq wire seq;
-  if fault_fires t site_corrupt_req then
-    Bytes.set wire 0 (Char.chr (Char.code (Bytes.get wire 0) lxor 0xff));
-  t.front_view.Hypervisor.Shared_page.write ~offset:(slot_off slot) wire;
-  t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
-    st_req_ready;
+  let view = t.front_view and off = slot_off slot in
+  view.Hypervisor.Shared_page.write ~offset:off req_bytes;
+  view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.seq_off) seq;
+  if fault_fires t site_corrupt_req then begin
+    (* the opcode is the low byte of the little-endian first word *)
+    let word = view.Hypervisor.Shared_page.read_u32 ~offset:off in
+    view.Hypervisor.Shared_page.write_u32 ~offset:off (word lxor 0xff)
+  end;
+  view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot) st_req_ready;
   ring_req_doorbell t ~trace;
   Obs.Trace.span_end t.tracer sp
+
+let slot_span_name = Printf.sprintf "slot%d"
 
 let fresh_seq t =
   t.next_seq <- t.next_seq + 1;
@@ -488,9 +494,8 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
       Obs.Trace.span_end t.tracer wait_sp;
       occupancy_sample t;
       let ring_sp =
-        Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Ring ~cat:"ring"
-          ~name:(Printf.sprintf "slot%d" slot)
-          ()
+        Obs.Trace.span_begin_by t.tracer ~trace ~lane:Obs.Trace.Ring ~cat:"ring"
+          ~name:slot_span_name slot
       in
       let box = t.resp_box.(slot) in
       (* drop stale wakeups a timed-out previous occupant left behind:
@@ -722,12 +727,12 @@ let respond t ~slot (resp_bytes : bytes) =
         ~name:"back:respond" ()
     in
     marshal ();
-    let wire = Bytes.copy resp_bytes in
-    Proto.set_seq wire t.service_seq.(slot);
-    Proto.set_trace wire trace;
-    t.back_view.Hypervisor.Shared_page.write ~offset:(slot_off slot) wire;
-    t.back_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
-      st_resp_ready;
+    let view = t.back_view and off = slot_off slot in
+    view.Hypervisor.Shared_page.write ~offset:off resp_bytes;
+    view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.seq_off)
+      t.service_seq.(slot);
+    view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.trace_off) trace;
+    view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot) st_resp_ready;
     t.in_service <- t.in_service - 1;
     Obs.Trace.span_end t.tracer sp;
     signal t t.resp ~trace

@@ -225,6 +225,8 @@ let guard_ioctl t link worker fs ~cmd ~arg =
             note_misbehavior t link worker score_rejected;
             Some (Proto.Rerr (Errno.to_code Errno.EINVAL)))
 
+let subop_span_name sub = "subop:" ^ Proto.request_name sub
+
 let rec dispatch t link worker (req : Proto.request) : Proto.response =
   let kernel = t.kernel in
   match req with
@@ -244,10 +246,8 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       in
       let serve_sub i sub =
         let sp =
-          Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Backend
-            ~cat:"subop"
-            ~name:(Printf.sprintf "subop:%s" (Proto.request_name sub))
-            ()
+          Obs.Trace.span_begin_by tracer ~trace ~lane:Obs.Trace.Backend
+            ~cat:"subop" ~name:subop_span_name sub
         in
         Obs.Trace.span_arg sp "index" (float_of_int i);
         let resp =

@@ -309,8 +309,8 @@ let forward t (task : Defs.task) ~ops req : Proto.response =
   let tracer = t.config.Config.tracer in
   let trace = Obs.Trace.mint_id tracer in
   let op_sp =
-    Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"op"
-      ~name:(Proto.request_name req) ()
+    Obs.Trace.span_begin_by tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"op"
+      ~name:Proto.request_name req
   in
   let run () =
     let decl_sp =

@@ -77,13 +77,14 @@ let check ~dev_class ~cmd ~(arg : int64) ~limits ~read : verdict =
               in
               go checks
       in
-      (match verdict with
-      | Pass ->
-          Wire_spec.Coverage.hit
-            (Printf.sprintf "handler.%s.%s" dev_class hf.Analyzer.Facts.hf_name)
-      | Reject { handler; violated } ->
-          Wire_spec.Coverage.hit
-            (Printf.sprintf "sanitize.%s.%s.%s" dev_class handler violated));
+      if Wire_spec.Coverage.enabled () then (
+        match verdict with
+        | Pass ->
+            Wire_spec.Coverage.hit
+              (Printf.sprintf "handler.%s.%s" dev_class hf.Analyzer.Facts.hf_name)
+        | Reject { handler; violated } ->
+            Wire_spec.Coverage.hit
+              (Printf.sprintf "sanitize.%s.%s.%s" dev_class handler violated));
       verdict
 
 (* ------------------------------------------------------------------ *)

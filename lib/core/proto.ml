@@ -63,7 +63,6 @@ let pid_off = 1012
    publish time (it is transport state, not operation state). *)
 let seq_off = 1008
 
-let set_seq b seq = w32 b seq_off seq
 let get_seq b = r32 b seq_off
 
 (* The operation's trace id (Obs tracing), minted by the frontend and
@@ -395,7 +394,7 @@ let decode_subop b off =
   | Some s ->
       if len < 12 + W.payload_span ~payload_base:16 s then
         reject "batch.payload" "batch record payload";
-      W.Coverage.hit ("decode.sub." ^ s.W.name);
+      if W.Coverage.enabled () then W.Coverage.hit ("decode.sub." ^ s.W.name);
       (W.decode_fields s b ~base:(off + 12 - 16) ~msg_prefix:"batch " ~vfd, off + len)
 
 let decode_request b =
@@ -420,7 +419,7 @@ let decode_request b =
       match find_req_spec opcode with
       | None -> reject "opcode" (Printf.sprintf "opcode %d" opcode)
       | Some s ->
-          W.Coverage.hit ("decode.req." ^ s.W.name);
+          if W.Coverage.enabled () then W.Coverage.hit ("decode.req." ^ s.W.name);
           W.decode_fields s b ~base:0 ~msg_prefix:"" ~vfd
   in
   (req, grant_ref, pid)
@@ -471,15 +470,13 @@ let validate_limits ~(limits : W.limits) ((req : request), grant_ref, pid) :
                         detail = "operation not batchable";
                       }
                 | _ -> (
-                    match
-                      W.validate (spec_of_req sub) limits
-                        ~prefix:(Printf.sprintf "batch[%d]." i) sub
-                    with
+                    match W.validate (spec_of_req sub) limits sub with
                     | Ok sub -> go (i + 1) (sub :: acc) rest
-                    | Error e -> Error e))
+                    | Error e ->
+                        Error { e with field = Printf.sprintf "batch[%d].%s" i e.field }))
           in
           go 0 [] reqs
-    | _ -> W.validate (spec_of_req req) limits ~prefix:"" req
+    | _ -> W.validate (spec_of_req req) limits req
 
 let validate ~max_transfer_bytes ~poll_timeout_cap_us ~grant_capacity decoded =
   validate_limits
@@ -584,7 +581,7 @@ let decode_subresp b off =
   | Some s ->
       if len < 8 + W.payload_span ~payload_base:8 s then
         reject "batch_reply.payload" "batch reply payload";
-      W.Coverage.hit ("decode.subresp." ^ s.W.name);
+      if W.Coverage.enabled () then W.Coverage.hit ("decode.subresp." ^ s.W.name);
       (W.decode_fields s b ~base:off ~msg_prefix:"" ~vfd:0, off + len)
 
 let decode_response b =
@@ -606,7 +603,7 @@ let decode_response b =
     match find_resp_spec tag with
     | None -> reject "response_tag" (Printf.sprintf "response tag %d" tag)
     | Some s ->
-        W.Coverage.hit ("decode.resp." ^ s.W.name);
+        if W.Coverage.enabled () then W.Coverage.hit ("decode.resp." ^ s.W.name);
         W.decode_fields s b ~base:0 ~msg_prefix:"" ~vfd:0
 
 (* ---- derived fuzzing: valid skeletons, one field driven hostile ---- *)

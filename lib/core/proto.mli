@@ -43,7 +43,6 @@ val max_batch_ops : int
     answer to a timed-out attempt can never be paired with a resend. *)
 val seq_off : int
 
-val set_seq : bytes -> int -> unit
 val get_seq : bytes -> int
 
 (** Trace id of the forwarded operation ({!Obs.Trace.mint_id}),

@@ -69,14 +69,15 @@ let valid_path path =
 (* ---- coverage registry ---- *)
 
 module Coverage = struct
-  let enabled = ref false
+  let on = ref false
   let table : (string, int ref) Hashtbl.t = Hashtbl.create 64
-  let enable () = enabled := true
-  let disable () = enabled := false
+  let enable () = on := true
+  let disable () = on := false
+  let enabled () = !on
   let reset () = Hashtbl.reset table
 
   let hit label =
-    if !enabled then
+    if !on then
       match Hashtbl.find_opt table label with
       | Some r -> incr r
       | None -> Hashtbl.add table label (ref 1)
@@ -167,7 +168,7 @@ let int_of_fval name = function
   | I v -> v
   | _ -> invalid_arg ("Wire_spec.validate: non-integer field " ^ name)
 
-let validate spec limits ~prefix m =
+let validate spec limits m =
   let vfd, vals = spec.parts m in
   let names = List.map (fun f -> f.fname) spec.fields in
   let get field =
@@ -180,7 +181,7 @@ let validate spec limits ~prefix m =
   let clamped = ref [] in
   let fail field detail =
     Coverage.hit (Printf.sprintf "sanitize.%s.%s" spec.name field);
-    Error { field = prefix ^ field; detail }
+    Error { field; detail }
   in
   let rec run = function
     | [] ->

@@ -141,9 +141,8 @@ val decode_fields :
 (** Derived sanitizer: run [spec.vchecks] in order.  On success the
     message is returned unchanged unless a clamp rule fired (then it
     is rebuilt with the clamped fields).  On failure the violation
-    field is [prefix ^ field] (["batch[i]."] inside batches). *)
-val validate :
-  'm spec -> limits -> prefix:string -> 'm -> ('m, violation) result
+    names the offending field (a batch caller prefixes ["batch[i]."]). *)
+val validate : 'm spec -> limits -> 'm -> ('m, violation) result
 
 (** Derived generator: a random message that satisfies every decode
     policy and sanitizer rule under [limits] (a valid skeleton for the
@@ -165,6 +164,11 @@ val hostile_field : Sim.Rng.t -> bytes -> base:int -> field -> unit
 module Coverage : sig
   val enable : unit -> unit
   val disable : unit -> unit
+
+  (** Whether hits are being counted: guard a label that costs a
+      concatenation or format to build. *)
+  val enabled : unit -> bool
+
   val reset : unit -> unit
   val hit : string -> unit
   val distinct : unit -> int

@@ -42,25 +42,26 @@ let flush_tlb t = Memory.Tlb.flush t.tlb
 let translate_gpa t ~gpa ~access =
   let vfn = Memory.Addr.pfn gpa in
   let ept_gen = Memory.Ept.generation t.ept in
-  match
-    Memory.Tlb.lookup t.tlb
-      ~key:(Memory.Tlb.gpa_space, vfn)
-      ~access ~pt_gen:0 ~ept_gen
-  with
-  | Some spn -> Memory.Addr.of_pfn spn lor Memory.Addr.offset gpa
-  | None ->
-      let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
-      Memory.Tlb.count_walks t.tlb 1;
-      Memory.Tlb.install t.tlb
-        ~key:(Memory.Tlb.gpa_space, vfn)
-        {
-          Memory.Tlb.spn = Memory.Addr.pfn spa;
-          pt_perms = Memory.Perm.rwx;
-          ept_perms;
-          pt_gen = 0;
-          ept_gen;
-        };
-      spa
+  let spn =
+    Memory.Tlb.lookup t.tlb ~space:Memory.Tlb.gpa_space ~vfn ~access ~pt_gen:0
+      ~ept_gen
+  in
+  if spn <> Memory.Tlb.miss then Memory.Addr.of_pfn spn lor Memory.Addr.offset gpa
+  else begin
+    let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
+    Memory.Tlb.count_walks t.tlb 1;
+    Memory.Tlb.install t.tlb
+      {
+        Memory.Tlb.space = Memory.Tlb.gpa_space;
+        vfn;
+        spn = Memory.Addr.pfn spa;
+        pt_perms = Memory.Perm.rwx;
+        ept_perms;
+        pt_gen = 0;
+        ept_gen;
+      };
+    spa
+  end
 
 (** Combined guest-PT + EPT translation with TLB caching, keyed by the
     process's address-space id. *)
@@ -69,15 +70,24 @@ let translate_gva t ~pt ~gva ~access =
   let space = Memory.Guest_pt.id pt in
   let pt_gen = Memory.Guest_pt.generation pt in
   let ept_gen = Memory.Ept.generation t.ept in
-  match Memory.Tlb.lookup t.tlb ~key:(space, vfn) ~access ~pt_gen ~ept_gen with
-  | Some spn -> Memory.Addr.of_pfn spn lor Memory.Addr.offset gva
-  | None ->
-      let gpa, pt_perms = Memory.Guest_pt.translate_leaf pt ~gva ~access in
-      let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
-      Memory.Tlb.count_walks t.tlb 2;
-      Memory.Tlb.install t.tlb ~key:(space, vfn)
-        { Memory.Tlb.spn = Memory.Addr.pfn spa; pt_perms; ept_perms; pt_gen; ept_gen };
-      spa
+  let spn = Memory.Tlb.lookup t.tlb ~space ~vfn ~access ~pt_gen ~ept_gen in
+  if spn <> Memory.Tlb.miss then Memory.Addr.of_pfn spn lor Memory.Addr.offset gva
+  else begin
+    let gpa, pt_perms = Memory.Guest_pt.translate_leaf pt ~gva ~access in
+    let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
+    Memory.Tlb.count_walks t.tlb 2;
+    Memory.Tlb.install t.tlb
+      {
+        Memory.Tlb.space;
+        vfn;
+        spn = Memory.Addr.pfn spa;
+        pt_perms;
+        ept_perms;
+        pt_gen;
+        ept_gen;
+      };
+    spa
+  end
 
 (** CPU access to guest-physical memory from inside the VM: the
     hardware walks the EPT with permission checks, so reads of

@@ -1,8 +1,13 @@
 (** System physical memory.
 
-    Frames are allocated lazily: the store is a map from system frame
-    number (spn) to backing.  Two kinds of backing exist:
-    - [Ram]: an ordinary 4 KiB byte frame;
+    The store is a frame table: an array indexed by system frame
+    number (spn), grown geometrically as frames are allocated.  Spns
+    are handed out by a bump pointer ([next_spn]) and never reused, so
+    an spn is populated exactly when [0 < spn < next_spn]; looking a
+    frame up is one bounds check and one array load — no hashing, no
+    allocation.  Two kinds of backing exist:
+    - [Ram]: an ordinary 4 KiB byte frame, materialised on first use
+      (until then the slot reads [Unbacked]);
     - [Mmio]: a device register page whose reads/writes are routed to
       handler callbacks (the GPU register file, the NIC doorbells).
 
@@ -22,52 +27,62 @@ type backing =
   | Mmio of mmio_handler
 
 type t = {
-  frames : (int, backing) Hashtbl.t;
+  mutable frames : backing array; (* by spn; slots at or past next_spn unused *)
   mutable next_spn : int;
 }
 
-let create () = { frames = Hashtbl.create 4096; next_spn = 1 }
+let create () = { frames = Array.make 1024 Unbacked; next_spn = 1 }
 (* spn 0 is never handed out: a zero address is always a bug. *)
 
-let mem_frame t spn = Hashtbl.mem t.frames spn
+(* Hand out [n] fresh spns; returns the first.  The table doubles until
+   it covers them, so VM construction costs one array fill, not a
+   table insertion per frame. *)
+let reserve t n =
+  let base = t.next_spn in
+  let next = base + n in
+  let cap = Array.length t.frames in
+  if next > cap then begin
+    let cap = ref cap in
+    while !cap < next do
+      cap := 2 * !cap
+    done;
+    let frames = Array.make !cap Unbacked in
+    Array.blit t.frames 0 frames 0 base;
+    t.frames <- frames
+  end;
+  t.next_spn <- next;
+  base
 
 (** Allocate [n] fresh contiguous RAM frames; returns the base spn.
     Backing bytes are materialised lazily so multi-gigabyte VM RAM
     costs nothing until touched. *)
 let alloc_frames t n =
   if n <= 0 then invalid_arg "Phys_mem.alloc_frames";
-  let base = t.next_spn in
-  t.next_spn <- t.next_spn + n;
-  for i = 0 to n - 1 do
-    Hashtbl.replace t.frames (base + i) Unbacked
-  done;
-  base
+  reserve t n
 
 let alloc_frame t = alloc_frames t 1
 
 (** Install an MMIO page; returns its spn. *)
 let alloc_mmio t handler =
-  let spn = t.next_spn in
-  t.next_spn <- t.next_spn + 1;
-  Hashtbl.replace t.frames spn (Mmio handler);
+  let spn = reserve t 1 in
+  t.frames.(spn) <- Mmio handler;
   spn
 
-let free_frame t spn = Hashtbl.remove t.frames spn
+let populated t spn = spn > 0 && spn < t.next_spn
 
 let is_mmio t spn =
-  match Hashtbl.find_opt t.frames spn with
-  | Some (Mmio _) -> true
-  | Some (Ram _ | Unbacked) | None -> false
+  populated t spn && match t.frames.(spn) with Mmio _ -> true | Ram _ | Unbacked -> false
 
 let backing t ~spn ~access =
-  match Hashtbl.find_opt t.frames spn with
-  | Some Unbacked ->
-      let b = Ram (Bytes.make Addr.page_size '\000') in
-      Hashtbl.replace t.frames spn b;
-      b
-  | Some b -> b
-  | None ->
-      Fault.bus_error ~addr:(Addr.of_pfn spn) ~access "unpopulated frame"
+  if not (populated t spn) then
+    Fault.bus_error ~addr:(Addr.of_pfn spn) ~access "unpopulated frame"
+  else
+    match t.frames.(spn) with
+    | Unbacked ->
+        let b = Ram (Bytes.make Addr.page_size '\000') in
+        t.frames.(spn) <- b;
+        b
+    | b -> b
 
 (** Zero-copy read: blit [len] bytes at system physical address [spa]
     into [dst] at [dst_off].  May cross frame boundaries; no
@@ -117,49 +132,56 @@ let write t ~spa data = write_from t ~spa ~src:data ~src_off:0 ~len:(Bytes.lengt
    overhead.  Scalars straddling a frame boundary (misaligned by
    design only in tests) fall back to the buffered path. *)
 
+(* The frame a scalar of [width] bytes at [spa] can be accessed in
+   directly, or [no_frame] when it straddles a frame or hits MMIO. *)
+let no_frame = Bytes.create 0
+
 let[@inline] direct_frame t ~spa ~access ~width =
   if Addr.offset spa + width <= Addr.page_size then
     match backing t ~spn:(Addr.pfn spa) ~access with
-    | Ram frame -> Some frame
+    | Ram frame -> frame
     | Unbacked -> assert false (* materialised by [backing] *)
-    | Mmio _ -> None
-  else None
+    | Mmio _ -> no_frame
+  else no_frame
 
 let read_u8 t ~spa =
-  match direct_frame t ~spa ~access:Perm.Read ~width:1 with
-  | Some frame -> Char.code (Bytes.get frame (Addr.offset spa))
-  | None -> Char.code (Bytes.get (read t ~spa ~len:1) 0)
+  let frame = direct_frame t ~spa ~access:Perm.Read ~width:1 in
+  if frame != no_frame then Char.code (Bytes.get frame (Addr.offset spa))
+  else Char.code (Bytes.get (read t ~spa ~len:1) 0)
 
 let write_u8 t ~spa v =
-  match direct_frame t ~spa ~access:Perm.Write ~width:1 with
-  | Some frame -> Bytes.set frame (Addr.offset spa) (Char.chr (v land 0xff))
-  | None -> write t ~spa (Bytes.make 1 (Char.chr (v land 0xff)))
+  let frame = direct_frame t ~spa ~access:Perm.Write ~width:1 in
+  if frame != no_frame then Bytes.set frame (Addr.offset spa) (Char.chr (v land 0xff))
+  else write t ~spa (Bytes.make 1 (Char.chr (v land 0xff)))
 
 let read_u32 t ~spa =
-  match direct_frame t ~spa ~access:Perm.Read ~width:4 with
-  | Some frame -> Int32.to_int (Bytes.get_int32_le frame (Addr.offset spa)) land 0xffffffff
-  | None -> Int32.to_int (Bytes.get_int32_le (read t ~spa ~len:4) 0) land 0xffffffff
+  let frame = direct_frame t ~spa ~access:Perm.Read ~width:4 in
+  if frame != no_frame then
+    Int32.to_int (Bytes.get_int32_le frame (Addr.offset spa)) land 0xffffffff
+  else Int32.to_int (Bytes.get_int32_le (read t ~spa ~len:4) 0) land 0xffffffff
 
 let write_u32 t ~spa v =
-  match direct_frame t ~spa ~access:Perm.Write ~width:4 with
-  | Some frame -> Bytes.set_int32_le frame (Addr.offset spa) (Int32.of_int v)
-  | None ->
-      let b = Bytes.create 4 in
-      Bytes.set_int32_le b 0 (Int32.of_int v);
-      write t ~spa b
+  let frame = direct_frame t ~spa ~access:Perm.Write ~width:4 in
+  if frame != no_frame then Bytes.set_int32_le frame (Addr.offset spa) (Int32.of_int v)
+  else begin
+    let b = Bytes.create 4 in
+    Bytes.set_int32_le b 0 (Int32.of_int v);
+    write t ~spa b
+  end
 
 let read_u64 t ~spa =
-  match direct_frame t ~spa ~access:Perm.Read ~width:8 with
-  | Some frame -> Bytes.get_int64_le frame (Addr.offset spa)
-  | None -> Bytes.get_int64_le (read t ~spa ~len:8) 0
+  let frame = direct_frame t ~spa ~access:Perm.Read ~width:8 in
+  if frame != no_frame then Bytes.get_int64_le frame (Addr.offset spa)
+  else Bytes.get_int64_le (read t ~spa ~len:8) 0
 
 let write_u64 t ~spa v =
-  match direct_frame t ~spa ~access:Perm.Write ~width:8 with
-  | Some frame -> Bytes.set_int64_le frame (Addr.offset spa) v
-  | None ->
-      let b = Bytes.create 8 in
-      Bytes.set_int64_le b 0 v;
-      write t ~spa b
+  let frame = direct_frame t ~spa ~access:Perm.Write ~width:8 in
+  if frame != no_frame then Bytes.set_int64_le frame (Addr.offset spa) v
+  else begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    write t ~spa b
+  end
 
 (** Zero a whole frame — the hypervisor scrubs protected-region pages
     before recycling them between guests (§5.3 change (i)). *)
@@ -168,5 +190,3 @@ let zero_frame t spn =
   | Ram frame -> Bytes.fill frame 0 Addr.page_size '\000'
   | Unbacked -> assert false (* materialised by [backing] *)
   | Mmio _ -> invalid_arg "Phys_mem.zero_frame: MMIO page"
-
-let frame_count t = Hashtbl.length t.frames

@@ -1,5 +1,7 @@
 (** System physical memory: lazily-backed 4 KiB RAM frames plus MMIO
-    pages routed to device register handlers. *)
+    pages routed to device register handlers, in a frame table indexed
+    by spn.  Spns are bump-allocated from 1 and never reused; every
+    accessor raises {!Fault.Bus_error} on an spn never allocated. *)
 
 type mmio_handler = {
   mmio_read : offset:int -> len:int -> bytes;
@@ -9,7 +11,6 @@ type mmio_handler = {
 type t
 
 val create : unit -> t
-val mem_frame : t -> int -> bool
 
 (** Allocate [n] fresh contiguous RAM frames; returns the base spn.
     Backing bytes materialise on first access. *)
@@ -20,7 +21,6 @@ val alloc_frame : t -> int
 (** Install a device register page; returns its spn. *)
 val alloc_mmio : t -> mmio_handler -> int
 
-val free_frame : t -> int -> unit
 val is_mmio : t -> int -> bool
 
 (** Byte access at system physical addresses; may cross frames.
@@ -44,5 +44,3 @@ val write_u64 : t -> spa:int -> int64 -> unit
 
 (** Scrub a frame to zero (protected-region recycling, §5.3). *)
 val zero_frame : t -> int -> unit
-
-val frame_count : t -> int

@@ -3,7 +3,7 @@
     staleness argument).  Caches gva→spa for the combined
     guest-PT+EPT walk and gpa→spa for EPT-only walks; a hit re-checks
     the cached leaf permissions, so validation stays on — only the
-    walk cost is removed. *)
+    walk cost is removed.  A hit allocates nothing. *)
 
 type stats = {
   mutable hits : int;
@@ -13,7 +13,10 @@ type stats = {
 
 val create_stats : unit -> stats
 
+(** An entry carries its own [(space, vfn)] key. *)
 type entry = {
+  space : int;
+  vfn : int;
   spn : int;
   pt_perms : Perm.t;  (** guest-PT leaf perms; [Perm.rwx] for gpa entries *)
   ept_perms : Perm.t;
@@ -26,25 +29,31 @@ type t
 (** Space id for EPT-only (gpa→spa) entries; guest-PT ids start at 1. *)
 val gpa_space : int
 
+(** Where a [(space, vfn)] pair starts probing (before masking to the
+    table size).  Pairs with equal hashes are both kept; each is only
+    ever served its own frame. *)
+val hash : space:int -> vfn:int -> int
+
+(** What {!lookup} returns when it has no usable entry. *)
+val miss : int
+
 (** [create ?max_entries ?stats ()] — [stats] may be shared (e.g. with
     the hypervisor's audit counters); the cache resets wholesale when
-    [max_entries] is reached. *)
+    [max_entries] is reached.  The table starts small and doubles as
+    entries are installed. *)
 val create : ?max_entries:int -> ?stats:stats -> unit -> t
 
 val stats : t -> stats
 val entry_count : t -> int
-val enabled : t -> bool
-
-(** Disable to measure the uncached walk path (ablation); a disabled
-    cache neither hits nor installs, and counts nothing. *)
-val set_enabled : t -> bool -> unit
-
 val flush : t -> unit
 
-(** Returns the backing frame iff the entry is generation-current and
-    its cached permissions allow [access]; counts a hit or miss. *)
+(** Returns the backing frame iff the entry for exactly [(space, vfn)]
+    is generation-current and its cached permissions allow [access],
+    else {!miss}; counts a hit or miss. *)
 val lookup :
-  t -> key:int * int -> access:Perm.access -> pt_gen:int -> ept_gen:int -> int option
+  t -> space:int -> vfn:int -> access:Perm.access -> pt_gen:int -> ept_gen:int -> int
 
-val install : t -> key:int * int -> entry -> unit
+(** Fill (or replace) the entry for the entry's own [(space, vfn)]. *)
+val install : t -> entry -> unit
+
 val count_walks : t -> int -> unit

@@ -153,6 +153,12 @@ let span_begin t ~trace ~lane ~cat ~name () =
     sp
   end
 
+(** As {!span_begin}, but the name is [name x], computed only when the
+    span is recorded — for names that cost a format to build. *)
+let span_begin_by t ~trace ~lane ~cat ~name x =
+  if (not t.enabled) || trace = 0 then dummy_span
+  else span_begin t ~trace ~lane ~cat ~name:(name x) ()
+
 let span_arg sp key v = if not sp.sp_closed then sp.sp_args <- (key, v) :: sp.sp_args
 
 (** Close a span: record the completed event and feed the

@@ -53,6 +53,11 @@ val mint_id : t -> int
     sink is disabled or [trace] is 0. *)
 val span_begin : t -> trace:int -> lane:lane -> cat:string -> name:string -> unit -> span
 
+(** As {!span_begin}, but the name is [name x], computed only when the
+    span is recorded: an untraced call builds no string. *)
+val span_begin_by :
+  t -> trace:int -> lane:lane -> cat:string -> name:('a -> string) -> 'a -> span
+
 (** Attach a numeric argument to a still-open span. *)
 val span_arg : span -> string -> float -> unit
 

@@ -45,17 +45,66 @@ let test_phys_mem_cross_frame () =
   Alcotest.(check string) "crosses frame boundary" "abcdef"
     (Bytes.to_string (Phys_mem.read mem ~spa ~len:6))
 
+(* Every spn never handed out is a bus error, from the byte and the
+   scalar accessors alike: spn 0, the first spn at the bump pointer,
+   the one after it, and spns at and just past every power-of-two
+   table size (the frame table grows by doubling, so one of them is
+   its current length). *)
 let test_phys_mem_bus_error () =
   let mem = Phys_mem.create () in
-  Alcotest.check_raises "unpopulated frame faults"
-    (Fault.Bus_error
-       {
-         Fault.space = Fault.System_physical;
-         addr = Addr.of_pfn 999;
-         access = Perm.Read;
-         reason = "unpopulated frame";
-       })
-    (fun () -> ignore (Phys_mem.read mem ~spa:(Addr.of_pfn 999) ~len:1))
+  let base = Phys_mem.alloc_frames mem 4 in
+  let next_spn = base + 4 in
+  let bus_error spn access =
+    Fault.Bus_error
+      {
+        Fault.space = Fault.System_physical;
+        addr = Addr.of_pfn spn;
+        access;
+        reason = "unpopulated frame";
+      }
+  in
+  let unpopulated =
+    [ 0; next_spn; next_spn + 1; 999 ]
+    @ List.concat_map (fun k -> [ 1 lsl k; (1 lsl k) + 1 ]) (List.init 15 (fun i -> i + 10))
+  in
+  List.iter
+    (fun spn ->
+      let spa = Addr.of_pfn spn in
+      Alcotest.check_raises (Printf.sprintf "read spn %d" spn) (bus_error spn Perm.Read)
+        (fun () -> ignore (Phys_mem.read mem ~spa ~len:1));
+      Alcotest.check_raises (Printf.sprintf "read_u32 spn %d" spn)
+        (bus_error spn Perm.Read) (fun () -> ignore (Phys_mem.read_u32 mem ~spa));
+      Alcotest.check_raises (Printf.sprintf "write_u64 spn %d" spn)
+        (bus_error spn Perm.Write) (fun () -> Phys_mem.write_u64 mem ~spa 1L))
+    unpopulated;
+  Alcotest.check_raises "negative spn" (bus_error (-1) Perm.Write) (fun () ->
+      Phys_mem.zero_frame mem (-1));
+  Alcotest.(check bool) "negative spn is not mmio" false (Phys_mem.is_mmio mem (-1));
+  Alcotest.(check int) "last allocated frame still works" 7
+    (Phys_mem.write_u32 mem ~spa:(Addr.of_pfn (next_spn - 1)) 7;
+     Phys_mem.read_u32 mem ~spa:(Addr.of_pfn (next_spn - 1)))
+
+(* Growing the frame table keeps every frame allocated before it:
+   materialised RAM, untouched RAM and MMIO pages alike. *)
+let test_phys_mem_growth () =
+  let mem = Phys_mem.create () in
+  let ram = Phys_mem.alloc_frame mem and untouched = Phys_mem.alloc_frame mem in
+  let mmio =
+    Phys_mem.alloc_mmio mem
+      { Phys_mem.mmio_read = (fun ~offset:_ ~len -> Bytes.make len 'm'); mmio_write = (fun ~offset:_ _ -> ()) }
+  in
+  Phys_mem.write_u32 mem ~spa:(Addr.of_pfn ram) 0xabcd;
+  let big = Phys_mem.alloc_frames mem 5000 in
+  Alcotest.(check int) "spns are bump-allocated" (mmio + 1) big;
+  Alcotest.(check int) "ram frame kept" 0xabcd (Phys_mem.read_u32 mem ~spa:(Addr.of_pfn ram));
+  Alcotest.(check int) "untouched frame reads zero" 0
+    (Phys_mem.read_u32 mem ~spa:(Addr.of_pfn untouched));
+  Alcotest.(check bool) "mmio kept" true (Phys_mem.is_mmio mem mmio);
+  Alcotest.(check string) "mmio still routed" "mm"
+    (Bytes.to_string (Phys_mem.read mem ~spa:(Addr.of_pfn mmio) ~len:2));
+  Phys_mem.write_u32 mem ~spa:(Addr.of_pfn (big + 4999)) 5;
+  Alcotest.(check int) "last new frame usable" 5
+    (Phys_mem.read_u32 mem ~spa:(Addr.of_pfn (big + 4999)))
 
 let test_phys_mem_u32_u64 () =
   let mem = Phys_mem.create () in
@@ -421,6 +470,7 @@ let suites =
         Alcotest.test_case "read/write" `Quick test_phys_mem_rw;
         Alcotest.test_case "cross-frame access" `Quick test_phys_mem_cross_frame;
         Alcotest.test_case "bus error" `Quick test_phys_mem_bus_error;
+        Alcotest.test_case "frame table growth" `Quick test_phys_mem_growth;
         Alcotest.test_case "u32/u64 accessors" `Quick test_phys_mem_u32_u64;
         Alcotest.test_case "mmio routing" `Quick test_phys_mem_mmio;
         Alcotest.test_case "zero frame" `Quick test_phys_mem_zero_frame;

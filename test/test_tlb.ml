@@ -138,6 +138,100 @@ let test_hit_rate_above_90_percent () =
   and misses = float_of_int (Audit.tlb_misses audit) in
   Alcotest.(check bool) "hit rate above 90%" true (hits /. (hits +. misses) > 0.9)
 
+(* ---- the hit path allocates nothing ---- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_hot_page_no_alloc () =
+  let hyp = make_hyp () in
+  let vm = Hyp.create_vm hyp ~name:"vm" ~kind:Vm.Guest ~mem_bytes:(4 * mib) in
+  let gpa = Vm.alloc_gpa_page vm in
+  let region = Shared_page.allocate (Hyp.phys hyp) in
+  let (_ : int) = Shared_page.map_into region vm ~perms:Memory.Perm.rw in
+  let view = Shared_page.view_of region vm in
+  (* warm up: materialise both frames and fill the TLB *)
+  Vm.write_gpa_u32 vm ~gpa 1;
+  view.Shared_page.write_u32 ~offset:8 1;
+  let audit = Hyp.audit hyp in
+  let hits = Audit.tlb_hits audit and misses = Audit.tlb_misses audit in
+  let idle = minor_words (fun () -> ()) in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to 1000 do
+          Vm.write_gpa_u32 vm ~gpa i;
+          ignore (Sys.opaque_identity (Vm.read_gpa_u32 vm ~gpa));
+          ignore (Sys.opaque_identity (view.Shared_page.read_u32 ~offset:8))
+        done)
+  in
+  Alcotest.(check (float 0.)) "3,000 hot-page accesses allocate nothing" idle words;
+  Alcotest.(check int) "every access was a TLB hit" (hits + 3000) (Audit.tlb_hits audit);
+  Alcotest.(check int) "and none missed" misses (Audit.tlb_misses audit);
+  Alcotest.(check int) "the stores landed" 1000 (Vm.read_gpa_u32 vm ~gpa)
+
+(* ---- colliding pairs never share an entry ---- *)
+
+let tlb_entry (space, vfn) spn =
+  {
+    Memory.Tlb.space;
+    vfn;
+    spn;
+    pt_perms = Memory.Perm.rwx;
+    ept_perms = Memory.Perm.rwx;
+    pt_gen = 0;
+    ept_gen = 0;
+  }
+
+let tlb_lookup tlb (space, vfn) =
+  Memory.Tlb.lookup tlb ~space ~vfn ~access:Memory.Perm.Read ~pt_gen:0 ~ept_gen:0
+
+let test_colliding_pairs_no_alias () =
+  let module Tlb = Memory.Tlb in
+  let tlb = Tlb.create () in
+  (* 301 pairs, one per space, all hashing alike: one probe sequence,
+     long enough to make the table grow twice *)
+  let target = Tlb.hash ~space:1 ~vfn:5 in
+  let pairs = List.init 301 (fun s -> (s, target lxor Tlb.hash ~space:s ~vfn:0)) in
+  List.iter
+    (fun (space, vfn) ->
+      Alcotest.(check int) "pairs share a hash" target (Tlb.hash ~space ~vfn))
+    pairs;
+  let kept = List.filteri (fun i _ -> i < 300) pairs and absent = List.nth pairs 300 in
+  List.iter (fun ((space, _) as p) -> Tlb.install tlb (tlb_entry p (1000 + space))) kept;
+  Alcotest.(check int) "every pair kept" 300 (Tlb.entry_count tlb);
+  List.iter
+    (fun ((space, _) as p) ->
+      Alcotest.(check int) "each pair translates to its own frame" (1000 + space)
+        (tlb_lookup tlb p))
+    kept;
+  Alcotest.(check int) "a colliding pair never installed misses" Tlb.miss
+    (tlb_lookup tlb absent);
+  (* a pair that differs from an installed one in its space alone, or
+     its page alone, with a hash equal below bit 20 (tables stay under
+     2^16 slots) walks the same probe sequence and must still miss *)
+  let beyond = 1 lsl 20 in
+  let space, vfn = List.nth kept 150 in
+  List.iter
+    (fun (space, vfn) ->
+      Alcotest.(check int) "same probe start" (target land (beyond - 1))
+        (Tlb.hash ~space ~vfn land (beyond - 1));
+      Alcotest.(check int) "one field differs: miss" Tlb.miss (tlb_lookup tlb (space, vfn)))
+    [ (space + beyond, vfn); (space, vfn lxor beyond) ];
+  Tlb.install tlb (tlb_entry (List.hd kept) 7);
+  Alcotest.(check int) "a refill replaces in place" 7 (tlb_lookup tlb (List.hd kept));
+  Alcotest.(check int) "without adding an entry" 300 (Tlb.entry_count tlb)
+
+let test_max_entries_resets () =
+  let module Tlb = Memory.Tlb in
+  let tlb = Tlb.create ~max_entries:4 () in
+  let pairs = List.init 5 (fun i -> (1, i)) in
+  List.iteri (fun i p -> Tlb.install tlb (tlb_entry p (100 + i))) pairs;
+  Alcotest.(check int) "the fifth fill reset the cache first" 1 (Tlb.entry_count tlb);
+  Alcotest.(check int) "earlier entries are gone" Tlb.miss (tlb_lookup tlb (1, 0));
+  Alcotest.(check int) "the fifth is cached" 104 (tlb_lookup tlb (1, 4))
+
 (* ---- grant-check cache ---- *)
 
 let test_grant_cache_hits_on_repeat () =
@@ -230,6 +324,9 @@ let suites =
       [
         Alcotest.test_case "second copy all hits" `Quick test_second_copy_all_hits;
         Alcotest.test_case "hit rate > 90%" `Quick test_hit_rate_above_90_percent;
+        Alcotest.test_case "hot page allocates nothing" `Quick test_hot_page_no_alloc;
+        Alcotest.test_case "colliding pairs no alias" `Quick test_colliding_pairs_no_alias;
+        Alcotest.test_case "max_entries resets" `Quick test_max_entries_resets;
       ] );
     ( "tlb.grant_cache",
       [
