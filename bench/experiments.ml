@@ -1230,7 +1230,7 @@ let containment () =
           let rng = Sim.Rng.create ~seed:0xBADD1EL in
           for _round = 1 to 20 do
             Paradice.Chan_pool.iter_channels attacker.M.link.CB.pool (fun c ->
-                for slot = 0 to Paradice.Channel.ring_slots c - 1 do
+                for slot = 0 to Paradice.Config.ring_slots - 1 do
                   Paradice.Channel.inject_raw c ~slot
                     (Bytes.init P.slot_size (fun _ ->
                          Char.chr (Sim.Rng.int rng 256)))

@@ -16,9 +16,6 @@ type role =
 
 type range = { lo : int option; hi : int option }
 
-val no_range : range
-val range_known : range -> bool
-
 type field_fact = {
   ff_var : string;
   ff_buf : string;
@@ -45,7 +42,6 @@ type t = {
   fd_handlers : handler_fact list;
 }
 
-val of_handler : Ir.handler -> handler_fact
 val of_driver : Ir.driver -> t
 val find : t -> int -> handler_fact option
 

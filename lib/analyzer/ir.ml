@@ -62,9 +62,6 @@ let rec expr_bufs = function
   | Field { buf; offset; _ } -> buf :: expr_bufs offset
   | Add (a, b) | Mul (a, b) -> expr_bufs a @ expr_bufs b
 
-let cond_vars = function
-  | Eq (a, b) | Lt (a, b) | Ne (a, b) -> expr_vars a @ expr_vars b
-
 (** Count statements, For/If bodies included — the "lines of extracted
     code" metric the paper reports (~760 for Radeon). *)
 let rec stmt_count stmts =

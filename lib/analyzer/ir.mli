@@ -34,7 +34,6 @@ type driver = { driver_name : string; version : string; handlers : handler list 
 val find_handler : driver -> int -> handler option
 val expr_vars : expr -> string list
 val expr_bufs : expr -> string list
-val cond_vars : cond -> string list
 
 (** Statement count including nested bodies (the "extracted lines"
     metric). *)

@@ -5,10 +5,6 @@
     paper's Linux 2.6.35 vs 3.2.0 study. *)
 
 val gem_create_handler : Ir.handler
-val gem_mmap_handler : Ir.handler
-val gem_close_handler : Ir.handler
-val gem_wait_idle_handler : Ir.handler
-val set_tiling_handler : Ir.handler
 
 (** The nested-copy flagship: chunk pointers inside the copied struct,
     headers behind the pointers, payloads behind the headers. *)

@@ -1,8 +1,6 @@
 (** Full device emulation (Table 3's "Emulation" row): every file
     operation trap-and-emulated at QEMU-like per-operation cost. *)
 
-val per_op_cost_us : float
-
 type t
 
 val make : unit -> t

@@ -3,7 +3,6 @@
     no legacy-device support. *)
 
 val max_vfs : int
-val per_op_cost_us : float
 
 type t
 

@@ -70,12 +70,3 @@ let make ?(extra_guests = 0) ~devices mode =
         (m, Workloads.Runner.of_machine ~label m)
   in
   (machine, env)
-
-(** The standard comparison set for a single-guest experiment. *)
-let standard_modes =
-  [
-    Native;
-    Device_assign;
-    Paradice Paradice.Config.default;
-    Paradice Paradice.Config.polling;
-  ]

@@ -19,5 +19,3 @@ val make :
   devices:device list ->
   mode ->
   Paradice.Machine.t * Workloads.Runner.env
-
-val standard_modes : mode list

@@ -9,10 +9,6 @@ type capabilities = {
   legacy_devices : bool;
 }
 
-val emulation : capabilities
-val direct_io : capabilities
-val self_virtualization : capabilities
-val classic_paravirtualization : capabilities
 val paradice : capabilities
 val all : capabilities list
 val sharing_string : [ `Yes | `Limited | `No ] -> string

@@ -17,16 +17,9 @@ let version = "1.0.0"
     or guests yet). *)
 let boot ?config () = Machine.create ?config ()
 
-(** Boot the paper's comparison configurations. *)
-let boot_native () = Machine.create ~mode:Machine.Native ()
-let boot_device_assignment () = Machine.create ~mode:Machine.Device_assignment ()
-
 (** Run the machine's simulation until quiescent (or [until], in
     microseconds of simulated time). *)
 let run ?until m = Sim.Engine.run ?until (Machine.engine m)
 
 (** Simulated time, microseconds. *)
 let now m = Sim.Engine.now (Machine.engine m)
-
-(** The device classes supported out of the box, as in Table 1. *)
-let supported_classes = [ "gpu"; "input"; "camera"; "audio"; "net" ]

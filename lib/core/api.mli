@@ -6,11 +6,7 @@ val version : string
 (** Boot an empty Paradice machine (hypervisor + driver VM). *)
 val boot : ?config:Config.t -> unit -> Machine.t
 
-val boot_native : unit -> Machine.t
-val boot_device_assignment : unit -> Machine.t
-
 (** Run the simulation until quiescent (or [until] µs). *)
 val run : ?until:float -> Machine.t -> unit
 
 val now : Machine.t -> float
-val supported_classes : string list

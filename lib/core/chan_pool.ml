@@ -25,8 +25,6 @@ exception Busy
 
 let create ?rng channels ~cap =
   { channels; cap; rng; pending = 0; rejected_busy = 0 }
-let pending t = t.pending
-let cap t = t.cap
 
 (** The designated channel for backend-to-frontend notifications. *)
 let notify_channel t = t.channels.(0)

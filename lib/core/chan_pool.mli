@@ -16,12 +16,6 @@ exception Busy
     [Config.dispatch = Two_choices]. *)
 val create : ?rng:Sim.Rng.t -> Channel.t array -> cap:int -> t
 
-(** Operations currently in flight or waiting for a ring slot. *)
-val pending : t -> int
-
-(** The per-guest operation cap ({!Busy} past it). *)
-val cap : t -> int
-
 (** The designated channel for backend-to-frontend notifications. *)
 val notify_channel : t -> Channel.t
 

@@ -61,7 +61,6 @@ type t = {
   region : Hypervisor.Shared_page.t;
   front_view : Hypervisor.Shared_page.view;
   back_view : Hypervisor.Shared_page.view;
-  slots : int; (* ring depth *)
   req_rx : unit Sim.Mailbox.t; (* backend wakes here on request doorbells *)
   resp_box : unit Sim.Mailbox.t array; (* per-slot response delivery *)
   notify_rx : unit Sim.Mailbox.t; (* frontend async-notification wakeups *)
@@ -159,9 +158,6 @@ let state_off slot = 4 * slot
 let notify_off = 512
 let slot_off slot = Memory.Addr.page_size + (slot * Proto.slot_size)
 
-(* the control page holds up to 128 slot state words before notify_off *)
-let max_slots = notify_off / 4
-
 (* ---- the two signalling directions ---- *)
 
 (* A request signal landed: a leg wakes the backend into draining. *)
@@ -174,7 +170,7 @@ let wake_backend t ~leg =
    waits). *)
 let deliver_responses t ~leg:_ =
   if not t.dead then
-    for slot = 0 to t.slots - 1 do
+    for slot = 0 to Config.ring_slots - 1 do
       if
         t.front_view.Hypervisor.Shared_page.read_u32 ~offset:(state_off slot)
         = st_resp_ready
@@ -227,7 +223,7 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
         incr r;
         !r
   in
-  let slots = max 1 (min config.Config.ring_slots max_slots) in
+  let slots = Config.ring_slots in
   let slot_bytes = slots * Proto.slot_size in
   let pages =
     1 + ((slot_bytes + Memory.Addr.page_size - 1) / Memory.Addr.page_size)
@@ -249,7 +245,6 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
     region;
     front_view = Hypervisor.Shared_page.view_of region guest_vm;
     back_view = Hypervisor.Shared_page.view_of region driver_vm;
-    slots;
     req_rx = Sim.Mailbox.create engine;
     resp_box = Array.init slots (fun _ -> Sim.Mailbox.create engine);
     notify_rx = Sim.Mailbox.create engine;
@@ -284,7 +279,6 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
   }
 
 let is_dead t = t.dead
-let ring_slots t = t.slots
 
 let signalling t = t.signalling
 
@@ -303,7 +297,7 @@ let quiescent t = t.in_flight = 0 && t.in_service = 0
     with a whole ring's worth of penalty while the backend worker is
     inside the driver (it may be blocked indefinitely in a read or
     poll, so new work should prefer a channel whose worker is free). *)
-let load t = t.in_flight + (t.slots * min t.in_service 1)
+let load t = t.in_flight + (Config.ring_slots * min t.in_service 1)
 
 (** Declare the channel dead (driver-VM crash).  With [poison] (the
     default) every blocked party — each slot's response waiter, the
@@ -335,11 +329,6 @@ let retire t =
     kill t
   end
 
-let fault_fires t key =
-  match t.config.Config.injector with
-  | None -> false
-  | Some inj -> Sim.Fault_inject.fires inj ~key
-
 (* One signalling leg in direction [d]: transfer latency, plus the
    cold surcharge when the receiver has been idle.  [k] runs in engine
    context on arrival. *)
@@ -368,7 +357,7 @@ let m_incr t name = if traced t then Obs.Metrics.incr (Obs.Trace.metrics t.trace
 
 let occupancy_sample t =
   if traced t then begin
-    let occ = float_of_int (t.slots - Queue.length t.free_slots) in
+    let occ = float_of_int (Config.ring_slots - Queue.length t.free_slots) in
     Obs.Trace.counter t.tracer ~lane:Obs.Trace.Ring
       ~name:(Printf.sprintf "ring%d.occupancy" t.chan_uid)
       occ;
@@ -402,7 +391,8 @@ let signal t d ~trace =
     end
   end
   else if d.awake || d.leg_pending then m_incr t d.spec.coalesced_counter
-  else if fault_fires t d.spec.drop_site then m_incr t "fault.doorbell_dropped"
+  else if Config.fires t.config d.spec.drop_site then
+    m_incr t "fault.doorbell_dropped"
   else begin
     d.leg_pending <- true;
     m_incr t d.spec.legs_counter;
@@ -419,7 +409,7 @@ let signal t d ~trace =
 (* Request doorbell.  The delay fault stalls the publish path before
    the signalling decision. *)
 let ring_req_doorbell t ~trace =
-  if fault_fires t site_delay_req then
+  if Config.fires t.config site_delay_req then
     Sim.Engine.wait Config.fault_delay_us;
   signal t t.req ~trace
 
@@ -440,7 +430,7 @@ let publish t ~slot ~seq (req_bytes : bytes) =
   let view = t.front_view and off = slot_off slot in
   view.Hypervisor.Shared_page.write ~offset:off req_bytes;
   view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.seq_off) seq;
-  if fault_fires t site_corrupt_req then begin
+  if Config.fires t.config site_corrupt_req then begin
     (* the opcode is the low byte of the little-endian first word *)
     let word = view.Hypervisor.Shared_page.read_u32 ~offset:off in
     view.Hypervisor.Shared_page.write_u32 ~offset:off (word lxor 0xff)
@@ -600,7 +590,8 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
     publishes into the slot is simply left unread (and a later
     injection into the same slot clobbers it, as on real hardware). *)
 let inject_raw t ~slot (bytes : bytes) =
-  if slot < 0 || slot >= t.slots then invalid_arg "Channel.inject_raw";
+  if slot < 0 || slot >= Config.ring_slots then
+    invalid_arg "Channel.inject_raw";
   if not t.dead then begin
     let wire = Bytes.make Proto.slot_size '\000' in
     Bytes.blit bytes 0 wire 0 (min (Bytes.length bytes) Proto.slot_size);
@@ -620,9 +611,9 @@ let next_request t : (int * bytes) option =
   else begin
     let scan () =
       let rec go i =
-        if i >= t.slots then None
+        if i >= Config.ring_slots then None
         else
-          let slot = (t.scan_cursor + i) mod t.slots in
+          let slot = (t.scan_cursor + i) mod Config.ring_slots in
           if
             t.back_view.Hypervisor.Shared_page.read_u32 ~offset:(state_off slot)
             = st_req_ready
@@ -640,7 +631,7 @@ let next_request t : (int * bytes) option =
       start := Sim.Engine.now t.engine;
       match scan () with
       | Some slot ->
-          t.scan_cursor <- (slot + 1) mod t.slots;
+          t.scan_cursor <- (slot + 1) mod Config.ring_slots;
           t.back_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
             st_in_service;
           t.service_active.(slot) <- true;
@@ -704,7 +695,8 @@ let next_request t : (int * bytes) option =
     frontend deadline recovers). *)
 let respond t ~slot (resp_bytes : bytes) =
   if not t.dead then begin
-    if slot < 0 || slot >= t.slots then invalid_arg "Channel.respond";
+    if slot < 0 || slot >= Config.ring_slots then
+      invalid_arg "Channel.respond";
     (* A respond must pair with an outstanding claim on the slot.  The
        authority is the backend-private [service_active] flag — not the
        control-page state word, which the guest has mapped writable

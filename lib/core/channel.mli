@@ -19,9 +19,6 @@ val create :
   driver_vm:Hypervisor.Vm.t ->
   t
 
-(** Ring depth: how many RPCs may be in flight on this channel. *)
-val ring_slots : t -> int
-
 (** The live signalling parameters ([Config.signalling] until
     {!set_signalling}). *)
 val signalling : t -> Config.signalling

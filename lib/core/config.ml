@@ -50,10 +50,6 @@ type t = {
   max_queued_ops : int; (* per-guest wait-queue cap, DoS protection (§5.1) *)
   channels_per_guest : int; (* parallel backend workers per guest, so a
                                 blocking read does not stall other files *)
-  ring_slots : int; (* descriptor-ring depth per channel: how many RPCs
-                        a guest may have in flight on one channel before
-                        publishers block (doorbells coalesce across all
-                        descriptors queued since the last one) *)
   dispatch : dispatch; (* how the pool routes an op to a ring *)
   (* -- fault containment & recovery (§4.1, §7.2) -- *)
   rpc_timeout_us : float; (* per-attempt RPC deadline; 0 = block forever
@@ -103,6 +99,17 @@ type t = {
                             point and records nothing *)
 }
 
+(* The fault plan's two probes; with no plan nothing ever fires. *)
+let fires t key =
+  match t.injector with
+  | None -> false
+  | Some inj -> Sim.Fault_inject.fires inj ~key
+
+let check t key =
+  match t.injector with
+  | None -> ()
+  | Some inj -> Sim.Fault_inject.check inj ~key
+
 (* Calibrated constants: one value each, read directly by the model. *)
 
 (* -- transport -- *)
@@ -114,6 +121,13 @@ let hypercall_us = 0.9 (* one hypervisor API call from the driver VM *)
 let grant_declare_us = 0.15 (* frontend writes one grant entry *)
 
 (* -- CVD policy -- *)
+let ring_slots = 8
+(* descriptor-ring depth per channel: how many RPCs a guest may have in
+   flight on one channel before publishers block (doorbells coalesce
+   across all descriptors queued since the last one).  At most 128: the
+   control page holds one state word per slot below the notify counter
+   at offset 512. *)
+
 let dispatch_seed = 0x5EEDL
 (* seeds the per-link Two_choices probe stream (derived per guest VM
    id, so dispatch is deterministic and per-link independent) *)
@@ -156,7 +170,6 @@ let default =
     ioctl_id_mode = Analyzer_table;
     max_queued_ops = 100;
     channels_per_guest = 4;
-    ring_slots = 8;
     dispatch = Least_loaded;
     rpc_timeout_us = 0.;
     rpc_retries = 2;

@@ -35,8 +35,6 @@ type t = {
   ioctl_id_mode : ioctl_id_mode;
   max_queued_ops : int;
   channels_per_guest : int;
-  ring_slots : int;
-      (** descriptor-ring depth per channel (in-flight RPC bound) *)
   dispatch : dispatch;  (** how the pool routes an op to a ring *)
   rpc_timeout_us : float;
       (** per-attempt RPC deadline; 0 = block forever (default) *)
@@ -66,6 +64,15 @@ type t = {
   injector : Sim.Fault_inject.t option;  (** deterministic fault plan *)
   tracer : Obs.Trace.t;  (** span tracing sink; default {!Obs.Trace.disabled} *)
 }
+
+(** Whether the fault armed at site [key] on [t.injector] fires now
+    ({!Sim.Fault_inject.fires}); [false] when there is no fault plan. *)
+val fires : t -> string -> bool
+
+(** {!Sim.Fault_inject.check} at site [key] on [t.injector]: raises
+    {!Sim.Fault_inject.Injected} when it fires; a no-op when there is
+    no fault plan. *)
+val check : t -> string -> unit
 
 (** Interrupts: 17.3 us legs, 103.2 us cold surcharge, window 0. *)
 val default : t
@@ -97,6 +104,10 @@ val hypercall_us : float
 
 (** Frontend writes one grant entry: 0.15 us. *)
 val grant_declare_us : float
+
+(** Descriptor-ring depth per channel, the in-flight RPC bound: 8
+    (at most 128, the slot state words the control page holds). *)
+val ring_slots : int
 
 (** Seeds the per-link [Two_choices] probe stream (derived per guest
     VM id: deterministic, per-link independent). *)

@@ -70,7 +70,6 @@ let create ~kernel ~hyp ~config ~policy =
 let export t path =
   if not (List.mem path t.exports) then t.exports <- path :: t.exports
 
-let exports t = t.exports
 let is_killed t = t.killed
 
 (** The driver VM crashed: stop serving.  With [poison] (default) every
@@ -88,8 +87,6 @@ let kill ?(poison = true) t =
         t.links
   end
 
-let link_stats link = (link.ops_served, Chan_pool.stats link.pool)
-let links t = t.links
 let has_link t link = List.memq link t.links
 
 (* Fault-site keys (armed on [Config.injector]). *)
@@ -118,32 +115,36 @@ let note_sanitize_rejection t =
   a.Hypervisor.Audit.sanitize_rejections <-
     a.Hypervisor.Audit.sanitize_rejections + 1
 
+(* Force-release every backend file the link holds, as [task]:
+   subscribers dropped and open counts restored, so exclusive devices
+   do not stay EBUSY.  A raising driver must not block the teardown. *)
+let force_release_files link task =
+  Hashtbl.iter
+    (fun _ fs ->
+      if not fs.file.Defs.closed then begin
+        (try fs.file.Defs.dev.Defs.ops.Defs.fop_release task fs.file
+         with _ -> ());
+        fs.file.Defs.closed <- true;
+        fs.file.Defs.dev.Defs.open_count <-
+          fs.file.Defs.dev.Defs.open_count - 1;
+        fs.file.Defs.fasync_subscribers <- []
+      end)
+    link.files;
+  Hashtbl.reset link.files
+
 (** Quarantine a misbehaving guest: §4.1's fault containment turned
     around — the backend protects itself and the sibling guests from a
     hostile frontend.  Everything the guest holds on the backend side
-    is torn down: open files force-released (subscribers dropped, open
-    counts restored so exclusive devices do not stay EBUSY), its
-    outstanding grants revoked, its cross-VM mappings destroyed, its
-    channels poisoned.  Sibling links share none of that state and
-    keep full service. *)
+    is torn down: open files force-released, its outstanding grants
+    revoked, its cross-VM mappings destroyed, its channels poisoned.
+    Sibling links share none of that state and keep full service. *)
 let quarantine t link worker =
   if not link.quarantined then begin
     link.quarantined <- true;
     let a = audit t in
     a.Hypervisor.Audit.quarantines <- a.Hypervisor.Audit.quarantines + 1;
     m_incr t "containment.quarantines";
-    Hashtbl.iter
-      (fun _ fs ->
-        if not fs.file.Defs.closed then begin
-          (try fs.file.Defs.dev.Defs.ops.Defs.fop_release worker fs.file
-           with _ -> () (* a raising driver must not block teardown *));
-          fs.file.Defs.closed <- true;
-          fs.file.Defs.dev.Defs.open_count <-
-            fs.file.Defs.dev.Defs.open_count - 1;
-          fs.file.Defs.fasync_subscribers <- []
-        end)
-      link.files;
-    Hashtbl.reset link.files;
+    force_release_files link worker;
     (match Hypervisor.Hyp.grant_table_of t.hyp link.guest_vm with
     | Some table -> ignore (Hypervisor.Grant_table.revoke_all table)
     | None -> ());
@@ -238,8 +239,8 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
          span is untouched), and return one sub-response per sub-op in
          submission order.  A failing sub-op does not abort the batch:
          its reply slot carries the errno, like an io_uring CQE.
-         [Proto.validate] has already vetted every sub-op through the
-         same gate as a singleton. *)
+         [Proto.validate_limits] has already vetted every sub-op
+         through the same gate as a singleton. *)
       let tracer = t.config.Config.tracer in
       let trace =
         match worker.Defs.remote with Some rc -> rc.Defs.rc_trace | None -> 0
@@ -592,11 +593,6 @@ let connect t ~guest_vm =
           if Policy.input_target t.policy (Hypervisor.Vm.id guest_vm) then
             Channel.notify (Chan_pool.notify_channel pool));
       Sim.Engine.spawn engine ~name:"cvd-backend" (fun () ->
-          let fires key =
-            match t.config.Config.injector with
-            | None -> false
-            | Some inj -> Sim.Fault_inject.fires inj ~key
-          in
           let rec loop () =
             match Channel.next_request channel with
             | None -> () (* channel dead: worker exits *)
@@ -612,12 +608,13 @@ let connect t ~guest_vm =
                    executing the operation and answering — a stuck
                    driver thread.  Only an RPC deadline recovers the
                    frontend. *)
-                if fires site_wedge then Sim.Engine.suspend (fun _ -> ());
+                if Config.fires t.config site_wedge then
+                  Sim.Engine.suspend (fun _ -> ());
                 (* "cvd.crash": the driver VM dies right here, mid-RPC
                    — the operation ran but its response is never sent.
                    on_fire hooks (armed by Machine) perform the actual
                    kill before we notice [killed] below. *)
-                if fires site_crash then ignore resp
+                if Config.fires t.config site_crash then ignore resp
                 else if not t.killed then begin
                   (* A respond on a slot no longer in service is a
                      counted protocol violation (only a guest rewriting
@@ -689,21 +686,8 @@ let checkpoint_link t link : Snapshot.link_snap =
     mappings are left intact: they are guest-keyed and the successor
     re-validates them in place. *)
 let release_link_files t link =
-  if Hashtbl.length link.files > 0 then begin
-    let reaper = Kernel.spawn_task t.kernel ~name:"cvd-reaper" in
-    Hashtbl.iter
-      (fun _ fs ->
-        if not fs.file.Defs.closed then begin
-          (try fs.file.Defs.dev.Defs.ops.Defs.fop_release reaper fs.file
-           with _ -> () (* a raising driver must not block the handoff *));
-          fs.file.Defs.closed <- true;
-          fs.file.Defs.dev.Defs.open_count <-
-            fs.file.Defs.dev.Defs.open_count - 1;
-          fs.file.Defs.fasync_subscribers <- []
-        end)
-      link.files;
-    Hashtbl.reset link.files
-  end
+  if Hashtbl.length link.files > 0 then
+    force_release_files link (Kernel.spawn_task t.kernel ~name:"cvd-reaper")
 
 let detach_link t link = t.links <- List.filter (fun l -> l != link) t.links
 
@@ -713,11 +697,6 @@ type restore_stats = {
   rs_vmas : int; (* VMA mirrors rebuilt *)
   rs_fasync : int; (* SIGIO subscriptions re-armed *)
 }
-
-let fault_check t key =
-  match t.config.Config.injector with
-  | None -> ()
-  | Some inj -> Sim.Fault_inject.check inj ~key
 
 (* Restore validation runs the {e same} sanitization pass as a live
    request: a snapshotted path or VMA range the backend would refuse
@@ -826,7 +805,9 @@ let restore_link t ~(snap : Snapshot.link_snap) ~guest_vm ?fail_site () =
     try
       List.iter
         (fun fr ->
-          (match fail_site with Some key -> fault_check t key | None -> ());
+          (match fail_site with
+          | Some key -> Config.check t.config key
+          | None -> ());
           if restore_file fr then
             stats := { !stats with rs_files = !stats.rs_files + 1 }
           else begin

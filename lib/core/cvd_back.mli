@@ -41,8 +41,6 @@ val create :
 (** Allow guests to open this driver-VM device path. *)
 val export : t -> string -> unit
 
-val exports : t -> string list
-val link_stats : guest_link -> int * Chan_pool.stats
 val is_killed : t -> bool
 
 (** The driver VM crashed: stop serving.  [poison] (default true)
@@ -65,9 +63,6 @@ val site_crash : string
 val connect : t -> guest_vm:Hypervisor.Vm.t -> guest_link
 
 (** {1 Planned handoff (hot upgrade / session migration)} *)
-
-(** Live links, most recently connected first. *)
-val links : t -> guest_link list
 
 (** Is this link one of ours?  (Which driver VM a migrating session
     currently lives on.) *)
@@ -120,16 +115,3 @@ val restore_link :
     mutated bytes directly; [worker] must be a task of the backend's
     kernel. *)
 val serve_one : t -> guest_link -> Oskit.Defs.task -> bytes -> Proto.response
-
-(** Force a guest into quarantine: open files force-released, grants
-    revoked, cross-VM mappings torn down, channels poisoned.  Sibling
-    links keep full service.  Normally triggered by the misbehavior
-    score crossing [Config.quarantine_threshold]. *)
-val quarantine : t -> guest_link -> Oskit.Defs.task -> unit
-
-(** Misbehavior weights feeding [guest_link.score]. *)
-val score_malformed : int
-
-val score_rejected : int
-val score_grant_fault : int
-val score_quota_breach : int

@@ -301,7 +301,10 @@ let errno_of_code code =
     {e raised} EIO is the transport itself dying mid-exchange, which
     faults the whole session; ETIMEDOUT (deadline exhausted) surfaces
     to the caller without faulting — one wedged worker is not a dead
-    driver VM, the watchdog decides that. *)
+    driver VM, the watchdog decides that.  The response bytes are the
+    driver VM's to write, so an undecodable response fails this one
+    operation with EIO and leaves the session healthy (§4.1: a
+    malicious driver VM must not bring down the guest). *)
 let forward t (task : Defs.task) ~ops req : Proto.response =
   if t.session = Faulted then
     Errno.fail Errno.ENODEV "driver VM session faulted";
@@ -345,7 +348,9 @@ let forward t (task : Defs.task) ~ops req : Proto.response =
               fault_session t ~reason:"transport failure mid-operation";
               raise e
         in
-        Proto.decode_response resp_bytes)
+        try Proto.decode_response resp_bytes
+        with Proto.Malformed msg ->
+          Errno.fail Errno.EIO ("undecodable response: " ^ msg))
   in
   match run () with
   | resp ->
@@ -360,6 +365,16 @@ let int_result = function
   | Proto.Rerr code -> Errno.fail (errno_of_code code) "remote operation failed"
   | Proto.Rpoll_reply _ -> Errno.fail Errno.EIO "unexpected poll reply"
   | Proto.Rbatch_reply _ -> Errno.fail Errno.EIO "unexpected batch reply"
+
+(* A read or write moves at most [len] bytes: a count the driver VM
+   reports outside [0, len] fails the operation instead of reaching the
+   application. *)
+let transfer_result ~len resp =
+  let n = int_result resp in
+  if n < 0 || n > len then
+    Errno.fail Errno.EIO
+      (Printf.sprintf "response claims %d bytes of a %d-byte transfer" n len)
+  else n
 
 (** Forward an io_uring-style multi-op batch: every request rides one
     ring slot / one doorbell and is executed sequentially by the
@@ -484,12 +499,12 @@ let export t ~path ~cls ~driver ?(exclusive = false) ?entries ~kinds () =
       fop_read =
         (fun task file ~buf ~len ->
           let ops = [ Hypervisor.Grant_table.Copy_to_user { addr = buf; len } ] in
-          remote_fail
+          transfer_result ~len
             (forward t task ~ops (Proto.Rread { vfd = vfd_of t file; buf; len })));
       fop_write =
         (fun task file ~buf ~len ->
           let ops = [ Hypervisor.Grant_table.Copy_from_user { addr = buf; len } ] in
-          remote_fail
+          transfer_result ~len
             (forward t task ~ops (Proto.Rwrite { vfd = vfd_of t file; buf; len })));
       fop_ioctl =
         (fun task file ~cmd ~arg ->

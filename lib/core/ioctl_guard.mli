@@ -10,8 +10,6 @@ type verdict =
   | Reject of { handler : string; violated : string }
       (** handler name and the violated check's label *)
 
-val jit_loop_bound : int
-
 (** [check ~dev_class ~cmd ~arg ~limits ~read] re-reads the depth-1
     argument struct via [read] and evaluates the generated checks.
     Unknown commands and unreadable argument pointers [Pass] (the

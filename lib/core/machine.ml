@@ -278,11 +278,6 @@ let site_migrate_crash_checkpoint = "migrate.crash_checkpoint"
 let site_migrate_crash_transfer = "migrate.crash_transfer"
 let site_migrate_crash_restore = "migrate.crash_restore"
 
-let fault_check t key =
-  match t.config.Config.injector with
-  | None -> ()
-  | Some inj -> Sim.Fault_inject.check inj ~key
-
 (* Boot a fresh driver VM serving the same exports.  Unlike the crash
    reboot, open counts are NOT reset: the incumbent's opens are still
    live, and the handoff closes them one side at a time. *)
@@ -440,7 +435,7 @@ let upgrade_driver_vm t =
         stage "upgrade:checkpoint" (fun () ->
             List.map
               (fun g ->
-                fault_check t site_upgrade_crash_checkpoint;
+                Config.check t.config site_upgrade_crash_checkpoint;
                 let blob =
                   Snapshot.encode (Cvd_back.checkpoint_link t.backend g.link)
                 in
@@ -655,7 +650,7 @@ let migrate_guest t g ~dst =
   in
   match
     stage "migrate:checkpoint" (fun () ->
-        fault_check t site_migrate_crash_checkpoint;
+        Config.check t.config site_migrate_crash_checkpoint;
         let blob = Snapshot.encode (Cvd_back.checkpoint_link src g.link) in
         Sim.Engine.wait Config.marshal_us;
         blob)
@@ -664,7 +659,7 @@ let migrate_guest t g ~dst =
   | blob -> (
       match
         stage "migrate:transfer" (fun () ->
-            fault_check t site_migrate_crash_transfer;
+            Config.check t.config site_migrate_crash_transfer;
             let snap = Snapshot.decode blob in
             Sim.Engine.wait Config.marshal_us;
             snap)
@@ -737,7 +732,7 @@ let map_bar vm ~spa ~pages ~perms =
 let attach_gpu t ?(vram_mib = 64) () =
   if t.gpu <> None then invalid_arg "Machine.attach_gpu: already attached";
   let vram_pages = vram_mib * mib / Memory.Addr.page_size in
-  let gpu_iommu = Memory.Iommu.create ~name:"gpu-iommu" in
+  let gpu_iommu = Memory.Iommu.create () in
   let costs =
     { Devices.Gpu_hw.default_costs with
       Devices.Gpu_hw.irq_latency_us =
@@ -899,7 +894,7 @@ let attach_audio t =
   pcm
 
 let attach_netmap t =
-  let iommu = Memory.Iommu.create ~name:"e1000-iommu" in
+  let iommu = Memory.Iommu.create () in
   let nm = Devices.Netmap_drv.create t.driver_kernel ~iommu () in
   let (_ : Defs.device) = Devices.Netmap_drv.register nm ~path:"/dev/netmap" in
   Devices.Netmap_drv.start nm;

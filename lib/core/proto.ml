@@ -80,9 +80,7 @@ exception Oversized = W.Oversized
 
 type violation = W.violation = { field : string; detail : string }
 
-let max_mmap_bytes = W.max_mmap_bytes
 let max_vfd = W.max_vfd
-let valid_path = W.valid_path
 
 (* ---- the spec table: one declaration per message form ---- *)
 
@@ -478,11 +476,6 @@ let validate_limits ~(limits : W.limits) ((req : request), grant_ref, pid) :
           go 0 [] reqs
     | _ -> W.validate (spec_of_req req) limits req
 
-let validate ~max_transfer_bytes ~poll_timeout_cap_us ~grant_capacity decoded =
-  validate_limits
-    ~limits:{ W.max_transfer_bytes; poll_timeout_cap_us; grant_capacity }
-    decoded
-
 (* ---- responses ---- *)
 
 let ok_spec : response W.spec =
@@ -710,20 +703,6 @@ module Fuzz = struct
 end
 
 (* ---- metadata shims ---- *)
-
-let op_kind_of_request = function
-  | Ropen _ -> Oskit.Os_flavor.Open
-  | Rrelease _ -> Oskit.Os_flavor.Release
-  | Rread _ -> Oskit.Os_flavor.Read
-  | Rwrite _ -> Oskit.Os_flavor.Write
-  | Rioctl _ -> Oskit.Os_flavor.Ioctl
-  | Rmmap _ -> Oskit.Os_flavor.Mmap
-  | Rfault _ -> Oskit.Os_flavor.Fault
-  | Rmunmap _ -> Oskit.Os_flavor.Mmap
-  | Rpoll _ -> Oskit.Os_flavor.Poll
-  | Rfasync _ -> Oskit.Os_flavor.Fasync
-  | Rnoop -> Oskit.Os_flavor.Ioctl
-  | Rbatch _ -> Oskit.Os_flavor.Ioctl
 
 let request_name = function
   | Rbatch reqs -> Printf.sprintf "batch(%d)" (List.length reqs)

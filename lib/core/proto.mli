@@ -85,34 +85,17 @@ type violation = Wire_spec.violation = { field : string; detail : string }
     clamped into [[0, poll_timeout_cap_us]]) or the offending field.
     Oversized reads/writes, non-devfs or NUL-bearing open paths,
     out-of-range vfd/grant_ref/pid and wrapping mmap ranges are all
-    rejected here so nothing downstream sees them. *)
-val validate :
-  max_transfer_bytes:int ->
-  poll_timeout_cap_us:float ->
-  grant_capacity:int ->
-  request * int * int ->
-  (request, violation) result
-
-(** Same sanitizer with the limits pre-packed (the backend builds one
-    {!Wire_spec.limits} from its config and reuses it per request). *)
+    rejected here so nothing downstream sees them.  The backend builds
+    one {!Wire_spec.limits} from its config and reuses it per
+    request. *)
 val validate_limits :
   limits:Wire_spec.limits -> request * int * int -> (request, violation) result
 
-(** Largest mmap/munmap range {!validate} accepts (device BARs exceed
-    the copy-transfer cap but must still be bounded). *)
-val max_mmap_bytes : int
-
-(** Largest virtual descriptor number {!validate} accepts. *)
+(** Largest virtual descriptor number {!validate_limits} accepts. *)
 val max_vfd : int
-
-(** The devfs-path rule {!validate} applies to [Ropen] — exposed so
-    checkpoint restore can re-vet snapshotted paths through the exact
-    same predicate as live requests. *)
-val valid_path : string -> bool
 
 val encode_response : response -> bytes
 val decode_response : bytes -> response
-val op_kind_of_request : request -> Oskit.Os_flavor.op_kind
 val request_name : request -> string
 
 (** Spec-derived fuzzing: seeded random requests that satisfy every
@@ -123,9 +106,6 @@ val request_name : request -> string
 module Fuzz : sig
   (** Bounds used when generating valid skeletons. *)
   val default_limits : Wire_spec.limits
-
-  val generate : ?limits:Wire_spec.limits -> Sim.Rng.t -> request
-  val mutate : Sim.Rng.t -> bytes -> unit
 
   (** [descriptor rng ~grant_ref ~pid] is an encoded slot: a valid
       skeleton, mutated 7 times out of 8. *)

@@ -60,7 +60,7 @@ let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 (* Format version history:
    1 — initial: header, file table, grant table. *)
 let magic = 0x50AD1CE1
-let version = 1
+let version = 1 (* current format; every blob carries its own *)
 
 (* Defensive caps mirroring the live sanitization bounds: a snapshot
    may never describe a session the sanitizer would have refused. *)

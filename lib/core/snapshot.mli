@@ -35,9 +35,6 @@ type link_snap = {
 
 exception Malformed of string
 
-(** Current wire-format version (the blob also carries it). *)
-val version : int
-
 (** Serialise to the little-endian versioned wire format. *)
 val encode : link_snap -> string
 

@@ -26,9 +26,6 @@ let add t ~vendor ~device ~class_code ~dev_path =
 
 let list t = List.sort (fun a b -> compare a.slot b.slot) t.devices
 
-let find_by_class t class_code =
-  List.filter (fun d -> d.class_code = class_code) (list t)
-
 (** PCI class codes for the device classes Paradice exports. *)
 let class_display = 0x030000
 let class_input = 0x090000

@@ -14,7 +14,6 @@ type t
 val create : unit -> t
 val add : t -> vendor:int -> device:int -> class_code:int -> dev_path:string -> dev
 val list : t -> dev list
-val find_by_class : t -> int -> dev list
 val class_display : int
 val class_input : int
 val class_multimedia : int

@@ -55,6 +55,8 @@ let eval_bound limits = function
   | Max_vfd -> max_vfd
   | No_bound -> max_int
 
+(* The devfs-path predicate shared by live sanitization and checkpoint
+   restore. *)
 let valid_path path =
   let n = String.length path in
   let has_dotdot = ref false in
@@ -82,8 +84,6 @@ module Coverage = struct
       | Some r -> incr r
       | None -> Hashtbl.add table label (ref 1)
 
-  let distinct () = Hashtbl.length table
-
   let snapshot () =
     Hashtbl.fold (fun k r acc -> (k, !r) :: acc) table []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -100,6 +100,7 @@ let reject label msg =
   Coverage.hit ("reject." ^ label);
   raise (Malformed msg)
 
+(* The slot offset just past [f]'s payload bytes. *)
 let field_end f =
   match f.kind with
   | Int U32 | Flag -> f.off + 4
@@ -319,7 +320,6 @@ module Stream = struct
   let u32 = U32 nocheck
   let u32c check = U32 check
   let i64 = I64 nocheck
-  let i64c check = I64 check
   let boolean = Bool
   let strc check = Strc check
   let listc check elem = Listc (check, elem)

@@ -9,8 +9,9 @@
       agree about which messages exist;
     - the bounds-checked decoder ({!decode_fields}), raising
       {!Malformed} on any out-of-spec input;
-    - the post-decode sanitizer ({!validate}), reproducing the
-      hand-written [Proto.validate] field bounds and clamp policies;
+    - the post-decode sanitizer ({!validate}), reproducing the field
+      bounds and clamp policies of the hand-written sanitizer it
+      replaced;
     - a seeded random message generator ({!generate}) and a
       grammar-aware hostile mutator ({!hostile_field}) for the fuzz
       suites: valid skeleton, one field driven hostile.
@@ -102,9 +103,7 @@ type 'm spec = {
   parts : 'm -> int * fval list;  (** inverse of [build] *)
 }
 
-val max_mmap_bytes : int
 val max_vfd : int
-val eval_bound : limits -> bound -> int
 
 (** Raw little-endian slot words: the byte-level primitives every
     derived slot codec (and [Proto]'s header shims) is built from.
@@ -113,18 +112,10 @@ val eval_bound : limits -> bound -> int
 val w32 : bytes -> int -> int -> unit
 
 val r32 : bytes -> int -> int
-val w64 : bytes -> int -> int -> unit
-val r64 : bytes -> int -> int
 
-(** The devfs-path predicate shared by live sanitization and
-    checkpoint restore. *)
-val valid_path : string -> bool
-
-(** [field_end f] is the slot offset just past [f]'s payload bytes. *)
-val field_end : field -> int
-
-(** Payload byte span of a batchable record: highest {!field_end}
-    relative to [payload_base] (16 for requests, 8 for responses). *)
+(** Payload byte span of a batchable record: the highest slot offset
+    just past a field's payload bytes, relative to [payload_base] (16
+    for requests, 8 for responses). *)
 val payload_span : payload_base:int -> 'm spec -> int
 
 (** Derived encoder: project [m] through [spec.parts] and write every
@@ -158,9 +149,9 @@ val hostile_field : Sim.Rng.t -> bytes -> base:int -> field -> unit
 
 (** Decode-branch / sanitizer coverage registry.  Derived decoders and
     sanitizers report every branch they take ({!hit}) when enabled;
-    the fuzz suites use {!distinct} to compare how much of the message
-    grammar a campaign reached.  Disabled (zero-cost beyond one load)
-    by default. *)
+    the fuzz suites count the labels in a {!snapshot} to compare how
+    much of the message grammar a campaign reached.  Disabled
+    (zero-cost beyond one load) by default. *)
 module Coverage : sig
   val enable : unit -> unit
   val disable : unit -> unit
@@ -171,7 +162,6 @@ module Coverage : sig
 
   val reset : unit -> unit
   val hit : string -> unit
-  val distinct : unit -> int
 
   (** [(branch, hits)] pairs, sorted by branch label. *)
   val snapshot : unit -> (string * int) list
@@ -196,7 +186,6 @@ module Stream : sig
       negative; pair with a [check] that rejects it). *)
   val i64 : int t
 
-  val i64c : (int -> unit) -> int t
   val boolean : bool t
 
   (** u32 length-prefixed bytes; [check] sees the length before any

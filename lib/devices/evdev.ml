@@ -15,7 +15,6 @@ let ev_key = 0x01
 let ev_rel = 0x02
 
 let rel_x = 0x00
-let rel_y = 0x01
 
 let event_bytes = 16
 
@@ -64,7 +63,6 @@ type t = {
   queue : event Queue.t;
   wq : Wait_queue.t;
   mutable open_files : Defs.file list; (* fasync delivery targets *)
-  mutable dropped : int;
   max_queue : int;
   (* latency probe: driver-side receive time of each event, consumed
      when the matching read reaches the driver (§6.1.5's methodology) *)
@@ -84,7 +82,6 @@ let create ?(delivery_latency_us = 0.) kernel ~name =
     queue = Queue.create ();
     wq = Wait_queue.create (Kernel.engine kernel);
     open_files = [];
-    dropped = 0;
     max_queue = 1024;
     pending_report_times = [];
     read_latencies = [];
@@ -95,12 +92,6 @@ let create ?(delivery_latency_us = 0.) kernel ~name =
 
 let read_latencies t = t.read_latencies
 
-(** Events queued but not yet read.  A batching frontend sizes one
-    multi-op read descriptor to drain exactly this backlog. *)
-let pending_events t = Queue.length t.queue
-
-let dropped_events t = t.dropped
-
 (** Hardware-side event injection (called by the mouse/keyboard models
     below).  The event reaches the evdev queue after the configured
     delivery latency; the latency probe starts at the {e physical}
@@ -109,8 +100,8 @@ let inject t e =
   let eng = Kernel.engine t.kernel in
   let reported_at = Sim.Engine.now eng in
   let deliver () =
-    if Queue.length t.queue >= t.max_queue then t.dropped <- t.dropped + 1
-    else begin
+    (* a full queue drops the event *)
+    if Queue.length t.queue < t.max_queue then begin
       Queue.add e t.queue;
       t.pending_report_times <- t.pending_report_times @ [ reported_at ];
       Wait_queue.wake_all t.wq;

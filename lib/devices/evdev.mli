@@ -3,11 +3,9 @@
 
 type event = { time_us : float; ev_type : int; code : int; value : int }
 
-val ev_syn : int
 val ev_key : int
 val ev_rel : int
 val rel_x : int
-val rel_y : int
 val event_bytes : int
 val encode_event : event -> bytes
 val decode_event : bytes -> int -> event
@@ -23,8 +21,6 @@ val rep_delay_max : int
 val rep_period_max : int
 val id_bustype : int
 val id_vendor : int
-val id_product : int
-val id_version : int
 
 type t
 
@@ -37,20 +33,12 @@ val create : ?delivery_latency_us:float -> Oskit.Kernel.t -> name:string -> t
     it reaching the driver — the paper's §6.1.5 metric. *)
 val read_latencies : t -> float list
 
-(** Events queued but not yet read — lets a batching reader size one
-    multi-op descriptor to drain the backlog in a single ring slot. *)
-val pending_events : t -> int
-
-(** Events lost to queue overflow. *)
-val dropped_events : t -> int
-
 (** Current autorepeat [(delay_ms, period_ms)]. *)
 val autorepeat : t -> int * int
 
 (** Hardware-side event injection. *)
 val inject : t -> event -> unit
 
-val file_ops : t -> Oskit.Defs.file_ops
 val register : t -> path:string -> Oskit.Defs.device
 
 (** Hardware models: a mouse emitting [moves] relative motions at

@@ -83,7 +83,6 @@ type t = {
   queues : (int, cmd Queue.t) Hashtbl.t; (* per-client command queues *)
   mutable rr_order : int list; (* round-robin order over client ids *)
   mutable scheduling : scheduling;
-  mutable last_fence : int; (* last completed fence *)
   mutable irq_handler : (unit -> unit) option;
   mutable irq_status_dma : int option;
       (* where to DMA the interrupt reason; [None] disables reason
@@ -91,9 +90,7 @@ type t = {
   mutable faults : string list; (* blocked accesses, newest first *)
   mutable frames_rendered : int;
   mutable commands_executed : int;
-  mutable busy_us : float;
   mutable wedged : bool; (* broken by a bad register write; needs reset *)
-  mutable resets : int;
 }
 
 (* Writing this clock-control register with an out-of-range divider
@@ -118,38 +115,31 @@ let create engine phys ~iommu ~vram_pages ?(costs = default_costs) () =
     queues = Hashtbl.create 4;
     rr_order = [];
     scheduling = Fifo;
-    last_fence = 0;
     irq_handler = None;
     irq_status_dma = None;
     faults = [];
     frames_rendered = 0;
     commands_executed = 0;
-    busy_us = 0.;
     wedged = false;
-    resets = 0;
   }
 
 let mem_ctrl t = t.mc
 let vram_base t = t.vram_base
 let vram_bytes t = t.vram_bytes
-let last_fence t = t.last_fence
 let faults t = t.faults
 let frames_rendered t = t.frames_rendered
 let commands_executed t = t.commands_executed
-let busy_us t = t.busy_us
 
 let bind_irq t handler = t.irq_handler <- Some handler
 let set_irq_status_buffer t dma = t.irq_status_dma <- dma
 
 let is_wedged t = t.wedged
-let resets t = t.resets
 let set_scheduling t s = t.scheduling <- s
 
 (** Hardware reset: recovers a wedged GPU (the driver-restart /
     shadow-driver recovery of §8).  In-flight commands are lost. *)
 let reset t =
   t.wedged <- false;
-  t.resets <- t.resets + 1;
   while not (Sim.Mailbox.is_empty t.ring) do
     ignore (Sim.Mailbox.recv t.ring)
   done;
@@ -219,7 +209,6 @@ let exec_draw t ~vertices ~width ~height ~textures =
     +. (float_of_int (width * height) *. t.costs.pixel_us)
   in
   Sim.Engine.wait cost;
-  t.busy_us <- t.busy_us +. cost;
   t.frames_rendered <- t.frames_rendered + 1
 
 let exec_matmul t ~order ~a ~b ~out ~full =
@@ -248,18 +237,15 @@ let exec_matmul t ~order ~a ~b ~out ~full =
     write_f64 t out ~index:last 0.
   end;
   let cost = t.costs.base_cmd_us +. (flops *. t.costs.flop_us) in
-  Sim.Engine.wait cost;
-  t.busy_us <- t.busy_us +. cost
+  Sim.Engine.wait cost
 
 let exec_blit t ~src ~dst ~len =
   let data = read_loc t src ~len in
   write_loc t dst data;
   let cost = t.costs.base_cmd_us +. (float_of_int len *. t.costs.blit_byte_us) in
-  Sim.Engine.wait cost;
-  t.busy_us <- t.busy_us +. cost
+  Sim.Engine.wait cost
 
 let exec_fence t seq =
-  t.last_fence <- seq;
   (match t.irq_status_dma with
   | Some dma ->
       (* Evergreen writes the interrupt reason to system memory before

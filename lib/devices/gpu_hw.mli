@@ -54,13 +54,10 @@ val create :
 val mem_ctrl : t -> Mem_ctrl.t
 val vram_base : t -> int
 val vram_bytes : t -> int
-val last_fence : t -> int
 val faults : t -> string list
 val frames_rendered : t -> int
 val commands_executed : t -> int
-val busy_us : t -> float
 val is_wedged : t -> bool
-val resets : t -> int
 
 (** Hardware reset: recovers a wedged core; in-flight work is lost. *)
 val reset : t -> unit

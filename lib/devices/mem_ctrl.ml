@@ -13,7 +13,6 @@ type t = {
   mutable low : int; (* accessible range [low, high), spa *)
   mutable high : int;
   mutable blocked : int; (* accesses stopped by the bounds *)
-  mutable mmio_spn : int option;
 }
 
 (* Register offsets within the MC MMIO page. *)
@@ -27,12 +26,8 @@ let create ~vram_base ~vram_bytes =
     low = vram_base;
     high = vram_base + vram_bytes;
     blocked = 0;
-    mmio_spn = None;
   }
 
-let vram_base t = t.vram_base
-let vram_bytes t = t.vram_bytes
-let bounds t = (t.low, t.high)
 let blocked_count t = t.blocked
 
 let set_bounds t ~low ~high =
@@ -78,8 +73,4 @@ let install_mmio t phys =
           else ());
     }
   in
-  let spn = Memory.Phys_mem.alloc_mmio phys handler in
-  t.mmio_spn <- Some spn;
-  spn
-
-let mmio_spn t = t.mmio_spn
+  Memory.Phys_mem.alloc_mmio phys handler

@@ -8,9 +8,6 @@ type t
 val reg_low_bound : int
 val reg_high_bound : int
 val create : vram_base:int -> vram_bytes:int -> t
-val vram_base : t -> int
-val vram_bytes : t -> int
-val bounds : t -> int * int
 val blocked_count : t -> int
 val set_bounds : t -> low:int -> high:int -> unit
 
@@ -19,5 +16,3 @@ val check : t -> spa:int -> len:int -> access:Memory.Perm.access -> unit
 
 (** Install the registers as an MMIO page; returns the spn. *)
 val install_mmio : t -> Memory.Phys_mem.t -> int
-
-val mmio_spn : t -> int option

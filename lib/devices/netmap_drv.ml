@@ -24,7 +24,6 @@ let nioc_regif = Ioctl_num.iowr ~typ:'N' ~nr:1 ~size:16 (* { ringid; num_slots o
 let nioc_txsync = Ioctl_num.io ~typ:'N' ~nr:2
 
 let hdr_num_slots = 0
-let hdr_head = 4
 let hdr_cur = 8
 let hdr_tail = 12
 let slots_off = 64
@@ -42,7 +41,6 @@ type t = {
   wq : Wait_queue.t; (* pollers waiting for ring space *)
   mutable hw_tail : int;
   mutable tx_packets : int;
-  mutable tx_bytes : int;
   mutable started : bool;
 }
 
@@ -79,14 +77,12 @@ let create kernel ~iommu ?(num_slots = 1024) ?(buf_size = 2048) ?(gbps = 1.) () 
       wq = Wait_queue.create (Kernel.engine kernel);
       hw_tail = 0;
       tx_packets = 0;
-      tx_bytes = 0;
       started = false;
     }
   in
   t
 
 let tx_packets t = t.tx_packets
-let tx_bytes t = t.tx_bytes
 
 (* Driver-side access to the ring header/slots through its own pages. *)
 let hdr_read t off =
@@ -154,7 +150,6 @@ let start t =
              with Memory.Fault.Iommu_fault _ -> ());
             Sim.Engine.wait (wire_time_us t ~len);
             t.tx_packets <- t.tx_packets + 1;
-            t.tx_bytes <- t.tx_bytes + len;
             t.hw_tail <- (t.hw_tail + 1) mod t.num_slots;
             hdr_write t hdr_tail t.hw_tail;
             Wait_queue.wake_all t.wq
@@ -170,16 +165,6 @@ let txsync t = Sim.Mailbox.send t.kick ()
 let free_slots t =
   let cur = hdr_read t hdr_cur and tail = hdr_read t hdr_tail in
   (tail - cur - 1 + t.num_slots) mod t.num_slots
-
-(** Slots published by the application but not yet transmitted —
-    [cur..tail) modulo ring size.  Sizes a batched txsync: issuing one
-    multi-op descriptor per [pending_tx] window amortises the doorbell
-    the same way netmap amortises the system call. *)
-let pending_tx t =
-  let cur = hdr_read t hdr_cur and tail = hdr_read t hdr_tail in
-  (cur - tail + t.num_slots) mod t.num_slots
-
-let ring_slots t = t.num_slots
 
 let file_ops t =
   {

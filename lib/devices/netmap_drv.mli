@@ -4,8 +4,6 @@
 
 val nioc_regif : int
 val nioc_txsync : int
-val hdr_num_slots : int
-val hdr_head : int
 val hdr_cur : int
 val hdr_tail : int
 val slots_off : int
@@ -23,21 +21,10 @@ val create :
   t
 
 val tx_packets : t -> int
-val tx_bytes : t -> int
 val wire_time_us : t -> len:int -> float
 
 (** Start the NIC TX engine (idles until kicked). *)
 val start : t -> unit
-
-val txsync : t -> unit
-val free_slots : t -> int
-
-(** Slots published but not yet transmitted ([cur..tail) mod ring) —
-    sizes a batched txsync descriptor. *)
-val pending_tx : t -> int
-
-val ring_slots : t -> int
-val file_ops : t -> Oskit.Defs.file_ops
 
 (** Registers single-open (§5.1). *)
 val register : t -> path:string -> Oskit.Defs.device

@@ -11,13 +11,5 @@ val create : Oskit.Kernel.t -> t
 val consumed_bytes : t -> int
 val bytes_per_second : t -> int
 
-(** Ring space available right now — a batched writer staying under
-    this bound never blocks mid-batch. *)
-val free_bytes : t -> int
-
-(** Bytes per [period_us] of audio at the current parameters (the
-    natural sub-op payload size for batched period writes). *)
-val period_bytes : t -> period_us:float -> int
 val start_codec : t -> unit
-val file_ops : t -> Oskit.Defs.file_ops
 val register : t -> path:string -> Oskit.Defs.device

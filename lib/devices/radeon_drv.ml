@@ -58,13 +58,11 @@ type t = {
   region_vram_allocs : (int, Memory.Allocator.t) Hashtbl.t;
   mutable region_switch_cost_us : float; (* charged per IOMMU entry on switch *)
   mutable irq_reason_gpa : int option; (* reason buffer (non-isolated mode) *)
-  mutable stats_cs : int;
   mutable stats_region_switches : int;
   (* extensions beyond the paper's prototype *)
   mutable protect_command_streamer : bool; (* §8: reject dangerous registers *)
   mutable watchdog_timeout_us : float; (* fence timeout before GPU reset *)
   mutable stats_recoveries : int;
-  mutable vsync_hz : float; (* software-emulated VSync (§5.3 extension) *)
 }
 
 and isolation = { mgr : Hypervisor.Region.t }
@@ -95,22 +93,18 @@ let create ~kernel ~gpu ~iommu ~bar_gpa ~mc_mmio_gpa =
     region_vram_allocs = Hashtbl.create 4;
     region_switch_cost_us = 0.6;
     irq_reason_gpa = None;
-    stats_cs = 0;
     stats_region_switches = 0;
     protect_command_streamer = false;
     watchdog_timeout_us = infinity; (* opt-in: see set_watchdog_timeout *)
     stats_recoveries = 0;
-    vsync_hz = 60.;
   }
 
 let gpu t = t.gpu
 let completed_fence t = t.completed_fence
-let stats_cs t = t.stats_cs
 let stats_region_switches t = t.stats_region_switches
 let stats_recoveries t = t.stats_recoveries
 let set_command_streamer_protection t on = t.protect_command_streamer <- on
 let set_watchdog_timeout t us = t.watchdog_timeout_us <- us
-let set_vsync_hz t hz = t.vsync_hz <- hz
 
 (** Fair per-guest GPU scheduling (§8's TimeGraph suggestion). *)
 let set_fair_scheduling t on =
@@ -562,7 +556,6 @@ let handle_cs t task file ~arg =
   t.emitted_fence <- t.emitted_fence + 1;
   let fence = t.emitted_fence in
   Gpu_hw.submit ~client t.gpu (Gpu_hw.Fence fence);
-  t.stats_cs <- t.stats_cs + 1;
   (* report the fence back through the struct *)
   Bytes.set_int64_le data Radeon_ioctl.cs_off_fence (Int64.of_int fence);
   Uaccess.copy_to_user task ~uaddr data;
@@ -638,9 +631,9 @@ let handle_info t task ~arg =
 
 (** Software-emulated VSync (the §5.3 extension): data isolation
     disables the hardware VSync interrupt, so the driver paces frames
-    with a timer instead.  Blocks until the next frame boundary. *)
+    with a 60 Hz timer instead.  Blocks until the next frame boundary. *)
 let handle_wait_vsync t () =
-  let interval = 1_000_000. /. t.vsync_hz in
+  let interval = 1_000_000. /. 60. in
   let now = Sim.Engine.now (Kernel.engine t.kernel) in
   let next = (Float.of_int (int_of_float (now /. interval)) +. 1.) *. interval in
   Sim.Engine.wait (next -. now);

@@ -16,7 +16,6 @@ val create :
 
 val gpu : t -> Gpu_hw.t
 val completed_fence : t -> int
-val stats_cs : t -> int
 val stats_region_switches : t -> int
 val stats_recoveries : t -> int
 
@@ -24,9 +23,6 @@ val stats_recoveries : t -> int
 val set_command_streamer_protection : t -> bool -> unit
 
 val set_watchdog_timeout : t -> float -> unit
-
-(** Software-emulated VSync rate (default 60 Hz). *)
-val set_vsync_hz : t -> float -> unit
 
 (** Fair per-guest GPU scheduling (§8's TimeGraph suggestion;
     default: the prototype's FIFO). *)
@@ -41,8 +37,6 @@ val init_native : t -> unit
     as [(driver_gpa, spa)]. *)
 val init_isolated :
   t -> mgr:Hypervisor.Region.t -> pool_pages:(int * int) list -> unit
-
-val file_ops : t -> Oskit.Defs.file_ops
 
 (** Register as /dev/dri/card0 in the driver kernel. *)
 val register : t -> Oskit.Defs.device

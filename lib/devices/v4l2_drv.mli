@@ -18,7 +18,5 @@ val frames_delivered : t -> int
 (** Start the sensor process (idles when not streaming). *)
 val start_sensor : t -> unit
 
-val file_ops : t -> Oskit.Defs.file_ops
-
 (** Registers single-open (§5.1: camera drivers allow one process). *)
 val register : t -> path:string -> Oskit.Defs.device

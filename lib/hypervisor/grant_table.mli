@@ -20,7 +20,6 @@ exception Table_full
     must not pin unbounded validation state). *)
 exception Quota_exceeded
 
-val entry_size : int
 val capacity : int
 val create : Memory.Phys_mem.t -> guest_vm:Vm.t -> t
 val page : t -> Shared_page.t

@@ -89,8 +89,6 @@ let create_vm t ~name ~kind ~mem_bytes =
   t.vms <- vm :: t.vms;
   vm
 
-let find_vm t id = List.find_opt (fun vm -> Vm.id vm = id) t.vms
-
 (** Mark a VM dead (crash or explicit kill).  Its pending and future
     memory-operation requests are rejected — crash containment: a dead
     driver VM can no longer touch guest memory.  Its cached

@@ -26,8 +26,6 @@ val tracer : t -> Obs.Trace.t
 (** Create a VM with RAM mapped 1:1 from guest-physical 0. *)
 val create_vm : t -> name:string -> kind:Vm.kind -> mem_bytes:int -> Vm.t
 
-val find_vm : t -> int -> Vm.t option
-
 (** Mark a VM dead (crash or explicit kill): its memory-operation
     requests are rejected from now on. *)
 val kill_vm : t -> Vm.t -> unit

@@ -114,8 +114,6 @@ let region_of_guest t vm_id =
   | Some r -> Some r.rid
   | None -> None
 
-let active t = t.active
-
 let dev_slice t rid =
   let r = region t rid in
   (r.dev_base, r.dev_pages)

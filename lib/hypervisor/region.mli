@@ -22,7 +22,6 @@ val create :
   t
 
 val region_of_guest : t -> int -> int option
-val active : t -> int option
 
 (** A region's device-memory slice [(base_spa, pages)]. *)
 val dev_slice : t -> int -> int * int

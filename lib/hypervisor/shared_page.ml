@@ -38,8 +38,6 @@ let allocate ?(pages = 1) phys =
   { phys; base_spn; pages; mappings = [] }
 
 let spn t = t.base_spn
-let pages t = t.pages
-let size t = t.pages * Memory.Addr.page_size
 
 (** Map the region into [vm] at a fresh contiguous guest-physical
     range; returns its base address. *)

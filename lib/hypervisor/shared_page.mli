@@ -21,9 +21,6 @@ val allocate : ?pages:int -> Memory.Phys_mem.t -> t
 (** First backing frame. *)
 val spn : t -> int
 
-val pages : t -> int
-val size : t -> int
-
 (** Map into [vm] at a fresh contiguous guest-physical range
     (base returned). *)
 val map_into : t -> Vm.t -> perms:Memory.Perm.t -> int

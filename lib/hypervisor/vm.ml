@@ -38,7 +38,10 @@ let alive t = t.alive
 let flush_tlb t = Memory.Tlb.flush t.tlb
 
 (** EPT translation with TLB caching.  gpa-space entries live in
-    {!Memory.Tlb.gpa_space} with a pinned pt generation of 0. *)
+    {!Memory.Tlb.gpa_space} with a pinned pt generation of 0.  A miss
+    (or a stale or denied hit) re-walks, so callers see exactly the
+    faults the walk raises ({!Memory.Fault.Ept_violation} /
+    {!Memory.Fault.Page_fault}). *)
 let translate_gpa t ~gpa ~access =
   let vfn = Memory.Addr.pfn gpa in
   let ept_gen = Memory.Ept.generation t.ept in
@@ -147,19 +150,6 @@ let write_gva t ~pt ~gva data =
 
 let[@inline] fits_in_page addr width =
   Memory.Addr.offset addr + width <= Memory.Addr.page_size
-
-let read_gpa_u8 t ~gpa =
-  if fits_in_page gpa 1 then
-    Memory.Phys_mem.read_u8 t.phys
-      ~spa:(translate_gpa t ~gpa ~access:Memory.Perm.Read)
-  else Char.code (Bytes.get (read_gpa t ~gpa ~len:1) 0)
-
-let write_gpa_u8 t ~gpa v =
-  if fits_in_page gpa 1 then
-    Memory.Phys_mem.write_u8 t.phys
-      ~spa:(translate_gpa t ~gpa ~access:Memory.Perm.Write)
-      v
-  else write_gpa t ~gpa (Bytes.make 1 (Char.chr (v land 0xff)))
 
 let read_gpa_u32 t ~gpa =
   if fits_in_page gpa 4 then

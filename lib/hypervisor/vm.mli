@@ -32,24 +32,10 @@ val alive : t -> bool
 (** Drop every cached translation (VM teardown, explicit shootdown). *)
 val flush_tlb : t -> unit
 
-(** TLB-cached translations; raise exactly the faults the underlying
-    walks would ({!Memory.Fault.Ept_violation} /
-    {!Memory.Fault.Page_fault}). *)
-val translate_gpa : t -> gpa:int -> access:Memory.Perm.access -> int
-
-val translate_gva :
-  t -> pt:Memory.Guest_pt.t -> gva:int -> access:Memory.Perm.access -> int
-
 (** CPU access to guest-physical memory (EPT-checked). *)
 val read_gpa : t -> gpa:int -> len:int -> bytes
 
 val write_gpa : t -> gpa:int -> bytes -> unit
-
-(** Zero-copy variants blitting straight between frames and a
-    caller-supplied buffer. *)
-val read_gpa_into : t -> gpa:int -> dst:bytes -> dst_off:int -> len:int -> unit
-
-val write_gpa_from : t -> gpa:int -> src:bytes -> src_off:int -> len:int -> unit
 
 (** Two-level access through a process page table then the EPT — the
     path every simulated application load/store takes. *)
@@ -63,11 +49,6 @@ val read_gva_into :
 val write_gva_from :
   t -> pt:Memory.Guest_pt.t -> gva:int -> src:bytes -> src_off:int -> len:int -> unit
 
-(** Scalar accessors: one cached translation plus a direct frame
-    access — no intermediate buffer. *)
-val read_gpa_u8 : t -> gpa:int -> int
-
-val write_gpa_u8 : t -> gpa:int -> int -> unit
 val read_gpa_u32 : t -> gpa:int -> int
 val write_gpa_u32 : t -> gpa:int -> int -> unit
 val read_gpa_u64 : t -> gpa:int -> int64

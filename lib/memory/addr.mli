@@ -4,9 +4,7 @@
     physical (spa) and device DMA — all plain [int]s, kept apart by
     naming and by the distinct page-table types that translate them. *)
 
-val page_shift : int
 val page_size : int
-val page_mask : int
 
 (** Page frame number of an address. *)
 val pfn : int -> int

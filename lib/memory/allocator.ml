@@ -27,8 +27,6 @@ let create ~base ~size =
     reserved = Hashtbl.create 16;
   }
 
-let total_pages t = t.limit_pfn - t.base_pfn
-
 let rec alloc_page t =
   match t.free with
   | pfn :: rest ->
@@ -104,5 +102,3 @@ let reserve_unused_range t n =
   Addr.of_pfn start
 
 let unreserve t addr = Hashtbl.remove t.reserved (Addr.pfn addr)
-
-let is_reserved t addr = Hashtbl.mem t.reserved (Addr.pfn addr)

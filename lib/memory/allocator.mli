@@ -6,7 +6,6 @@
 type t
 
 val create : base:int -> size:int -> t
-val total_pages : t -> int
 
 (** May raise [Out_of_memory]. *)
 val alloc_page : t -> int
@@ -25,4 +24,3 @@ val reserve_unused : t -> int
 val reserve_unused_range : t -> int -> int
 
 val unreserve : t -> int -> unit
-val is_reserved : t -> int -> bool

@@ -48,8 +48,6 @@ let lookup t ~gpa =
 let set_perms t ~gpa ~perms =
   Radix_table.set_perms t.table ~vfn:(Addr.pfn gpa) ~perms
 
-let mapped_count t = Radix_table.mapped_count t.table
-
 (** Mutation counter for software-TLB invalidation (see
     {!Radix_table.generation}); map/unmap/set_perms all bump it. *)
 let generation t = Radix_table.generation t.table

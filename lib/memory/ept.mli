@@ -28,8 +28,6 @@ val lookup : t -> gpa:int -> (int * Perm.t) option
 (** Permission surgery on an existing mapping; [Not_found] if absent. *)
 val set_perms : t -> gpa:int -> perms:Perm.t -> unit
 
-val mapped_count : t -> int
-
 (** Reverse lookup (linear); isolation setup only. *)
 val gpas_of_spn : t -> int -> int list
 

@@ -22,5 +22,4 @@ val page_fault : space:space -> addr:int -> access:Perm.access -> string -> 'a
 val ept_violation : addr:int -> access:Perm.access -> string -> 'a
 val iommu_fault : addr:int -> access:Perm.access -> string -> 'a
 val bus_error : addr:int -> access:Perm.access -> string -> 'a
-val pp_space : Format.formatter -> space -> unit
 val pp_info : Format.formatter -> info -> unit

@@ -87,14 +87,6 @@ let prepare_range t ~gva ~len =
 
 let leaf_ready t ~gva = Radix_table.intermediate_present t.table (Addr.pfn gva)
 
-let mapped_count t = Radix_table.mapped_count t.table
-
 (** Mutation counter for software-TLB invalidation (see
     {!Radix_table.generation}). *)
 let generation t = Radix_table.generation t.table
-
-let iter t f =
-  Radix_table.iter t.table (fun vfn leaf ->
-      f ~gva:(Addr.of_pfn vfn)
-        ~gpa:(Addr.of_pfn leaf.Radix_table.target_pfn)
-        ~perms:leaf.Radix_table.perms)

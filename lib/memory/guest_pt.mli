@@ -13,7 +13,6 @@ val create : ?id:int -> unit -> t
 (** Unique id, used by the hypervisor to key per-address-space state. *)
 val id : t -> int
 
-val max_va : int
 val map : t -> gva:int -> gpa:int -> perms:Perm.t -> unit
 val unmap : t -> gva:int -> bool
 
@@ -35,5 +34,3 @@ val generation : t -> int
 val prepare_range : t -> gva:int -> len:int -> unit
 
 val leaf_ready : t -> gva:int -> bool
-val mapped_count : t -> int
-val iter : t -> (gva:int -> gpa:int -> perms:Perm.t -> unit) -> unit

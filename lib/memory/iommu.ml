@@ -10,14 +10,9 @@
 
 type mapping = { spn : int; perms : Perm.t; region : int option }
 
-type t = {
-  name : string;
-  entries : (int, mapping) Hashtbl.t; (* dma pfn -> mapping *)
-}
+type t = { entries : (int, mapping) Hashtbl.t (* dma pfn -> mapping *) }
 
-let create ~name = { name; entries = Hashtbl.create 256 }
-
-let name t = t.name
+let create () = { entries = Hashtbl.create 256 }
 
 let map t ~dma ~spa ~perms ~region =
   if not (Addr.is_page_aligned dma && Addr.is_page_aligned spa) then
@@ -33,11 +28,6 @@ let translate t ~dma ~access =
       else Fault.iommu_fault ~addr:dma ~access "permission denied"
   | None -> Fault.iommu_fault ~addr:dma ~access "no IOMMU mapping"
 
-let translate_opt t ~dma ~access =
-  match translate t ~dma ~access with
-  | spa -> Some spa
-  | exception Fault.Iommu_fault _ -> None
-
 (** DMA pfns currently mapped for a given region tag. *)
 let pfns_of_region t region =
   Hashtbl.fold
@@ -50,7 +40,3 @@ let unmap_region t region =
   let victims = pfns_of_region t region in
   List.iter (Hashtbl.remove t.entries) victims;
   List.length victims
-
-let mapping_count t = Hashtbl.length t.entries
-
-let iter t f = Hashtbl.iter (fun dma_pfn m -> f ~dma_pfn m) t.entries

@@ -4,23 +4,15 @@
 
 type t
 
-val create : name:string -> t
-val name : t -> string
+val create : unit -> t
 val map : t -> dma:int -> spa:int -> perms:Perm.t -> region:int option -> unit
 val unmap : t -> dma:int -> unit
 
 (** Raises {!Fault.Iommu_fault} on unmapped or under-privileged DMA. *)
 val translate : t -> dma:int -> access:Perm.access -> int
 
-val translate_opt : t -> dma:int -> access:Perm.access -> int option
 val pfns_of_region : t -> int -> int list
 
 (** Drop every mapping tagged [region]; returns how many (the
     expensive half of a region switch). *)
 val unmap_region : t -> int -> int
-
-val mapping_count : t -> int
-
-type mapping = { spn : int; perms : Perm.t; region : int option }
-
-val iter : t -> (dma_pfn:int -> mapping -> unit) -> unit

@@ -5,7 +5,6 @@ type t = { read : bool; write : bool; exec : bool }
 let none = { read = false; write = false; exec = false }
 let r = { read = true; write = false; exec = false }
 let rw = { read = true; write = true; exec = false }
-let rx = { read = true; write = false; exec = true }
 let rwx = { read = true; write = true; exec = true }
 
 (** x86 cannot express write-only mappings (§5.3 change (iv)); the
@@ -22,19 +21,9 @@ let allows t = function
 let subsumes a b =
   (a.read || not b.read) && (a.write || not b.write) && (a.exec || not b.exec)
 
-let restrict a b =
-  { read = a.read && b.read; write = a.write && b.write; exec = a.exec && b.exec }
-
 let without_read t = { t with read = false }
-let without_write t = { t with write = false }
 
 let equal a b = a = b
-
-let pp ppf t =
-  Fmt.pf ppf "%c%c%c"
-    (if t.read then 'r' else '-')
-    (if t.write then 'w' else '-')
-    (if t.exec then 'x' else '-')
 
 let pp_access ppf = function
   | Read -> Fmt.string ppf "read"

@@ -5,7 +5,6 @@ type t = { read : bool; write : bool; exec : bool }
 val none : t
 val r : t
 val rw : t
-val rx : t
 val rwx : t
 (* no write-only constructor: x86 cannot express it (§5.3 change iv) *)
 
@@ -16,9 +15,6 @@ val allows : t -> access -> bool
 (** [subsumes a b]: every access [b] grants, [a] grants too. *)
 val subsumes : t -> t -> bool
 
-val restrict : t -> t -> t
 val without_read : t -> t
-val without_write : t -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val pp_access : Format.formatter -> access -> unit

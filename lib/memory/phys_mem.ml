@@ -144,16 +144,6 @@ let[@inline] direct_frame t ~spa ~access ~width =
     | Mmio _ -> no_frame
   else no_frame
 
-let read_u8 t ~spa =
-  let frame = direct_frame t ~spa ~access:Perm.Read ~width:1 in
-  if frame != no_frame then Char.code (Bytes.get frame (Addr.offset spa))
-  else Char.code (Bytes.get (read t ~spa ~len:1) 0)
-
-let write_u8 t ~spa v =
-  let frame = direct_frame t ~spa ~access:Perm.Write ~width:1 in
-  if frame != no_frame then Bytes.set frame (Addr.offset spa) (Char.chr (v land 0xff))
-  else write t ~spa (Bytes.make 1 (Char.chr (v land 0xff)))
-
 let read_u32 t ~spa =
   let frame = direct_frame t ~spa ~access:Perm.Read ~width:4 in
   if frame != no_frame then

@@ -35,8 +35,6 @@ val write : t -> spa:int -> bytes -> unit
 val read_into : t -> spa:int -> dst:bytes -> dst_off:int -> len:int -> unit
 
 val write_from : t -> spa:int -> src:bytes -> src_off:int -> len:int -> unit
-val read_u8 : t -> spa:int -> int
-val write_u8 : t -> spa:int -> int -> unit
 val read_u32 : t -> spa:int -> int
 val write_u32 : t -> spa:int -> int -> unit
 val read_u64 : t -> spa:int -> int64

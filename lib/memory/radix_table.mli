@@ -11,7 +11,6 @@ type t
 (** [create ~widths] with one index-bit width per level, root first. *)
 val create : widths:int list -> t
 
-val levels : t -> int
 val mapped_count : t -> int
 val node_count : t -> int
 

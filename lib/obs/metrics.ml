@@ -60,12 +60,3 @@ let merge ~into ?(prefix = "") src =
 let reset t =
   Hashtbl.reset t.hists;
   Hashtbl.reset t.counters
-
-let pp ppf t =
-  List.iter (fun (k, v) -> Fmt.pf ppf "%s=%d@." k v) (counters t);
-  List.iter
-    (fun (k, h) ->
-      Fmt.pf ppf "%s: n=%d mean=%.2f p50=%.2f p99=%.2f max=%.2f@." k
-        (Sim.Stats.count h) (Sim.Stats.mean h) (Sim.Stats.median h)
-        (Sim.Stats.percentile h 99.) (Sim.Stats.max_value h))
-    (histograms t)

@@ -24,4 +24,3 @@ val counters : t -> (string * int) list
 val merge : into:t -> ?prefix:string -> t -> unit
 
 val reset : t -> unit
-val pp : Format.formatter -> t -> unit

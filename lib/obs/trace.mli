@@ -10,9 +10,6 @@
 
 type lane = Frontend | Transport | Ring | Backend | Hypervisor | Machine
 
-val lane_pid : lane -> int
-val lane_name : lane -> string
-
 type span
 
 type completed = {

@@ -88,9 +88,6 @@ and remote_ctx = {
 
 let no_poll = { pollin = false; pollout = false; poll_wq = None }
 
-(** Handlers a driver does not implement. *)
-let not_supported _ = Errno.fail Errno.EINVAL "operation not supported"
-
 let default_ops =
   {
     fop_open = (fun _ _ -> ());

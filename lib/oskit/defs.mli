@@ -81,9 +81,6 @@ and remote_ctx = {
 
 val no_poll : poll_result
 
-(** Raises EINVAL; for handlers a driver does not implement. *)
-val not_supported : 'a -> 'b
-
 (** Handlers that reject everything; override what the driver
     implements. *)
 val default_ops : file_ops

@@ -16,8 +16,6 @@ let register t dev =
     invalid_arg ("Devfs.register: duplicate " ^ dev.Defs.dev_path);
   Hashtbl.replace t.devices dev.Defs.dev_path dev
 
-let unregister t path = Hashtbl.remove t.devices path
-
 let lookup t path = Hashtbl.find_opt t.devices path
 
 let list t =

@@ -5,7 +5,6 @@ type t
 
 val create : unit -> t
 val register : t -> Defs.device -> unit
-val unregister : t -> string -> unit
 val lookup : t -> string -> Defs.device option
 val list : t -> Defs.device list
 val sysfs_set : t -> string -> string -> unit

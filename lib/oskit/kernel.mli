@@ -3,7 +3,6 @@
 type costs = { syscall_us : float; context_switch_us : float }
 
 val zero_costs : costs
-val default_costs : costs
 
 type t
 

@@ -28,22 +28,12 @@ type op_kind =
   | Compat_ioctl
   | Kqueue (* FreeBSD's event mechanism, analogous to poll *)
 
-let all_op_kinds =
-  [
-    Open; Release; Read; Write; Ioctl; Mmap; Poll; Fasync; Fault; Lseek; Flush;
-    Fsync; Fallocate; Splice_read; Splice_write; Compat_ioctl; Kqueue;
-  ]
-
 type t = Linux_2_6_35 | Linux_3_2_0 | Freebsd_9
 
 let name = function
   | Linux_2_6_35 -> "Linux 2.6.35"
   | Linux_3_2_0 -> "Linux 3.2.0"
   | Freebsd_9 -> "FreeBSD 9.0"
-
-let family = function
-  | Linux_2_6_35 | Linux_3_2_0 -> `Linux
-  | Freebsd_9 -> `Freebsd
 
 (** The file operations a kernel version knows about.  The common core
     is identical — that stability is the premise of the device-file

@@ -21,12 +21,9 @@ type op_kind =
   | Compat_ioctl
   | Kqueue
 
-val all_op_kinds : op_kind list
-
 type t = Linux_2_6_35 | Linux_3_2_0 | Freebsd_9
 
 val name : t -> string
-val family : t -> [ `Linux | `Freebsd ]
 val supported_ops : t -> op_kind list
 val supports : t -> op_kind -> bool
 

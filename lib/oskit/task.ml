@@ -73,18 +73,12 @@ let deliver_sigio task =
   task.sigio_count <- task.sigio_count + 1;
   match task.sigio_handler with Some h -> h () | None -> ()
 
-(** Mark/unmark this thread as executing a file operation for a remote
-    guest process (the CVD backend brackets driver invocations with
-    these, §5.2). *)
-let mark_remote task rc = task.remote <- Some rc
-let unmark_remote task = task.remote <- None
-
 let with_remote task rc f =
-  mark_remote task rc;
+  task.remote <- Some rc;
   match f () with
   | v ->
-      unmark_remote task;
+      task.remote <- None;
       v
   | exception exn ->
-      unmark_remote task;
+      task.remote <- None;
       raise exn

@@ -3,10 +3,6 @@
 
 open Defs
 
-val user_heap_base : int
-val user_heap_size : int
-val mmap_base : int
-
 (** [pid] and [pt_id] come from the owning kernel's per-VM counters
     (see {!Kernel.spawn_task}); the hypervisor keys per-process state
     by [(vm id, pid)], so per-VM uniqueness is all that is needed. *)
@@ -32,9 +28,8 @@ val on_sigio : task -> (unit -> unit) -> unit
 
 val deliver_sigio : task -> unit
 
-(** Mark/unmark a thread as executing a file operation for a remote
-    guest process (§5.2); [with_remote] brackets and restores. *)
-val mark_remote : task -> remote_ctx -> unit
-
-val unmark_remote : task -> unit
+(** Run [f] with this thread marked as executing a file operation for
+    the remote guest process [rc] (the CVD backend brackets driver
+    invocations with it, §5.2); the mark is cleared however [f]
+    exits. *)
 val with_remote : task -> remote_ctx -> (unit -> 'a) -> 'a

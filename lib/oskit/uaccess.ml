@@ -132,21 +132,9 @@ let copy_to_user_from task ~uaddr ~src ~src_off ~len =
 let copy_to_user task ~uaddr data =
   copy_to_user_from task ~uaddr ~src:data ~src_off:0 ~len:(Bytes.length data)
 
-let copy_from_user_u32 task ~uaddr =
-  Int32.to_int (Bytes.get_int32_le (copy_from_user task ~uaddr ~len:4) 0)
-  land 0xffffffff
-
 let copy_to_user_u32 task ~uaddr v =
   let b = Bytes.create 4 in
   Bytes.set_int32_le b 0 (Int32.of_int v);
-  copy_to_user task ~uaddr b
-
-let copy_from_user_u64 task ~uaddr =
-  Bytes.get_int64_le (copy_from_user task ~uaddr ~len:8) 0
-
-let copy_to_user_u64 task ~uaddr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
   copy_to_user task ~uaddr b
 
 (** Map one page of (driver-VM-addressed) memory into the current
@@ -201,13 +189,3 @@ let remove_pfn task ~gva =
           in
           try Hypervisor.Hyp.unmap_page_from_process rc.rc_hyp req ~gva
           with Hypervisor.Hyp.Rejected msg -> fault_of_rejection msg)
-
-(** Number of kernel entry points the wrapper stubs intercept; the
-    paper modified 13 Linux functions (§5.2).  Listed for the code
-    inventory (Table 2 analogue). *)
-let wrapped_kernel_functions =
-  [
-    "copy_from_user"; "copy_to_user"; "__copy_from_user"; "__copy_to_user";
-    "get_user"; "put_user"; "clear_user"; "strncpy_from_user"; "strnlen_user";
-    "vm_insert_pfn"; "remap_pfn_range"; "zap_vma_ptes"; "io_remap_pfn_range";
-  ]

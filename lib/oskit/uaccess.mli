@@ -20,17 +20,7 @@ val copy_from_user : task -> uaddr:int -> len:int -> bytes
 
 val copy_to_user : task -> uaddr:int -> bytes -> unit
 
-(** Zero-copy variants against a caller-supplied buffer — no
-    intermediate allocation, local and remote alike. *)
-val copy_from_user_into :
-  task -> uaddr:int -> dst:bytes -> dst_off:int -> len:int -> unit
-
-val copy_to_user_from :
-  task -> uaddr:int -> src:bytes -> src_off:int -> len:int -> unit
-val copy_from_user_u32 : task -> uaddr:int -> int
 val copy_to_user_u32 : task -> uaddr:int -> int -> unit
-val copy_from_user_u64 : task -> uaddr:int -> int64
-val copy_to_user_u64 : task -> uaddr:int -> int64 -> unit
 
 (** Map one page (named by its driver-VM guest-physical address) into
     the current process at [gva] — the [vm_insert_pfn] analogue. *)
@@ -38,7 +28,3 @@ val insert_pfn : task -> gva:int -> page_gpa:int -> perms:Memory.Perm.t -> unit
 
 (** Tear down an {!insert_pfn} mapping. *)
 val remove_pfn : task -> gva:int -> unit
-
-(** The kernel entry points the wrapper stubs intercept (the paper
-    modified 13, §5.2). *)
-val wrapped_kernel_functions : string list

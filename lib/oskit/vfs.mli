@@ -17,12 +17,6 @@ val ioctl : Kernel.t -> task -> int -> cmd:int -> arg:int64 -> int result
     chosen user address.  Pages may arrive eagerly or by fault. *)
 val mmap : Kernel.t -> task -> int -> len:int -> pgoff:int -> int result
 
-val find_vma : task -> int -> vma option
-
-(** Dispatch a page fault in a device mapping to the driver's fault
-    handler (§2.1's "mmap and its supporting page fault handler"). *)
-val handle_fault : Kernel.t -> task -> gva:int -> unit result
-
 (** Unmap; guest page-table leaves are destroyed before the driver is
     told (§5.2's ordering). *)
 val munmap : Kernel.t -> task -> gva:int -> unit result

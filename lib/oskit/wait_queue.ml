@@ -8,10 +8,9 @@
 type t = {
   engine : Sim.Engine.t;
   sleepers : (unit option -> unit) Queue.t;
-  mutable wakeups : int;
 }
 
-let create engine = { engine; sleepers = Queue.create (); wakeups = 0 }
+let create engine = { engine; sleepers = Queue.create () }
 
 (** Block until woken.  Returns [true]; the [~timeout] variant returns
     [false] on timeout. *)
@@ -21,7 +20,6 @@ let sleep t =
   | None -> assert false
 
 let rec wake_one t =
-  t.wakeups <- t.wakeups + 1;
   match Queue.take_opt t.sleepers with
   | Some waker -> waker (Some ())
   | None -> ()
@@ -50,10 +48,6 @@ and sleep_timeout t ~timeout =
       false
 
 let wake_all t =
-  t.wakeups <- t.wakeups + 1;
   let pending = Queue.copy t.sleepers in
   Queue.clear t.sleepers;
   Queue.iter (fun waker -> waker (Some ())) pending
-
-let waiting t = Queue.length t.sleepers
-let wakeups t = t.wakeups

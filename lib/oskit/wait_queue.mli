@@ -11,7 +11,4 @@ val sleep : t -> unit
     passed on to a live one. *)
 val sleep_timeout : t -> timeout:float -> bool
 
-val wake_one : t -> unit
 val wake_all : t -> unit
-val waiting : t -> int
-val wakeups : t -> int

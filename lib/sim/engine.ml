@@ -125,8 +125,6 @@ let spawned t = t.spawned
 
 let wait (delay : float) : unit = Effect.perform (Wait delay)
 
-let yield () = wait 0.
-
 (** [suspend register] blocks the calling process.  [register] receives
     a one-shot [waker]; calling [waker v] (from any other process or
     callback) schedules the blocked process to resume at the then

@@ -13,8 +13,8 @@ exception Deadlock of string
 (** Create an engine with its clock at 0. *)
 val create : unit -> t
 
-(** Current simulated time (microseconds by convention; see
-    {!Timeunit}). *)
+(** Current simulated time, in microseconds: every delay, timeout and
+    cost in the model is a float count of microseconds. *)
 val now : t -> float
 
 (** Schedule a plain callback [delay] after the current time.  The
@@ -40,9 +40,6 @@ val spawned : t -> int
 
 (** Let [delay] microseconds of simulated time pass. *)
 val wait : float -> unit
-
-(** Re-enter the scheduler without advancing time. *)
-val yield : unit -> unit
 
 (** [suspend register] blocks the calling process.  [register]
     receives a one-shot waker; calling it (from any other process or

@@ -94,7 +94,6 @@ exception Injected of string
     state rather than merely observe the fault. *)
 let check t ~key = if fires t ~key then raise (Injected key)
 
-let seen t ~key = (site t key).seen
 let fired t ~key = (site t key).fired
 
 let stats t =

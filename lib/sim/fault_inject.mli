@@ -33,7 +33,6 @@ exception Injected of string
     state (upgrade/migration crash sites). *)
 val check : t -> key:string -> unit
 
-val seen : t -> key:string -> int
 val fired : t -> key:string -> int
 
 (** [(key, seen, fired)] for every site, sorted by key. *)

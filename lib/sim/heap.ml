@@ -13,7 +13,6 @@ type 'a t = {
 
 let create () = { data = [||]; size = 0 }
 
-let length t = t.size
 let is_empty t = t.size = 0
 
 let entry_before a b =

@@ -5,7 +5,6 @@ type 'a entry = { time : float; seq : int; value : 'a }
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 val pop : 'a t -> 'a entry option

@@ -16,8 +16,6 @@ type 'a t = {
 
 let create engine = { engine; items = Queue.create (); waiters = Queue.create () }
 
-let length t = Queue.length t.items
-
 (* Pop waiters until a live one surfaces; Taken/Cancelled entries are
    garbage from completed or timed-out receives and are dropped. *)
 let rec next_live_waiter t =
@@ -74,5 +72,4 @@ let recv_timeout t ~timeout : 'a option =
 let waiting t =
   Queue.fold (fun n w -> if w.state = Waiting then n + 1 else n) 0 t.waiters
 
-let peek t = Queue.peek_opt t.items
 let is_empty t = Queue.is_empty t.items

@@ -6,9 +6,7 @@
 type 'a t
 
 val create : Engine.t -> 'a t
-val length : 'a t -> int
 val is_empty : 'a t -> bool
-val peek : 'a t -> 'a option
 
 (** Deliver a message: to the longest-waiting receiver if any, else
     into the buffer.  Callable from engine callbacks. *)

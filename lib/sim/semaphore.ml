@@ -14,22 +14,12 @@ let create ?(capacity = max_int) initial =
   if initial < 0 then invalid_arg "Semaphore.create: negative count";
   { available = initial; capacity; waiters = Queue.create () }
 
-let available t = t.available
-
 let acquire t =
   if t.available > 0 then t.available <- t.available - 1
   else
     match Engine.suspend (fun waker -> Queue.add waker t.waiters) with
     | Some () -> ()
     | None -> assert false
-
-(** Non-blocking acquire. *)
-let try_acquire t =
-  if t.available > 0 then begin
-    t.available <- t.available - 1;
-    true
-  end
-  else false
 
 let release t =
   match Queue.take_opt t.waiters with

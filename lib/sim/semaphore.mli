@@ -6,13 +6,8 @@ type t
     bounds how many {!release}s may accumulate. *)
 val create : ?capacity:int -> int -> t
 
-val available : t -> int
-
 (** Take one unit, blocking the calling process until available. *)
 val acquire : t -> unit
-
-(** Non-blocking take; [false] when no unit is available. *)
-val try_acquire : t -> bool
 
 (** Return one unit, waking the longest waiter if any. *)
 val release : t -> unit

@@ -24,8 +24,6 @@ let create name =
     max = neg_infinity;
   }
 
-let name t = t.name
-
 let add t x =
   t.samples <- x :: t.samples;
   t.sorted <- None;
@@ -95,18 +93,3 @@ let merge name ts =
   let into = create name in
   List.iter (fun t -> merge_into ~into t) ts;
   into
-
-let stddev t =
-  if t.count < 2 then 0.
-  else begin
-    let m = mean t in
-    let var =
-      List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. t.samples
-      /. float_of_int (t.count - 1)
-    in
-    sqrt var
-  end
-
-let pp ppf t =
-  Fmt.pf ppf "%s: n=%d mean=%.3f min=%.3f max=%.3f p50=%.3f" t.name t.count
-    (mean t) (min_value t) (max_value t) (median t)

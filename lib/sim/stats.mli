@@ -3,7 +3,6 @@
 type t
 
 val create : string -> t
-val name : t -> string
 val add : t -> float -> unit
 val count : t -> int
 val sum : t -> float
@@ -24,6 +23,3 @@ val merge_into : into:t -> t -> unit
 
 (** Pool the given accumulators into a fresh one named [name]. *)
 val merge : string -> t list -> t
-
-val stddev : t -> float
-val pp : Format.formatter -> t -> unit

@@ -34,10 +34,6 @@ type result = {
   r_metrics : Obs.Metrics.t;  (** per-shard namespace, merged by caller *)
 }
 
-(** Owning shard per global guest index: round-robin, since every
-    shard serves the one device class. *)
-val assign : shards:int -> guests:int -> int array
-
 val uniform_ops : guests:int -> base:int -> int array
 
 (** Zipf weights over the global guest index (same skew whatever the

@@ -11,10 +11,8 @@ type profile = {
 
 val vbo : profile
 val vertex_array : profile
-val display_list : profile
 val opengl_benchmarks : profile list
 val tremulous : profile
-val openarena : profile
 val nexuiz : profile
 val games : profile list
 val resolutions : (int * int) list

@@ -57,7 +57,6 @@ let close env task fd = ok ~what:"close" (Vfs.close env.kernel task fd)
 let ioctl env task fd ~cmd ~arg =
   ok ~what:"ioctl" (Vfs.ioctl env.kernel task fd ~cmd ~arg)
 
-let read env task fd ~buf ~len = ok ~what:"read" (Vfs.read env.kernel task fd ~buf ~len)
 let write env task fd ~buf ~len = ok ~what:"write" (Vfs.write env.kernel task fd ~buf ~len)
 
 let mmap env task fd ~len ~pgoff =

@@ -27,7 +27,6 @@ val ok : what:string -> ('a, Oskit.Errno.t) result -> 'a
 val openf : env -> Oskit.Defs.task -> string -> int
 val close : env -> Oskit.Defs.task -> int -> unit
 val ioctl : env -> Oskit.Defs.task -> int -> cmd:int -> arg:int64 -> int
-val read : env -> Oskit.Defs.task -> int -> buf:int -> len:int -> int
 val write : env -> Oskit.Defs.task -> int -> buf:int -> len:int -> int
 val mmap : env -> Oskit.Defs.task -> int -> len:int -> pgoff:int -> int
 

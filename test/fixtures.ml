@@ -25,7 +25,7 @@ let make_machine ?(mem_mib = 64) ?(costs = Kernel.zero_costs) () =
   let kernel =
     Kernel.create ~engine:eng ~vm:driver_vm ~flavor:Os_flavor.Linux_3_2_0 ~costs ()
   in
-  let iommu = Memory.Iommu.create ~name:"dev-iommu" in
+  let iommu = Memory.Iommu.create () in
   { eng; phys; hyp; driver_vm; kernel; iommu }
 
 (** Map [pages] system frames starting at [spa] into [vm] at a fresh

@@ -242,7 +242,7 @@ let through_ring_attack seed =
          mapped, repeatedly, while the real workers consume *)
       for _round = 1 to 30 do
         Paradice.Chan_pool.iter_channels attacker.M.link.CB.pool (fun c ->
-            for slot = 0 to Paradice.Channel.ring_slots c - 1 do
+            for slot = 0 to Paradice.Config.ring_slots - 1 do
               let junk =
                 Bytes.init P.slot_size (fun _ ->
                     Char.chr (Sim.Rng.int rng 256))
@@ -308,7 +308,7 @@ let inject_campaign ~tag ~descriptor seed =
       let pid = app.Defs.pid in
       while !injected < descriptors_per_seed do
         Paradice.Chan_pool.iter_channels g.M.link.CB.pool (fun c ->
-            for slot = 0 to Paradice.Channel.ring_slots c - 1 do
+            for slot = 0 to Paradice.Config.ring_slots - 1 do
               if !injected < descriptors_per_seed then begin
                 Paradice.Channel.inject_raw c ~slot (descriptor rng ~pid);
                 incr injected
@@ -721,7 +721,7 @@ let victim_elapsed ~attack =
         let rng = Sim.Rng.create ~seed:0xBADD1EL in
         for _round = 1 to 20 do
           Paradice.Chan_pool.iter_channels attacker.M.link.CB.pool (fun c ->
-              for slot = 0 to Paradice.Channel.ring_slots c - 1 do
+              for slot = 0 to Paradice.Config.ring_slots - 1 do
                 Paradice.Channel.inject_raw c ~slot
                   (Bytes.init P.slot_size (fun _ ->
                        Char.chr (Sim.Rng.int rng 256)))

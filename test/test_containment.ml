@@ -36,7 +36,7 @@ let check_rerr name expect = function
   | P.Rpoll_reply _ -> Alcotest.failf "%s: unexpected poll reply" name
   | P.Rbatch_reply _ -> Alcotest.failf "%s: unexpected batch reply" name
 
-(* ---- Proto.validate / decode hardening ---- *)
+(* ---- Proto.validate_limits / decode hardening ---- *)
 
 let test_poll_timeout_decode_rejects_non_finite () =
   (* Regression: the poll timeout travels as raw float bits, and NaN /
@@ -63,8 +63,14 @@ let test_poll_timeout_decode_rejects_non_finite () =
   | _ -> Alcotest.fail "poll did not decode"
 
 let validate_default req =
-  P.validate ~max_transfer_bytes:4096 ~poll_timeout_cap_us:1_000_000.
-    ~grant_capacity:Hypervisor.Grant_table.capacity req
+  P.validate_limits
+    ~limits:
+      {
+        Paradice.Wire_spec.max_transfer_bytes = 4096;
+        poll_timeout_cap_us = 1_000_000.;
+        grant_capacity = Hypervisor.Grant_table.capacity;
+      }
+    req
 
 let test_validate_bounds_fields () =
   let bad name req =
@@ -448,7 +454,7 @@ let test_pool_least_loaded_avoids_parked_worker () =
   let parked_rpcs = ref (-1) and other_rpcs = ref 0 in
   Paradice.Chan_pool.iter_channels g.M.link.CB.pool (fun c ->
       let s = Paradice.Channel.stats c in
-      if Paradice.Channel.load c >= Paradice.Channel.ring_slots c then
+      if Paradice.Channel.load c >= Paradice.Config.ring_slots then
         parked_rpcs := s.Paradice.Channel.rpcs
       else other_rpcs := !other_rpcs + s.Paradice.Channel.rpcs);
   Alcotest.(check int) "parked channel got no extra work" 2 !parked_rpcs;

@@ -455,6 +455,76 @@ let test_crash_site_kills_mid_rpc () =
       Alcotest.(check int) "recovered after reboot" 0
         (ok (Vfs.ioctl k app fd2 ~cmd:M.null_ioctl ~arg:0L)))
 
+(* ---- a hostile driver VM's responses ---- *)
+
+(* The driver VM writes the response bytes, so the frontend must not
+   trust them (§4.1: a malicious driver VM cannot corrupt the guest).
+   A scripted responder stands in for the backend on a fresh pool: it
+   answers one ioctl with an unknown response tag and one read with
+   one byte more than was asked for.  Each of those syscalls must fail
+   with EIO — no exception escapes the guest — the session stays
+   healthy, and the next honest operation succeeds. *)
+let test_hostile_responses_fail_one_op () =
+  let m = M.create () in
+  let (_ : Oskit.Defs.device) = M.attach_null m in
+  let g = M.add_guest m ~name:"g" () in
+  let (_ : Oskit.Defs.device) =
+    Cvd_front.export g.M.frontend ~path:"/dev/hostile0" ~cls:"test"
+      ~driver:"hostile"
+      ~kinds:
+        [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Read; Os_flavor.Ioctl ]
+      ()
+  in
+  let ch =
+    Channel.create (M.engine m) ~config:(M.config m) ~phys:m.M.phys
+      ~guest_vm:g.M.vm ~driver_vm:m.M.driver_vm
+  in
+  Cvd_front.reattach g.M.frontend
+    ~pool:(Paradice.Chan_pool.create [| ch |] ~cap:8);
+  let module P = Paradice.Proto in
+  let bad_tag = Bytes.make P.slot_size '\000' in
+  Bytes.set_int32_le bad_tag 0 99l;
+  let hostile = ref [ `Bad_tag; `Long_read ] in
+  Sim.Engine.spawn (M.engine m) ~name:"hostile-responder" (fun () ->
+      let rec loop () =
+        match Channel.next_request ch with
+        | None -> ()
+        | Some (slot, bytes) ->
+            let req, _, _ = P.decode_request bytes in
+            let resp =
+              match (req, !hostile) with
+              | P.Ropen _, _ -> P.encode_response (P.Rok 1)
+              | P.Rioctl _, `Bad_tag :: rest ->
+                  hostile := rest;
+                  bad_tag
+              | P.Rread { len; _ }, `Long_read :: rest ->
+                  hostile := rest;
+                  P.encode_response (P.Rok (len + 1))
+              | P.Rread { len; _ }, _ -> P.encode_response (P.Rok len)
+              | _ -> P.encode_response (P.Rok 0)
+            in
+            Channel.respond ch ~slot resp;
+            loop ()
+      in
+      loop ());
+  run_in_process (M.engine m) (fun () ->
+      let app = M.spawn_app m g.M.kernel ~name:"app" in
+      let k = g.M.kernel in
+      let fd = ok (Vfs.openf k app "/dev/hostile0") in
+      let buf = Task.alloc_buf app 64 in
+      let eio what = function
+        | Error e -> Alcotest.check errno what Errno.EIO e
+        | Ok _ -> Alcotest.failf "%s: hostile response accepted" what
+      in
+      eio "unknown response tag" (Vfs.ioctl k app fd ~cmd:1 ~arg:0L);
+      Alcotest.(check int) "next ioctl succeeds" 0
+        (ok (Vfs.ioctl k app fd ~cmd:1 ~arg:0L));
+      eio "read count past len" (Vfs.read k app fd ~buf ~len:64);
+      Alcotest.(check int) "next read succeeds" 64
+        (ok (Vfs.read k app fd ~buf ~len:64)));
+  Alcotest.(check bool) "session still healthy" true
+    (Cvd_front.session g.M.frontend = Cvd_front.Healthy)
+
 let suites =
   [
     ( "faults",
@@ -486,5 +556,7 @@ let suites =
           test_crash_aborts_spans_reattach_is_clean;
         Alcotest.test_case "poll spin does not starve the ring" `Quick
           test_poll_spin_does_not_starve_ring;
+        Alcotest.test_case "hostile responses fail one op with EIO" `Quick
+          test_hostile_responses_fail_one_op;
       ] );
   ]

@@ -258,7 +258,7 @@ let region_fixture () =
   let driver = Hyp.create_vm hyp ~name:"driver" ~kind:Vm.Driver ~mem_bytes:(8 * mib) in
   let g1 = Hyp.create_vm hyp ~name:"g1" ~kind:Vm.Guest ~mem_bytes:mib in
   let g2 = Hyp.create_vm hyp ~name:"g2" ~kind:Vm.Guest ~mem_bytes:mib in
-  let iommu = Memory.Iommu.create ~name:"gpu" in
+  let iommu = Memory.Iommu.create () in
   (* the driver donates pool pages out of its own RAM during init *)
   let donate n =
     List.init n (fun _ ->

@@ -212,7 +212,7 @@ let test_ept_reverse_lookup () =
   Alcotest.(check (list int)) "aliases found" [ 0x1000; 0x2000 ] gpas
 
 let test_iommu_basic () =
-  let iommu = Iommu.create ~name:"gpu" in
+  let iommu = Iommu.create () in
   Iommu.map iommu ~dma:0x4000 ~spa:0xa000 ~perms:Perm.rw ~region:None;
   Alcotest.(check int) "dma translation" 0xa010
     (Iommu.translate iommu ~dma:0x4010 ~access:Perm.Write);
@@ -222,7 +222,7 @@ let test_iommu_basic () =
     | exception Fault.Iommu_fault _ -> true)
 
 let test_iommu_regions () =
-  let iommu = Iommu.create ~name:"gpu" in
+  let iommu = Iommu.create () in
   Iommu.map iommu ~dma:0x1000 ~spa:0xa000 ~perms:Perm.rw ~region:(Some 0);
   Iommu.map iommu ~dma:0x2000 ~spa:0xb000 ~perms:Perm.rw ~region:(Some 0);
   Iommu.map iommu ~dma:0x3000 ~spa:0xc000 ~perms:Perm.rw ~region:(Some 1);
@@ -240,7 +240,7 @@ let test_iommu_regions () =
 let test_iommu_read_only_dma () =
   (* Emulated write-only buffers (§5.3 change (iv)): device gets
      read-only IOMMU mapping while the driver VM keeps read/write. *)
-  let iommu = Iommu.create ~name:"gpu" in
+  let iommu = Iommu.create () in
   Iommu.map iommu ~dma:0x1000 ~spa:0xa000 ~perms:Perm.r ~region:None;
   Alcotest.(check int) "device may read" 0xa000
     (Iommu.translate iommu ~dma:0x1000 ~access:Perm.Read);

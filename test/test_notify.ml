@@ -239,8 +239,14 @@ let test_batch_limits_and_validation () =
   | exception Invalid_argument _ -> ());
   (* sanitization applies per sub-op, naming the offending record *)
   let validate req =
-    P.validate ~max_transfer_bytes:4096 ~poll_timeout_cap_us:1_000.
-      ~grant_capacity:170 (req, 0, 1)
+    P.validate_limits
+      ~limits:
+        {
+          Paradice.Wire_spec.max_transfer_bytes = 4096;
+          poll_timeout_cap_us = 1_000.;
+          grant_capacity = 170;
+        }
+      (req, 0, 1)
   in
   (match validate (P.Rbatch [ P.Rnoop; P.Rread { vfd = 1; buf = 0; len = 9999 } ]) with
   | Error v ->

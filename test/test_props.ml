@@ -88,7 +88,7 @@ let test_netmap_wire_time () =
   let hyp = Hypervisor.Hyp.create phys in
   let vm = Hypervisor.Hyp.create_vm hyp ~name:"v" ~kind:Hypervisor.Vm.Driver ~mem_bytes:(16 * 1024 * 1024) in
   let kernel = Oskit.Kernel.create ~engine:eng ~vm ~flavor:Oskit.Os_flavor.Linux_3_2_0 () in
-  let iommu = Memory.Iommu.create ~name:"nic" in
+  let iommu = Memory.Iommu.create () in
   let nm = Devices.Netmap_drv.create kernel ~iommu () in
   (* 64-byte frame + 20 bytes preamble/IFG at 1 Gb/s = 672 ns *)
   Alcotest.(check (float 1e-9)) "64B wire time" 0.672
@@ -96,12 +96,6 @@ let test_netmap_wire_time () =
   (* 1.488 Mpps line rate falls out *)
   Alcotest.(check bool) "line rate ~1.488 Mpps" true
     (abs_float ((1. /. Devices.Netmap_drv.wire_time_us nm ~len:64) -. 1.488) < 0.001)
-
-let test_timeunit () =
-  Alcotest.(check (float 1e-9)) "ms" 2_000. (Sim.Timeunit.ms 2.);
-  Alcotest.(check (float 1e-9)) "sec" 3_000_000. (Sim.Timeunit.sec 3.);
-  Alcotest.(check (float 1e-9)) "ns" 0.5 (Sim.Timeunit.ns 500.);
-  Alcotest.(check (float 1e-9)) "to_sec" 1.5 (Sim.Timeunit.to_sec 1_500_000.)
 
 let test_engine_at_ordering () =
   let eng = Sim.Engine.create () in
@@ -170,7 +164,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_allocator_range_disjoint;
         QCheck_alcotest.to_alcotest prop_ioctl_num_roundtrip;
         Alcotest.test_case "netmap wire time" `Quick test_netmap_wire_time;
-        Alcotest.test_case "time units" `Quick test_timeunit;
         Alcotest.test_case "engine callback ordering" `Quick test_engine_at_ordering;
       ] );
   ]
