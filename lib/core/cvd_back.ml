@@ -121,14 +121,8 @@ let note_sanitize_rejection t =
 let force_release_files link task =
   Hashtbl.iter
     (fun _ fs ->
-      if not fs.file.Defs.closed then begin
-        (try fs.file.Defs.dev.Defs.ops.Defs.fop_release task fs.file
-         with _ -> ());
-        fs.file.Defs.closed <- true;
-        fs.file.Defs.dev.Defs.open_count <-
-          fs.file.Defs.dev.Defs.open_count - 1;
-        fs.file.Defs.fasync_subscribers <- []
-      end)
+      if not fs.file.Defs.closed then
+        try Vfs.release_file task fs.file with _ -> ())
     link.files;
   Hashtbl.reset link.files
 
@@ -189,6 +183,18 @@ let find_file link vfd =
   match Hashtbl.find_opt link.files vfd with
   | Some fs -> fs
   | None -> Errno.fail Errno.EINVAL "bad virtual descriptor"
+
+(* Open [path] for the guest at virtual descriptor [vfd]: the one open
+   path of a live [Ropen] and of checkpoint restore.  Backend file ids
+   live in their own space, derived from the guest id and the vfd. *)
+let open_vfd t link task ~vfd path =
+  let dev = Vfs.openable t.kernel path in
+  let file =
+    Vfs.open_file task dev ~file_id:((Hypervisor.Vm.id link.guest_vm * 100_000) + vfd)
+  in
+  let fs = { file; vmas = [] } in
+  Hashtbl.replace link.files vfd fs;
+  fs
 
 (* Execute one decoded request against the real driver.  The worker is
    already marked as remote for the issuing guest process.
@@ -277,65 +283,30 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
         Proto.Rerr (Errno.to_code Errno.ENODEV)
       else
         wrap (fun () ->
-            Kernel.charge_syscall kernel;
-            match Devfs.lookup (Kernel.devfs kernel) path with
-            | None -> Errno.fail Errno.ENODEV ("no such device: " ^ path)
-            | Some dev ->
-                if dev.Defs.exclusive && dev.Defs.open_count > 0 then
-                  Errno.fail Errno.EBUSY (path ^ " is single-open");
-                (* backend file ids live in their own space, derived
-                   from the guest id and the vfd *)
-                let file_id =
-                  (Hypervisor.Vm.id link.guest_vm * 100_000) + link.next_vfd
-                in
-                let file =
-                  {
-                    Defs.file_id;
-                    dev;
-                    opener = worker;
-                    nonblock = false;
-                    fasync_subscribers = [];
-                    closed = false;
-                  }
-                in
-                dev.Defs.ops.Defs.fop_open worker file;
-                dev.Defs.open_count <- dev.Defs.open_count + 1;
-                let vfd = link.next_vfd in
-                link.next_vfd <- vfd + 1;
-                Hashtbl.replace link.files vfd { file; vmas = [] };
-                vfd)
+            Kernel.charge_syscall t.kernel;
+            let vfd = link.next_vfd in
+            let (_ : file_state) = open_vfd t link worker ~vfd path in
+            link.next_vfd <- vfd + 1;
+            vfd)
   | Proto.Rrelease { vfd } ->
       let fs = find_file link vfd in
       Hashtbl.remove link.files vfd;
       wrap (fun () ->
           Kernel.charge_syscall kernel;
-          (* The driver's release handler may fail; the backend's own
-             bookkeeping must not depend on it.  Without the protect, a
-             raising fop_release leaked the file's fasync subscription
-             (and the device open count): a guest that armed SIGIO and
-             then released kept a dead worker subscribed to driver
-             notifications forever. *)
-          Fun.protect
-            ~finally:(fun () ->
-              fs.file.Defs.closed <- true;
-              fs.file.Defs.dev.Defs.open_count <-
-                fs.file.Defs.dev.Defs.open_count - 1;
-              fs.file.Defs.fasync_subscribers <- [])
-            (fun () ->
-              fs.file.Defs.dev.Defs.ops.Defs.fop_release worker fs.file);
+          Vfs.release_file worker fs.file;
           0)
   | Proto.Rread { vfd; buf; len } ->
       let fs = find_file link vfd in
       link.max_dispatch_len <- max link.max_dispatch_len len;
       wrap (fun () ->
           Kernel.charge_syscall kernel;
-          fs.file.Defs.dev.Defs.ops.Defs.fop_read worker fs.file ~buf ~len)
+          Vfs.read_file worker fs.file ~buf ~len)
   | Proto.Rwrite { vfd; buf; len } ->
       let fs = find_file link vfd in
       link.max_dispatch_len <- max link.max_dispatch_len len;
       wrap (fun () ->
           Kernel.charge_syscall kernel;
-          fs.file.Defs.dev.Defs.ops.Defs.fop_write worker fs.file ~buf ~len)
+          Vfs.write_file worker fs.file ~buf ~len)
   | Proto.Rioctl { vfd; cmd; arg } -> (
       let fs = find_file link vfd in
       match guard_ioctl t link worker fs ~cmd ~arg with
@@ -343,34 +314,23 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       | None ->
           wrap (fun () ->
               Kernel.charge_syscall kernel;
-              fs.file.Defs.dev.Defs.ops.Defs.fop_ioctl worker fs.file ~cmd ~arg))
-  | Proto.Rmmap { vfd; gva; len; pgoff } ->
+              Vfs.ioctl_file worker fs.file ~cmd ~arg))
+  | Proto.Rmmap { vfd; gva; len; pgoff } -> (
       let fs = find_file link vfd in
       (* Mirror the guest VMA; addresses stay in the guest's virtual
          space, which is what the driver and hypervisor need (§5.1's
          FreeBSD change passes exactly this range along). *)
-      let vma =
-        { Defs.vma_start = gva; vma_len = len; vma_file = fs.file; vma_pgoff = pgoff }
-      in
-      (try
-         fs.file.Defs.dev.Defs.ops.Defs.fop_mmap worker fs.file vma;
-         fs.vmas <- vma :: fs.vmas;
-         Proto.Rok 0
-       with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e))
-  | Proto.Rfault { vfd; gva } ->
+      try
+        let vma = Vfs.mmap_file worker fs.file ~gva ~len ~pgoff in
+        fs.vmas <- vma :: fs.vmas;
+        Proto.Rok 0
+      with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e))
+  | Proto.Rfault { vfd; gva } -> (
       let fs = find_file link vfd in
-      (match
-         List.find_opt
-           (fun v -> gva >= v.Defs.vma_start && gva < v.Defs.vma_start + v.Defs.vma_len)
-           fs.vmas
-       with
-      | None -> Proto.Rerr (Errno.to_code Errno.EFAULT)
-      | Some vma -> (
-          try
-            fs.file.Defs.dev.Defs.ops.Defs.fop_fault worker fs.file vma
-              ~gva:(Memory.Addr.align_down gva);
-            Proto.Rok 0
-          with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e)))
+      try
+        Vfs.fault_vmas worker fs.vmas ~gva;
+        Proto.Rok 0
+      with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e))
   | Proto.Rmunmap { vfd; gva; len } ->
       let fs = find_file link vfd in
       (* Tear down whatever the hypervisor mapped; pages never faulted
@@ -383,48 +343,20 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       fs.vmas <-
         List.filter (fun v -> not (v.Defs.vma_start = gva && v.Defs.vma_len = len)) fs.vmas;
       Proto.Rok 0
-  | Proto.Rpoll { vfd; want_in; want_out; timeout_us } ->
+  | Proto.Rpoll { vfd; want_in; want_out; timeout_us } -> (
       let fs = find_file link vfd in
-      (* the Vfs.poll loop, against the stored file *)
-      (try
-         Kernel.charge_syscall kernel;
-         let deadline_left = ref timeout_us in
-         let rec loop () =
-           let r =
-             fs.file.Defs.dev.Defs.ops.Defs.fop_poll worker fs.file ~want_in
-               ~want_out
-           in
-           let ready = (want_in && r.Defs.pollin) || (want_out && r.Defs.pollout) in
-           if ready || !deadline_left <= 0. then r
-           else
-             match r.Defs.poll_wq with
-             | None -> r
-             | Some wq ->
-                 let before = Sim.Engine.now (Kernel.engine kernel) in
-                 let woken = Wait_queue.sleep_timeout wq ~timeout:!deadline_left in
-                 let elapsed = Sim.Engine.now (Kernel.engine kernel) -. before in
-                 deadline_left := !deadline_left -. elapsed;
-                 if woken then loop ()
-                 else
-                   fs.file.Defs.dev.Defs.ops.Defs.fop_poll worker fs.file
-                     ~want_in ~want_out
-         in
-         let r = loop () in
-         Proto.Rpoll_reply { pollin = r.Defs.pollin; pollout = r.Defs.pollout }
-       with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e))
+      try
+        Kernel.charge_syscall kernel;
+        let r =
+          Vfs.poll_file kernel worker fs.file ~want_in ~want_out ~timeout:timeout_us
+        in
+        Proto.Rpoll_reply { pollin = r.Defs.pollin; pollout = r.Defs.pollout }
+      with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e))
   | Proto.Rfasync { vfd; on } ->
       let fs = find_file link vfd in
       wrap (fun () ->
           Kernel.charge_syscall kernel;
-          fs.file.Defs.dev.Defs.ops.Defs.fop_fasync worker fs.file ~on;
-          (if on then begin
-             if not (List.memq worker fs.file.Defs.fasync_subscribers) then
-               fs.file.Defs.fasync_subscribers <-
-                 worker :: fs.file.Defs.fasync_subscribers
-           end
-           else
-             fs.file.Defs.fasync_subscribers <-
-               List.filter (fun t -> t != worker) fs.file.Defs.fasync_subscribers);
+          Vfs.fasync_file worker fs.file ~on;
           0)
 
 (* Grant-quota refusals happen on the frontend (declare) side, invisible
@@ -530,6 +462,14 @@ let serve_one t link worker (bytes : bytes) : Proto.response =
                       Proto.Rerr (Errno.to_code Errno.EPERM)
                     else resp)))
 
+(* Forward driver fasync events on files [task] subscribed to the
+   guest as channel notifications — but only while this guest is in
+   the foreground (input policy, §5.1). *)
+let forward_sigio t ~guest_vm pool task =
+  Task.on_sigio task (fun () ->
+      if Policy.input_target t.policy (Hypervisor.Vm.id guest_vm) then
+        Channel.notify (Chan_pool.notify_channel pool))
+
 (** Connect a guest: create its channel pool and workers and start
     serving.  Returns the link; the frontend uses [link.pool]. *)
 let connect t ~guest_vm =
@@ -586,12 +526,8 @@ let connect t ~guest_vm =
         Kernel.spawn_task t.kernel
           ~name:(Printf.sprintf "cvd-worker-%s" (Hypervisor.Vm.name guest_vm))
       in
-      (* forward driver fasync events to the guest, whichever worker
-         happened to register the subscription — but only while this
-         guest is in the foreground (input policy, §5.1) *)
-      Task.on_sigio worker (fun () ->
-          if Policy.input_target t.policy (Hypervisor.Vm.id guest_vm) then
-            Channel.notify (Chan_pool.notify_channel pool));
+      (* SIGIO reaches the guest whichever worker subscribed *)
+      forward_sigio t ~guest_vm pool worker;
       Sim.Engine.spawn engine ~name:"cvd-backend" (fun () ->
           let rec loop () =
             match Channel.next_request channel with
@@ -737,9 +673,7 @@ let restore_link t ~(snap : Snapshot.link_snap) ~guest_vm ?fail_site () =
   let stats = ref { rs_files = 0; rs_dropped = 0; rs_vmas = 0; rs_fasync = 0 } in
   if not link.quarantined then begin
     let restorer = Kernel.spawn_task t.kernel ~name:"cvd-restore" in
-    Task.on_sigio restorer (fun () ->
-        if Policy.input_target t.policy (Hypervisor.Vm.id guest_vm) then
-          Channel.notify (Chan_pool.notify_channel link.pool));
+    forward_sigio t ~guest_vm link.pool restorer;
     let restore_file (fr : Snapshot.file_rec) =
       let vfd = fr.Snapshot.fr_vfd and path = fr.Snapshot.fr_path in
       let admissible =
@@ -754,53 +688,34 @@ let restore_link t ~(snap : Snapshot.link_snap) ~guest_vm ?fail_site () =
       in
       if not admissible then false
       else
-        match Devfs.lookup (Kernel.devfs t.kernel) path with
-        | None -> false
-        | Some dev ->
-            if dev.Defs.exclusive && dev.Defs.open_count > 0 then false
-            else begin
-              let file_id = (Hypervisor.Vm.id guest_vm * 100_000) + vfd in
-              let file =
-                {
-                  Defs.file_id;
-                  dev;
-                  opener = restorer;
-                  nonblock = fr.Snapshot.fr_nonblock;
-                  fasync_subscribers = [];
-                  closed = false;
-                }
-              in
-              dev.Defs.ops.Defs.fop_open restorer file;
-              dev.Defs.open_count <- dev.Defs.open_count + 1;
-              let vmas =
-                List.filter_map
-                  (fun (gva, len, pgoff) ->
-                    match
-                      sanitize t (Proto.Rmmap { vfd; gva; len; pgoff }, 0, 0)
-                    with
-                    | Ok _ ->
-                        Some
-                          {
-                            Defs.vma_start = gva;
-                            vma_len = len;
-                            vma_file = file;
-                            vma_pgoff = pgoff;
-                          }
-                    | Error _ -> None)
-                  fr.Snapshot.fr_vmas
-              in
-              stats :=
-                { !stats with rs_vmas = !stats.rs_vmas + List.length vmas };
-              (* live mirror is newest-first *)
-              Hashtbl.replace link.files vfd { file; vmas = List.rev vmas };
-              if fr.Snapshot.fr_fasync then begin
-                (try dev.Defs.ops.Defs.fop_fasync restorer file ~on:true
-                 with _ -> ());
-                file.Defs.fasync_subscribers <- [ restorer ];
-                stats := { !stats with rs_fasync = !stats.rs_fasync + 1 }
-              end;
-              true
-            end
+        match open_vfd t link restorer ~vfd path with
+        | exception Errno.Unix_error ((Errno.EBUSY | Errno.ENODEV), _) -> false
+        | fs ->
+            fs.file.Defs.nonblock <- fr.Snapshot.fr_nonblock;
+            let vmas =
+              List.filter_map
+                (fun (gva, len, pgoff) ->
+                  match sanitize t (Proto.Rmmap { vfd; gva; len; pgoff }, 0, 0) with
+                  | Ok _ ->
+                      Some
+                        {
+                          Defs.vma_start = gva;
+                          vma_len = len;
+                          vma_file = fs.file;
+                          vma_pgoff = pgoff;
+                        }
+                  | Error _ -> None)
+                fr.Snapshot.fr_vmas
+            in
+            stats := { !stats with rs_vmas = !stats.rs_vmas + List.length vmas };
+            (* live mirror is newest-first *)
+            fs.vmas <- List.rev vmas;
+            (* counted only once the driver accepts, as a live Rfasync *)
+            (if fr.Snapshot.fr_fasync then
+               match Vfs.fasync_file restorer fs.file ~on:true with
+               | () -> stats := { !stats with rs_fasync = !stats.rs_fasync + 1 }
+               | exception _ -> ());
+            true
     in
     try
       List.iter

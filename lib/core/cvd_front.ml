@@ -455,10 +455,11 @@ let ioctl_ops t (task : Defs.task) ~path ~cmd ~arg =
 
 (* ---- the virtual device file ---- *)
 
-(** Create the virtual device file for an exported device.  [entries]
-    is the analyzer's table for the device's driver (ioctl-capable
-    classes); [kinds] the operations the real driver implements. *)
-let export t ~path ~cls ~driver ?(exclusive = false) ?entries ~kinds () =
+(** Create the virtual device file for the driver's registered device
+    [drv], forwarding the operations its driver implements.  [entries]
+    is the analyzer's table for the driver (ioctl-capable classes). *)
+let export t ?entries (drv : Defs.device) =
+  let path = drv.Defs.dev_path and kinds = drv.Defs.ops.Defs.fop_kinds in
   (match entries with
   | Some e -> Hashtbl.replace t.entries path e
   | None -> ());
@@ -601,6 +602,9 @@ let export t ~path ~cls ~driver ?(exclusive = false) ?entries ~kinds () =
               ignore (remote_fail resp));
     }
   in
-  let dev = Defs.make_device ~path ~cls ~driver:("cvd/" ^ driver) ~exclusive ops in
+  let dev =
+    Defs.make_device ~path ~cls:drv.Defs.dev_class
+      ~driver:("cvd/" ^ drv.Defs.driver_name) ~exclusive:drv.Defs.exclusive ops
+  in
   Devfs.register (Kernel.devfs t.kernel) dev;
   dev

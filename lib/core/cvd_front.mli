@@ -105,16 +105,10 @@ val forward_batch :
 val batch_ioctl :
   t -> Oskit.Defs.task -> Oskit.Defs.file -> (int * int64) list -> int list
 
-(** Create the virtual device file for an exported device.  [entries]
-    is the analyzer's table for ioctl-heavy classes; [kinds] must all
-    be supported by the guest kernel's flavor. *)
+(** Create the virtual device file for a driver's registered device:
+    same path, class and exclusivity, forwarding the operation kinds
+    its driver implements, each of which the guest kernel's flavor
+    must support.  [entries] is the analyzer's table for ioctl-heavy
+    classes. *)
 val export :
-  t ->
-  path:string ->
-  cls:string ->
-  driver:string ->
-  ?exclusive:bool ->
-  ?entries:Analyzer.Extract.t ->
-  kinds:Oskit.Os_flavor.op_kind list ->
-  unit ->
-  Oskit.Defs.device
+  t -> ?entries:Analyzer.Extract.t -> Oskit.Defs.device -> Oskit.Defs.device

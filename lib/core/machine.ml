@@ -25,13 +25,11 @@ type guest = {
   pci : Virt_pci.t;
 }
 
-(* Everything needed to replay an export onto a late-added guest. *)
+(* Everything needed to replay an export onto a late-added guest or a
+   fresh driver VM: the driver's registered device, plus the guest-side
+   analyzer table and device info. *)
 type export_record = {
-  path : string;
-  cls : string;
-  driver : string;
-  exclusive : bool;
-  kinds : Os_flavor.op_kind list;
+  dev : Defs.device;
   entries : Analyzer.Extract.t option;
   info : Device_info.t;
 }
@@ -167,12 +165,9 @@ let irq_extra t =
 (* ------------------------------------------------------------------ *)
 
 let install_export guest (e : export_record) =
-  let (_ : Defs.device) =
-    Cvd_front.export guest.frontend ~path:e.path ~cls:e.cls ~driver:e.driver
-      ~exclusive:e.exclusive ?entries:e.entries ~kinds:e.kinds ()
-  in
+  let (_ : Defs.device) = Cvd_front.export guest.frontend ?entries:e.entries e.dev in
   Device_info.install e.info ~guest_kernel:guest.kernel ~pci_bus:guest.pci
-    ~dev_path:e.path
+    ~dev_path:e.dev.Defs.dev_path
 
 let add_guest t ?(name = "guest") ?(mem_mib = 128)
     ?(flavor = Os_flavor.Linux_3_2_0) () =
@@ -214,13 +209,33 @@ let spawn_app t kernel ~name =
   task
 
 let register_export t e =
-  Cvd_back.export t.backend e.path;
+  Cvd_back.export t.backend e.dev.Defs.dev_path;
   t.exports <- e :: t.exports;
   List.iter (fun g -> install_export g e) t.guests
 
 (* ------------------------------------------------------------------ *)
 (* Driver-VM crash recovery (§7.2)                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* Boot a fresh driver VM serving the same exports: the replacement
+   probes the same hardware, so the driver's registered devices appear
+   in its devfs as they are — open counts included, since a planned
+   handoff closes the incumbent's opens one side at a time. *)
+let boot_driver ~name t =
+  if t.config.Config.driver_reboot_us > 0. then
+    Sim.Engine.wait t.config.Config.driver_reboot_us;
+  let vm =
+    Hypervisor.Hyp.create_vm t.hyp ~name ~kind:Hypervisor.Vm.Driver
+      ~mem_bytes:(t.driver_mem_mib * mib)
+  in
+  let kernel = Kernel.create ~engine:t.engine ~vm ~flavor:t.driver_flavor () in
+  let backend = Cvd_back.create ~kernel ~hyp:t.hyp ~config:t.config ~policy:t.policy in
+  List.iter
+    (fun e ->
+      Devfs.register (Kernel.devfs kernel) e.dev;
+      Cvd_back.export backend e.dev.Defs.dev_path)
+    (List.rev t.exports);
+  (vm, kernel, backend)
 
 (** Reboot a killed driver VM: after [Config.driver_reboot_us] of
     simulated boot time, a fresh VM/kernel/backend takes over, the
@@ -232,32 +247,15 @@ let register_export t e =
 let reboot_driver_vm t =
   if not (Cvd_back.is_killed t.backend) then
     invalid_arg "Machine.reboot_driver_vm: driver VM is not dead";
-  if t.config.Config.driver_reboot_us > 0. then
-    Sim.Engine.wait t.config.Config.driver_reboot_us;
-  t.driver_generation <- t.driver_generation + 1;
-  let old_devfs = Kernel.devfs t.driver_kernel in
-  let vm =
-    Hypervisor.Hyp.create_vm t.hyp
-      ~name:(Printf.sprintf "driver-vm-%d" t.driver_generation)
-      ~kind:Hypervisor.Vm.Driver
-      ~mem_bytes:(t.driver_mem_mib * mib)
+  let vm, kernel, backend =
+    boot_driver ~name:(Printf.sprintf "driver-vm-%d" (t.driver_generation + 1)) t
   in
-  let kernel = Kernel.create ~engine:t.engine ~vm ~flavor:t.driver_flavor () in
-  let backend = Cvd_back.create ~kernel ~hyp:t.hyp ~config:t.config ~policy:t.policy in
+  t.driver_generation <- t.driver_generation + 1;
   t.driver_vm <- vm;
   t.driver_kernel <- kernel;
   t.backend <- backend;
-  (* the rebooted driver re-probes its hardware: the same device models
-     reappear in the fresh devfs, with every driver-side open gone *)
-  List.iter
-    (fun e ->
-      (match Devfs.lookup old_devfs e.path with
-      | Some dev ->
-          dev.Defs.open_count <- 0;
-          Devfs.register (Kernel.devfs kernel) dev
-      | None -> ());
-      Cvd_back.export backend e.path)
-    (List.rev t.exports);
+  (* every driver-side open died with the old VM *)
+  List.iter (fun e -> e.dev.Defs.open_count <- 0) t.exports;
   (* reconnect every guest: fresh pool and workers, frontend faulted
      (in case it had not yet noticed a silent death) then reattached *)
   List.iter
@@ -277,30 +275,6 @@ let site_upgrade_crash_restore = "upgrade.crash_restore"
 let site_migrate_crash_checkpoint = "migrate.crash_checkpoint"
 let site_migrate_crash_transfer = "migrate.crash_transfer"
 let site_migrate_crash_restore = "migrate.crash_restore"
-
-(* Boot a fresh driver VM serving the same exports.  Unlike the crash
-   reboot, open counts are NOT reset: the incumbent's opens are still
-   live, and the handoff closes them one side at a time. *)
-let boot_driver ~name t =
-  if t.config.Config.driver_reboot_us > 0. then
-    Sim.Engine.wait t.config.Config.driver_reboot_us;
-  let vm =
-    Hypervisor.Hyp.create_vm t.hyp ~name ~kind:Hypervisor.Vm.Driver
-      ~mem_bytes:(t.driver_mem_mib * mib)
-  in
-  let kernel = Kernel.create ~engine:t.engine ~vm ~flavor:t.driver_flavor () in
-  let backend = Cvd_back.create ~kernel ~hyp:t.hyp ~config:t.config ~policy:t.policy in
-  (* the replacement probes the same hardware: the same device records
-     appear in its devfs *)
-  let cur_devfs = Kernel.devfs t.driver_kernel in
-  List.iter
-    (fun e ->
-      (match Devfs.lookup cur_devfs e.path with
-      | Some dev -> Devfs.register (Kernel.devfs kernel) dev
-      | None -> ());
-      Cvd_back.export backend e.path)
-    (List.rev t.exports);
-  (vm, kernel, backend)
 
 (* Drain the link's rings: wait (bounded by [Config.upgrade_drain_us])
    for in-flight descriptors to complete; stragglers are parked by
@@ -406,22 +380,10 @@ let upgrade_driver_vm t =
         Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Machine ~cat:"op"
           ~name:"upgrade" ()
       in
-      let stage name f =
-        let sp =
-          Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
-            ~name ()
-        in
-        match f () with
-        | v ->
-            Obs.Trace.span_end tracer sp;
-            v
-        | exception e ->
-            Obs.Trace.span_end ~status:"error" tracer sp;
-            raise e
-      in
       (* -- quiesce: frontends stop issuing, rings drain -- *)
       let quiesce_began = now () in
-      stage "upgrade:quiesce" (fun () ->
+      Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+        ~name:"upgrade:quiesce" (fun () ->
           List.iter
             (fun g ->
               Cvd_front.suspend_watchdog g.frontend;
@@ -432,7 +394,8 @@ let upgrade_driver_vm t =
       (* -- checkpoint: encode every session through the wire format -- *)
       let checkpoint_began = now () in
       match
-        stage "upgrade:checkpoint" (fun () ->
+        Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+          ~name:"upgrade:checkpoint" (fun () ->
             List.map
               (fun g ->
                 Config.check t.config site_upgrade_crash_checkpoint;
@@ -466,7 +429,8 @@ let upgrade_driver_vm t =
              planned swap is not a crash and must not stamp
              [last_killed_at]. -- *)
           let swap_began = now () in
-          stage "upgrade:swap" (fun () ->
+          Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+            ~name:"upgrade:swap" (fun () ->
               List.iter
                 (fun (g, _) ->
                   Chan_pool.retire g.link.Cvd_back.pool;
@@ -484,7 +448,8 @@ let upgrade_driver_vm t =
           (* -- restore: decode, re-validate, re-open on the successor -- *)
           let restore_began = now () in
           match
-            stage "upgrade:restore" (fun () ->
+            Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+              ~name:"upgrade:restore" (fun () ->
                 List.map
                   (fun (g, blob) ->
                     let snap = Snapshot.decode blob in
@@ -519,7 +484,8 @@ let upgrade_driver_vm t =
               let restore_us = now () -. restore_began in
               (* -- resume: wake parked operations onto the successor -- *)
               let resume_began = now () in
-              stage "upgrade:resume" (fun () ->
+              Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+                ~name:"upgrade:resume" (fun () ->
                   List.iter
                     (fun g ->
                       Cvd_front.resume ~pool:g.link.Cvd_back.pool g.frontend;
@@ -624,20 +590,8 @@ let migrate_guest t g ~dst =
     Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Machine ~cat:"op"
       ~name:"migrate" ()
   in
-  let stage name f =
-    let sp =
-      Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage" ~name
-        ()
-    in
-    match f () with
-    | v ->
-        Obs.Trace.span_end tracer sp;
-        v
-    | exception e ->
-        Obs.Trace.span_end ~status:"error" tracer sp;
-        raise e
-  in
-  stage "migrate:quiesce" (fun () ->
+  Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+    ~name:"migrate:quiesce" (fun () ->
       Cvd_front.suspend_watchdog g.frontend;
       Cvd_front.quiesce g.frontend;
       drain_links t [ g.link ]);
@@ -649,7 +603,8 @@ let migrate_guest t g ~dst =
     Migrate_aborted key
   in
   match
-    stage "migrate:checkpoint" (fun () ->
+    Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+      ~name:"migrate:checkpoint" (fun () ->
         Config.check t.config site_migrate_crash_checkpoint;
         let blob = Snapshot.encode (Cvd_back.checkpoint_link src g.link) in
         Sim.Engine.wait Config.marshal_us;
@@ -658,7 +613,8 @@ let migrate_guest t g ~dst =
   | exception Sim.Fault_inject.Injected key -> soft_abort key
   | blob -> (
       match
-        stage "migrate:transfer" (fun () ->
+        Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+          ~name:"migrate:transfer" (fun () ->
             Config.check t.config site_migrate_crash_transfer;
             let snap = Snapshot.decode blob in
             Sim.Engine.wait Config.marshal_us;
@@ -668,17 +624,20 @@ let migrate_guest t g ~dst =
       | snap -> (
           let old_link = g.link in
           (* cutover: from here the source's copy is gone *)
-          stage "migrate:cutover" (fun () ->
+          Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+            ~name:"migrate:cutover" (fun () ->
               Chan_pool.retire old_link.Cvd_back.pool;
               Cvd_back.release_link_files src old_link;
               Cvd_back.detach_link src old_link);
           let finish link (rstats : Cvd_back.restore_stats) =
             g.link <- link;
             let kept, dropped, revoked =
-              stage "migrate:reconcile" (fun () ->
+              Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+                ~name:"migrate:reconcile" (fun () ->
                   reconcile_hyp t ~guest_vm:g.vm ~snap)
             in
-            stage "migrate:resume" (fun () ->
+            Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+              ~name:"migrate:resume" (fun () ->
                 Cvd_front.resume ~pool:link.Cvd_back.pool g.frontend;
                 Cvd_front.resume_watchdog g.frontend);
             {
@@ -694,7 +653,8 @@ let migrate_guest t g ~dst =
             }
           in
           match
-            stage "migrate:restore" (fun () ->
+            Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+              ~name:"migrate:restore" (fun () ->
                 Cvd_back.restore_link dst ~snap ~guest_vm:g.vm
                   ~fail_site:site_migrate_crash_restore ())
           with
@@ -708,7 +668,8 @@ let migrate_guest t g ~dst =
                  onto the source so the session lands whole on exactly
                  one side *)
               let link, rstats =
-                stage "migrate:restore_back" (fun () ->
+                Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
+                  ~name:"migrate:restore_back" (fun () ->
                     Cvd_back.restore_link src ~snap ~guest_vm:g.vm ())
               in
               let stats = finish link rstats in
@@ -752,19 +713,13 @@ let attach_gpu t ?(vram_mib = 64) () =
       ~mc_mmio_gpa
   in
   Devices.Radeon_drv.init_native radeon;
-  let (_ : Defs.device) = Devices.Radeon_drv.register radeon in
+  let dev = Devices.Radeon_drv.register radeon in
   Devices.Gpu_hw.start gpu;
   let att = { gpu; radeon; gpu_iommu; mc_spn; isolation = None } in
   t.gpu <- Some att;
   register_export t
     {
-      path = "/dev/dri/card0";
-      cls = "gpu";
-      driver = "radeon";
-      exclusive = false;
-      kinds =
-        [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Ioctl; Os_flavor.Mmap;
-          Os_flavor.Fault; Os_flavor.Poll ];
+      dev;
       entries = Some (Analyzer.Extract.analyze Analyzer.Radeon_ir.driver_3_2_0);
       info =
         Device_info.gpu ~vendor:0x1002 ~device:0x6779 ~vram_bytes:(vram_mib * mib);
@@ -816,17 +771,11 @@ let attach_mouse t =
     Devices.Evdev.create t.driver_kernel ~name:"usbmouse"
       ~delivery_latency_us:(Config.input_delivery_us +. irq_extra t)
   in
-  let (_ : Defs.device) = Devices.Evdev.register ev ~path:"/dev/input/event0" in
+  let dev = Devices.Evdev.register ev ~path:"/dev/input/event0" in
   t.mouse <- Some ev;
   register_export t
     {
-      path = "/dev/input/event0";
-      cls = "input";
-      driver = "evdev/usbmouse";
-      exclusive = false;
-      kinds =
-        [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Read; Os_flavor.Ioctl;
-          Os_flavor.Poll; Os_flavor.Fasync ];
+      dev;
       entries = None;
       info = Device_info.input ~name:"Dell USB Mouse" ~product:0x3012;
     };
@@ -837,17 +786,11 @@ let attach_keyboard t =
     Devices.Evdev.create t.driver_kernel ~name:"usbkbd"
       ~delivery_latency_us:(Config.input_delivery_us +. irq_extra t)
   in
-  let (_ : Defs.device) = Devices.Evdev.register ev ~path:"/dev/input/event1" in
+  let dev = Devices.Evdev.register ev ~path:"/dev/input/event1" in
   t.keyboard <- Some ev;
   register_export t
     {
-      path = "/dev/input/event1";
-      cls = "input";
-      driver = "evdev/usbkbd";
-      exclusive = false;
-      kinds =
-        [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Read; Os_flavor.Ioctl;
-          Os_flavor.Poll; Os_flavor.Fasync ];
+      dev;
       entries = None;
       info = Device_info.input ~name:"Dell USB Keyboard" ~product:0x2105;
     };
@@ -855,18 +798,12 @@ let attach_keyboard t =
 
 let attach_camera t ?(fps = 29.5) () =
   let cam = Devices.V4l2_drv.create t.driver_kernel ~fps in
-  let (_ : Defs.device) = Devices.V4l2_drv.register cam ~path:"/dev/video0" in
+  let dev = Devices.V4l2_drv.register cam ~path:"/dev/video0" in
   Devices.V4l2_drv.start_sensor cam;
   t.camera <- Some cam;
   register_export t
     {
-      path = "/dev/video0";
-      cls = "camera";
-      driver = "V4L2/UVC";
-      exclusive = true;
-      kinds =
-        [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Ioctl; Os_flavor.Mmap;
-          Os_flavor.Fault; Os_flavor.Poll ];
+      dev;
       entries = None;
       info =
         Device_info.camera ~name:"Logitech HD Pro Webcam C920"
@@ -876,18 +813,12 @@ let attach_camera t ?(fps = 29.5) () =
 
 let attach_audio t =
   let pcm = Devices.Pcm_drv.create t.driver_kernel in
-  let (_ : Defs.device) = Devices.Pcm_drv.register pcm ~path:"/dev/snd/pcm0" in
+  let dev = Devices.Pcm_drv.register pcm ~path:"/dev/snd/pcm0" in
   Devices.Pcm_drv.start_codec pcm;
   t.audio <- Some pcm;
   register_export t
     {
-      path = "/dev/snd/pcm0";
-      cls = "audio";
-      driver = "PCM/snd-hda-intel";
-      exclusive = false;
-      kinds =
-        [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Write; Os_flavor.Ioctl;
-          Os_flavor.Poll ];
+      dev;
       entries = None;
       info = Device_info.audio ~name:"Intel Panther Point HD Audio";
     };
@@ -896,18 +827,12 @@ let attach_audio t =
 let attach_netmap t =
   let iommu = Memory.Iommu.create () in
   let nm = Devices.Netmap_drv.create t.driver_kernel ~iommu () in
-  let (_ : Defs.device) = Devices.Netmap_drv.register nm ~path:"/dev/netmap" in
+  let dev = Devices.Netmap_drv.register nm ~path:"/dev/netmap" in
   Devices.Netmap_drv.start nm;
   t.netmap <- Some nm;
   register_export t
     {
-      path = "/dev/netmap";
-      cls = "net";
-      driver = "netmap/e1000e";
-      exclusive = true;
-      kinds =
-        [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Ioctl; Os_flavor.Mmap;
-          Os_flavor.Fault; Os_flavor.Poll ];
+      dev;
       entries = None;
       info = Device_info.ethernet ~name:"Intel Gigabit CT" ~num_slots:1024 ~buf_size:2048;
     };
@@ -932,11 +857,7 @@ let attach_null t =
   Devfs.register (Kernel.devfs t.driver_kernel) dev;
   register_export t
     {
-      path = "/dev/null0";
-      cls = "test";
-      driver = "null";
-      exclusive = false;
-      kinds = [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Ioctl ];
+      dev;
       entries = None;
       info = { Device_info.cls = "test"; sysfs_entries = []; pci = None };
     };

@@ -13,12 +13,11 @@ type guest = {
   pci : Virt_pci.t;
 }
 
+(** An exported device: the driver's registered device (path, class,
+    driver, exclusivity and operation kinds), the guest-side analyzer
+    table and the device info replayed into each guest. *)
 type export_record = {
-  path : string;
-  cls : string;
-  driver : string;
-  exclusive : bool;
-  kinds : Oskit.Os_flavor.op_kind list;
+  dev : Oskit.Defs.device;
   entries : Analyzer.Extract.t option;
   info : Device_info.t;
 }

@@ -468,13 +468,15 @@ let test_hostile_responses_fail_one_op () =
   let m = M.create () in
   let (_ : Oskit.Defs.device) = M.attach_null m in
   let g = M.add_guest m ~name:"g" () in
-  let (_ : Oskit.Defs.device) =
-    Cvd_front.export g.M.frontend ~path:"/dev/hostile0" ~cls:"test"
-      ~driver:"hostile"
-      ~kinds:
-        [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Read; Os_flavor.Ioctl ]
-      ()
+  let hostile =
+    Oskit.Defs.make_device ~path:"/dev/hostile0" ~cls:"test" ~driver:"hostile"
+      {
+        Oskit.Defs.default_ops with
+        fop_kinds =
+          [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Read; Os_flavor.Ioctl ];
+      }
   in
+  let (_ : Oskit.Defs.device) = Cvd_front.export g.M.frontend hostile in
   let ch =
     Channel.create (M.engine m) ~config:(M.config m) ~phys:m.M.phys
       ~guest_vm:g.M.vm ~driver_vm:m.M.driver_vm

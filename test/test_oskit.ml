@@ -222,6 +222,37 @@ let test_fasync_sigio () =
       Vfs.kill_fasync file;
       Alcotest.(check int) "unsubscribed" 2 !hits)
 
+(* A close completes even when the driver's release handler fails, as
+   Linux ignores [->release]'s result: the descriptor is gone, the open
+   count dropped and the SIGIO subscription cancelled, so a single-open
+   device opens again.  The handler's error is still reported. *)
+let test_close_survives_raising_release () =
+  let f = make_fixture () in
+  let ops =
+    {
+      Defs.default_ops with
+      Defs.fop_release = (fun _ _ -> Errno.fail Errno.EIO "release failed");
+      fop_kinds = [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Fasync ];
+    }
+  in
+  let dev =
+    Defs.make_device ~path:"/dev/flaky0" ~cls:"test" ~driver:"flaky" ~exclusive:true ops
+  in
+  Devfs.register (Kernel.devfs f.kernel) dev;
+  run_in_process f.eng (fun () ->
+      let fd = ok (Vfs.openf f.kernel f.task "/dev/flaky0") in
+      ok (Vfs.fasync f.kernel f.task fd ~on:true);
+      let file = Hashtbl.find f.task.Defs.fds fd in
+      Alcotest.(check bool) "close reports EIO" true
+        (Vfs.close f.kernel f.task fd = Error Errno.EIO);
+      Alcotest.(check bool) "old fd is EINVAL" true
+        (Vfs.ioctl f.kernel f.task fd ~cmd:0 ~arg:0L = Error Errno.EINVAL);
+      Alcotest.(check int) "open count dropped" 0 dev.Defs.open_count;
+      Alcotest.(check int) "no SIGIO subscribers" 0
+        (List.length file.Defs.fasync_subscribers);
+      let (_ : int) = ok (Vfs.openf f.kernel f.task "/dev/flaky0") in
+      ())
+
 (* The §5.2 mechanism: the same driver handler, executed by a marked
    thread, operates on a *remote* guest process through the
    hypervisor. *)
@@ -347,6 +378,8 @@ let suites =
         Alcotest.test_case "poll blocks until wake" `Quick test_poll_blocks_until_wake;
         Alcotest.test_case "poll timeout" `Quick test_poll_timeout;
         Alcotest.test_case "fasync/sigio" `Quick test_fasync_sigio;
+        Alcotest.test_case "close survives a raising release" `Quick
+          test_close_survives_raising_release;
       ] );
     ( "oskit.uaccess",
       [ Alcotest.test_case "marked-thread redirection" `Quick test_marked_thread_redirection ] );

@@ -131,6 +131,7 @@ let test_upgrade_keeps_files_working () =
       let app = M.spawn_app m g.M.kernel ~name:"app" in
       let k = g.M.kernel in
       let ev = ok (Vfs.openf k app "/dev/input/event0") in
+      ok (Vfs.fasync k app ev ~on:true);
       let buf = Task.alloc_buf app 256 in
       let n = ok (Vfs.read k app ev ~buf ~len:256) in
       Alcotest.(check bool) "events before the upgrade" true (n > 0);
@@ -141,8 +142,7 @@ let test_upgrade_keeps_files_working () =
           Alcotest.(check int) "generation bumped" 1 s.M.up_generation;
           Alcotest.(check bool) "files survived" true (s.M.up_files_restored >= 2);
           Alcotest.(check int) "nothing dropped" 0 s.M.up_files_dropped;
-          Alcotest.(check bool) "fasync re-armed or none open" true
-            (s.M.up_fasync_rearmed >= 0)
+          Alcotest.(check int) "the mouse's SIGIO re-armed" 1 s.M.up_fasync_rearmed
       | _ -> Alcotest.fail "expected Upgraded");
       Alcotest.(check int) "generation counter" 1 (M.driver_generation m);
       Alcotest.(check bool) "a planned swap is not a crash" true
@@ -432,6 +432,82 @@ let test_migration_moves_session () =
       Alcotest.(check int) "same fd serves back home" 0
         (ok (Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L)))
 
+(* ---- checkpoint restore re-validation ---- *)
+
+(* Restore re-validates a snapshot through the checks a live open
+   faces: every refused entry is dropped and counted, never trusted.
+   A hand-built snapshot holds one entry per refusal, a good entry
+   whose carry-overs (nonblock, VMA mirrors, the SIGIO re-arm) must
+   come back, and a filler that brings the link to its two-vfd cap. *)
+let test_restore_revalidates_snapshot () =
+  let m = M.create ~config:{ Config.default with Config.max_open_vfds = 2 } () in
+  let (_ : Defs.device) = M.attach_null m in
+  let (_ : Devices.Evdev.t) = M.attach_mouse m in
+  let dk = M.driver_kernel m in
+  let excl =
+    Defs.make_device ~path:"/dev/excl0" ~cls:"test" ~driver:"excl" ~exclusive:true
+      Defs.default_ops
+  in
+  Devfs.register (Kernel.devfs dk) excl;
+  Cvd_back.export m.M.backend "/dev/excl0";
+  let guest_vm =
+    Hypervisor.Hyp.create_vm (M.hyp m) ~name:"restored" ~kind:Hypervisor.Vm.Guest
+      ~mem_bytes:(16 * mib)
+  in
+  let entry ?(fasync = false) ?(nonblock = false) ?(vmas = []) vfd path =
+    { Snapshot.fr_vfd = vfd; fr_path = path; fr_fasync = fasync; fr_nonblock = nonblock;
+      fr_vmas = vmas }
+  in
+  let snap =
+    {
+      Snapshot.ls_guest_vm_id = Hypervisor.Vm.id guest_vm;
+      ls_next_vfd = 6;
+      ls_ops_served = 0;
+      ls_malformed = 0;
+      ls_rejected = 0;
+      ls_grant_faults = 0;
+      ls_quota_breaches = 0;
+      ls_score = 0;
+      ls_quarantined = false;
+      ls_files =
+        [
+          entry 10 "/etc/passwd" (* outside /dev/ *);
+          entry 0 "/dev/null0";
+          entry (Paradice.Proto.max_vfd + 1) "/dev/null0";
+          entry 11 "/dev/secret0" (* never exported *);
+          entry 12 "/dev/excl0" (* single-open, already open *);
+          entry 3 "/dev/input/event0" ~fasync:true ~nonblock:true
+            ~vmas:[ (0x4000_0000, 8192, 0); (max_int - 4095, 8192, 0) (* wraps *) ];
+          entry 3 "/dev/null0" (* duplicate vfd *);
+          entry 4 "/dev/null0" (* fills the cap *);
+          entry 5 "/dev/null0" (* past max_open_vfds *);
+        ];
+      ls_grants = [];
+    }
+  in
+  let audit = Hypervisor.Hyp.audit (M.hyp m) in
+  run_in_process (M.engine m) (fun () ->
+      let holder = Kernel.spawn_task dk ~name:"holder" in
+      let (_ : int) = ok (Vfs.openf dk holder "/dev/excl0") in
+      let rejections = audit.Hypervisor.Audit.sanitize_rejections in
+      let link, s = Cvd_back.restore_link m.M.backend ~snap ~guest_vm () in
+      Alcotest.(check int) "seven entries dropped" 7 s.Cvd_back.rs_dropped;
+      Alcotest.(check int) "one rejection each" 7
+        (audit.Hypervisor.Audit.sanitize_rejections - rejections);
+      Alcotest.(check int) "good entry and filler restored" 2 s.Cvd_back.rs_files;
+      Alcotest.(check (list int)) "restored vfds" [ 3; 4 ]
+        (List.sort compare
+           (Hashtbl.fold (fun vfd _ acc -> vfd :: acc) link.Cvd_back.files []));
+      Alcotest.(check int) "exclusive device still held once" 1 excl.Defs.open_count;
+      let fs = Hashtbl.find link.Cvd_back.files 3 in
+      Alcotest.(check bool) "nonblock carried over" true fs.Cvd_back.file.Defs.nonblock;
+      Alcotest.(check int) "one VMA mirror" 1 s.Cvd_back.rs_vmas;
+      Alcotest.(check (list int)) "the valid VMA" [ 0x4000_0000 ]
+        (List.map (fun v -> v.Defs.vma_start) fs.Cvd_back.vmas);
+      Alcotest.(check int) "SIGIO re-armed" 1 s.Cvd_back.rs_fasync;
+      Alcotest.(check int) "one SIGIO subscriber" 1
+        (List.length fs.Cvd_back.file.Defs.fasync_subscribers))
+
 let test_migration_restore_crash_lands_on_source () =
   let inj = FI.create ~seed:17L () in
   let m = M.create ~config:(upgrade_config ~injector:inj ()) () in
@@ -490,5 +566,7 @@ let suites =
           test_migration_moves_session;
         Alcotest.test_case "migration restore crash lands on source" `Quick
           test_migration_restore_crash_lands_on_source;
+        Alcotest.test_case "restore re-validates every snapshot entry" `Quick
+          test_restore_revalidates_snapshot;
       ] );
   ]
