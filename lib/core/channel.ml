@@ -64,8 +64,8 @@ type t = {
   req_rx : unit Sim.Mailbox.t; (* backend wakes here on request doorbells *)
   resp_box : unit Sim.Mailbox.t array; (* per-slot response delivery *)
   notify_rx : unit Sim.Mailbox.t; (* frontend async-notification wakeups *)
-  slot_sem : Sim.Semaphore.t; (* free ring slots *)
-  free_slots : int Queue.t;
+  free_slots : int Sim.Mailbox.t; (* free slot numbers; publishers wait here *)
+  mutable held : int; (* slots claimed by frontend RPCs *)
   mutable next_seq : int;
   service_seq : int array; (* backend: seq drained per slot, echoed back *)
   service_active : bool array; (* backend: slot claimed and not yet answered.
@@ -235,9 +235,9 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
   let (_ : int) =
     Hypervisor.Shared_page.map_into region driver_vm ~perms:Memory.Perm.rw
   in
-  let free_slots = Queue.create () in
+  let free_slots = Sim.Mailbox.create engine in
   for i = 0 to slots - 1 do
-    Queue.push i free_slots
+    Sim.Mailbox.send free_slots i
   done;
   {
     engine;
@@ -248,8 +248,8 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
     req_rx = Sim.Mailbox.create engine;
     resp_box = Array.init slots (fun _ -> Sim.Mailbox.create engine);
     notify_rx = Sim.Mailbox.create engine;
-    slot_sem = Sim.Semaphore.create slots;
     free_slots;
+    held = 0;
     next_seq = 0;
     service_seq = Array.make slots 0;
     service_active = Array.make slots false;
@@ -357,7 +357,7 @@ let m_incr t name = if traced t then Obs.Metrics.incr (Obs.Trace.metrics t.trace
 
 let occupancy_sample t =
   if traced t then begin
-    let occ = float_of_int (Config.ring_slots - Queue.length t.free_slots) in
+    let occ = float_of_int t.held in
     Obs.Trace.counter t.tracer ~lane:Obs.Trace.Ring
       ~name:(Printf.sprintf "ring%d.occupancy" t.chan_uid)
       occ;
@@ -473,13 +473,13 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
         Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Frontend
           ~cat:"stage" ~name:"front:slot_wait" ()
       in
-      Sim.Semaphore.acquire t.slot_sem;
+      let slot = Sim.Mailbox.recv t.free_slots in
       if t.dead then begin
-        Sim.Semaphore.release t.slot_sem;
+        Sim.Mailbox.send t.free_slots slot;
         Obs.Trace.span_end ~status:"error:dead" t.tracer wait_sp;
         fail_dead t
       end;
-      let slot = Queue.pop t.free_slots in
+      t.held <- t.held + 1;
       Obs.Trace.span_arg wait_sp "slot" (float_of_int slot);
       Obs.Trace.span_end t.tracer wait_sp;
       occupancy_sample t;
@@ -491,18 +491,16 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
       (* drop stale wakeups a timed-out previous occupant left behind:
          correctness comes from sequence pairing, but a buffered token
          would cost a pointless spurious wake *)
-      while not (Sim.Mailbox.is_empty box) do
-        ignore (Sim.Mailbox.recv box)
-      done;
+      Sim.Mailbox.clear box;
       Fun.protect
         ~finally:(fun () ->
           if not t.dead then
             t.front_view.Hypervisor.Shared_page.write_u32
               ~offset:(state_off slot) st_free;
-          Queue.push slot t.free_slots;
+          t.held <- t.held - 1;
           Obs.Trace.span_end t.tracer ring_sp;
           occupancy_sample t;
-          Sim.Semaphore.release t.slot_sem)
+          Sim.Mailbox.send t.free_slots slot)
         (fun () ->
           let deadline =
             match timeout_us with

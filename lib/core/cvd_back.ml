@@ -542,10 +542,10 @@ let connect t ~guest_vm =
                 in
                 (* "back.wedge": the worker hangs forever between
                    executing the operation and answering — a stuck
-                   driver thread.  Only an RPC deadline recovers the
-                   frontend. *)
+                   driver thread, asleep on a mailbox nobody sends to.
+                   Only an RPC deadline recovers the frontend. *)
                 if Config.fires t.config site_wedge then
-                  Sim.Engine.suspend (fun _ -> ());
+                  Sim.Mailbox.recv (Sim.Mailbox.create (Kernel.engine t.kernel));
                 (* "cvd.crash": the driver VM dies right here, mid-RPC
                    — the operation ran but its response is never sent.
                    on_fire hooks (armed by Machine) perform the actual

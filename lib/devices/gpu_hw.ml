@@ -140,9 +140,7 @@ let set_scheduling t s = t.scheduling <- s
     shadow-driver recovery of §8).  In-flight commands are lost. *)
 let reset t =
   t.wedged <- false;
-  while not (Sim.Mailbox.is_empty t.ring) do
-    ignore (Sim.Mailbox.recv t.ring)
-  done;
+  Sim.Mailbox.clear t.ring;
   Hashtbl.iter (fun _ q -> Queue.clear q) t.queues
 
 exception Gpu_fault of string

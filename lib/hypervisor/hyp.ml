@@ -99,6 +99,16 @@ let kill_vm t vm =
   vm.Vm.alive <- false;
   Vm.flush_tlb vm
 
+(* Undo one {!map_page_into_process} mapping: clear the guest leaf
+   (when its page table is known), unmap the EPT entry, unreserve the
+   gpa, drop the registry entry and count the unmap, in that order. *)
+let drop_mapping t ~target pt ((_, _, gva) as key) gpa =
+  Option.iter (fun pt -> ignore (Memory.Guest_pt.unmap pt ~gva)) pt;
+  ignore (Memory.Ept.unmap target.Vm.ept ~gpa);
+  Memory.Allocator.unreserve target.Vm.gpa_alloc gpa;
+  Hashtbl.remove t.mmap_registry key;
+  t.audit.Audit.unmaps_performed <- t.audit.Audit.unmaps_performed + 1
+
 (** Tear down every cross-VM mapping installed into [target] by
     {!map_page_into_process}: EPT entries are unmapped, the backing
     guest-physical pages unreserved and — when the owning process page
@@ -120,14 +130,10 @@ let teardown_vm_mappings t ~target =
       t.process_registry []
   in
   List.iter
-    (fun (((_, pt_id, gva) as key), gpa) ->
-      (match List.find_opt (fun pt -> Memory.Guest_pt.id pt = pt_id) pts with
-      | Some pt -> ignore (Memory.Guest_pt.unmap pt ~gva)
-      | None -> ());
-      ignore (Memory.Ept.unmap target.Vm.ept ~gpa);
-      Memory.Allocator.unreserve target.Vm.gpa_alloc gpa;
-      Hashtbl.remove t.mmap_registry key;
-      t.audit.Audit.unmaps_performed <- t.audit.Audit.unmaps_performed + 1)
+    (fun (((_, pt_id, _) as key), gpa) ->
+      drop_mapping t ~target
+        (List.find_opt (fun pt -> Memory.Guest_pt.id pt = pt_id) pts)
+        key gpa)
     doomed;
   List.length doomed
 
@@ -171,13 +177,7 @@ let revalidate_vm_mappings t ~target =
       in
       if valid then incr kept
       else begin
-        (match pt with
-        | Some pt -> ignore (Memory.Guest_pt.unmap pt ~gva)
-        | None -> ());
-        ignore (Memory.Ept.unmap target.Vm.ept ~gpa);
-        Memory.Allocator.unreserve target.Vm.gpa_alloc gpa;
-        Hashtbl.remove t.mmap_registry key;
-        t.audit.Audit.unmaps_performed <- t.audit.Audit.unmaps_performed + 1;
+        drop_mapping t ~target pt key gpa;
         incr dropped
       end)
     entries;
@@ -329,12 +329,7 @@ let unmap_page_from_process t req ~gva =
   let key = (Vm.id req.target, Memory.Guest_pt.id req.pt, gva) in
   match Hashtbl.find_opt t.mmap_registry key with
   | None -> reject t "unmap_page: no such mapping"
-  | Some gpa ->
-      ignore (Memory.Guest_pt.unmap req.pt ~gva);
-      ignore (Memory.Ept.unmap req.target.Vm.ept ~gpa);
-      Memory.Allocator.unreserve req.target.Vm.gpa_alloc gpa;
-      Hashtbl.remove t.mmap_registry key;
-      t.audit.Audit.unmaps_performed <- t.audit.Audit.unmaps_performed + 1
+  | Some gpa -> drop_mapping t ~target:req.target (Some req.pt) key gpa
 
 let mapped_via_hypervisor t ~target ~pt ~gva =
   Hashtbl.mem t.mmap_registry (Vm.id target, Memory.Guest_pt.id pt, gva)

@@ -3,8 +3,10 @@
     Simulated activities ("processes") are written in direct style and
     suspended/resumed with OCaml 5 effect handlers, SimPy-style: a
     process calls {!wait} to let simulated time pass or {!suspend} to
-    block until some other process wakes it.  The engine owns a single
-    event queue ordered by [(time, sequence)] so execution is fully
+    block until some other process wakes it.  {!Mailbox} builds the
+    simulator's one queue of sleeping processes (with receive
+    timeouts) on {!suspend} and {!at}.  The engine owns a single event
+    queue ordered by [(time, sequence)] so execution is fully
     deterministic.
 
     Invariants that the implementation must maintain:
@@ -134,12 +136,3 @@ let suspend (register : ('a -> unit) -> unit) : 'a =
     register (fun (v : 'a) -> waker (Obj.repr v))
   in
   Obj.obj (Effect.perform (Suspend register_obj))
-
-(** [suspend_timeout t ~timeout register] is [Some v] if a waker fires
-    before [timeout] elapses, [None] otherwise.  The loser of the race
-    is disarmed. *)
-let suspend_timeout t ~timeout (register : ('a option -> unit) -> unit) :
-    'a option =
-  suspend (fun waker ->
-      register (fun v -> waker v);
-      at t ~delay:timeout (fun () -> waker None))

@@ -3,8 +3,9 @@
     Simulated activities ("processes") are written in direct style and
     suspended/resumed with OCaml 5 effect handlers: a process calls
     {!wait} to let simulated time pass, or {!suspend} to block until
-    another process wakes it.  One engine owns one event queue ordered
-    by [(time, sequence)], making execution fully deterministic. *)
+    another process wakes it; {!Mailbox} queues blocked processes on
+    top of {!suspend}.  One engine owns one event queue ordered by
+    [(time, sequence)], making execution fully deterministic. *)
 
 type t
 
@@ -47,8 +48,3 @@ val wait : float -> unit
     then-current time with the given value.  Extra waker calls are
     ignored. *)
 val suspend : (('a -> unit) -> unit) -> 'a
-
-(** [suspend_timeout t ~timeout register] is [Some v] if a waker fires
-    before [timeout] elapses, [None] otherwise; the loser of the race
-    is disarmed. *)
-val suspend_timeout : t -> timeout:float -> (('a option -> unit) -> unit) -> 'a option

@@ -29,9 +29,7 @@ let run env ~moves ?(rate_hz = 100.) () =
       while !events < 2 * moves do
         let () = Sim.Mailbox.recv sigio in
         (* coalesce bursts (REL+SYN raise two signals) into one read *)
-        while not (Sim.Mailbox.is_empty sigio) do
-          ignore (Sim.Mailbox.recv sigio)
-        done;
+        Sim.Mailbox.clear sigio;
         match Oskit.Vfs.read env.kernel task fd ~buf ~len:512 with
         | Ok n -> events := !events + (n / Devices.Evdev.event_bytes)
         | Error Oskit.Errno.EAGAIN -> ()

@@ -319,6 +319,97 @@ let test_ring_pipelining_coalesces_doorbells () =
     (Printf.sprintf "ring carried concurrent ops (max depth %d)" !deep)
     true (!deep >= 2)
 
+(* [publishers] (default [Config.ring_slots] + 4) raw no-ops race for
+   the slots of ONE ring, with tracing on: the first [ring_slots]
+   claim a slot at once, the others block for one.  [during] may
+   schedule events against the machine before the run.  Returns each
+   publisher's outcome and the ring's occupancy samples, in emission
+   order. *)
+let slot_contention ?(publishers = Paradice.Config.ring_slots + 4)
+    ?(during = fun _ -> ()) () =
+  let tracer = Obs.Trace.create () in
+  let config =
+    { Paradice.Config.default with Paradice.Config.channels_per_guest = 1; tracer }
+  in
+  let m = M.create ~config () in
+  let (_ : Oskit.Defs.device) = M.attach_null m in
+  let g = M.add_guest m ~name:"g" () in
+  let pid = ref 0 in
+  run_in (M.engine m) (fun () ->
+      let app = M.spawn_app m g.M.kernel ~name:"app" in
+      pid := app.Oskit.Defs.pid);
+  Obs.Trace.reset tracer;
+  let req = Paradice.Proto.encode_request ~grant_ref:0 ~pid:!pid Paradice.Proto.Rnoop in
+  let outcomes = ref [] in
+  for _ = 1 to publishers do
+    Sim.Engine.spawn (M.engine m) (fun () ->
+        let r =
+          match Paradice.Proto.decode_response (raw_rpc g req) with
+          | resp -> Ok resp
+          | exception Oskit.Errno.Unix_error (e, _) -> Error e
+        in
+        outcomes := r :: !outcomes)
+  done;
+  during m;
+  Sim.Engine.run (M.engine m);
+  let occupancy =
+    List.filter_map
+      (fun c ->
+        if String.ends_with ~suffix:".occupancy" c.Obs.Trace.k_name then
+          Some (int_of_float c.Obs.Trace.k_value)
+        else None)
+      (Obs.Trace.counter_events tracer)
+  in
+  (m, !outcomes, occupancy)
+
+let test_slot_pool_under_contention () =
+  let _, outcomes, occupancy = slot_contention () in
+  Alcotest.(check int) "all 12 completed" 12
+    (List.length (List.filter (( = ) (Ok (Paradice.Proto.Rok 0))) outcomes));
+  Alcotest.(check bool) "every sample within [0, ring_slots]" true
+    (List.for_all (fun n -> n >= 0 && n <= Paradice.Config.ring_slots) occupancy);
+  (* one sample per claim and per release, so each moves by one *)
+  Alcotest.(check bool) "consecutive samples differ by one" true
+    (snd
+       (List.fold_left
+          (fun (prev, ok) n -> (n, ok && abs (n - prev) = 1))
+          (0, true) occupancy));
+  Alcotest.(check int) "ring filled" Paradice.Config.ring_slots
+    (List.fold_left max 0 occupancy);
+  Alcotest.(check (option int)) "ring drained" (Some 0)
+    (List.nth_opt occupancy (List.length occupancy - 1))
+
+let test_kill_wakes_slot_waiters () =
+  (* The kill lands while 8 publishers hold a slot and the rest wait
+     for one.  Each holder fails and hands its slot on; each waiter it
+     wakes sees the death, hands the slot on again and fails: nobody
+     hangs.  With more waiters than slots, only that second hand-on
+     reaches the last waiters. *)
+  List.iter
+    (fun waiters ->
+      let publishers = Paradice.Config.ring_slots + waiters in
+      let m, outcomes, occupancy =
+        slot_contention ~publishers
+          ~during:(fun m ->
+            Sim.Engine.at (M.engine m) ~delay:1. (fun () -> M.kill_driver_vm m))
+          ()
+      in
+      let check_int what = Alcotest.(check int) (Printf.sprintf "%d waiters: %s" waiters what) in
+      check_int "every publisher failed with EIO" publishers
+        (List.length (List.filter (( = ) (Error Oskit.Errno.EIO)) outcomes));
+      (* one sample per claim and per release *)
+      check_int "only the 8 holders ever claimed a slot"
+        (2 * Paradice.Config.ring_slots) (List.length occupancy);
+      check_int "ring was full at the kill" Paradice.Config.ring_slots
+        (List.fold_left max 0 occupancy);
+      check_int "every slot released" 0
+        (List.nth occupancy (List.length occupancy - 1));
+      Alcotest.(check bool)
+        (Printf.sprintf "%d waiters: no process left hanging" waiters)
+        false
+        (Sim.Engine.deadlocked (M.engine m)))
+    [ 4; Paradice.Config.ring_slots + 4 ]
+
 let prop_proto_request_roundtrip =
   QCheck.Test.make ~name:"wire requests round-trip for all field values" ~count:300
     QCheck.(
@@ -451,6 +542,47 @@ let test_two_choices_dispatch () =
   Alcotest.(check bool) "ops spread beyond ring 0" true
     (List.length (List.filter (fun n -> n > 0) a) >= 2)
 
+let test_wedged_worker_times_out () =
+  (* "back.wedge" on the second served op (the open is the first): the
+     first ioctl's worker hangs forever, so it times out; the wedged
+     ring's load penalty sends the next two to another ring. *)
+  let inj = Sim.Fault_inject.create ~seed:1L () in
+  Sim.Fault_inject.arm inj ~key:Paradice.Cvd_back.site_wedge (Sim.Fault_inject.Nth 2);
+  let config =
+    {
+      Paradice.Config.default with
+      Paradice.Config.injector = Some inj;
+      rpc_timeout_us = 1000.;
+      rpc_retries = 0;
+    }
+  in
+  let m = M.create ~config () in
+  let (_ : Oskit.Defs.device) = M.attach_null m in
+  let g = M.add_guest m ~name:"g" () in
+  let results = ref [] and rpcs = ref [] in
+  run_in (M.engine m) (fun () ->
+      let app = M.spawn_app m g.M.kernel ~name:"app" in
+      let fd = Fixtures.ok (Oskit.Vfs.openf g.M.kernel app "/dev/null0") in
+      for _ = 1 to 3 do
+        rpcs := per_channel_rpcs g :: !rpcs;
+        results := Oskit.Vfs.ioctl g.M.kernel app fd ~cmd:M.null_ioctl ~arg:0L :: !results
+      done;
+      rpcs := per_channel_rpcs g :: !rpcs);
+  let errno = Alcotest.testable Oskit.Errno.pp ( = ) in
+  Alcotest.(check (list (result int errno)))
+    "timed out, then served"
+    [ Error Oskit.Errno.ETIMEDOUT; Ok 0; Ok 0 ]
+    (List.rev !results);
+  (match List.rev !rpcs with
+  | [ before; after_wedge; _; final ] ->
+      let wedged = List.map2 ( - ) after_wedge before
+      and later = List.map2 ( - ) final after_wedge in
+      Alcotest.(check bool) "later ioctls avoid the wedged ring" true
+        (List.for_all2 (fun w l -> w = 0 || l = 0) wedged later)
+  | _ -> Alcotest.fail "missing per-ring snapshots");
+  Alcotest.(check bool) "the wedged worker never wakes" true
+    (Sim.Engine.deadlocked (M.engine m))
+
 let suites =
   [
     ( "channel.failure_injection",
@@ -477,6 +609,10 @@ let suites =
           test_notify_single_leg_and_kill;
         Alcotest.test_case "ring pipelines and coalesces doorbells" `Quick
           test_ring_pipelining_coalesces_doorbells;
+        Alcotest.test_case "slot pool under contention" `Quick
+          test_slot_pool_under_contention;
+        Alcotest.test_case "kill wakes slot waiters" `Quick
+          test_kill_wakes_slot_waiters;
       ] );
     ("channel.proto", [ QCheck_alcotest.to_alcotest prop_proto_request_roundtrip ]);
     ( "channel.dispatch",
@@ -485,5 +621,7 @@ let suites =
           test_concurrent_files_dispatch_correctly;
         Alcotest.test_case "two-choices deterministic and spreads" `Quick
           test_two_choices_dispatch;
+        Alcotest.test_case "wedged worker times out" `Quick
+          test_wedged_worker_times_out;
       ] );
   ]

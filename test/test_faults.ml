@@ -17,7 +17,8 @@ let errno = Alcotest.testable Errno.pp ( = )
 
 (* A waiter whose timeout fired used to stay in the queue disarmed: the
    next send targeted it and the message vanished.  The timed-out
-   waiter must be removed so later sends reach live receivers. *)
+   waiter must no longer count as waiting, so later sends skip it and
+   reach live receivers. *)
 let test_mailbox_timeout_waiter_removed () =
   let eng = Sim.Engine.create () in
   let mb = Sim.Mailbox.create eng in

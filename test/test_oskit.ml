@@ -201,6 +201,26 @@ let test_poll_timeout () =
       Alcotest.(check bool) "timed out without event" false r.Defs.pollin;
       Alcotest.(check (float 1e-6)) "waited the timeout" 200. (Sim.Engine.now f.eng -. t0))
 
+(* A wake with nobody asleep is lost (nothing buffers it), and a later
+   wake skips a sleeper whose timeout already fired. *)
+let test_wait_queue_lost_wake_skipped_timeout () =
+  let f = make_fixture () in
+  let wq = Wait_queue.create f.eng in
+  Wait_queue.wake_all wq;
+  let timed = ref None and timed_at = ref nan and slept_at = ref nan in
+  Sim.Engine.spawn f.eng (fun () ->
+      timed := Some (Wait_queue.sleep_timeout wq ~timeout:10.);
+      timed_at := Sim.Engine.now f.eng);
+  Sim.Engine.spawn f.eng (fun () ->
+      Wait_queue.sleep wq;
+      slept_at := Sim.Engine.now f.eng);
+  Sim.Engine.at f.eng ~delay:30. (fun () -> Wait_queue.wake_all wq);
+  Sim.Engine.run f.eng;
+  Alcotest.(check (option bool)) "earlier wake was lost: timed out" (Some false)
+    !timed;
+  Alcotest.(check (float 1e-9)) "timed out at 10us" 10. !timed_at;
+  Alcotest.(check (float 1e-9)) "plain sleeper woken at 30us" 30. !slept_at
+
 let test_fasync_sigio () =
   let f = make_fixture () in
   let dev, _, _ = make_echo_device f.kernel in
@@ -377,6 +397,8 @@ let suites =
         Alcotest.test_case "mmap demand paging" `Quick test_mmap_demand_paging;
         Alcotest.test_case "poll blocks until wake" `Quick test_poll_blocks_until_wake;
         Alcotest.test_case "poll timeout" `Quick test_poll_timeout;
+        Alcotest.test_case "wait queue: lost wake, skipped timeout" `Quick
+          test_wait_queue_lost_wake_skipped_timeout;
         Alcotest.test_case "fasync/sigio" `Quick test_fasync_sigio;
         Alcotest.test_case "close survives a raising release" `Quick
           test_close_survives_raising_release;

@@ -87,29 +87,6 @@ let test_suspend_waker_idempotent () =
   Sim.Engine.run eng;
   Alcotest.(check int) "resumed exactly once" 1 !resumes
 
-let test_suspend_timeout_fires () =
-  let eng = Sim.Engine.create () in
-  let result = ref (Some 0) in
-  Sim.Engine.spawn eng (fun () ->
-      result := Sim.Engine.suspend_timeout eng ~timeout:5. (fun _waker -> ()));
-  Sim.Engine.run eng;
-  Alcotest.(check (option int)) "timed out" None !result;
-  check_float "timeout consumed simulated time" 5. (Sim.Engine.now eng)
-
-let test_suspend_timeout_won_by_waker () =
-  let eng = Sim.Engine.create () in
-  let result = ref None and woke_at = ref nan in
-  Sim.Engine.spawn eng (fun () ->
-      result :=
-        Sim.Engine.suspend_timeout eng ~timeout:5. (fun waker ->
-            Sim.Engine.at eng ~delay:2. (fun () -> waker (Some 7)));
-      woke_at := Sim.Engine.now eng);
-  Sim.Engine.run eng;
-  Alcotest.(check (option int)) "waker won" (Some 7) !result;
-  (* The disarmed timer still pops (and is ignored) at t=5, but the
-     process itself resumed at t=2. *)
-  check_float "woke before timeout" 2. !woke_at
-
 let test_deadlock_detection () =
   let eng = Sim.Engine.create () in
   Sim.Engine.spawn eng (fun () ->
@@ -161,6 +138,29 @@ let test_mailbox_recv_timeout () =
   Alcotest.(check (option int)) "first recv timed out" None !first;
   Alcotest.(check (option int)) "second recv got message" (Some 9) !second
 
+let test_mailbox_timeout_fires () =
+  let eng = Sim.Engine.create () in
+  let mb : int Sim.Mailbox.t = Sim.Mailbox.create eng in
+  let result = ref (Some 0) in
+  Sim.Engine.spawn eng (fun () -> result := Sim.Mailbox.recv_timeout mb ~timeout:5.);
+  Sim.Engine.run eng;
+  Alcotest.(check (option int)) "timed out" None !result;
+  check_float "timeout consumed simulated time" 5. (Sim.Engine.now eng)
+
+let test_mailbox_timeout_won_by_send () =
+  let eng = Sim.Engine.create () in
+  let mb = Sim.Mailbox.create eng in
+  let result = ref None and woke_at = ref nan in
+  Sim.Engine.spawn eng (fun () ->
+      result := Sim.Mailbox.recv_timeout mb ~timeout:5.;
+      woke_at := Sim.Engine.now eng);
+  Sim.Engine.at eng ~delay:2. (fun () -> Sim.Mailbox.send mb 7);
+  Sim.Engine.run eng;
+  Alcotest.(check (option int)) "send won" (Some 7) !result;
+  (* The disarmed timer still pops (and is ignored) at t=5, but the
+     process itself resumed at t=2. *)
+  check_float "woke before timeout" 2. !woke_at
+
 let test_mailbox_dead_waiter_redispatch () =
   (* A timed-out waiter must not swallow a message while a live waiter
      is blocked behind it. *)
@@ -179,51 +179,6 @@ let test_mailbox_dead_waiter_redispatch () =
       Sim.Mailbox.send mb 5);
   Sim.Engine.run eng;
   Alcotest.(check (option int)) "live waiter got the message" (Some 5) !live_got
-
-let test_semaphore_mutual_exclusion () =
-  let eng = Sim.Engine.create () in
-  let sem = Sim.Semaphore.create 1 in
-  let inside = ref 0 and max_inside = ref 0 and completed = ref 0 in
-  for _ = 1 to 5 do
-    Sim.Engine.spawn eng (fun () ->
-        Sim.Semaphore.with_resource sem (fun () ->
-            incr inside;
-            if !inside > !max_inside then max_inside := !inside;
-            Sim.Engine.wait 10.;
-            decr inside);
-        incr completed)
-  done;
-  Sim.Engine.run eng;
-  Alcotest.(check int) "never more than one inside" 1 !max_inside;
-  Alcotest.(check int) "all completed" 5 !completed;
-  check_float "fully serialised" 50. (Sim.Engine.now eng)
-
-let test_semaphore_release_on_exception () =
-  let eng = Sim.Engine.create () in
-  let sem = Sim.Semaphore.create 1 in
-  let ok = ref false in
-  Sim.Engine.spawn eng (fun () ->
-      (try Sim.Semaphore.with_resource sem (fun () -> failwith "boom")
-       with Failure _ -> ());
-      Sim.Semaphore.with_resource sem (fun () -> ok := true));
-  Sim.Engine.run eng;
-  Alcotest.(check bool) "resource still usable" true !ok
-
-let test_semaphore_counting () =
-  let eng = Sim.Engine.create () in
-  let sem = Sim.Semaphore.create 2 in
-  let max_inside = ref 0 and inside = ref 0 in
-  for _ = 1 to 6 do
-    Sim.Engine.spawn eng (fun () ->
-        Sim.Semaphore.with_resource sem (fun () ->
-            incr inside;
-            if !inside > !max_inside then max_inside := !inside;
-            Sim.Engine.wait 5.;
-            decr inside))
-  done;
-  Sim.Engine.run eng;
-  Alcotest.(check int) "two at a time" 2 !max_inside;
-  check_float "three rounds of two" 15. (Sim.Engine.now eng)
 
 let test_rng_deterministic () =
   let a = Sim.Rng.create ~seed:42L and b = Sim.Rng.create ~seed:42L in
@@ -415,8 +370,6 @@ let suites =
         Alcotest.test_case "run until" `Quick test_run_until;
         Alcotest.test_case "suspend/wake" `Quick test_suspend_wake;
         Alcotest.test_case "waker idempotent" `Quick test_suspend_waker_idempotent;
-        Alcotest.test_case "suspend timeout fires" `Quick test_suspend_timeout_fires;
-        Alcotest.test_case "suspend timeout won by waker" `Quick test_suspend_timeout_won_by_waker;
         Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
         QCheck_alcotest.to_alcotest prop_engine_time_monotonic;
       ] );
@@ -425,13 +378,9 @@ let suites =
         Alcotest.test_case "fifo delivery" `Quick test_mailbox_fifo;
         Alcotest.test_case "buffers without receiver" `Quick test_mailbox_buffers_when_no_receiver;
         Alcotest.test_case "recv timeout" `Quick test_mailbox_recv_timeout;
+        Alcotest.test_case "timeout fires" `Quick test_mailbox_timeout_fires;
+        Alcotest.test_case "timeout won by send" `Quick test_mailbox_timeout_won_by_send;
         Alcotest.test_case "dead waiter redispatch" `Quick test_mailbox_dead_waiter_redispatch;
-      ] );
-    ( "sim.semaphore",
-      [
-        Alcotest.test_case "mutual exclusion" `Quick test_semaphore_mutual_exclusion;
-        Alcotest.test_case "release on exception" `Quick test_semaphore_release_on_exception;
-        Alcotest.test_case "counting" `Quick test_semaphore_counting;
       ] );
     ( "sim.support",
       [
