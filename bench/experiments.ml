@@ -1736,7 +1736,7 @@ let fleet () =
             ok = Array.fold_left (fun a r -> a + r.FL.r_ok) 0 shard_results;
             err = Array.fold_left (fun a r -> a + r.FL.r_err) 0 shard_results;
             pooled =
-              Sim.Stats.merge "fleet"
+              Sim.Stats.merge
                 (List.map (fun g -> g.FL.g_lat) (FL.all_guests shard_results));
           } ))
       shard_counts
@@ -1806,7 +1806,7 @@ let fleet () =
     in
     let results, wall = timed_run specs in
     let merged =
-      Sim.Stats.merge "lat" (List.map (fun g -> g.FL.g_lat) (FL.all_guests results))
+      Sim.Stats.merge (List.map (fun g -> g.FL.g_lat) (FL.all_guests results))
     in
     let err = Array.fold_left (fun a r -> a + r.FL.r_err) 0 results in
     (wall, Sim.Stats.p99 merged, err)

@@ -12,7 +12,6 @@ let eviocgid_handler =
   {
     cmd = Devices.Evdev.eviocgid;
     handler_name = "evdev_ioctl_gid";
-    uses_macro = true;
     body =
       [
         Hw_op "read device identity";
@@ -26,7 +25,6 @@ let eviocgrep_handler =
   {
     cmd = Devices.Evdev.eviocgrep;
     handler_name = "evdev_ioctl_grep";
-    uses_macro = true;
     body =
       [
         Hw_op "read autorepeat parameters";
@@ -38,7 +36,6 @@ let eviocsrep_handler =
   {
     cmd = Devices.Evdev.eviocsrep;
     handler_name = "evdev_ioctl_srep";
-    uses_macro = true;
     body =
       [
         Copy_from_user { dst_buf = "rep"; src = Arg; len = Const 8 };
@@ -74,7 +71,6 @@ let eviocgrab_handler =
   {
     cmd = Devices.Evdev.eviocgrab;
     handler_name = "evdev_ioctl_grab";
-    uses_macro = true;
     body =
       [
         (* the argument is a value, not a pointer: no memory operation *)

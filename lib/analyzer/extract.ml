@@ -190,7 +190,6 @@ type t = {
   mutable static_count : int;
   mutable jit_count : int;
   mutable extracted_lines : int; (* total lines of extracted slices *)
-  mutable annotations : int; (* handlers needing "manual annotation" *)
 }
 
 let analyze (driver : driver) =
@@ -202,7 +201,6 @@ let analyze (driver : driver) =
       static_count = 0;
       jit_count = 0;
       extracted_lines = 0;
-      annotations = 0;
     }
   in
   List.iter

@@ -35,7 +35,6 @@ type t = {
   mutable static_count : int;
   mutable jit_count : int;
   mutable extracted_lines : int;
-  mutable annotations : int;
 }
 
 val analyze : Ir.driver -> t

@@ -39,7 +39,6 @@ let range_known r = r.lo <> None || r.hi <> None
 
 type field_fact = {
   ff_var : string;  (** the [Let]-bound name in the handler source *)
-  ff_buf : string;
   ff_offset : int;  (** byte offset (element stride for array loads) *)
   ff_width : int;
   ff_role : role;
@@ -63,7 +62,6 @@ type handler_fact = {
 
 type t = {
   fd_driver : string;
-  fd_version : string;
   fd_handlers : handler_fact list;
 }
 
@@ -225,7 +223,6 @@ let of_handler (h : handler) : handler_fact =
             Some
               {
                 ff_var = v;
-                ff_buf = buf;
                 ff_offset = off;
                 ff_width = width;
                 ff_role = role;
@@ -249,7 +246,6 @@ let of_handler (h : handler) : handler_fact =
 let of_driver (d : driver) : t =
   {
     fd_driver = d.driver_name;
-    fd_version = d.version;
     fd_handlers = List.map of_handler d.handlers;
   }
 

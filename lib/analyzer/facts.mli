@@ -18,7 +18,6 @@ type range = { lo : int option; hi : int option }
 
 type field_fact = {
   ff_var : string;
-  ff_buf : string;
   ff_offset : int;
   ff_width : int;
   ff_role : role;
@@ -38,7 +37,6 @@ type handler_fact = {
 
 type t = {
   fd_driver : string;
-  fd_version : string;
   fd_handlers : handler_fact list;
 }
 

@@ -37,7 +37,6 @@ type handler = {
   cmd : int; (* ioctl command number (see Oskit.Ioctl_num) *)
   handler_name : string;
   body : stmt list;
-  uses_macro : bool; (* command number built with the _IOC macros *)
 }
 
 type driver = {

@@ -26,7 +26,6 @@ type handler = {
   cmd : int;
   handler_name : string;
   body : stmt list;
-  uses_macro : bool;
 }
 
 type driver = { driver_name : string; version : string; handlers : handler list }

@@ -12,7 +12,6 @@ let regif_handler =
   {
     cmd = Devices.Netmap_drv.nioc_regif;
     handler_name = "netmap_regif";
-    uses_macro = true;
     body =
       [
         Copy_from_user { dst_buf = "req"; src = Arg; len = Const 16 };
@@ -36,7 +35,6 @@ let txsync_handler =
   {
     cmd = Devices.Netmap_drv.nioc_txsync;
     handler_name = "netmap_txsync";
-    uses_macro = true;
     body = [ Hw_op "kick NIC TX" ];
   }
 

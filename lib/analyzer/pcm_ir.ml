@@ -10,7 +10,6 @@ let set_rate_handler =
   {
     cmd = Devices.Pcm_drv.set_rate_ioctl;
     handler_name = "pcm_set_rate";
-    uses_macro = true;
     body =
       [
         Copy_from_user { dst_buf = "params"; src = Arg; len = Const 8 };
@@ -53,7 +52,6 @@ let drain_handler =
   {
     cmd = Devices.Pcm_drv.drain_ioctl;
     handler_name = "pcm_drain";
-    uses_macro = true;
     body = [ Hw_op "wait for ring drain" ];
   }
 

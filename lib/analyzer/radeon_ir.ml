@@ -23,7 +23,6 @@ let gem_create_handler =
   {
     cmd = Devices.Radeon_ioctl.gem_create;
     handler_name = "radeon_gem_create_ioctl";
-    uses_macro = true;
     body =
       [
         Copy_from_user { dst_buf = "req"; src = Arg; len = Const sz };
@@ -39,7 +38,6 @@ let gem_mmap_handler =
   {
     cmd = Devices.Radeon_ioctl.gem_mmap;
     handler_name = "radeon_gem_mmap_ioctl";
-    uses_macro = true;
     body =
       [
         Copy_from_user
@@ -57,7 +55,6 @@ let gem_close_handler =
   {
     cmd = Devices.Radeon_ioctl.gem_close;
     handler_name = "drm_gem_close_ioctl";
-    uses_macro = true;
     body =
       [
         Copy_from_user
@@ -70,7 +67,6 @@ let gem_wait_idle_handler =
   {
     cmd = Devices.Radeon_ioctl.gem_wait_idle;
     handler_name = "radeon_gem_wait_idle_ioctl";
-    uses_macro = true;
     body =
       [
         Copy_from_user
@@ -84,7 +80,6 @@ let set_tiling_handler =
   {
     cmd = Devices.Radeon_ioctl.set_tiling;
     handler_name = "radeon_gem_set_tiling_ioctl";
-    uses_macro = true;
     body =
       [
         Copy_from_user
@@ -101,7 +96,6 @@ let cs_handler =
   {
     cmd = Devices.Radeon_ioctl.cs;
     handler_name = "radeon_cs_ioctl";
-    uses_macro = true;
     body =
       [
         Copy_from_user
@@ -163,7 +157,6 @@ let info_handler =
   {
     cmd = Devices.Radeon_ioctl.info;
     handler_name = "radeon_info_ioctl";
-    uses_macro = true;
     body =
       [
         Copy_from_user

@@ -15,7 +15,6 @@ let reqbufs_handler =
   {
     cmd = Devices.V4l2_drv.vidioc_reqbufs;
     handler_name = "vidioc_reqbufs";
-    uses_macro = true;
     body =
       [
         Copy_from_user { dst_buf = "req"; src = Arg; len = Const 8 };
@@ -50,7 +49,6 @@ let querybuf_handler =
   {
     cmd = Devices.V4l2_drv.vidioc_querybuf;
     handler_name = "vidioc_querybuf";
-    uses_macro = true;
     body =
       [
         Copy_from_user { dst_buf = "req"; src = Arg; len = Const 16 };
@@ -79,7 +77,6 @@ let qbuf_handler =
   {
     cmd = Devices.V4l2_drv.vidioc_qbuf;
     handler_name = "vidioc_qbuf";
-    uses_macro = true;
     body =
       [
         Copy_from_user { dst_buf = "req"; src = Arg; len = Const 8 };
@@ -109,7 +106,6 @@ let dqbuf_handler =
   {
     cmd = Devices.V4l2_drv.vidioc_dqbuf;
     handler_name = "vidioc_dqbuf";
-    uses_macro = true;
     body =
       [
         Copy_from_user { dst_buf = "req"; src = Arg; len = Const 8 };
@@ -132,7 +128,6 @@ let streamon_handler =
   {
     cmd = Devices.V4l2_drv.vidioc_streamon;
     handler_name = "vidioc_streamon";
-    uses_macro = true;
     body = [ Hw_op "start sensor" ];
   }
 
@@ -140,7 +135,6 @@ let streamoff_handler =
   {
     cmd = Devices.V4l2_drv.vidioc_streamoff;
     handler_name = "vidioc_streamoff";
-    uses_macro = true;
     body = [ Hw_op "stop sensor" ];
   }
 
@@ -148,7 +142,6 @@ let s_fmt_handler =
   {
     cmd = Devices.V4l2_drv.vidioc_s_fmt;
     handler_name = "vidioc_s_fmt";
-    uses_macro = true;
     body =
       [
         Copy_from_user { dst_buf = "fmt"; src = Arg; len = Const 8 };

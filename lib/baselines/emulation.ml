@@ -14,7 +14,7 @@ open Oskit
    microseconds per operation, the "poor performance" of §7.1. *)
 let per_op_cost_us = 55.
 
-type t = { kernel : Kernel.t; machine : Paradice.Machine.t }
+type t = { machine : Paradice.Machine.t }
 
 (** A guest-side machine whose null device is emulated. *)
 let make () =
@@ -33,6 +33,6 @@ let make () =
   in
   Devfs.register (Kernel.devfs kernel)
     (Defs.make_device ~path:"/dev/null0" ~cls:"test" ~driver:"qemu-emulated" ops);
-  { kernel; machine = m }
+  { machine = m }
 
 let env t = Workloads.Runner.of_machine ~label:"Emulation" t.machine

@@ -58,7 +58,6 @@ let site_delay_req = "chan.delay_req"
 type t = {
   engine : Sim.Engine.t;
   config : Config.t;
-  region : Hypervisor.Shared_page.t;
   front_view : Hypervisor.Shared_page.view;
   back_view : Hypervisor.Shared_page.view;
   req_rx : unit Sim.Mailbox.t; (* backend wakes here on request doorbells *)
@@ -242,7 +241,6 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
   {
     engine;
     config;
-    region;
     front_view = Hypervisor.Shared_page.view_of region guest_vm;
     back_view = Hypervisor.Shared_page.view_of region driver_vm;
     req_rx = Sim.Mailbox.create engine;

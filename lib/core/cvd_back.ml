@@ -184,6 +184,13 @@ let find_file link vfd =
   | Some fs -> fs
   | None -> Errno.fail Errno.EINVAL "bad virtual descriptor"
 
+(* The first vfd from [v] on that no open file holds, wrapping within
+   [1, Proto.max_vfd]: [Ropen]'s cap keeps a free one. *)
+let rec free_vfd link v =
+  if v < 1 || v > Proto.max_vfd then free_vfd link 1
+  else if Hashtbl.mem link.files v then free_vfd link (v + 1)
+  else v
+
 (* Open [path] for the guest at virtual descriptor [vfd]: the one open
    path of a live [Ropen] and of checkpoint restore.  Backend file ids
    live in their own space, derived from the guest id and the vfd. *)
@@ -271,7 +278,8 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       in
       Proto.Rbatch_reply (List.mapi serve_sub reqs)
   | Proto.Ropen { path } ->
-      if Hashtbl.length link.files >= t.config.Config.max_open_vfds then begin
+      if Hashtbl.length link.files >= min t.config.Config.max_open_vfds Proto.max_vfd
+      then begin
         (* per-guest descriptor cap: an open loop exhausts the guest's
            own allowance, not the backend's tables *)
         link.quota_breaches <- link.quota_breaches + 1;
@@ -284,7 +292,7 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       else
         wrap (fun () ->
             Kernel.charge_syscall t.kernel;
-            let vfd = link.next_vfd in
+            let vfd = free_vfd link link.next_vfd in
             let (_ : file_state) = open_vfd t link worker ~vfd path in
             link.next_vfd <- vfd + 1;
             vfd)

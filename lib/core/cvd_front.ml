@@ -13,7 +13,6 @@ open Oskit
 type session = Healthy | Faulted
 
 type fault_stats = {
-  sessions_faulted : int;
   grants_revoked : int;
   mappings_torn : int;
   heartbeat_misses : int;
@@ -109,7 +108,6 @@ let fault_session t ~reason =
       t.fstats <-
         {
           t.fstats with
-          sessions_faulted = t.fstats.sessions_faulted + 1;
           grants_revoked = t.fstats.grants_revoked + revoked;
           mappings_torn = t.fstats.mappings_torn + torn;
           last_faulted_at = began;
@@ -249,7 +247,6 @@ let create ~kernel ~hyp ~guest_vm ~pool ~config =
       hb_suspended = false;
       fstats =
         {
-          sessions_faulted = 0;
           grants_revoked = 0;
           mappings_torn = 0;
           heartbeat_misses = 0;

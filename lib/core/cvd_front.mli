@@ -8,7 +8,6 @@ type t
 type session = Healthy | Faulted
 
 type fault_stats = {
-  sessions_faulted : int;
   grants_revoked : int;
   mappings_torn : int;
   heartbeat_misses : int;

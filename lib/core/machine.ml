@@ -42,14 +42,6 @@ type gpu_attachment = {
   mutable isolation : Hypervisor.Region.t option;
 }
 
-(* A second live driver VM serving the same exports (session-migration
-   target). *)
-type replica = {
-  rep_vm : Hypervisor.Vm.t;
-  rep_kernel : Kernel.t;
-  rep_backend : Cvd_back.t;
-}
-
 type t = {
   mode : mode;
   config : Config.t;
@@ -68,12 +60,9 @@ type t = {
   policy : Policy.t;
   mutable exports : export_record list;
   mutable guests : guest list;
-  mutable replicas : replica list;
+  mutable replicas : Cvd_back.t list; (* session-migration targets *)
   mutable gpu : gpu_attachment option;
   mutable mouse : Devices.Evdev.t option;
-  mutable keyboard : Devices.Evdev.t option;
-  mutable camera : Devices.V4l2_drv.t option;
-  mutable audio : Devices.Pcm_drv.t option;
   mutable netmap : Devices.Netmap_drv.t option;
 }
 
@@ -131,9 +120,6 @@ let create ?(mode = Paradice) ?(config = Config.default) ?(driver_mem_mib = 256)
       replicas = [];
       gpu = None;
       mouse = None;
-      keyboard = None;
-      camera = None;
-      audio = None;
       netmap = None;
     }
   in
@@ -540,35 +526,22 @@ let spawn_driver_replica ?name t =
     | Some n -> n
     | None -> Printf.sprintf "driver-vm-replica-%d" (List.length t.replicas + 1)
   in
-  let rep_vm, rep_kernel, rep_backend = boot_driver ~name t in
-  let rep = { rep_vm; rep_kernel; rep_backend } in
-  t.replicas <- rep :: t.replicas;
-  rep
+  let _, _, backend = boot_driver ~name t in
+  t.replicas <- backend :: t.replicas;
+  backend
 
 (* Which live backend currently serves this link. *)
 let backend_of_link t link =
-  let all = t.backend :: List.map (fun r -> r.rep_backend) t.replicas in
+  let all = t.backend :: t.replicas in
   List.find_opt
     (fun b -> (not (Cvd_back.is_killed b)) && Cvd_back.has_link b link)
     all
 
-type migrate_stats = {
-  mg_blackout_us : float;
-  mg_checkpoint_bytes : int;
-  mg_files_restored : int;
-  mg_files_dropped : int;
-  mg_vmas_restored : int;
-  mg_fasync_rearmed : int;
-  mg_mappings_kept : int;
-  mg_mappings_dropped : int;
-  mg_grants_revoked : int;
-}
-
 type migrate_outcome =
-  | Migrated of migrate_stats
+  | Migrated of Cvd_back.restore_stats
   | Migrate_aborted of string
       (* crash before cutover: session untouched on the source *)
-  | Migrate_failed_back of string * migrate_stats
+  | Migrate_failed_back of string * Cvd_back.restore_stats
       (* destination crashed mid-restore: the same snapshot was
          restored back onto the source — the session lands whole on
          exactly one side *)
@@ -583,9 +556,7 @@ let migrate_guest t g ~dst =
   if Cvd_back.is_killed dst then
     invalid_arg "Machine.migrate_guest: destination driver VM is dead";
   let tracer = t.config.Config.tracer in
-  let now () = Sim.Engine.now t.engine in
   let trace = Obs.Trace.mint_id tracer in
-  let blackout_began = now () in
   let op_sp =
     Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Machine ~cat:"op"
       ~name:"migrate" ()
@@ -629,9 +600,9 @@ let migrate_guest t g ~dst =
               Chan_pool.retire old_link.Cvd_back.pool;
               Cvd_back.release_link_files src old_link;
               Cvd_back.detach_link src old_link);
-          let finish link (rstats : Cvd_back.restore_stats) =
+          let finish link =
             g.link <- link;
-            let kept, dropped, revoked =
+            let (_ : int * int * int) =
               Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
                 ~name:"migrate:reconcile" (fun () ->
                   reconcile_hyp t ~guest_vm:g.vm ~snap)
@@ -639,18 +610,7 @@ let migrate_guest t g ~dst =
             Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
               ~name:"migrate:resume" (fun () ->
                 Cvd_front.resume ~pool:link.Cvd_back.pool g.frontend;
-                Cvd_front.resume_watchdog g.frontend);
-            {
-              mg_blackout_us = now () -. blackout_began;
-              mg_checkpoint_bytes = String.length blob;
-              mg_files_restored = rstats.Cvd_back.rs_files;
-              mg_files_dropped = rstats.Cvd_back.rs_dropped;
-              mg_vmas_restored = rstats.Cvd_back.rs_vmas;
-              mg_fasync_rearmed = rstats.Cvd_back.rs_fasync;
-              mg_mappings_kept = kept;
-              mg_mappings_dropped = dropped;
-              mg_grants_revoked = revoked;
-            }
+                Cvd_front.resume_watchdog g.frontend)
           in
           match
             Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
@@ -659,9 +619,9 @@ let migrate_guest t g ~dst =
                   ~fail_site:site_migrate_crash_restore ())
           with
           | link, rstats ->
-              let stats = finish link rstats in
+              finish link;
               Obs.Trace.span_end tracer op_sp;
-              Migrated stats
+              Migrated rstats
           | exception Sim.Fault_inject.Injected key ->
               (* the destination crashed mid-restore and already tore
                  its partial copy down; restore the same snapshot back
@@ -672,9 +632,9 @@ let migrate_guest t g ~dst =
                   ~name:"migrate:restore_back" (fun () ->
                     Cvd_back.restore_link src ~snap ~guest_vm:g.vm ())
               in
-              let stats = finish link rstats in
+              finish link;
               Obs.Trace.span_end ~status:"error:failed_back" tracer op_sp;
-              Migrate_failed_back (key, stats)))
+              Migrate_failed_back (key, rstats)))
 
 (* ------------------------------------------------------------------ *)
 (* Device attachment                                                   *)
@@ -787,7 +747,6 @@ let attach_keyboard t =
       ~delivery_latency_us:(Config.input_delivery_us +. irq_extra t)
   in
   let dev = Devices.Evdev.register ev ~path:"/dev/input/event1" in
-  t.keyboard <- Some ev;
   register_export t
     {
       dev;
@@ -800,7 +759,6 @@ let attach_camera t ?(fps = 29.5) () =
   let cam = Devices.V4l2_drv.create t.driver_kernel ~fps in
   let dev = Devices.V4l2_drv.register cam ~path:"/dev/video0" in
   Devices.V4l2_drv.start_sensor cam;
-  t.camera <- Some cam;
   register_export t
     {
       dev;
@@ -815,7 +773,6 @@ let attach_audio t =
   let pcm = Devices.Pcm_drv.create t.driver_kernel in
   let dev = Devices.Pcm_drv.register pcm ~path:"/dev/snd/pcm0" in
   Devices.Pcm_drv.start_codec pcm;
-  t.audio <- Some pcm;
   register_export t
     {
       dev;

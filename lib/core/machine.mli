@@ -30,14 +30,6 @@ type gpu_attachment = {
   mutable isolation : Hypervisor.Region.t option;
 }
 
-(** A second live driver VM serving the same exports — a session-
-    migration target. *)
-type replica = {
-  rep_vm : Hypervisor.Vm.t;
-  rep_kernel : Oskit.Kernel.t;
-  rep_backend : Cvd_back.t;
-}
-
 type t = {
   mode : mode;
   config : Config.t;
@@ -54,12 +46,9 @@ type t = {
   policy : Policy.t;
   mutable exports : export_record list;
   mutable guests : guest list;
-  mutable replicas : replica list;
+  mutable replicas : Cvd_back.t list;
   mutable gpu : gpu_attachment option;
   mutable mouse : Devices.Evdev.t option;
-  mutable keyboard : Devices.Evdev.t option;
-  mutable camera : Devices.V4l2_drv.t option;
-  mutable audio : Devices.Pcm_drv.t option;
   mutable netmap : Devices.Netmap_drv.t option;
 }
 
@@ -175,38 +164,26 @@ type upgrade_outcome =
     context. *)
 val upgrade_driver_vm : t -> upgrade_outcome
 
-(** Live replicas in spawn order. *)
-val replicas : t -> replica list
+(** Backends of the live replicas, in spawn order. *)
+val replicas : t -> Cvd_back.t list
 
 (** Boot a second live driver VM serving the same exports — a
-    migration target.  Process context. *)
-val spawn_driver_replica : ?name:string -> t -> replica
-
-type migrate_stats = {
-  mg_blackout_us : float;
-  mg_checkpoint_bytes : int;
-  mg_files_restored : int;
-  mg_files_dropped : int;
-  mg_vmas_restored : int;
-  mg_fasync_rearmed : int;
-  mg_mappings_kept : int;
-  mg_mappings_dropped : int;
-  mg_grants_revoked : int;
-}
+    migration target — and return its backend.  Process context. *)
+val spawn_driver_replica : ?name:string -> t -> Cvd_back.t
 
 type migrate_outcome =
-  | Migrated of migrate_stats
+  | Migrated of Cvd_back.restore_stats
   | Migrate_aborted of string
       (** crash before cutover: the session is untouched on the
           source *)
-  | Migrate_failed_back of string * migrate_stats
+  | Migrate_failed_back of string * Cvd_back.restore_stats
       (** the destination crashed mid-restore; the same snapshot was
           restored back onto the source — the session lands whole on
           exactly one side *)
 
 (** Move one guest's session between live driver VMs using the same
     checkpoint/restore core as the hot upgrade.  [dst] is typically a
-    {!replica}'s backend (or [t.backend] to migrate home).  Process
+    replica's backend (or [t.backend] to migrate home).  Process
     context. *)
 val migrate_guest : t -> guest -> dst:Cvd_back.t -> migrate_outcome
 

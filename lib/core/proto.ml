@@ -430,9 +430,11 @@ let decode_request b =
    declaration order after decode and before dispatch, returning
    either a (possibly clamped) request or the field that failed.  Wire
    signedness is settled by the spec table's read policies: [U32]
-   fields can never be negative, and a hostile top-bit-set u64 read
-   through a [U63] policy surfaces as a negative int and is caught by
-   the derived [>= min] range checks. *)
+   fields can never be negative, and a [U63] read drops bit 63, so a
+   hostile u64 with bit 62 set surfaces as a negative int and is
+   caught by the derived [>= min] range checks, while one with only
+   bit 63 set reads as its low 63 bits and is checked as that
+   value. *)
 
 let validate_limits ~(limits : W.limits) ((req : request), grant_ref, pid) :
     (request, violation) result =

@@ -22,13 +22,12 @@
     empty; in-flight operations drain or are replayed by the
     frontend).
 
-    The v1 wire layout is declared {e once} below as a
-    {!Wire_spec.Stream} combinator value ([snap_t]); {!encode} and
-    {!decode} are the derived writer and reader over it.  {!decode}
-    distrusts the blob the way {!Proto.decode_request} distrusts a
-    descriptor: every length and tag check is attached to the field
-    that carries it, raising {!Malformed} rather than producing an
-    undefined session. *)
+    {!encode} writes the v1 layout field by field; {!decode} reads it
+    back in the same order.  {!decode} distrusts the blob the way
+    {!Proto.decode_request} distrusts a descriptor: it checks the
+    bytes are there before each read and bounds every count, id and
+    length as soon as it is read, raising {!Malformed} rather than
+    producing an undefined session. *)
 
 type file_rec = {
   fr_vfd : int;
@@ -69,138 +68,141 @@ let max_vmas_per_file = 4096
 let max_grant_groups = 4096
 let max_ops_per_group = 4096
 
-let op_code : Hypervisor.Grant_table.op -> int = function
-  | Hypervisor.Grant_table.Copy_to_user _ -> 1
-  | Hypervisor.Grant_table.Copy_from_user _ -> 2
-  | Hypervisor.Grant_table.Map_page _ -> 3
-
-let op_fields : Hypervisor.Grant_table.op -> int * int = function
-  | Hypervisor.Grant_table.Copy_to_user { addr; len }
-  | Hypervisor.Grant_table.Copy_from_user { addr; len }
-  | Hypervisor.Grant_table.Map_page { addr; len } ->
-      (addr, len)
-
-(* ---- the v1 layout, declared once ----
-
-   Checks are closures raising {!Malformed} directly, attached to the
-   field whose wire word they bound; [Wire_spec.Stream] runs them in
-   read order.  u32-read counts and refs cannot be negative by the
-   DSL's read policy, so only upper bounds appear; 64-bit fields read
-   under the u63 policy, so a hostile top-bit-set word surfaces as a
-   negative int and is rejected by the explicit checks below. *)
-
-module Ws = Wire_spec.Stream
-
-let vma_t : (int * int * int) Ws.t =
-  Ws.conv
-    (fun ((gva, len), pgoff) ->
-      if len < 0 || gva < 0 || pgoff < 0 then malformed "negative vma field";
-      (gva, len, pgoff))
-    (fun (gva, len, pgoff) -> ((gva, len), pgoff))
-    (Ws.pair (Ws.pair Ws.i64 Ws.i64) Ws.i64)
-
-let file_t : file_rec Ws.t =
-  Ws.conv
-    (fun ((((fr_vfd, fr_path), fr_fasync), fr_nonblock), fr_vmas) ->
-      { fr_vfd; fr_path; fr_fasync; fr_nonblock; fr_vmas })
-    (fun fr ->
-      ((((fr.fr_vfd, fr.fr_path), fr.fr_fasync), fr.fr_nonblock), fr.fr_vmas))
-    (Ws.pair
-       (Ws.pair
-          (Ws.pair
-             (Ws.pair
-                (Ws.u32c (fun v -> if v > max_files then malformed "vfd %d" v))
-                (Ws.strc (fun n -> if n > 256 then malformed "path length %d" n)))
-             Ws.boolean)
-          Ws.boolean)
-       (Ws.listc
-          (fun n -> if n > max_vmas_per_file then malformed "vma count %d" n)
-          vma_t))
-
-let grant_op_t : Hypervisor.Grant_table.op Ws.t =
-  Ws.conv
-    (fun (code, (addr, len)) ->
-      if addr < 0 || len < 0 then malformed "negative grant field";
-      match code with
-      | 1 -> Hypervisor.Grant_table.Copy_to_user { addr; len }
-      | 2 -> Hypervisor.Grant_table.Copy_from_user { addr; len }
-      | 3 -> Hypervisor.Grant_table.Map_page { addr; len }
-      | n -> malformed "grant op kind %d" n)
-    (fun op -> (op_code op, op_fields op))
-    (Ws.pair Ws.u32 (Ws.pair Ws.i64 Ws.i64))
-
-let grant_group_t : (int * Hypervisor.Grant_table.op list) Ws.t =
-  Ws.pair
-    (Ws.u32c (fun g ->
-         if g >= Hypervisor.Grant_table.capacity then malformed "grant ref %d" g))
-    (Ws.listc
-       (fun n -> if n > max_ops_per_group then malformed "op count %d" n)
-       grant_op_t)
-
-let header_t : (int * int) Ws.t =
-  Ws.pair
-    (Ws.u32c (fun m -> if m <> magic then malformed "bad magic 0x%x" m))
-    (Ws.u32c (fun v ->
-         if v <> version then malformed "unsupported snapshot version %d" v))
-
-let counters_t :
-    (((int * int) * (int * int)) * ((int * int) * (int * int))) Ws.t =
-  Ws.pair
-    (Ws.pair (Ws.pair Ws.u32 Ws.u32) (Ws.pair Ws.u32 Ws.u32))
-    (Ws.pair (Ws.pair Ws.u32 Ws.u32) (Ws.pair Ws.u32 Ws.u32))
-
-let snap_t : link_snap Ws.t =
-  Ws.conv
-    (fun ( ( _header,
-             ( ( ((ls_guest_vm_id, ls_next_vfd), (ls_ops_served, ls_malformed)),
-                 ( (ls_rejected, ls_grant_faults),
-                   (ls_quota_breaches, ls_score) ) ),
-               ls_quarantined ) ),
-           (ls_files, ls_grants) ) ->
-      {
-        ls_guest_vm_id;
-        ls_next_vfd;
-        ls_ops_served;
-        ls_malformed;
-        ls_rejected;
-        ls_grant_faults;
-        ls_quota_breaches;
-        ls_score;
-        ls_quarantined;
-        ls_files;
-        ls_grants;
-      })
-    (fun s ->
-      ( ( (magic, version),
-          ( ( ( (s.ls_guest_vm_id, s.ls_next_vfd),
-                (s.ls_ops_served, s.ls_malformed) ),
-              ( (s.ls_rejected, s.ls_grant_faults),
-                (s.ls_quota_breaches, s.ls_score) ) ),
-            s.ls_quarantined ) ),
-        (s.ls_files, s.ls_grants) ))
-    (Ws.pair
-       (Ws.pair header_t (Ws.pair counters_t Ws.boolean))
-       (Ws.pair
-          (Ws.listc (fun n -> if n > max_files then malformed "file count %d" n) file_t)
-          (Ws.listc
-             (fun n -> if n > max_grant_groups then malformed "grant group count %d" n)
-             grant_group_t)))
-
-(* ---- derived codec ---- *)
-
-let encode (snap : link_snap) : string =
+(* The v1 layout, little-endian; test/golden_corpus.ml pins its bytes,
+   so [encode] and [decode] must keep this field order. *)
+let encode (s : link_snap) : string =
   let b = Buffer.create 256 in
-  Ws.write b snap_t snap;
+  let u32 v = Buffer.add_int32_le b (Int32.of_int v) in
+  let i64 v = Buffer.add_int64_le b (Int64.of_int v) in
+  let flag v = u32 (if v then 1 else 0) in
+  List.iter u32
+    [ magic; version; s.ls_guest_vm_id; s.ls_next_vfd; s.ls_ops_served;
+      s.ls_malformed; s.ls_rejected; s.ls_grant_faults; s.ls_quota_breaches;
+      s.ls_score ];
+  flag s.ls_quarantined;
+  u32 (List.length s.ls_files);
+  List.iter
+    (fun fr ->
+      u32 fr.fr_vfd;
+      u32 (String.length fr.fr_path);
+      Buffer.add_string b fr.fr_path;
+      flag fr.fr_fasync;
+      flag fr.fr_nonblock;
+      u32 (List.length fr.fr_vmas);
+      List.iter (fun (gva, len, pgoff) -> i64 gva; i64 len; i64 pgoff) fr.fr_vmas)
+    s.ls_files;
+  u32 (List.length s.ls_grants);
+  List.iter
+    (fun (gref, ops) ->
+      u32 gref;
+      u32 (List.length ops);
+      List.iter
+        (fun op ->
+          let kind, addr, len =
+            match op with
+            | Hypervisor.Grant_table.Copy_to_user { addr; len } -> (1, addr, len)
+            | Hypervisor.Grant_table.Copy_from_user { addr; len } -> (2, addr, len)
+            | Hypervisor.Grant_table.Map_page { addr; len } -> (3, addr, len)
+          in
+          u32 kind;
+          i64 addr;
+          i64 len)
+        ops)
+    s.ls_grants;
   Buffer.contents b
 
+(* Every read is sequenced with [let]: OCaml leaves the evaluation
+   order of record fields and tuple components unspecified, while
+   [List.init] calls its function left to right.  u32 reads are masked
+   non-negative, so only upper bounds appear.  i64 reads go through
+   [Int64.to_int], which drops bit 63: a word reads negative only when
+   bit 62 is set, and the explicit sign checks reject it. *)
 let decode (blob : string) : link_snap =
-  let c = Ws.cursor blob in
-  let snap =
-    (* field checks raise our own Malformed; the stream reader raises
-       Wire_spec.Malformed on truncation — map it onto ours so callers
-       see a single exception *)
-    try Ws.read c snap_t with Wire_spec.Malformed m -> raise (Malformed m)
+  let pos = ref 0 in
+  let need n =
+    if !pos + n > String.length blob then
+      malformed "truncated snapshot at byte %d (need %d more)" !pos n
   in
-  if c.Ws.pos <> String.length blob then
-    malformed "%d trailing bytes" (String.length blob - c.Ws.pos);
-  snap
+  let u32 () =
+    need 4;
+    let v = Int32.to_int (String.get_int32_le blob !pos) land 0xffffffff in
+    pos := !pos + 4;
+    v
+  in
+  let i64 () =
+    need 8;
+    let v = Int64.to_int (String.get_int64_le blob !pos) in
+    pos := !pos + 8;
+    v
+  in
+  let flag () = u32 () <> 0 in
+  (* a u32 count, id or length, rejected as soon as it exceeds [limit] *)
+  let upto limit what =
+    let n = u32 () in
+    if n > limit then malformed "%s %d" what n;
+    n
+  in
+  let m = u32 () in
+  if m <> magic then malformed "bad magic 0x%x" m;
+  let v = u32 () in
+  if v <> version then malformed "unsupported snapshot version %d" v;
+  let ls_guest_vm_id = u32 () in
+  let ls_next_vfd = u32 () in
+  let ls_ops_served = u32 () in
+  let ls_malformed = u32 () in
+  let ls_rejected = u32 () in
+  let ls_grant_faults = u32 () in
+  let ls_quota_breaches = u32 () in
+  let ls_score = u32 () in
+  let ls_quarantined = flag () in
+  let vma _ =
+    let gva = i64 () in
+    let len = i64 () in
+    let pgoff = i64 () in
+    if gva < 0 || len < 0 || pgoff < 0 then malformed "negative vma field";
+    (gva, len, pgoff)
+  in
+  let file _ =
+    let fr_vfd = upto max_files "vfd" in
+    let n = upto 256 "path length" in
+    need n;
+    let fr_path = String.sub blob !pos n in
+    pos := !pos + n;
+    let fr_fasync = flag () in
+    let fr_nonblock = flag () in
+    let fr_vmas = List.init (upto max_vmas_per_file "vma count") vma in
+    { fr_vfd; fr_path; fr_fasync; fr_nonblock; fr_vmas }
+  in
+  let ls_files = List.init (upto max_files "file count") file in
+  let op _ =
+    let kind = u32 () in
+    let addr = i64 () in
+    let len = i64 () in
+    if addr < 0 || len < 0 then malformed "negative grant field";
+    match kind with
+    | 1 -> Hypervisor.Grant_table.Copy_to_user { addr; len }
+    | 2 -> Hypervisor.Grant_table.Copy_from_user { addr; len }
+    | 3 -> Hypervisor.Grant_table.Map_page { addr; len }
+    | n -> malformed "grant op kind %d" n
+  in
+  let group _ =
+    let gref = upto (Hypervisor.Grant_table.capacity - 1) "grant ref" in
+    let ops = List.init (upto max_ops_per_group "op count") op in
+    (gref, ops)
+  in
+  let ls_grants = List.init (upto max_grant_groups "grant group count") group in
+  if !pos <> String.length blob then
+    malformed "%d trailing bytes" (String.length blob - !pos);
+  {
+    ls_guest_vm_id;
+    ls_next_vfd;
+    ls_ops_served;
+    ls_malformed;
+    ls_rejected;
+    ls_grant_faults;
+    ls_quota_breaches;
+    ls_score;
+    ls_quarantined;
+    ls_files;
+    ls_grants;
+  }

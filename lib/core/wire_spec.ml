@@ -293,98 +293,3 @@ let hostile_field rng b ~base f =
         | 0 -> 257
         | 1 -> 2000
         | _ -> 0xffffffff)
-
-(* ---- sequential streams (snapshot blobs) ---- *)
-
-module Stream = struct
-  type cursor = { buf : string; mutable pos : int }
-
-  let cursor buf = { buf; pos = 0 }
-
-  let need c n =
-    if c.pos + n > String.length c.buf then
-      raise
-        (Malformed
-           (Printf.sprintf "truncated snapshot at byte %d (need %d more)" c.pos n))
-
-  type 'a t =
-    | U32 : (int -> unit) -> int t
-    | I64 : (int -> unit) -> int t
-    | Bool : bool t
-    | Strc : (int -> unit) -> string t
-    | Listc : (int -> unit) * 'a t -> 'a list t
-    | Pair : 'a t * 'b t -> ('a * 'b) t
-    | Conv : ('a -> 'b) * ('b -> 'a) * 'a t -> 'b t
-
-  let nocheck (_ : int) = ()
-  let u32 = U32 nocheck
-  let u32c check = U32 check
-  let i64 = I64 nocheck
-  let boolean = Bool
-  let strc check = Strc check
-  let listc check elem = Listc (check, elem)
-  let pair a b = Pair (a, b)
-  let conv dec enc t = Conv (dec, enc, t)
-
-  let w32 b v = Buffer.add_int32_le b (Int32.of_int v)
-  let w64 b v = Buffer.add_int64_le b (Int64.of_int v)
-
-  let rec write : type a. Buffer.t -> a t -> a -> unit =
-   fun b t v ->
-    match t with
-    | U32 _ -> w32 b v
-    | I64 _ -> w64 b v
-    | Bool -> w32 b (if v then 1 else 0)
-    | Strc _ ->
-        w32 b (String.length v);
-        Buffer.add_string b v
-    | Listc (_, elem) ->
-        w32 b (List.length v);
-        List.iter (write b elem) v
-    | Pair (ta, tb) ->
-        let x, y = v in
-        write b ta x;
-        write b tb y
-    | Conv (_, enc, inner) -> write b inner (enc v)
-
-  let r32 c =
-    need c 4;
-    let v = Int32.to_int (String.get_int32_le c.buf c.pos) land 0xffffffff in
-    c.pos <- c.pos + 4;
-    v
-
-  let r64 c =
-    need c 8;
-    let v = Int64.to_int (String.get_int64_le c.buf c.pos) in
-    c.pos <- c.pos + 8;
-    v
-
-  let rec read : type a. cursor -> a t -> a =
-   fun c t ->
-    match t with
-    | U32 check ->
-        let v = r32 c in
-        check v;
-        v
-    | I64 check ->
-        let v = r64 c in
-        check v;
-        v
-    | Bool -> r32 c <> 0
-    | Strc check ->
-        let n = r32 c in
-        check n;
-        need c n;
-        let s = String.sub c.buf c.pos n in
-        c.pos <- c.pos + n;
-        s
-    | Listc (check, elem) ->
-        let n = r32 c in
-        check n;
-        List.init n (fun _ -> read c elem)
-    | Pair (ta, tb) ->
-        let x = read c ta in
-        let y = read c tb in
-        (x, y)
-    | Conv (dec, _, inner) -> dec (read c inner)
-end

@@ -16,10 +16,6 @@
       grammar-aware hostile mutator ({!hostile_field}) for the fuzz
       suites: valid skeleton, one field driven hostile.
 
-    The DSL has two flavors: fixed-offset {e slot} layouts (the shared
-    descriptor page: one field spec per wire word) and sequential
-    {e stream} layouts ({!Stream}, for the versioned snapshot blobs).
-
     Hand-written offset code described each operation three times
     (encode, decode, validate) and the copies drifted; here the spec
     table is the only place a field's layout or bounds appear. *)
@@ -54,9 +50,10 @@ type fval =
 (** Integer read policy — the one place wire signedness is decided.
     [U32] reads 4 bytes and masks to a non-negative int (so [< 0]
     checks downstream are dead by construction); [U63] reads 8 bytes
-    through [Int64.to_int], so a hostile top-bit-set u64 surfaces as a
-    negative int and is caught by the derived sanitizer's range
-    check. *)
+    through [Int64.to_int], which drops bit 63: a u64 with bit 62 set
+    surfaces as a negative int and is caught by the derived
+    sanitizer's range check, and one with only bit 63 set reads as its
+    low 63 bits.  The value checked is the value used either way. *)
 type width = U32 | U63
 
 (** Upper bounds in validation rules; [Lit] is wire-structural,
@@ -107,8 +104,8 @@ val max_vfd : int
 
 (** Raw little-endian slot words: the byte-level primitives every
     derived slot codec (and [Proto]'s header shims) is built from.
-    [r32] masks to non-negative; [r64] is [Int64.to_int] (u63 policy —
-    a top-bit-set u64 wraps negative). *)
+    [r32] masks to non-negative; 8-byte words read under the [U63]
+    policy of {!width}. *)
 val w32 : bytes -> int -> int -> unit
 
 val r32 : bytes -> int -> int
@@ -142,7 +139,8 @@ val generate : 'm spec -> limits -> Sim.Rng.t -> 'm
 
 (** Grammar-aware hostile mutation: overwrite one declared field (at
     [off + base]) in an encoded slot with a value chosen to violate
-    that field's own policy — top-bit-set u64s into [U63] words, NaN /
+    that field's own policy — u64s with bit 63 set into [U63] words
+    (negative once read when bit 62 is set too, see {!width}), NaN /
     negative / infinity bits into [Timeout] words, over-limit lengths
     into [Str] length words. *)
 val hostile_field : Sim.Rng.t -> bytes -> base:int -> field -> unit
@@ -165,47 +163,4 @@ module Coverage : sig
 
   (** [(branch, hits)] pairs, sorted by branch label. *)
   val snapshot : unit -> (string * int) list
-end
-
-(** Sequential (cursor-based) wire streams: the snapshot blob flavor
-    of the DSL.  A ['a t] declares layout once; {!write} and {!read}
-    are the derived encoder/decoder.  Decode-side checks are supplied
-    per field and may raise any exception (snapshot keeps its own
-    [Malformed]); truncation raises {!Malformed}. *)
-module Stream : sig
-  type 'a t
-
-  (** 4-byte little-endian, masked non-negative on read. *)
-  val u32 : int t
-
-  (** [u32c check]: as {!u32}, running [check] on every decoded
-      value. *)
-  val u32c : (int -> unit) -> int t
-
-  (** 8-byte little-endian through [Int64.to_int] (top-bit-set wraps
-      negative; pair with a [check] that rejects it). *)
-  val i64 : int t
-
-  val boolean : bool t
-
-  (** u32 length-prefixed bytes; [check] sees the length before any
-      bytes are read. *)
-  val strc : (int -> unit) -> string t
-
-  (** u32 count-prefixed repetition; [check] sees the count before any
-      element is read. *)
-  val listc : (int -> unit) -> 'a t -> 'a list t
-
-  val pair : 'a t -> 'b t -> ('a * 'b) t
-
-  (** [conv dec enc t] maps the raw shape to a richer type; [dec] may
-      raise (tag dispatch, cross-field checks). *)
-  val conv : ('a -> 'b) -> ('b -> 'a) -> 'a t -> 'b t
-
-  val write : Buffer.t -> 'a t -> 'a -> unit
-
-  type cursor = { buf : string; mutable pos : int }
-
-  val cursor : string -> cursor
-  val read : cursor -> 'a t -> 'a
 end

@@ -15,7 +15,7 @@ type t = {
   kernel : Kernel.t;
   mutable rate_hz : int;
   mutable channels : int;
-  mutable sample_bytes : int;
+  sample_bytes : int;
   ring_capacity : int; (* bytes *)
   mutable ring_level : int;
   mutable consumed_bytes : int;

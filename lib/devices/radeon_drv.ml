@@ -24,13 +24,7 @@ type storage =
   | Gtt of { gpas : int array; spas : int array; mutable dma : int option }
   | Vram_bo of { offset : int } (* byte offset into the VRAM aperture *)
 
-type bo = {
-  handle : int;
-  size : int;
-  pages : int;
-  storage : storage;
-  owner_file : int;
-}
+type bo = { size : int; pages : int; storage : storage }
 
 type client = Local | Guest of int (* vm id *)
 
@@ -56,8 +50,7 @@ type t = {
   pool_gpa_of_spa : (int, int) Hashtbl.t;
   (* per-region VRAM offset allocators (isolation mode) *)
   region_vram_allocs : (int, Memory.Allocator.t) Hashtbl.t;
-  mutable region_switch_cost_us : float; (* charged per IOMMU entry on switch *)
-  mutable irq_reason_gpa : int option; (* reason buffer (non-isolated mode) *)
+  region_switch_cost_us : float; (* charged per IOMMU entry on switch *)
   mutable stats_region_switches : int;
   (* extensions beyond the paper's prototype *)
   mutable protect_command_streamer : bool; (* §8: reject dangerous registers *)
@@ -92,7 +85,6 @@ let create ~kernel ~gpu ~iommu ~bar_gpa ~mc_mmio_gpa =
     pool_gpa_of_spa = Hashtbl.create 64;
     region_vram_allocs = Hashtbl.create 4;
     region_switch_cost_us = 0.6;
-    irq_reason_gpa = None;
     stats_region_switches = 0;
     protect_command_streamer = false;
     watchdog_timeout_us = infinity; (* opt-in: see set_watchdog_timeout *)
@@ -140,7 +132,6 @@ let init_native t =
   t.next_dma <- t.next_dma + page_size;
   Memory.Iommu.map t.iommu ~dma ~spa ~perms:Memory.Perm.rw ~region:None;
   Gpu_hw.set_irq_status_buffer t.gpu (Some dma);
-  t.irq_reason_gpa <- Some gpa;
   Gpu_hw.bind_irq t.gpu (fun () ->
       (* read the reason from system memory, as Evergreen does *)
       let reason =
@@ -367,7 +358,7 @@ let handle_gem_create t task file ~arg =
   in
   let handle = t.next_handle in
   t.next_handle <- handle + 1;
-  let bo = { handle; size; pages; storage; owner_file = file.Defs.file_id } in
+  let bo = { size; pages; storage } in
   Hashtbl.replace t.bos (file.Defs.file_id, handle) bo;
   (* write the handle back into the user struct *)
   Bytes.set_int32_le data Radeon_ioctl.gem_create_off_handle (Int32.of_int handle);

@@ -23,7 +23,6 @@ type buffer = {
   pages : int array; (* driver-VM gpas *)
   mutable queued : bool;
   mutable filled : bool;
-  mutable sequence : int;
 }
 
 type t = {
@@ -85,7 +84,6 @@ let start_sensor t =
           | Some b ->
               (* stamp the frame header into the buffer's first page *)
               t.sequence <- t.sequence + 1;
-              b.sequence <- t.sequence;
               b.filled <- true;
               let vm = Kernel.vm t.kernel in
               let hdr = Bytes.create 8 in
@@ -119,7 +117,6 @@ let handle_reqbufs t task ~arg =
             Array.init (buffer_pages t) (fun _ -> Hypervisor.Vm.alloc_gpa_page vm);
           queued = false;
           filled = false;
-          sequence = 0;
         });
   Uaccess.copy_to_user task ~uaddr data;
   0

@@ -28,7 +28,6 @@ let entry_size = 24
 let capacity = Memory.Addr.page_size / entry_size
 
 type t = {
-  page : Shared_page.t;
   guest : Shared_page.view; (* frontend's mapping *)
   hyp : Shared_page.view; (* hypervisor's direct view *)
   (* Bumped by every mutation (declare/release/revoke_all) so the
@@ -53,7 +52,6 @@ let create phys ~guest_vm =
      directly. *)
   let (_ : int) = Shared_page.map_into page guest_vm ~perms:Memory.Perm.rw in
   {
-    page;
     guest = Shared_page.view_of page guest_vm;
     hyp = Shared_page.hypervisor_view page;
     generation = 0;
@@ -62,7 +60,6 @@ let create phys ~guest_vm =
     quota_breaches = 0;
   }
 
-let page t = t.page
 let generation t = t.generation
 
 let set_quota t q =

@@ -22,7 +22,6 @@ exception Quota_exceeded
 
 val capacity : int
 val create : Memory.Phys_mem.t -> guest_vm:Vm.t -> t
-val page : t -> Shared_page.t
 
 (** Mutation counter — bumped by {!declare}, {!release} and
     {!revoke_all}; lets the hypervisor's grant-check cache detect

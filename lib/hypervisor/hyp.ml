@@ -81,8 +81,6 @@ let create_vm t ~name ~kind ~mem_bytes =
       (* all VM TLBs feed the hypervisor's audit counters *)
       tlb = Memory.Tlb.create ~stats:t.audit.Audit.tlb ();
       gpa_alloc = Memory.Allocator.create ~base:0 ~size:mem_bytes;
-      mem_bytes;
-      grant_frame = None;
       alive = true;
     }
   in
@@ -188,7 +186,6 @@ let revalidate_vm_mappings t ~target =
 (** Set up a guest's grant table (one page shared guest<->hypervisor). *)
 let setup_grant_table t guest =
   let table = Grant_table.create t.phys ~guest_vm:guest in
-  guest.Vm.grant_frame <- Some (Shared_page.spn (Grant_table.page table));
   Hashtbl.replace t.grant_tables (Vm.id guest) table;
   table
 

@@ -18,7 +18,6 @@ type region = {
   owner_vm : int; (* guest VM id *)
   pool : int array; (* spns of protected driver-VM system pages *)
   mutable pool_free : int list;
-  mutable pool_used : (int * int) list; (* spn, dma address it may map at *)
   dev_base : int; (* spa base of this region's device-memory slice *)
   dev_pages : int;
   (* IOMMU mappings this region wants live while active: dma -> (spa, perms) *)
@@ -88,7 +87,6 @@ let create hyp ~driver_vm ~iommu ~owners ~pool_spns ~dev_mem =
              owner_vm = Vm.id owner;
              pool = Array.of_list pools.(i);
              pool_free = pools.(i);
-             pool_used = [];
              dev_base = dev_base + (i * slice * Memory.Addr.page_size);
              dev_pages = slice;
              iommu_wants = Hashtbl.create 64;

@@ -37,8 +37,6 @@ let allocate ?(pages = 1) phys =
   in
   { phys; base_spn; pages; mappings = [] }
 
-let spn t = t.base_spn
-
 (** Map the region into [vm] at a fresh contiguous guest-physical
     range; returns its base address. *)
 let map_into t vm ~perms =

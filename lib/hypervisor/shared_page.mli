@@ -18,9 +18,6 @@ type view = {
     contiguous frames. *)
 val allocate : ?pages:int -> Memory.Phys_mem.t -> t
 
-(** First backing frame. *)
-val spn : t -> int
-
 (** Map into [vm] at a fresh contiguous guest-physical range
     (base returned). *)
 val map_into : t -> Vm.t -> perms:Memory.Perm.t -> int

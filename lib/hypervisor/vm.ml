@@ -23,8 +23,6 @@ type t = {
   ept : Memory.Ept.t;
   tlb : Memory.Tlb.t;
   gpa_alloc : Memory.Allocator.t;
-  mem_bytes : int;
-  mutable grant_frame : int option; (* spn of the registered grant table *)
   mutable alive : bool; (* cleared when the VM crashes or is killed *)
 }
 

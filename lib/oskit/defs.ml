@@ -28,7 +28,6 @@ type task = {
 and file = {
   file_id : int;
   dev : device;
-  opener : task;
   mutable nonblock : bool;
   mutable fasync_subscribers : task list;
   mutable closed : bool;

@@ -1,15 +1,12 @@
 (** A simulated Unix-like kernel instance (one per VM). *)
 
-type costs = {
-  syscall_us : float; (* user/kernel crossing *)
-  context_switch_us : float;
-}
+type costs = { syscall_us : float (* user/kernel crossing *) }
 
-let zero_costs = { syscall_us = 0.; context_switch_us = 0. }
+let zero_costs = { syscall_us = 0. }
 
 (** Calibrated so a native no-op file operation costs well under a
     microsecond, matching the paper's native baselines. *)
-let default_costs = { syscall_us = 0.3; context_switch_us = 1.2 }
+let default_costs = { syscall_us = 0.3 }
 
 type t = {
   engine : Sim.Engine.t;

@@ -1,6 +1,6 @@
 (** A simulated Unix-like kernel instance (one per VM). *)
 
-type costs = { syscall_us : float; context_switch_us : float }
+type costs = { syscall_us : float }
 
 val zero_costs : costs
 

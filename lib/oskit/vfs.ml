@@ -34,7 +34,6 @@ let open_file task dev ~file_id =
     {
       file_id;
       dev;
-      opener = task;
       nonblock = false;
       fasync_subscribers = [];
       closed = false;

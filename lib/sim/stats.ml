@@ -4,7 +4,6 @@
     percentiles are available alongside the running mean. *)
 
 type t = {
-  name : string;
   mutable samples : float list;
   mutable sorted : float array option; (* cache, invalidated by [add] *)
   mutable count : int;
@@ -13,9 +12,8 @@ type t = {
   mutable max : float;
 }
 
-let create name =
+let create (_ : string) =
   {
-    name;
     samples = [];
     sorted = None;
     count = 0;
@@ -87,9 +85,8 @@ let merge_into ~into t =
     if t.max > into.max then into.max <- t.max
   end
 
-(** [merge name ts] pools the samples of [ts] into a fresh
-    accumulator. *)
-let merge name ts =
-  let into = create name in
+(** [merge ts] pools the samples of [ts] into a fresh accumulator. *)
+let merge ts =
+  let into = create "" in
   List.iter (fun t -> merge_into ~into t) ts;
   into

@@ -2,6 +2,8 @@
 
 type t
 
+(** [create name]: the name only labels the call site; it is not
+    stored. *)
 val create : string -> t
 val add : t -> float -> unit
 val count : t -> int
@@ -21,5 +23,5 @@ val p999 : t -> float
     samples); [t] is unchanged. *)
 val merge_into : into:t -> t -> unit
 
-(** Pool the given accumulators into a fresh one named [name]. *)
-val merge : string -> t list -> t
+(** Pool the given accumulators into a fresh one. *)
+val merge : t list -> t

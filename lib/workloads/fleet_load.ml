@@ -36,8 +36,6 @@ type spec = {
 
 type guest_result = {
   g_global : int;
-  g_ok : int;
-  g_err : int; (* failed operations (only expected under a crash) *)
   g_lat : Sim.Stats.t; (* per-op latency, us *)
 }
 
@@ -193,8 +191,6 @@ let run_shard spec =
     List.init n (fun i ->
         {
           g_global = spec.globals.(i);
-          g_ok = ok.(i);
-          g_err = err.(i);
           g_lat = lat.(i);
         })
   in

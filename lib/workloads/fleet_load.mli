@@ -18,8 +18,6 @@ type spec = {
 
 type guest_result = {
   g_global : int;
-  g_ok : int;
-  g_err : int;  (** failed ops (expected only under a crash) *)
   g_lat : Sim.Stats.t;  (** per-op latency, us *)
 }
 

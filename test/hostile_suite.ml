@@ -523,7 +523,7 @@ let reject_sweep ~dev_class ~attach ~path =
         | Some f -> f
         | None ->
             violation "class=%s: no facts in the registry" dev_class;
-            { F.fd_driver = dev_class; fd_version = ""; fd_handlers = [] }
+            { F.fd_driver = dev_class; fd_handlers = [] }
       in
       let einval = Errno.to_code Errno.EINVAL in
       List.iter

@@ -207,7 +207,6 @@ let prop_macro_cmds_static =
         {
           Ir.cmd;
           handler_name = "synthetic";
-          uses_macro = true;
           body =
             [
               Ir.Copy_from_user { dst_buf = "b"; src = Ir.Arg; len = Ir.Const size };

@@ -223,6 +223,36 @@ let test_open_vfd_cap () =
       Alcotest.(check int) "quota breach counted" 1 link.CB.quota_breaches;
       Alcotest.(check int) "only two vfds live" 2 (Hashtbl.length link.CB.files))
 
+(* Backend vfds wrap within [1, Proto.max_vfd]: a link whose counter
+   sits at the top of the range still hands out valid, distinct vfds,
+   so a well-behaved guest is never scored for the backend's numbers. *)
+let test_vfd_numbers_wrap () =
+  let m, g = boot_null () in
+  g.M.link.CB.next_vfd <- P.max_vfd;
+  run_in (M.engine m) (fun () ->
+      let k = g.M.kernel in
+      let app = M.spawn_app m k ~name:"app" in
+      let open_null () =
+        match Vfs.openf k app "/dev/null0" with
+        | Ok fd -> fd
+        | Error e -> Alcotest.failf "open failed with %s" (Errno.to_string e)
+      in
+      let fd1 = open_null () in
+      let fd2 = open_null () in
+      for round = 1 to 20 do
+        List.iter
+          (fun fd ->
+            match Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L with
+            | Ok 0 -> ()
+            | Ok v -> Alcotest.failf "round %d: ioctl returned %d" round v
+            | Error e ->
+                Alcotest.failf "round %d: ioctl failed with %s" round
+                  (Errno.to_string e))
+          [ fd1; fd2 ]
+      done);
+  Alcotest.(check int) "score stays 0" 0 g.M.link.CB.score;
+  Alcotest.(check bool) "not quarantined" false g.M.link.CB.quarantined
+
 let test_grant_entry_quota () =
   let config =
     { Paradice.Config.default with Paradice.Config.max_grant_entries = 4 }
@@ -478,6 +508,8 @@ let suites =
     ( "containment.quotas",
       [
         Alcotest.test_case "open vfd cap" `Quick test_open_vfd_cap;
+        Alcotest.test_case "vfd numbers wrap below max_vfd" `Quick
+          test_vfd_numbers_wrap;
         Alcotest.test_case "grant entry quota" `Quick test_grant_entry_quota;
         Alcotest.test_case "cpu budget throttles" `Quick test_cpu_budget_throttles;
       ] );

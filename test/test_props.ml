@@ -11,7 +11,6 @@ let prop_analyzer_offline_matches_runtime =
         {
           Analyzer.Ir.cmd = Oskit.Ioctl_num.iowr ~typ:'z' ~nr:7 ~size:(size land 0x3fff);
           handler_name = "synthetic";
-          uses_macro = true;
           body =
             [
               Analyzer.Ir.Copy_from_user

@@ -291,7 +291,7 @@ let test_stats_merge () =
         Sim.Stats.add pooled x
       done)
     parts;
-  let merged = Sim.Stats.merge "merged" parts in
+  let merged = Sim.Stats.merge parts in
   Alcotest.(check int) "count" (Sim.Stats.count pooled) (Sim.Stats.count merged);
   check_float "mean" (Sim.Stats.mean pooled) (Sim.Stats.mean merged);
   check_float "min" (Sim.Stats.min_value pooled) (Sim.Stats.min_value merged);

@@ -74,17 +74,65 @@ let test_snapshot_rejects_malformed () =
     | (_ : Snapshot.link_snap) -> Alcotest.failf "%s: decoded" label
     | exception Snapshot.Malformed _ -> ()
   in
-  (* bad magic *)
-  let b = Bytes.of_string blob in
-  Bytes.set b 0 '\xff';
-  expect_malformed "bad magic" (Bytes.to_string b);
   (* truncations at every prefix must fail cleanly, never raise
      anything but Malformed *)
   for len = 0 to String.length blob - 1 do
     expect_malformed "truncated" (String.sub blob 0 len)
   done;
-  (* trailing garbage *)
-  expect_malformed "trailing bytes" (blob ^ "x");
+  (* every check, pinned by a forged blob and its exact message *)
+  let expect_message msg b =
+    match Snapshot.decode b with
+    | (_ : Snapshot.link_snap) -> Alcotest.failf "%s: decoded" msg
+    | exception Snapshot.Malformed m -> Alcotest.(check string) msg msg m
+  in
+  let empty = { (sample_snap ()) with Snapshot.ls_files = []; ls_grants = [] } in
+  let one_file =
+    {
+      empty with
+      Snapshot.ls_files =
+        [
+          {
+            Snapshot.fr_vfd = 1;
+            fr_path = "/dev/null0";
+            fr_fasync = false;
+            fr_nonblock = false;
+            fr_vmas = [ (0x4000_0000, 4096, 0) ];
+          };
+        ];
+    }
+  in
+  let one_grant =
+    {
+      empty with
+      Snapshot.ls_grants =
+        [ (0, [ Hypervisor.Grant_table.Copy_to_user { addr = 0x1000; len = 64 } ]) ];
+    }
+  in
+  Alcotest.(check int) "empty snapshot size" 52 (String.length (Snapshot.encode empty));
+  let u32 v b at = Bytes.set_int32_le b at (Int32.of_int v) in
+  let i64 v b at = Bytes.set_int64_le b at v in
+  List.iter
+    (fun (snap, at, set, msg) ->
+      let b = Bytes.of_string (Snapshot.encode snap) in
+      set b at;
+      expect_message msg (Bytes.to_string b))
+    [
+      (empty, 0, u32 0x50AD1CFF, "bad magic 0x50ad1cff");
+      (empty, 4, u32 2, "unsupported snapshot version 2");
+      (empty, 44, u32 ((1 lsl 20) + 1), "file count 1048577");
+      (empty, 48, u32 4097, "grant group count 4097");
+      (one_file, 48, u32 ((1 lsl 20) + 1), "vfd 1048577");
+      (one_file, 52, u32 257, "path length 257");
+      (one_file, 74, u32 4097, "vma count 4097");
+      (one_file, 78, i64 0x4000_0000_0000_0000L, "negative vma field");
+      (one_grant, 52, u32 170, "grant ref 170");
+      (one_grant, 56, u32 4097, "op count 4097");
+      (one_grant, 60, u32 4, "grant op kind 4");
+      (one_grant, 64, i64 0xFFFF_FFFF_FFFF_FFFFL, "negative grant field");
+    ];
+  expect_message "truncated snapshot at byte 44 (need 4 more)"
+    (String.sub (Snapshot.encode empty) 0 46);
+  expect_message "1 trailing bytes" (Snapshot.encode empty ^ "x");
   (* a corrupted interior byte may change values but must never escape
      as anything other than a decoded snapshot or Malformed *)
   for i = 0 to String.length blob - 1 do
@@ -398,7 +446,7 @@ let test_upgrade_crash_mid_restore_faults_then_reboots () =
 let check_exactly_one_side m (g : M.guest) =
   let on_main = Cvd_back.has_link m.M.backend g.M.link in
   let on_reps =
-    List.filter (fun r -> Cvd_back.has_link r.M.rep_backend g.M.link) (M.replicas m)
+    List.filter (fun r -> Cvd_back.has_link r g.M.link) (M.replicas m)
   in
   Alcotest.(check int) "session on exactly one side" 1
     ((if on_main then 1 else 0) + List.length on_reps)
@@ -412,14 +460,14 @@ let test_migration_moves_session () =
       let k = g.M.kernel in
       let fd = ok (Vfs.openf k app "/dev/null0") in
       let rep = M.spawn_driver_replica m in
-      (match M.migrate_guest m g ~dst:rep.M.rep_backend with
+      (match M.migrate_guest m g ~dst:rep with
       | M.Migrated s ->
-          Alcotest.(check int) "file moved" 1 s.M.mg_files_restored;
-          Alcotest.(check int) "nothing dropped" 0 s.M.mg_files_dropped
+          Alcotest.(check int) "file moved" 1 s.Cvd_back.rs_files;
+          Alcotest.(check int) "nothing dropped" 0 s.Cvd_back.rs_dropped
       | _ -> Alcotest.fail "expected Migrated");
       check_exactly_one_side m g;
       Alcotest.(check bool) "now on the replica" true
-        (Cvd_back.has_link rep.M.rep_backend g.M.link);
+        (Cvd_back.has_link rep g.M.link);
       Alcotest.(check int) "same fd serves on the replica" 0
         (ok (Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L));
       (* and back home, through the same core *)
@@ -508,6 +556,55 @@ let test_restore_revalidates_snapshot () =
       Alcotest.(check int) "one SIGIO subscriber" 1
         (List.length fs.Cvd_back.file.Defs.fasync_subscribers))
 
+(* A restored vfd stays taken: the next live [Ropen] skips it even when
+   the snapshot's counter points at it. *)
+let test_restore_never_reissues_a_restored_vfd () =
+  let m = M.create () in
+  let (_ : Defs.device) = M.attach_null m in
+  let guest_vm =
+    Hypervisor.Hyp.create_vm (M.hyp m) ~name:"restored" ~kind:Hypervisor.Vm.Guest
+      ~mem_bytes:(16 * mib)
+  in
+  let guest_kernel =
+    Kernel.create ~engine:(M.engine m) ~vm:guest_vm ~flavor:Os_flavor.Linux_3_2_0 ()
+  in
+  let snap =
+    {
+      Snapshot.ls_guest_vm_id = Hypervisor.Vm.id guest_vm;
+      ls_next_vfd = 1;
+      ls_ops_served = 0;
+      ls_malformed = 0;
+      ls_rejected = 0;
+      ls_grant_faults = 0;
+      ls_quota_breaches = 0;
+      ls_score = 0;
+      ls_quarantined = false;
+      ls_files =
+        [
+          {
+            Snapshot.fr_vfd = 1;
+            fr_path = "/dev/null0";
+            fr_fasync = false;
+            fr_nonblock = false;
+            fr_vmas = [];
+          };
+        ];
+      ls_grants = [];
+    }
+  in
+  run_in_process (M.engine m) (fun () ->
+      let app = M.spawn_app m guest_kernel ~name:"app" in
+      let link, s = Cvd_back.restore_link m.M.backend ~snap ~guest_vm () in
+      Alcotest.(check int) "vfd 1 restored" 1 s.Cvd_back.rs_files;
+      let worker = Kernel.spawn_task (M.driver_kernel m) ~name:"worker" in
+      let resp =
+        Cvd_back.serve_one m.M.backend link worker
+          (Paradice.Proto.encode_request ~grant_ref:0 ~pid:app.Defs.pid
+             (Paradice.Proto.Ropen { path = "/dev/null0" }))
+      in
+      Alcotest.(check bool) "fresh open gets vfd 2" true (resp = Paradice.Proto.Rok 2);
+      Alcotest.(check int) "both files held" 2 (Hashtbl.length link.Cvd_back.files))
+
 let test_migration_restore_crash_lands_on_source () =
   let inj = FI.create ~seed:17L () in
   let m = M.create ~config:(upgrade_config ~injector:inj ()) () in
@@ -520,7 +617,7 @@ let test_migration_restore_crash_lands_on_source () =
       g.M.link.Cvd_back.score <- 5 (* containment record must follow *);
       let rep = M.spawn_driver_replica m in
       FI.arm inj ~key:M.site_migrate_crash_restore (FI.Nth 1);
-      (match M.migrate_guest m g ~dst:rep.M.rep_backend with
+      (match M.migrate_guest m g ~dst:rep with
       | M.Migrate_failed_back (key, _) ->
           Alcotest.(check string) "failure names the site"
             M.site_migrate_crash_restore key
@@ -529,7 +626,7 @@ let test_migration_restore_crash_lands_on_source () =
       Alcotest.(check bool) "session landed back on the source" true
         (Cvd_back.has_link m.M.backend g.M.link);
       Alcotest.(check bool) "nothing left on the destination" false
-        (Cvd_back.has_link rep.M.rep_backend g.M.link);
+        (Cvd_back.has_link rep g.M.link);
       Alcotest.(check int) "containment record intact" 5
         g.M.link.Cvd_back.score;
       Alcotest.(check int) "same fd serves on the source" 0
@@ -568,5 +665,7 @@ let suites =
           test_migration_restore_crash_lands_on_source;
         Alcotest.test_case "restore re-validates every snapshot entry" `Quick
           test_restore_revalidates_snapshot;
+        Alcotest.test_case "restore never reissues a restored vfd" `Quick
+          test_restore_never_reissues_a_restored_vfd;
       ] );
   ]

@@ -43,10 +43,7 @@ let config inj =
 let check_one_side ~where m (g : M.guest) =
   let sides =
     (if CB.has_link m.M.backend g.M.link then 1 else 0)
-    + List.length
-        (List.filter
-           (fun r -> CB.has_link r.M.rep_backend g.M.link)
-           (M.replicas m))
+    + List.length (List.filter (fun r -> CB.has_link r g.M.link) (M.replicas m))
   in
   if sides <> 1 then violation "%s: session on %d sides (want 1)" where sides
 
@@ -78,7 +75,7 @@ let migration_case ~seed ~site =
       g.M.link.CB.quota_breaches <- 1;
       let rep = M.spawn_driver_replica m in
       Option.iter (fun s -> FI.arm inj ~key:s (FI.Nth 1)) site;
-      let outcome = M.migrate_guest m g ~dst:rep.M.rep_backend in
+      let outcome = M.migrate_guest m g ~dst:rep in
       (match (site, outcome) with
       | None, M.Migrated _ -> ()
       | None, _ -> violation "%s: clean migration did not complete" name

@@ -167,6 +167,8 @@ def scan(root):
     hits = []
     libdir = os.path.join(root, "lib")
     for d in sorted(os.listdir(libdir)):
+        if not os.path.isdir(os.path.join(libdir, d)):
+            continue  # lib/dune
         for f in sorted(os.listdir(os.path.join(libdir, d))):
             if not f.endswith(".mli"):
                 continue
