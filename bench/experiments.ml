@@ -65,7 +65,7 @@ let fig2 () =
       (ints [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ])
       (fun batch mode ->
         let _m, env = Setup.make ~devices:[ Setup.Netmap ] mode in
-        (Workloads.Netmap_pktgen.run env ~packets ~batch ()).Workloads.Netmap_pktgen.rate_mpps)
+        (Workloads.Netmap_pktgen.run env ~packets ~batch).Workloads.Netmap_pktgen.rate_mpps)
   in
   Report.note "line rate at 64B on 1GbE = 1.488 Mpps";
   Report.note
@@ -1121,7 +1121,7 @@ let trace () =
   let netmap_run tracer =
     let cfg = { Paradice.Config.default with Paradice.Config.tracer } in
     let _m, env = Setup.make ~devices:[ Setup.Netmap ] (Setup.Paradice cfg) in
-    (Workloads.Netmap_pktgen.run env ~packets:(scaled 2000) ~batch:8 ())
+    (Workloads.Netmap_pktgen.run env ~packets:(scaled 2000) ~batch:8)
       .Workloads.Netmap_pktgen.elapsed_s
   in
   let noop_off = noop_run Obs.Trace.disabled in
@@ -1576,7 +1576,7 @@ let notify () =
             let r =
               if batched then
                 Workloads.Netmap_pktgen.run_batched env ~packets ~batch ~ops_per_desc ()
-              else Workloads.Netmap_pktgen.run env ~packets ~batch ()
+              else Workloads.Netmap_pktgen.run env ~packets ~batch
             in
             r.Workloads.Netmap_pktgen.rate_mpps))
   in
@@ -1797,38 +1797,10 @@ let fleet () =
     "zipf(1.0) offered load: per-guest mean-latency spread %.2fx (1.0 = fair)"
     fairness;
 
-  (* -- dispatch: least-loaded scan vs power-of-two-choices -- *)
-  let wide c = { c with Paradice.Config.channels_per_guest = 16 } in
-  let dispatch_cfg d = { (wide Paradice.Config.default) with Paradice.Config.dispatch = d } in
-  let run_dispatch d =
-    let specs =
-      FL.make_specs ~shards:4 ~seed ~ops:uniform ~config:(dispatch_cfg d) ()
-    in
-    let results, wall = timed_run specs in
-    let merged =
-      Sim.Stats.merge (List.map (fun g -> g.FL.g_lat) (FL.all_guests results))
-    in
-    let err = Array.fold_left (fun a r -> a + r.FL.r_err) 0 results in
-    (wall, Sim.Stats.p99 merged, err)
-  in
-  let least_loaded = run_dispatch Paradice.Config.Least_loaded in
-  let two_choices = run_dispatch Paradice.Config.Two_choices in
-  let dispatch =
-    Report.rows ~prefix:"dispatch" ~corner:"dispatch (16 rings/guest)"
-      [
-        Report.num ~clock:Wall ~unit:"s" "wall s" (fun (w, _, _) -> w);
-        p "p99 us" (fun (_, p99, _) -> p99);
-        Report.int "errs" (fun (_, _, err) -> err);
-      ]
-      [ ("least-loaded scan", least_loaded); ("two-choices", two_choices) ]
-  in
-  Report.note "two-choices probes 2 rings per op instead of scanning all 16";
-
   if cores < 4 then Report.note "scaling gate skipped: only %d core(s) available" cores;
   let errors_gate name n =
     O.gate (name ^ ": no errored ops") (n = 0) (Printf.sprintf "%d errored ops" n)
   in
-  let _, _, ll_err = least_loaded and _, _, p2c_err = two_choices in
   outcome
     ([
        Report.count "guests" guests; Report.count "ops per guest" base_ops;
@@ -1836,7 +1808,7 @@ let fleet () =
        Report.wall ~unit:"x" "speedup 1 to 4 shards" speedup_4;
        Report.sim ~unit:"x" "zipf fairness" fairness; Report.count "zipf errors" zerr;
      ]
-    @ scaling_table @ dispatch)
+    @ scaling_table)
     ~gates:
       ([ O.gate ">= 200 guest links" (guests >= 200) (Printf.sprintf "%d links" guests) ]
       @ List.concat_map
@@ -1853,7 +1825,6 @@ let fleet () =
             (if deterministic then "bit-identical" else "DIVERGED");
           errors_gate "zipf" zerr;
           O.gate "zipf fairness <= 3x" (fairness <= 3.0) (Printf.sprintf "%.2fx" fairness);
-          errors_gate "dispatch comparison" (ll_err + p2c_err);
         ]
       @
       if cores >= 4 then

@@ -43,7 +43,7 @@ let mode =
 
 let inspect () =
   let machine = Paradice.Machine.create () in
-  ignore (Paradice.Machine.attach_gpu machine ());
+  ignore (Paradice.Machine.attach_gpu machine);
   ignore (Paradice.Machine.attach_mouse machine);
   ignore (Paradice.Machine.attach_keyboard machine);
   ignore (Paradice.Machine.attach_camera machine ());
@@ -117,7 +117,7 @@ let bench workload mode batch packets order frames =
       let avg = Workloads.Noop_bench.run env ~ops:2000 () in
       Printf.printf "  no-op file operation: %.2f us\n" avg
   | "netmap" ->
-      let r = Workloads.Netmap_pktgen.run env ~packets ~batch () in
+      let r = Workloads.Netmap_pktgen.run env ~packets ~batch in
       Printf.printf "  TX rate at batch %d: %.3f Mpps (%d packets in %.3fs)\n" batch
         r.Workloads.Netmap_pktgen.rate_mpps r.Workloads.Netmap_pktgen.packets
         r.Workloads.Netmap_pktgen.elapsed_s
@@ -171,7 +171,7 @@ let trace workload out ops packets batch =
   in
   (match workload with
   | "noop" -> ignore (Workloads.Noop_bench.run env ~ops ())
-  | "netmap" -> ignore (Workloads.Netmap_pktgen.run env ~packets ~batch ())
+  | "netmap" -> ignore (Workloads.Netmap_pktgen.run env ~packets ~batch)
   | _ -> ());
   let spans = List.length (Obs.Trace.completed tracer) in
   let r = Obs.Trace.reconcile tracer in

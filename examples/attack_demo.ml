@@ -14,10 +14,10 @@ let check name outcome =
 let () =
   let config = Paradice.Config.with_data_isolation Paradice.Config.default in
   let machine = Paradice.Machine.create ~config () in
-  let att = Paradice.Machine.attach_gpu machine () in
+  let att = Paradice.Machine.attach_gpu machine in
   let victim = Paradice.Machine.add_guest machine ~name:"victim" () in
   let attacker = Paradice.Machine.add_guest machine ~name:"attacker" () in
-  let mgr = Paradice.Machine.enable_gpu_data_isolation machine () in
+  let mgr = Paradice.Machine.enable_gpu_data_isolation machine in
   let hyp = Paradice.Machine.hyp machine in
   let driver_vm = Kernel.vm (Paradice.Machine.driver_kernel machine) in
   let engine = Paradice.Machine.engine machine in

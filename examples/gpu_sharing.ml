@@ -9,7 +9,7 @@
 
 let () =
   let machine = Paradice.Api.boot () in
-  let (_ : Paradice.Machine.gpu_attachment) = Paradice.Machine.attach_gpu machine () in
+  let (_ : Paradice.Machine.gpu_attachment) = Paradice.Machine.attach_gpu machine in
   let gamer = Paradice.Machine.add_guest machine ~name:"gamer" () in
   let compute = Paradice.Machine.add_guest machine ~name:"compute" () in
   let policy = Paradice.Machine.policy machine in

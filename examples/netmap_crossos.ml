@@ -21,7 +21,7 @@ let run config label =
         (Oskit.Os_flavor.name
            (Oskit.Kernel.flavor (Paradice.Machine.driver_kernel machine)));
       let env = Workloads.Runner.of_machine ~label machine in
-      let r = Workloads.Netmap_pktgen.run env ~packets:10_000 ~batch () in
+      let r = Workloads.Netmap_pktgen.run env ~packets:10_000 ~batch in
       Printf.printf "  batch %3d -> %.3f Mpps\n%!" batch
         r.Workloads.Netmap_pktgen.rate_mpps)
     [ 4; 32; 256 ]

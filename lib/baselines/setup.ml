@@ -26,7 +26,7 @@ type device = Gpu | Mouse | Keyboard | Camera | Audio | Netmap | Null
 
 let attach machine device =
   match device with
-  | Gpu -> ignore (Paradice.Machine.attach_gpu machine ())
+  | Gpu -> ignore (Paradice.Machine.attach_gpu machine)
   | Mouse -> ignore (Paradice.Machine.attach_mouse machine)
   | Keyboard -> ignore (Paradice.Machine.attach_keyboard machine)
   | Camera -> ignore (Paradice.Machine.attach_camera machine ())
@@ -66,7 +66,7 @@ let make ?(extra_guests = 0) ~devices mode =
             (Paradice.Machine.add_guest m ~name:(Printf.sprintf "guest%d" i) ~flavor ())
         done;
         if config.Paradice.Config.data_isolation && List.mem Gpu devices then
-          ignore (Paradice.Machine.enable_gpu_data_isolation m ());
+          ignore (Paradice.Machine.enable_gpu_data_isolation m);
         (m, Workloads.Runner.of_machine ~label m)
   in
   (machine, env)

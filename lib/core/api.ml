@@ -3,7 +3,7 @@
     {[
       (* boot a machine with a GPU and two guests *)
       let m = Paradice.Api.boot () in
-      let gpu = Paradice.Machine.attach_gpu m () in
+      let gpu = Paradice.Machine.attach_gpu m in
       let g1 = Paradice.Machine.add_guest m ~name:"g1" () in
       ...
     ]}

@@ -14,7 +14,6 @@
 type t = {
   channels : Channel.t array;
   cap : int;
-  rng : Sim.Rng.t option; (* Some -> power-of-two-choices dispatch *)
   mutable pending : int; (* in flight + waiting for a ring slot *)
   mutable rejected_busy : int;
 }
@@ -23,8 +22,7 @@ exception Busy
 (** Raised when the guest already has [max_queued_ops] operations
     outstanding. *)
 
-let create ?rng channels ~cap =
-  { channels; cap; rng; pending = 0; rejected_busy = 0 }
+let create channels ~cap = { channels; cap; pending = 0; rejected_busy = 0 }
 
 (** The designated channel for backend-to-frontend notifications. *)
 let notify_channel t = t.channels.(0)
@@ -59,32 +57,6 @@ let least_loaded t =
   done;
   !best
 
-(* Power-of-two-choices: probe two distinct rings from the pool's
-   deterministic stream and take the lighter (ties -> lower index, like
-   the full scan).  O(1) per op where the scan is O(channels) — the
-   win that matters once channels_per_guest stops being tiny — while
-   the balls-in-bins bound keeps the worst ring within a constant
-   factor of least-loaded. *)
-let two_choices t rng =
-  let n = Array.length t.channels in
-  if n = 1 then t.channels.(0)
-  else begin
-    let a = Sim.Rng.int rng n in
-    let b =
-      (* second probe distinct from the first: draw from [n-1] and
-         skip over [a], keeping the distribution uniform *)
-      let b = Sim.Rng.int rng (n - 1) in
-      if b >= a then b + 1 else b
-    in
-    let a, b = if a < b then (a, b) else (b, a) in
-    if Channel.load t.channels.(b) < Channel.load t.channels.(a) then
-      t.channels.(b)
-    else t.channels.(a)
-  end
-
-let pick_channel t =
-  match t.rng with None -> least_loaded t | Some rng -> two_choices t rng
-
 let rpc ?timeout_us t bytes =
   if t.pending >= t.cap then begin
     t.rejected_busy <- t.rejected_busy + 1;
@@ -93,7 +65,7 @@ let rpc ?timeout_us t bytes =
   t.pending <- t.pending + 1;
   Fun.protect
     ~finally:(fun () -> t.pending <- t.pending - 1)
-    (fun () -> Channel.rpc ?timeout_us (pick_channel t) bytes)
+    (fun () -> Channel.rpc ?timeout_us (least_loaded t) bytes)
 
 type stats = {
   rpcs : int;

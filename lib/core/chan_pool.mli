@@ -8,13 +8,7 @@ type t
 exception Busy
 (** The guest has [max_queued_ops] operations outstanding already. *)
 
-(** [rng] switches dispatch from the full least-loaded scan to
-    power-of-two-choices over its (deterministic) stream: probe two
-    distinct rings, take the lighter, ties to the lower index.  O(1)
-    per op instead of O(channels); the backend passes a per-link
-    stream derived from [Config.dispatch_seed] when
-    [Config.dispatch = Two_choices]. *)
-val create : ?rng:Sim.Rng.t -> Channel.t array -> cap:int -> t
+val create : Channel.t array -> cap:int -> t
 
 (** The designated channel for backend-to-frontend notifications. *)
 val notify_channel : t -> Channel.t

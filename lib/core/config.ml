@@ -31,14 +31,6 @@ type ioctl_id_mode =
   | Analyzer_table (* static entries + JIT slices from the analyzer (§4.1) *)
   | Macro_only (* command-number decoding only: breaks nested-copy ioctls *)
 
-type dispatch =
-  | Least_loaded (* full scan of the guest's rings; ties -> lowest index *)
-  | Two_choices (* power-of-two-choices: probe two deterministic random
-                    rings, take the lighter (ties -> lower index).  O(1)
-                    per op instead of O(channels); the classic
-                    balls-in-bins result keeps the max load within a
-                    constant factor of the full scan. *)
-
 type t = {
   (* -- transport -- *)
   signalling : signalling; (* doorbell costs and poll window *)
@@ -50,7 +42,6 @@ type t = {
   max_queued_ops : int; (* per-guest wait-queue cap, DoS protection (§5.1) *)
   channels_per_guest : int; (* parallel backend workers per guest, so a
                                 blocking read does not stall other files *)
-  dispatch : dispatch; (* how the pool routes an op to a ring *)
   (* -- fault containment & recovery (§4.1, §7.2) -- *)
   rpc_timeout_us : float; (* per-attempt RPC deadline; 0 = block forever
                               (blocking reads on quiet devices are
@@ -128,10 +119,6 @@ let ring_slots = 8
    control page holds one state word per slot below the notify counter
    at offset 512. *)
 
-let dispatch_seed = 0x5EEDL
-(* seeds the per-link Two_choices probe stream (derived per guest VM
-   id, so dispatch is deterministic and per-link independent) *)
-
 let poll_forward_chunk_us = 5_000.
 (* bounded chunk a forwarded poll blocks in the backend before
    re-asking *)
@@ -170,7 +157,6 @@ let default =
     ioctl_id_mode = Analyzer_table;
     max_queued_ops = 100;
     channels_per_guest = 4;
-    dispatch = Least_loaded;
     rpc_timeout_us = 0.;
     rpc_retries = 2;
     heartbeat_interval_us = 0.;

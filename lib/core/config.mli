@@ -20,12 +20,6 @@ type ioctl_id_mode =
   | Analyzer_table (** static entries + JIT slices (§4.1) *)
   | Macro_only (** command-number decoding only; nested ioctls fail *)
 
-type dispatch =
-  | Least_loaded (** full ring scan; ties -> lowest index (default) *)
-  | Two_choices
-      (** power-of-two-choices: probe two deterministic random rings,
-          take the lighter — O(1) per op instead of O(channels) *)
-
 type t = {
   signalling : signalling;
       (** initial doorbell parameters; live ones via
@@ -35,7 +29,6 @@ type t = {
   ioctl_id_mode : ioctl_id_mode;
   max_queued_ops : int;
   channels_per_guest : int;
-  dispatch : dispatch;  (** how the pool routes an op to a ring *)
   rpc_timeout_us : float;
       (** per-attempt RPC deadline; 0 = block forever (default) *)
   rpc_retries : int;  (** resends after a timeout before ETIMEDOUT *)
@@ -108,10 +101,6 @@ val grant_declare_us : float
 (** Descriptor-ring depth per channel, the in-flight RPC bound: 8
     (at most 128, the slot state words the control page holds). *)
 val ring_slots : int
-
-(** Seeds the per-link [Two_choices] probe stream (derived per guest
-    VM id: deterministic, per-link independent). *)
-val dispatch_seed : int64
 
 (** Backend blocking chunk per forwarded poll RPC: 5000 us. *)
 val poll_forward_chunk_us : float

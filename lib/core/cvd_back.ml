@@ -34,7 +34,12 @@ type guest_link = {
   mutable max_dispatch_len : int; (* largest read/write len past sanitize *)
   mutable score : int; (* weighted misbehavior score *)
   mutable quarantined : bool;
-  mutable grant_quota_seen : int; (* Grant_table.quota_breaches last read *)
+  (* the guest grant table's counters as last folded into this record *)
+  mutable grant_faults_seen : int; (* Grant_table.violations *)
+  mutable grant_quota_seen : int; (* Grant_table.quota_breaches *)
+  charge_hypercalls : float -> unit;
+      (* [rc_charge] of every op on this link: simulated time, billed to
+         the link's CPU budget; built once at connect *)
 }
 
 type t = {
@@ -203,15 +208,6 @@ let open_vfd t link task ~vfd path =
   Hashtbl.replace link.files vfd fs;
   fs
 
-(* Execute one decoded request against the real driver.  The worker is
-   already marked as remote for the issuing guest process.
-
-   Operations dispatch on the file stored at open time, not through a
-   worker's descriptor table: any of the guest's pool workers may
-   carry any operation, so descriptors (which are per-task) cannot be
-   used across workers. *)
-let wrap f = try Proto.Rok (f ()) with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e)
-
 (* The analyzer-generated per-ioctl argument sanitizer (the §5.1
    facts → §4 runtime-checking loop): evaluated before the handler
    runs, reading the guest argument struct straight through the
@@ -227,9 +223,8 @@ let guard_ioctl t link worker fs ~cmd ~arg =
     | None -> None (* local caller: its memory is its own *)
     | Some rc -> (
         let dev_class = fs.file.Defs.dev.Defs.dev_class in
-        let read ~addr ~len =
-          Hypervisor.Vm.read_gva rc.Defs.rc_target ~pt:rc.Defs.rc_pt ~gva:addr ~len
-        in
+        let { Hypervisor.Hyp.target; pt; _ } = rc.Defs.rc_req in
+        let read ~addr ~len = Hypervisor.Vm.read_gva target ~pt ~gva:addr ~len in
         match Ioctl_guard.check ~dev_class ~cmd ~arg ~limits:t.limits ~read with
         | Ioctl_guard.Pass -> None
         | Ioctl_guard.Reject { handler; violated = _ } ->
@@ -241,6 +236,15 @@ let guard_ioctl t link worker fs ~cmd ~arg =
 
 let subop_span_name sub = "subop:" ^ Proto.request_name sub
 
+(* Execute one decoded request against the real driver and return its
+   response.  A driver error raises [Errno.Unix_error]: [serve_one],
+   and the batch loop per sub-op, turn it into [Rerr].  The worker is
+   already marked as remote for the issuing guest process.
+
+   Operations dispatch on the file stored at open time, not through a
+   worker's descriptor table: any of the guest's pool workers may
+   carry any operation, so descriptors (which are per-task) cannot be
+   used across workers. *)
 let rec dispatch t link worker (req : Proto.request) : Proto.response =
   let kernel = t.kernel in
   match req with
@@ -289,56 +293,48 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       end
       else if not (List.mem path t.exports) then
         Proto.Rerr (Errno.to_code Errno.ENODEV)
-      else
-        wrap (fun () ->
-            Kernel.charge_syscall t.kernel;
-            let vfd = free_vfd link link.next_vfd in
-            let (_ : file_state) = open_vfd t link worker ~vfd path in
-            link.next_vfd <- vfd + 1;
-            vfd)
+      else begin
+        Kernel.charge_syscall kernel;
+        let vfd = free_vfd link link.next_vfd in
+        let (_ : file_state) = open_vfd t link worker ~vfd path in
+        link.next_vfd <- vfd + 1;
+        Proto.Rok vfd
+      end
   | Proto.Rrelease { vfd } ->
       let fs = find_file link vfd in
       Hashtbl.remove link.files vfd;
-      wrap (fun () ->
-          Kernel.charge_syscall kernel;
-          Vfs.release_file worker fs.file;
-          0)
+      Kernel.charge_syscall kernel;
+      Vfs.release_file worker fs.file;
+      Proto.Rok 0
   | Proto.Rread { vfd; buf; len } ->
       let fs = find_file link vfd in
       link.max_dispatch_len <- max link.max_dispatch_len len;
-      wrap (fun () ->
-          Kernel.charge_syscall kernel;
-          Vfs.read_file worker fs.file ~buf ~len)
+      Kernel.charge_syscall kernel;
+      Proto.Rok (Vfs.read_file worker fs.file ~buf ~len)
   | Proto.Rwrite { vfd; buf; len } ->
       let fs = find_file link vfd in
       link.max_dispatch_len <- max link.max_dispatch_len len;
-      wrap (fun () ->
-          Kernel.charge_syscall kernel;
-          Vfs.write_file worker fs.file ~buf ~len)
+      Kernel.charge_syscall kernel;
+      Proto.Rok (Vfs.write_file worker fs.file ~buf ~len)
   | Proto.Rioctl { vfd; cmd; arg } -> (
       let fs = find_file link vfd in
       match guard_ioctl t link worker fs ~cmd ~arg with
       | Some rejection -> rejection
       | None ->
-          wrap (fun () ->
-              Kernel.charge_syscall kernel;
-              Vfs.ioctl_file worker fs.file ~cmd ~arg))
-  | Proto.Rmmap { vfd; gva; len; pgoff } -> (
+          Kernel.charge_syscall kernel;
+          Proto.Rok (Vfs.ioctl_file worker fs.file ~cmd ~arg))
+  | Proto.Rmmap { vfd; gva; len; pgoff } ->
       let fs = find_file link vfd in
       (* Mirror the guest VMA; addresses stay in the guest's virtual
          space, which is what the driver and hypervisor need (§5.1's
          FreeBSD change passes exactly this range along). *)
-      try
-        let vma = Vfs.mmap_file worker fs.file ~gva ~len ~pgoff in
-        fs.vmas <- vma :: fs.vmas;
-        Proto.Rok 0
-      with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e))
-  | Proto.Rfault { vfd; gva } -> (
+      let vma = Vfs.mmap_file worker fs.file ~gva ~len ~pgoff in
+      fs.vmas <- vma :: fs.vmas;
+      Proto.Rok 0
+  | Proto.Rfault { vfd; gva } ->
       let fs = find_file link vfd in
-      try
-        Vfs.fault_vmas worker fs.vmas ~gva;
-        Proto.Rok 0
-      with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e))
+      Vfs.fault_vmas worker fs.vmas ~gva;
+      Proto.Rok 0
   | Proto.Rmunmap { vfd; gva; len } ->
       let fs = find_file link vfd in
       (* Tear down whatever the hypervisor mapped; pages never faulted
@@ -351,36 +347,42 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       fs.vmas <-
         List.filter (fun v -> not (v.Defs.vma_start = gva && v.Defs.vma_len = len)) fs.vmas;
       Proto.Rok 0
-  | Proto.Rpoll { vfd; want_in; want_out; timeout_us } -> (
+  | Proto.Rpoll { vfd; want_in; want_out; timeout_us } ->
       let fs = find_file link vfd in
-      try
-        Kernel.charge_syscall kernel;
-        let r =
-          Vfs.poll_file kernel worker fs.file ~want_in ~want_out ~timeout:timeout_us
-        in
-        Proto.Rpoll_reply { pollin = r.Defs.pollin; pollout = r.Defs.pollout }
-      with Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e))
+      Kernel.charge_syscall kernel;
+      let r =
+        Vfs.poll_file kernel worker fs.file ~want_in ~want_out ~timeout:timeout_us
+      in
+      Proto.Rpoll_reply { pollin = r.Defs.pollin; pollout = r.Defs.pollout }
   | Proto.Rfasync { vfd; on } ->
       let fs = find_file link vfd in
-      wrap (fun () ->
-          Kernel.charge_syscall kernel;
-          Vfs.fasync_file worker fs.file ~on;
-          0)
+      Kernel.charge_syscall kernel;
+      Vfs.fasync_file worker fs.file ~on;
+      Proto.Rok 0
 
-(* Grant-quota refusals happen on the frontend (declare) side, invisible
-   to the backend's request path; pick up the counter delta so they
-   feed the same per-guest score. *)
-let absorb_grant_quota_breaches t link worker =
+(* The guest's grant table counts the memory operations the hypervisor
+   refused (grant faults) and the declares its quota refused (on the
+   frontend side, invisible to the request path).  Fold whatever both
+   counters gained since the link last looked into the guest's record
+   and score: each refusal once, however many of the guest's
+   operations were in flight when it happened. *)
+let absorb_grant_counters t link worker =
   match Hypervisor.Hyp.grant_table_of t.hyp link.guest_vm with
   | None -> ()
   | Some table ->
-      let b = Hypervisor.Grant_table.quota_breaches table in
-      if b > link.grant_quota_seen then begin
-        let d = b - link.grant_quota_seen in
-        link.grant_quota_seen <- b;
-        link.quota_breaches <- link.quota_breaches + d;
-        m_incr ~by:d t "containment.quota_breaches";
-        note_misbehavior t link worker (d * score_quota_breach)
+      let faults = Hypervisor.Grant_table.violations table - link.grant_faults_seen
+      and breaches =
+        Hypervisor.Grant_table.quota_breaches table - link.grant_quota_seen
+      in
+      if faults > 0 || breaches > 0 then begin
+        link.grant_faults_seen <- link.grant_faults_seen + faults;
+        link.grant_quota_seen <- link.grant_quota_seen + breaches;
+        link.grant_faults <- link.grant_faults + faults;
+        link.quota_breaches <- link.quota_breaches + breaches;
+        if faults > 0 then m_incr ~by:faults t "containment.grant_faults";
+        if breaches > 0 then m_incr ~by:breaches t "containment.quota_breaches";
+        note_misbehavior t link worker
+          ((faults * score_grant_fault) + (breaches * score_quota_breach))
       end
 
 (* Serve one raw descriptor: decode, sanitize, dispatch.  Containment
@@ -389,7 +391,7 @@ let absorb_grant_quota_breaches t link worker =
    handler that raises — becomes an error response; no exception
    escapes to the worker loop. *)
 let serve_one t link worker (bytes : bytes) : Proto.response =
-  absorb_grant_quota_breaches t link worker;
+  absorb_grant_counters t link worker;
   if link.quarantined then Proto.Rerr (Errno.to_code Errno.EPERM)
   else
     match Proto.decode_request bytes with
@@ -427,20 +429,16 @@ let serve_one t link worker (bytes : bytes) : Proto.response =
                     let rc =
                       {
                         Defs.rc_hyp = t.hyp;
-                        rc_target = link.guest_vm;
-                        rc_pt = pt;
-                        rc_grant = grant_ref;
-                        rc_charge =
-                          (fun n ->
-                            let us = n *. Config.hypercall_us in
-                            link.cpu_used_us <- link.cpu_used_us +. us;
-                            Kernel.charge t.kernel us);
+                        rc_req =
+                          {
+                            Hypervisor.Hyp.caller = worker.Defs.vm;
+                            target = link.guest_vm;
+                            pt;
+                            grant_ref;
+                          };
+                        rc_charge = link.charge_hypercalls;
                         rc_trace = Proto.get_trace bytes;
                       }
-                    in
-                    let vm_id = Hypervisor.Vm.id link.guest_vm in
-                    let rej_before =
-                      Hypervisor.Audit.guest_rejections (audit t) ~vm_id
                     in
                     link.cpu_used_us <-
                       link.cpu_used_us +. Kernel.syscall_cost t.kernel;
@@ -457,15 +455,7 @@ let serve_one t link worker (bytes : bytes) : Proto.response =
                           m_incr t "containment.dispatch_exn";
                           Proto.Rerr (Errno.to_code Errno.EIO)
                     in
-                    let rej_after =
-                      Hypervisor.Audit.guest_rejections (audit t) ~vm_id
-                    in
-                    if rej_after > rej_before then begin
-                      let d = rej_after - rej_before in
-                      link.grant_faults <- link.grant_faults + d;
-                      m_incr ~by:d t "containment.grant_faults";
-                      note_misbehavior t link worker (d * score_grant_fault)
-                    end;
+                    absorb_grant_counters t link worker;
                     if link.quarantined then
                       Proto.Rerr (Errno.to_code Errno.EPERM)
                     else resp)))
@@ -493,21 +483,18 @@ let connect t ~guest_vm =
           engine ~config:t.config ~phys:(Hypervisor.Hyp.phys t.hyp) ~guest_vm
           ~driver_vm:(Kernel.vm t.kernel))
   in
-  let rng =
-    match t.config.Config.dispatch with
-    | Config.Least_loaded -> None
-    | Config.Two_choices ->
-        (* keyed per link by guest VM id: dispatch draws are a pure
-           function of (dispatch_seed, vm id) — independent of how
-           many links exist or connect order *)
-        Some
-          (Sim.Rng.derive ~seed:Config.dispatch_seed
-             ~index:(Hypervisor.Vm.id guest_vm))
+  let pool = Chan_pool.create channels ~cap:t.config.Config.max_queued_ops in
+  (* The grant table, with its counters, outlives driver-VM swaps: a
+     new link charges the guest only for refusals made after it
+     connected. *)
+  let faults_seen, quota_seen =
+    match Hypervisor.Hyp.grant_table_of t.hyp guest_vm with
+    | Some table ->
+        ( Hypervisor.Grant_table.violations table,
+          Hypervisor.Grant_table.quota_breaches table )
+    | None -> (0, 0)
   in
-  let pool =
-    Chan_pool.create ?rng channels ~cap:t.config.Config.max_queued_ops
-  in
-  let link =
+  let rec link =
     {
       guest_vm;
       pool;
@@ -524,7 +511,13 @@ let connect t ~guest_vm =
       max_dispatch_len = 0;
       score = 0;
       quarantined = false;
-      grant_quota_seen = 0;
+      grant_faults_seen = faults_seen;
+      grant_quota_seen = quota_seen;
+      charge_hypercalls =
+        (fun n ->
+          let us = n *. Config.hypercall_us in
+          link.cpu_used_us <- link.cpu_used_us +. us;
+          Kernel.charge t.kernel us);
     }
   in
   t.links <- link :: t.links;
@@ -672,12 +665,6 @@ let restore_link t ~(snap : Snapshot.link_snap) ~guest_vm ?fail_site () =
   link.quota_breaches <- snap.Snapshot.ls_quota_breaches;
   link.score <- snap.Snapshot.ls_score;
   link.quarantined <- snap.Snapshot.ls_quarantined;
-  (* the grant table survived the swap, and so did its breach counter:
-     re-baseline so old breaches are not double-counted *)
-  (match Hypervisor.Hyp.grant_table_of t.hyp guest_vm with
-  | Some table ->
-      link.grant_quota_seen <- Hypervisor.Grant_table.quota_breaches table
-  | None -> ());
   let stats = ref { rs_files = 0; rs_dropped = 0; rs_vmas = 0; rs_fasync = 0 } in
   if not link.quarantined then begin
     let restorer = Kernel.spawn_task t.kernel ~name:"cvd-restore" in

@@ -21,7 +21,12 @@ type guest_link = {
           backend's allocation bound witness *)
   mutable score : int;  (** weighted misbehavior score *)
   mutable quarantined : bool;
+  mutable grant_faults_seen : int;
+      (** the guest grant table's violation count as last folded in *)
   mutable grant_quota_seen : int;
+      (** the guest grant table's quota-breach count as last folded in *)
+  charge_hypercalls : float -> unit;
+      (** the [rc_charge] every forwarded op on this link carries *)
 }
 
 and file_state = {

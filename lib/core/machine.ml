@@ -650,7 +650,12 @@ let map_bar vm ~spa ~pages ~perms =
   done;
   base_gpa
 
-let attach_gpu t ?(vram_mib = 64) () =
+(* The GPU's memory, and each guest's share of driver RAM donated for
+   its protected GPU region under data isolation. *)
+let vram_mib = 64
+let pool_pages_per_guest = 8192
+
+let attach_gpu t =
   if t.gpu <> None then invalid_arg "Machine.attach_gpu: already attached";
   let vram_pages = vram_mib * mib / Memory.Addr.page_size in
   let gpu_iommu = Memory.Iommu.create () in
@@ -691,7 +696,7 @@ let attach_gpu t ?(vram_mib = 64) () =
     memory-controller MMIO page from the driver VM, and switch the
     Radeon driver into its isolation mode.  Call after every guest has
     been added. *)
-let enable_gpu_data_isolation t ?(pool_pages_per_guest = 8192) () =
+let enable_gpu_data_isolation t =
   let att =
     match t.gpu with
     | Some a -> a
@@ -783,7 +788,7 @@ let attach_audio t =
 
 let attach_netmap t =
   let iommu = Memory.Iommu.create () in
-  let nm = Devices.Netmap_drv.create t.driver_kernel ~iommu () in
+  let nm = Devices.Netmap_drv.create t.driver_kernel ~iommu in
   let dev = Devices.Netmap_drv.register nm ~path:"/dev/netmap" in
   Devices.Netmap_drv.start nm;
   t.netmap <- Some nm;

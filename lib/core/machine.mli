@@ -193,14 +193,14 @@ val migrate_guest : t -> guest -> dst:Cvd_back.t -> migrate_outcome
     registers the device file, and exports it (virtual device file +
     device info module + virtual PCI function) to every guest. *)
 
-val attach_gpu : t -> ?vram_mib:int -> unit -> gpu_attachment
+(** A 64 MiB-VRAM Radeon. *)
+val attach_gpu : t -> gpu_attachment
 
 (** Device data isolation for the GPU (§4.2, §5.3): donate per-guest
-    pools, create protected regions, take the MC MMIO page from the
-    driver VM, switch the driver to isolation mode.  Call after all
-    guests exist. *)
-val enable_gpu_data_isolation :
-  t -> ?pool_pages_per_guest:int -> unit -> Hypervisor.Region.t
+    pools (8192 pages each), create protected regions, take the MC
+    MMIO page from the driver VM, switch the driver to isolation mode.
+    Call after all guests exist. *)
+val enable_gpu_data_isolation : t -> Hypervisor.Region.t
 
 val attach_mouse : t -> Devices.Evdev.t
 val attach_keyboard : t -> Devices.Evdev.t

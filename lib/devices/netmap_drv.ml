@@ -28,15 +28,15 @@ let hdr_cur = 8
 let hdr_tail = 12
 let slots_off = 64
 let slot_bytes = 8
+let num_slots = 1024
+let buf_size = 2048
+let gbps = 1.
 
 type t = {
   kernel : Kernel.t;
   iommu : Memory.Iommu.t;
-  num_slots : int;
-  buf_size : int;
   ring_pages : int array; (* driver gpas: header page + buffer pages *)
   ring_dma : int; (* DMA base where the NIC sees the same pages *)
-  gbps : float;
   kick : unit Sim.Mailbox.t; (* txsync doorbell *)
   wq : Wait_queue.t; (* pollers waiting for ring space *)
   mutable hw_tail : int;
@@ -44,9 +44,9 @@ type t = {
   mutable started : bool;
 }
 
-let bufs_per_page = Memory.Addr.page_size / 2048
+let bufs_per_page = Memory.Addr.page_size / buf_size
 
-let create kernel ~iommu ?(num_slots = 1024) ?(buf_size = 2048) ?(gbps = 1.) () =
+let create kernel ~iommu =
   let header_pages = 1 in
   let buffer_pages = (num_slots + bufs_per_page - 1) / bufs_per_page in
   let vm = Kernel.vm kernel in
@@ -68,11 +68,8 @@ let create kernel ~iommu ?(num_slots = 1024) ?(buf_size = 2048) ?(gbps = 1.) () 
     {
       kernel;
       iommu;
-      num_slots;
-      buf_size;
       ring_pages = pages;
       ring_dma;
-      gbps;
       kick = Sim.Mailbox.create (Kernel.engine kernel);
       wq = Wait_queue.create (Kernel.engine kernel);
       hw_tail = 0;
@@ -101,18 +98,18 @@ let slot_addr slot = slots_off + (slot * slot_bytes)
 
 let buf_dma t slot =
   let page = 1 + (slot / bufs_per_page) in
-  let off = slot mod bufs_per_page * t.buf_size in
+  let off = slot mod bufs_per_page * buf_size in
   t.ring_dma + (page * Memory.Addr.page_size) + off
 
 (** Wire time for one frame: bits / rate, plus 20 bytes of
     preamble/IFG, matching the 1.488 Mpps line rate at 64 bytes. *)
-let wire_time_us t ~len = float_of_int ((len + 20) * 8) /. (t.gbps *. 1000.)
+let wire_time_us ~len = float_of_int ((len + 20) * 8) /. (gbps *. 1000.)
 
 (* The NIC: woken by txsync, transmits [tail..cur) at wire speed. *)
 let start t =
   if not t.started then begin
     t.started <- true;
-    hdr_write t hdr_num_slots t.num_slots;
+    hdr_write t hdr_num_slots num_slots;
     hdr_write t hdr_cur 0;
     hdr_write t hdr_tail 0;
     let eng = Kernel.engine t.kernel in
@@ -125,7 +122,7 @@ let start t =
              [hw_tail] walk below and the NIC would transmit forever.
              An invalid cur invalidates the sync — skip the pass. *)
           let cur = hdr_read t hdr_cur in
-          let cur = if cur >= t.num_slots then t.hw_tail else cur in
+          let cur = if cur >= num_slots then t.hw_tail else cur in
           while t.hw_tail <> cur do
             let slot = t.hw_tail in
             let len =
@@ -137,7 +134,7 @@ let start t =
                       ~len:4)
                    0)
             in
-            let len = if len <= 0 || len > t.buf_size then 60 else len in
+            let len = if len <= 0 || len > buf_size then 60 else len in
             (* DMA the frame header: permissions checked by the IOMMU *)
             (try
                ignore
@@ -148,9 +145,9 @@ let start t =
                          ~access:Memory.Perm.Read)
                     ~len:(min len 16))
              with Memory.Fault.Iommu_fault _ -> ());
-            Sim.Engine.wait (wire_time_us t ~len);
+            Sim.Engine.wait (wire_time_us ~len);
             t.tx_packets <- t.tx_packets + 1;
-            t.hw_tail <- (t.hw_tail + 1) mod t.num_slots;
+            t.hw_tail <- (t.hw_tail + 1) mod num_slots;
             hdr_write t hdr_tail t.hw_tail;
             Wait_queue.wake_all t.wq
           done;
@@ -164,7 +161,7 @@ let txsync t = Sim.Mailbox.send t.kick ()
 
 let free_slots t =
   let cur = hdr_read t hdr_cur and tail = hdr_read t hdr_tail in
-  (tail - cur - 1 + t.num_slots) mod t.num_slots
+  (tail - cur - 1 + num_slots) mod num_slots
 
 let file_ops t =
   {
@@ -181,8 +178,8 @@ let file_ops t =
              request for memory we do not have *)
           let ringid = Int32.to_int (Bytes.get_int32_le data 0) land 0xffffffff in
           if ringid <> 0 then Errno.fail Errno.EINVAL "regif: bad ringid";
-          Bytes.set_int32_le data 4 (Int32.of_int t.num_slots);
-          Bytes.set_int32_le data 8 (Int32.of_int t.buf_size);
+          Bytes.set_int32_le data 4 (Int32.of_int num_slots);
+          Bytes.set_int32_le data 8 (Int32.of_int buf_size);
           Uaccess.copy_to_user task ~uaddr data;
           0
         end

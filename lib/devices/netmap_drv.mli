@@ -11,17 +11,11 @@ val slot_bytes : int
 
 type t
 
-val create :
-  Oskit.Kernel.t ->
-  iommu:Memory.Iommu.t ->
-  ?num_slots:int ->
-  ?buf_size:int ->
-  ?gbps:float ->
-  unit ->
-  t
+(** A 1024-slot TX ring of 2048-byte buffers on a 1 Gb/s NIC. *)
+val create : Oskit.Kernel.t -> iommu:Memory.Iommu.t -> t
 
 val tx_packets : t -> int
-val wire_time_us : t -> len:int -> float
+val wire_time_us : len:int -> float
 
 (** Start the NIC TX engine (idles until kicked). *)
 val start : t -> unit

@@ -196,7 +196,7 @@ let init_isolated t ~mgr ~pool_pages =
 let client_of (task : Defs.task) =
   match task.Defs.remote with
   | None -> Local
-  | Some rc -> Guest (Hypervisor.Vm.id rc.Defs.rc_target)
+  | Some rc -> Guest (Hypervisor.Vm.id rc.Defs.rc_req.Hypervisor.Hyp.target)
 
 let region_of t task =
   match (t.isolation, client_of task) with

@@ -19,10 +19,6 @@ type t = {
   mutable grant_cache_hits : int;
   mutable sanitize_rejections : int;
   mutable quarantines : int;
-  (* Per-guest attribution of grant-validation rejections: the backend
-     serves many guests from one audit sink, so containment scoring
-     needs to know {e which} VM's requests keep failing validation. *)
-  guest_rejections : (int, int ref) Hashtbl.t;
   tlb : Memory.Tlb.stats;
 }
 
@@ -40,19 +36,8 @@ let create () =
     grant_cache_hits = 0;
     sanitize_rejections = 0;
     quarantines = 0;
-    guest_rejections = Hashtbl.create 7;
     tlb = Memory.Tlb.create_stats ();
   }
-
-let note_guest_rejection t ~vm_id =
-  match Hashtbl.find_opt t.guest_rejections vm_id with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.guest_rejections vm_id (ref 1)
-
-let guest_rejections t ~vm_id =
-  match Hashtbl.find_opt t.guest_rejections vm_id with
-  | Some r -> !r
-  | None -> 0
 
 let tlb_hits t = t.tlb.Memory.Tlb.hits
 let tlb_misses t = t.tlb.Memory.Tlb.misses

@@ -17,9 +17,6 @@ type t = {
       (** backend sanitization refusals (malformed or out-of-bound
           request fields), across all guests *)
   mutable quarantines : int;  (** guests quarantined by the backend *)
-  guest_rejections : (int, int ref) Hashtbl.t;
-      (** grant-validation rejections keyed by guest VM id — the
-          backend's misbehavior scoring reads per-guest deltas here *)
   tlb : Memory.Tlb.stats;
       (** shared with every VM's software TLB so translation-cache
           counters aggregate here *)
@@ -27,11 +24,6 @@ type t = {
 
 val create : unit -> t
 
-(** Record a grant-validation rejection against [vm_id]. *)
-val note_guest_rejection : t -> vm_id:int -> unit
-
-(** Grant-validation rejections charged to [vm_id] so far. *)
-val guest_rejections : t -> vm_id:int -> int
 val tlb_hits : t -> int
 val tlb_misses : t -> int
 val walks_performed : t -> int

@@ -40,6 +40,9 @@ type t = {
   mutable quota : int;
   mutable active : int;
   mutable quota_breaches : int;
+  (* Memory operations the hypervisor refused against this table: the
+     guest's own grant-violation count, which the backend scores. *)
+  mutable violations : int;
 }
 
 exception Table_full
@@ -58,6 +61,7 @@ let create phys ~guest_vm =
     quota = capacity;
     active = 0;
     quota_breaches = 0;
+    violations = 0;
   }
 
 let generation t = t.generation
@@ -68,6 +72,8 @@ let set_quota t q =
 
 let quota t = t.quota
 let quota_breaches t = t.quota_breaches
+let violations t = t.violations
+let note_violation t = t.violations <- t.violations + 1
 
 let kind_code = function
   | Copy_to_user _ -> 1

@@ -51,6 +51,13 @@ val quota : t -> int
 (** How many {!declare} calls were refused with {!Quota_exceeded}. *)
 val quota_breaches : t -> int
 
+(** How many memory operations the hypervisor refused against this
+    table (an undeclared or out-of-range request). *)
+val violations : t -> int
+
+(** Hypervisor: count one refused memory operation. *)
+val note_violation : t -> unit
+
 (** Checkpoint every outstanding declaration as [(grant_ref, group)]
     pairs in slot order (planned driver-VM handoff).  The table itself
     survives the swap; the snapshot re-validates it on restore. *)

@@ -194,15 +194,8 @@ let grant_table_of t guest = Hashtbl.find_opt t.grant_tables (Vm.id guest)
 let check_grant t ~target ~grant_ref ~requested =
   if t.validate then begin
     t.audit.Audit.copies_validated <- t.audit.Audit.copies_validated + 1;
-    (* Attribute the rejection to the guest whose grant failed before
-       raising: the backend serves many guests through one audit sink,
-       and its misbehavior scoring reads these per-guest deltas. *)
-    let reject_guest msg =
-      Audit.note_guest_rejection t.audit ~vm_id:(Vm.id target);
-      reject t msg
-    in
     match Hashtbl.find_opt t.grant_tables (Vm.id target) with
-    | None -> reject_guest "target guest has no grant table"
+    | None -> reject t "target guest has no grant table"
     | Some table ->
         (* The declared group is immutable between grant-table
            mutations, so cache the shared-page scan keyed by the table
@@ -220,10 +213,14 @@ let check_grant t ~target ~grant_ref ~requested =
               Hashtbl.replace t.grant_cache key (ops, gen);
               ops
         in
-        if not (Grant_table.authorises_ops declared ~requested) then
-          reject_guest
+        if not (Grant_table.authorises_ops declared ~requested) then begin
+          (* charged to the guest whose grant failed, on its own table:
+             the backend scores each guest from that counter *)
+          Grant_table.note_violation table;
+          reject t
             (Fmt.str "operation %a not declared under grant %d"
                Grant_table.pp_op requested grant_ref)
+        end
   end
 
 (* ---- guest process registry ---- *)

@@ -78,9 +78,9 @@ and poll_result = {
 
 and remote_ctx = {
   rc_hyp : Hypervisor.Hyp.t;
-  rc_target : Hypervisor.Vm.t; (* the guest whose process we serve *)
-  rc_pt : Memory.Guest_pt.t; (* that process's page table *)
-  rc_grant : int; (* grant reference for this file operation *)
+  rc_req : Hypervisor.Hyp.request;
+      (* the memory-operation request every copy and mapping of this
+         file operation carries: the guest process and its grant *)
   rc_charge : float -> unit; (* simulated-time cost of each hypercall *)
   rc_trace : int; (* trace id of the forwarded operation; 0 = untraced *)
 }

@@ -71,9 +71,9 @@ and poll_result = {
 
 and remote_ctx = {
   rc_hyp : Hypervisor.Hyp.t;
-  rc_target : Hypervisor.Vm.t;
-  rc_pt : Memory.Guest_pt.t;
-  rc_grant : int;
+  rc_req : Hypervisor.Hyp.request;
+      (** built once per forwarded operation by the backend; every
+          memory operation of the driver carries it *)
   rc_charge : float -> unit; (** per-hypercall simulated-time cost *)
   rc_trace : int; (** trace id of the forwarded operation; 0 = untraced *)
 }

@@ -4,7 +4,8 @@
     they would in Linux.  When the calling thread is {e marked} (the
     CVD backend set [task.remote] before invoking the driver on behalf
     of a guest process), the operation is redirected to the hypervisor
-    memory-operation API and validated against the guest's grant
+    memory-operation API, carrying the request the backend built for
+    that file operation, and validated against the guest's grant
     table; otherwise it acts on the local process.  Device drivers are
     therefore {b unmodified} with respect to virtualization. *)
 
@@ -82,17 +83,9 @@ let copy_from_user_into task ~uaddr ~dst ~dst_off ~len =
   | Some rc ->
       hyp_span rc ~name:"copy_from_user" (fun () ->
           rc.rc_charge 1.;
-          let req =
-            {
-              Hypervisor.Hyp.caller = task.vm;
-              target = rc.rc_target;
-              pt = rc.rc_pt;
-              grant_ref = rc.rc_grant;
-            }
-          in
           try
-            Hypervisor.Hyp.copy_from_process_into rc.rc_hyp req ~gva:uaddr ~dst
-              ~dst_off ~len
+            Hypervisor.Hyp.copy_from_process_into rc.rc_hyp rc.rc_req ~gva:uaddr
+              ~dst ~dst_off ~len
           with Hypervisor.Hyp.Rejected msg -> fault_of_rejection msg)
 
 (** Driver reads [len] bytes from the current process at [uaddr]. *)
@@ -115,17 +108,9 @@ let copy_to_user_from task ~uaddr ~src ~src_off ~len =
   | Some rc ->
       hyp_span rc ~name:"copy_to_user" (fun () ->
           rc.rc_charge 1.;
-          let req =
-            {
-              Hypervisor.Hyp.caller = task.vm;
-              target = rc.rc_target;
-              pt = rc.rc_pt;
-              grant_ref = rc.rc_grant;
-            }
-          in
           try
-            Hypervisor.Hyp.copy_to_process_from rc.rc_hyp req ~gva:uaddr ~src
-              ~src_off ~len
+            Hypervisor.Hyp.copy_to_process_from rc.rc_hyp rc.rc_req ~gva:uaddr
+              ~src ~src_off ~len
           with Hypervisor.Hyp.Rejected msg -> fault_of_rejection msg)
 
 (** Driver writes [data] into the current process at [uaddr]. *)
@@ -159,17 +144,9 @@ let insert_pfn task ~gva ~page_gpa ~perms =
           | None ->
               Errno.fail Errno.EFAULT "insert_pfn: page not present in driver VM"
           | Some (spa, _) -> (
-              let req =
-                {
-                  Hypervisor.Hyp.caller = task.vm;
-                  target = rc.rc_target;
-                  pt = rc.rc_pt;
-                  grant_ref = rc.rc_grant;
-                }
-              in
               try
-                Hypervisor.Hyp.map_page_into_process rc.rc_hyp req ~gva ~spa
-                  ~perms
+                Hypervisor.Hyp.map_page_into_process rc.rc_hyp rc.rc_req ~gva
+                  ~spa ~perms
               with Hypervisor.Hyp.Rejected msg -> fault_of_rejection msg))
 
 (** Remove a process mapping previously created with {!insert_pfn}. *)
@@ -179,13 +156,5 @@ let remove_pfn task ~gva =
   | Some rc ->
       hyp_span rc ~name:"remove_pfn" (fun () ->
           rc.rc_charge 1.;
-          let req =
-            {
-              Hypervisor.Hyp.caller = task.vm;
-              target = rc.rc_target;
-              pt = rc.rc_pt;
-              grant_ref = rc.rc_grant;
-            }
-          in
-          try Hypervisor.Hyp.unmap_page_from_process rc.rc_hyp req ~gva
+          try Hypervisor.Hyp.unmap_page_from_process rc.rc_hyp rc.rc_req ~gva
           with Hypervisor.Hyp.Rejected msg -> fault_of_rejection msg)

@@ -1,11 +1,11 @@
-(** The netmap packet generator (Figure 2): transmit fixed-size
-    packets as fast as possible, one poll file operation per batch. *)
+(** The netmap packet generator (Figure 2): transmit 64-byte packets
+    as fast as possible, one poll file operation per batch. *)
 
 val per_packet_fill_us : float
 
 type result = { rate_mpps : float; packets : int; elapsed_s : float }
 
-val run : Runner.env -> packets:int -> batch:int -> ?pkt_size:int -> unit -> result
+val run : Runner.env -> packets:int -> batch:int -> result
 
 (** Multi-op descriptor variant (Paradice modes only): accumulate up
     to [ops_per_desc] (default 16, clamped to
@@ -17,6 +17,5 @@ val run_batched :
   packets:int ->
   batch:int ->
   ?ops_per_desc:int ->
-  ?pkt_size:int ->
   unit ->
   result

@@ -362,7 +362,7 @@ let ioctl_descs_per_seed = 500
 (* One attach function + device path per analyzed class. *)
 let ioctl_classes =
   [
-    ("gpu", (fun m -> ignore (M.attach_gpu m ())), "/dev/dri/card0");
+    ("gpu", (fun m -> ignore (M.attach_gpu m)), "/dev/dri/card0");
     ("input", (fun m -> ignore (M.attach_mouse m)), "/dev/input/event0");
     ("camera", (fun m -> ignore (M.attach_camera m ())), "/dev/video0");
     ("audio", (fun m -> ignore (M.attach_audio m)), "/dev/snd/pcm0");
@@ -672,7 +672,7 @@ let clean_workloads config =
     let _m, env =
       Baselines.Setup.make ~devices:[ Baselines.Setup.Netmap ] mode
     in
-    (Workloads.Netmap_pktgen.run env ~packets:2000 ~batch:64 ())
+    (Workloads.Netmap_pktgen.run env ~packets:2000 ~batch:64)
       .Workloads.Netmap_pktgen.rate_mpps
   in
   let input =

@@ -511,37 +511,6 @@ let per_channel_rpcs (g : M.guest) =
       acc := (Paradice.Channel.stats c).Paradice.Channel.rpcs :: !acc);
   List.rev !acc
 
-let test_two_choices_dispatch () =
-  (* power-of-two-choices must be a pure function of (dispatch_seed,
-     guest VM id): two identically-configured machines land every op on
-     the same rings, and the probes spread work beyond ring 0 *)
-  let config =
-    { Paradice.Config.default with Paradice.Config.dispatch = Paradice.Config.Two_choices }
-  in
-  let boot () =
-    let m = M.create ~config () in
-    let (_ : Oskit.Defs.device) = M.attach_null m in
-    let g = M.add_guest m ~name:"g" () in
-    run_in (M.engine m) (fun () ->
-        let app = M.spawn_app m g.M.kernel ~name:"app" in
-        let fd =
-          match Oskit.Vfs.openf g.M.kernel app "/dev/null0" with
-          | Ok fd -> fd
-          | Error _ -> Alcotest.fail "open failed"
-        in
-        for _ = 1 to 60 do
-          match Oskit.Vfs.ioctl g.M.kernel app fd ~cmd:M.null_ioctl ~arg:0L with
-          | Ok 0 -> ()
-          | _ -> Alcotest.fail "ioctl failed under two-choices dispatch"
-        done);
-    per_channel_rpcs g
-  in
-  let a = boot () in
-  let b = boot () in
-  Alcotest.(check (list int)) "identical machines, identical placement" a b;
-  Alcotest.(check bool) "ops spread beyond ring 0" true
-    (List.length (List.filter (fun n -> n > 0) a) >= 2)
-
 let test_wedged_worker_times_out () =
   (* "back.wedge" on the second served op (the open is the first): the
      first ioctl's worker hangs forever, so it times out; the wedged
@@ -619,8 +588,6 @@ let suites =
       [
         Alcotest.test_case "concurrent files, any worker" `Quick
           test_concurrent_files_dispatch_correctly;
-        Alcotest.test_case "two-choices deterministic and spreads" `Quick
-          test_two_choices_dispatch;
         Alcotest.test_case "wedged worker times out" `Quick
           test_wedged_worker_times_out;
       ] );

@@ -409,6 +409,120 @@ let test_threshold_zero_never_quarantines () =
       Alcotest.(check bool) "score accumulates" true (link.CB.score > 0);
       Alcotest.(check bool) "but never quarantined" false link.CB.quarantined)
 
+(* ---- grant faults: each refused memory operation is charged once ---- *)
+
+(* A device whose read sleeps 500 us in the driver and whose ioctl
+   copies 16 bytes from its argument address, which the raw requests
+   below never declare: every ioctl is one refused memory operation. *)
+let boot_undeclared_copier () =
+  let m = M.create () in
+  let (_ : Defs.device) = M.attach_null m in
+  let ops =
+    {
+      Defs.default_ops with
+      Defs.fop_kinds =
+        [ Os_flavor.Open; Os_flavor.Release; Os_flavor.Read; Os_flavor.Ioctl ];
+      fop_read =
+        (fun _ _ ~buf:_ ~len:_ ->
+          Sim.Engine.wait 500.;
+          0);
+      fop_ioctl =
+        (fun task _ ~cmd:_ ~arg ->
+          let (_ : bytes) =
+            Uaccess.copy_from_user task ~uaddr:(Int64.to_int arg) ~len:16
+          in
+          0);
+    }
+  in
+  let dev = Defs.make_device ~path:"/dev/copier0" ~cls:"test" ~driver:"copier" ops in
+  Devfs.register (Kernel.devfs (M.driver_kernel m)) dev;
+  CB.export m.M.backend "/dev/copier0";
+  let g = M.add_guest m ~name:"g" () in
+  (m, g, spawn_app_pid m g)
+
+(* One request over the guest's ring pool, as the frontend sends it. *)
+let rpc (g : M.guest) ~pid req =
+  P.decode_response
+    (Paradice.Chan_pool.rpc g.M.link.CB.pool (P.encode_request ~grant_ref:0 ~pid req))
+
+let open_copier g ~pid =
+  match rpc g ~pid (P.Ropen { path = "/dev/copier0" }) with
+  | P.Rok vfd -> vfd
+  | _ -> Alcotest.fail "open failed"
+
+let undeclared_ioctl vfd = P.Rioctl { vfd; cmd = 1; arg = 0x1000L }
+
+let check_one_grant_fault (g : M.guest) =
+  Alcotest.(check int) "one grant fault" 1 g.M.link.CB.grant_faults;
+  Alcotest.(check int) "score 5" 5 g.M.link.CB.score
+
+let test_undeclared_copy_one_fault () =
+  let m, g, pid = boot_undeclared_copier () in
+  run_in (M.engine m) (fun () ->
+      let vfd = open_copier g ~pid in
+      check_rerr "undeclared copy refused" "EFAULT" (rpc g ~pid (undeclared_ioctl vfd)));
+  check_one_grant_fault g
+
+(* The refused copy lands while the same guest's read is blocked in
+   the driver on another ring: the read's dispatch must not charge it
+   a second time. *)
+let test_overlapping_ops_one_fault () =
+  let m, g, pid = boot_undeclared_copier () in
+  let eng = M.engine m in
+  let vfd = run_in eng (fun () -> open_copier g ~pid) in
+  let read_resp = ref None in
+  Sim.Engine.spawn eng (fun () ->
+      read_resp := Some (rpc g ~pid (P.Rread { vfd; buf = 0x1000; len = 16 })));
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.wait 100.;
+      check_rerr "undeclared copy refused" "EFAULT" (rpc g ~pid (undeclared_ioctl vfd));
+      Alcotest.(check bool) "read still blocked in the driver" true
+        (!read_resp = None));
+  Sim.Engine.run eng;
+  Alcotest.(check bool) "read completed" true (!read_resp = Some (P.Rok 0));
+  check_one_grant_fault g
+
+(* The grant table, and its violation counter, survive a driver-VM
+   upgrade; the restored link carries the fault in its record and must
+   not charge it again. *)
+let test_upgrade_keeps_one_fault () =
+  let m, g, pid = boot_undeclared_copier () in
+  run_in (M.engine m) (fun () ->
+      let vfd = open_copier g ~pid in
+      check_rerr "undeclared copy refused" "EFAULT" (rpc g ~pid (undeclared_ioctl vfd));
+      (match M.upgrade_driver_vm m with
+      | M.Upgraded _ -> ()
+      | _ -> Alcotest.fail "expected Upgraded");
+      Alcotest.(check bool) "noop served after the upgrade" true
+        (rpc g ~pid P.Rnoop = P.Rok 0));
+  check_one_grant_fault g
+
+(* A crash reboot connects a fresh link with a clean record, but the
+   guest's grant table survives with the refusals it counted before the
+   crash: the new link must not charge them again. *)
+let test_reboot_starts_clean () =
+  let config =
+    { Paradice.Config.default with Paradice.Config.max_grant_entries = 1 }
+  in
+  let m, g = boot_null ~config () in
+  let pid = spawn_app_pid m g in
+  let table = Option.get (Hypervisor.Hyp.grant_table_of (M.hyp m) g.M.vm) in
+  let one = [ Hypervisor.Grant_table.Copy_to_user { addr = 0x1000; len = 8 } ] in
+  ignore (Hypervisor.Grant_table.declare table one);
+  (match Hypervisor.Grant_table.declare table one with
+  | exception Hypervisor.Grant_table.Quota_exceeded -> ()
+  | _ -> Alcotest.fail "second declare must breach the quota");
+  run_in (M.engine m) (fun () ->
+      Alcotest.(check bool) "noop served" true (rpc g ~pid P.Rnoop = P.Rok 0);
+      Alcotest.(check int) "breach charged before the crash" 1
+        g.M.link.CB.quota_breaches;
+      M.kill_driver_vm m;
+      M.reboot_driver_vm m;
+      Alcotest.(check bool) "noop served after the reboot" true
+        (rpc g ~pid P.Rnoop = P.Rok 0));
+  Alcotest.(check int) "rebooted link starts clean" 0 g.M.link.CB.quota_breaches;
+  Alcotest.(check int) "score 0" 0 g.M.link.CB.score
+
 (* ---- chan-pool fairness: saturating + light guest ---- *)
 
 let test_pool_cap_saturation_spares_light_guest () =
@@ -519,6 +633,17 @@ let suites =
           test_quarantine_isolates_attacker_keeps_victim;
         Alcotest.test_case "threshold 0 never quarantines" `Quick
           test_threshold_zero_never_quarantines;
+      ] );
+    ( "containment.grant_faults",
+      [
+        Alcotest.test_case "undeclared copy charges one fault" `Quick
+          test_undeclared_copy_one_fault;
+        Alcotest.test_case "overlapping ops charge a fault once" `Quick
+          test_overlapping_ops_one_fault;
+        Alcotest.test_case "upgrade re-baselines the fault count" `Quick
+          test_upgrade_keeps_one_fault;
+        Alcotest.test_case "reboot does not re-charge old refusals" `Quick
+          test_reboot_starts_clean;
       ] );
     ( "containment.fairness",
       [

@@ -14,7 +14,7 @@ let boot_with devices =
   List.iter
     (fun d ->
       match d with
-      | `Gpu -> ignore (M.attach_gpu m ())
+      | `Gpu -> ignore (M.attach_gpu m)
       | `Mouse -> ignore (M.attach_mouse m)
       | `Camera -> ignore (M.attach_camera m ())
       | `Audio -> ignore (M.attach_audio m)
@@ -362,7 +362,7 @@ let test_late_device_attach_replays_to_guests () =
 let test_all_devices_one_guest () =
   (* the Table 1 configuration: every class exported to one guest *)
   let m = M.create () in
-  ignore (M.attach_gpu m ());
+  ignore (M.attach_gpu m);
   ignore (M.attach_mouse m);
   ignore (M.attach_keyboard m);
   ignore (M.attach_camera m ());

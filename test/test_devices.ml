@@ -338,7 +338,7 @@ let test_audio_realtime_playback () =
 
 let netmap_machine () =
   let m = make_machine () in
-  let nm = Devices.Netmap_drv.create m.kernel ~iommu:m.iommu () in
+  let nm = Devices.Netmap_drv.create m.kernel ~iommu:m.iommu in
   let (_ : Defs.device) = Devices.Netmap_drv.register nm ~path:"/dev/netmap" in
   Devices.Netmap_drv.start nm;
   (m, nm)

@@ -221,7 +221,7 @@ let test_watchdog_detects_silent_death () =
    session faults: nothing the dead driver VM set up stays usable. *)
 let test_fault_tears_down_mappings () =
   let m = M.create () in
-  let (_ : M.gpu_attachment) = M.attach_gpu m () in
+  let (_ : M.gpu_attachment) = M.attach_gpu m in
   let g = M.add_guest m ~name:"g1" () in
   run_in_process (M.engine m) (fun () ->
       let app = M.spawn_app m g.M.kernel ~name:"gles" in

@@ -8,10 +8,10 @@ module M = Paradice.Machine
 let boot_di () =
   let config = Paradice.Config.with_data_isolation Paradice.Config.default in
   let m = M.create ~config () in
-  let att = M.attach_gpu m () in
+  let att = M.attach_gpu m in
   let g1 = M.add_guest m ~name:"g1" () in
   let g2 = M.add_guest m ~name:"g2" () in
-  let mgr = M.enable_gpu_data_isolation m () in
+  let mgr = M.enable_gpu_data_isolation m in
   (m, att, g1, g2, mgr)
 
 (* run a guest's texture upload; returns the spa where its data lives *)

@@ -304,9 +304,13 @@ let test_marked_thread_redirection () =
       let rc =
         {
           Defs.rc_hyp = hyp;
-          rc_target = guest_vm;
-          rc_pt = guest_task.Defs.pt;
-          rc_grant = gref;
+          rc_req =
+            {
+              Hypervisor.Hyp.caller = driver_vm;
+              target = guest_vm;
+              pt = guest_task.Defs.pt;
+              grant_ref = gref;
+            };
           rc_charge = (fun _ -> ());
           rc_trace = 0;
         }

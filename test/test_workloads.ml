@@ -27,7 +27,7 @@ let test_noop_ordering () =
 
 let netmap_rate mode ~batch =
   let _m, env = Setup.make ~devices:[ Setup.Netmap ] mode in
-  (Workloads.Netmap_pktgen.run env ~packets:4000 ~batch ()).Workloads.Netmap_pktgen.rate_mpps
+  (Workloads.Netmap_pktgen.run env ~packets:4000 ~batch).Workloads.Netmap_pktgen.rate_mpps
 
 let test_netmap_batching_shape () =
   (* Figure 2's shape: rate grows with batch; polling catches native by
