@@ -57,7 +57,9 @@ let least_loaded t =
   done;
   !best
 
-let rpc ?timeout_us t bytes =
+(* Admit one operation under the per-guest cap and run [exchange] on
+   the least-loaded ring. *)
+let admit t exchange =
   if t.pending >= t.cap then begin
     t.rejected_busy <- t.rejected_busy + 1;
     raise Busy
@@ -65,7 +67,13 @@ let rpc ?timeout_us t bytes =
   t.pending <- t.pending + 1;
   Fun.protect
     ~finally:(fun () -> t.pending <- t.pending - 1)
-    (fun () -> Channel.rpc ?timeout_us (least_loaded t) bytes)
+    (fun () -> exchange (least_loaded t))
+
+let call t ~trace ~encode ~decode =
+  admit t (fun channel -> Channel.call channel ~trace ~encode ~decode)
+
+let rpc ?timeout_us t bytes =
+  admit t (fun channel -> Channel.rpc ?timeout_us channel bytes)
 
 type stats = {
   rpcs : int;

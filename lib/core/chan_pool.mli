@@ -29,8 +29,12 @@ val retire : t -> unit
 val quiescent : t -> bool
 
 (** One request/response exchange over the least-loaded channel's
-    ring.  [timeout_us] overrides the configured RPC deadline (see
-    {!Channel.rpc}). *)
+    ring, encoded and decoded through the channel's private copies
+    (see {!Channel.call}). *)
+val call : t -> trace:int -> encode:(bytes -> unit) -> decode:(bytes -> 'a) -> 'a
+
+(** {!call} with a ready-encoded descriptor.  [timeout_us] overrides
+    the configured RPC deadline (see {!Channel.rpc}). *)
 val rpc : ?timeout_us:float -> t -> bytes -> bytes
 
 type stats = {

@@ -146,6 +146,18 @@ and spec = {
    disjoint range. *)
 let fallback_uids = Domain.DLS.new_key (fun () -> ref 1_000_000)
 
+(* Private descriptor copies: one slot-sized buffer per side per
+   domain, shared by every ring the domain runs.  Each copy is filled
+   and consumed with no suspension point in between — encoded right
+   before the slot write, decoded right after the slot read — so no
+   process can observe another's bytes in it.  Fleet shards run rings
+   on parallel domains, hence per domain rather than global. *)
+let front_copy = Domain.DLS.new_key (fun () -> Bytes.create Proto.slot_size)
+let back_copy = Domain.DLS.new_key (fun () -> Bytes.create Proto.slot_size)
+
+(* The [encode] of a ready-encoded slot [src]. *)
+let copy_slot src copy = Bytes.blit src 0 copy 0 Proto.slot_size
+
 (* ---- ring layout ---- *)
 
 let st_free = 0
@@ -411,22 +423,24 @@ let ring_req_doorbell t ~trace =
     Sim.Engine.wait Config.fault_delay_us;
   signal t t.req ~trace
 
-(* Publish one request descriptor: marshal, write the slot, stamp the
-   attempt's sequence number into it, mark it ready, ring.  The
-   caller's bytes are never modified (one encoded heartbeat is shared
-   by every frontend).  Corruption garbles the opcode byte in the
-   shared slot (the backend must reject, not crash); the sequence
-   number is stamped first, so even a corrupt descriptor's rejection
-   pairs with its attempt. *)
-let publish t ~slot ~seq (req_bytes : bytes) =
-  let trace = Proto.get_trace req_bytes in
+(* Publish one request descriptor: marshal, encode it into the
+   domain's private copy and write that to the slot, stamp the
+   attempt's sequence number into it, mark it ready, ring.  Encoding
+   happens at the write, after the marshal wait, so every publish
+   (a republish too) writes freshly encoded bytes.  Corruption garbles
+   the opcode byte in the shared slot (the backend must reject, not
+   crash); the sequence number is stamped first, so even a corrupt
+   descriptor's rejection pairs with its attempt. *)
+let publish t ~slot ~seq ~trace encode =
   let sp =
     Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
       ~name:"front:publish" ()
   in
   marshal ();
   let view = t.front_view and off = slot_off slot in
-  view.Hypervisor.Shared_page.write ~offset:off req_bytes;
+  let copy = Domain.DLS.get front_copy in
+  encode copy;
+  view.Hypervisor.Shared_page.write ~offset:off copy;
   view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.seq_off) seq;
   if Config.fires t.config site_corrupt_req then begin
     (* the opcode is the low byte of the little-endian first word *)
@@ -445,7 +459,9 @@ let fresh_seq t =
 
 (** Frontend: one request/response exchange over a ring slot.  Blocks
     while the ring is full; up to [Config.ring_slots] callers may be
-    inside concurrently.
+    inside concurrently.  [encode] fills the private copy that each
+    publish writes to the slot; [decode] reads the private copy the
+    answer was read into, and its result is the exchange's.
 
     With a deadline ([timeout_us] override, else [Config.rpc_timeout_us];
     0 = wait forever) an unanswered request is {e resent} up to
@@ -458,12 +474,11 @@ let fresh_seq t =
     timed-out attempt) is discarded and the live attempt republished.
     A channel killed mid-exchange fails with EIO instead: the
     transport itself is gone. *)
-let rpc ?timeout_us t (req_bytes : bytes) : bytes =
+let call ?timeout_us t ~trace ~encode ~decode =
   if t.dead then fail_dead t;
   t.rpcs <- t.rpcs + 1;
   t.in_flight <- t.in_flight + 1;
   if t.in_flight > t.max_in_flight then t.max_in_flight <- t.in_flight;
-  let trace = Proto.get_trace req_bytes in
   Fun.protect
     ~finally:(fun () -> t.in_flight <- t.in_flight - 1)
     (fun () ->
@@ -507,7 +522,7 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
           in
           let rec attempt tries_left =
             let seq = fresh_seq t in
-            publish t ~slot ~seq req_bytes;
+            publish t ~slot ~seq ~trace encode;
             if t.dead then fail_dead t;
             await tries_left seq
           and await tries_left seq =
@@ -544,15 +559,14 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
             | Some () ->
                 let wake = Sim.Engine.now t.engine in
                 marshal ();
-                let resp =
-                  t.front_view.Hypervisor.Shared_page.read
-                    ~offset:(slot_off slot) ~len:Proto.slot_size
-                in
-                if Proto.get_seq resp = seq then begin
+                let copy = Domain.DLS.get front_copy in
+                t.front_view.Hypervisor.Shared_page.read_into
+                  ~offset:(slot_off slot) ~len:Proto.slot_size copy;
+                if Proto.get_seq copy = seq then begin
                   Obs.Trace.add_complete t.tracer ~trace
                     ~lane:Obs.Trace.Frontend ~cat:"stage"
                     ~name:"front:complete" ~start:wake ();
-                  resp
+                  decode copy
                 end
                 else begin
                   (* a late answer to a timed-out earlier attempt: it
@@ -560,7 +574,7 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
                      republish the same attempt *)
                   t.stale_responses <- t.stale_responses + 1;
                   m_incr t "rpc.stale_responses";
-                  publish t ~slot ~seq req_bytes;
+                  publish t ~slot ~seq ~trace encode;
                   if t.dead then fail_dead t;
                   await tries_left seq
                 end
@@ -578,6 +592,12 @@ let rpc ?timeout_us t (req_bytes : bytes) : bytes =
           in
           attempt (max 0 t.config.Config.rpc_retries)))
 
+(** {!call} with a ready-encoded slot: [req] (a whole slot) is copied
+    in at each publish and the answer returned as a fresh copy. *)
+let rpc ?timeout_us t req =
+  call ?timeout_us t ~trace:(Proto.get_trace req) ~encode:(copy_slot req)
+    ~decode:Bytes.copy
+
 (** Hostile-frontend injection (adversarial tests): write [bytes]
     straight into ring slot [slot] and mark it request-ready, bypassing
     the RPC state machine entirely — exactly what a compromised guest
@@ -589,7 +609,8 @@ let inject_raw t ~slot (bytes : bytes) =
   if slot < 0 || slot >= Config.ring_slots then
     invalid_arg "Channel.inject_raw";
   if not t.dead then begin
-    let wire = Bytes.make Proto.slot_size '\000' in
+    let wire = Domain.DLS.get front_copy in
+    Bytes.fill wire 0 Proto.slot_size '\000';
     Bytes.blit bytes 0 wire 0 (min (Bytes.length bytes) Proto.slot_size);
     t.front_view.Hypervisor.Shared_page.write ~offset:(slot_off slot) wire;
     t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
@@ -601,7 +622,9 @@ let inject_raw t ~slot (bytes : bytes) =
     once the channel is dead (the worker should exit).  One wakeup
     drains many: after serving, the worker's next call re-scans the
     ring head and picks up everything published meanwhile without any
-    further interrupt. *)
+    further interrupt.  The descriptor is read once, into the domain's
+    private back copy, which is returned: the caller decodes it before
+    it next suspends. *)
 let next_request t : (int * bytes) option =
   if t.dead then None
   else begin
@@ -633,10 +656,9 @@ let next_request t : (int * bytes) option =
           t.service_active.(slot) <- true;
           t.in_service <- t.in_service + 1;
           marshal ();
-          let bytes =
-            t.back_view.Hypervisor.Shared_page.read ~offset:(slot_off slot)
-              ~len:Proto.slot_size
-          in
+          let bytes = Domain.DLS.get back_copy in
+          t.back_view.Hypervisor.Shared_page.read_into ~offset:(slot_off slot)
+            ~len:Proto.slot_size bytes;
           t.service_seq.(slot) <- Proto.get_seq bytes;
           let trace = Proto.get_trace bytes in
           t.service_trace.(slot) <- trace;
@@ -682,14 +704,16 @@ let next_request t : (int * bytes) option =
     next ()
   end
 
-(** Backend: complete the descriptor claimed from slot [slot], echoing
-    the sequence number it was drained with, and signal the frontend
-    ([signal]: a leg already in flight covers this response too).
-    Dropped silently on a dead channel (a crashed driver VM answers
-    nobody); the response-drop fault loses the leg (the descriptor
-    stays ready and would ride a later response's leg — or the
-    frontend deadline recovers). *)
-let respond t ~slot (resp_bytes : bytes) =
+(** Backend: complete the descriptor claimed from slot [slot] with the
+    response [encode] writes into the private back copy (after the
+    marshal wait, right before the slot write), echoing the sequence
+    number it was drained with, and signal the frontend ([signal]: a
+    leg already in flight covers this response too).  Dropped silently
+    on a dead channel (a crashed driver VM answers nobody); the
+    response-drop fault loses the leg (the descriptor stays ready and
+    would ride a later response's leg — or the frontend deadline
+    recovers). *)
+let respond_with t ~slot encode =
   if not t.dead then begin
     if slot < 0 || slot >= Config.ring_slots then
       invalid_arg "Channel.respond";
@@ -716,7 +740,9 @@ let respond t ~slot (resp_bytes : bytes) =
     in
     marshal ();
     let view = t.back_view and off = slot_off slot in
-    view.Hypervisor.Shared_page.write ~offset:off resp_bytes;
+    let copy = Domain.DLS.get back_copy in
+    encode copy;
+    view.Hypervisor.Shared_page.write ~offset:off copy;
     view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.seq_off)
       t.service_seq.(slot);
     view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.trace_off) trace;
@@ -725,6 +751,9 @@ let respond t ~slot (resp_bytes : bytes) =
     Obs.Trace.span_end t.tracer sp;
     signal t t.resp ~trace
   end
+
+(** {!respond_with} a ready-encoded slot. *)
+let respond t ~slot resp = respond_with t ~slot (copy_slot resp)
 
 (** Backend: asynchronous notification towards the frontend (§5.1's
     "message to the frontend, e.g., when the keyboard is pressed").

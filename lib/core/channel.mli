@@ -60,7 +60,27 @@ val quiescent : t -> bool
     when the channel dies, ETIMEDOUT when the deadline expires after
     [Config.rpc_retries] resends (at-least-once: only retry idempotent
     operations under a deadline).  Responses carrying a stale sequence
-    number (late answers to timed-out attempts) are discarded. *)
+    number (late answers to timed-out attempts) are discarded.
+
+    The descriptor never exists outside the slot but in a private copy
+    the channel owns (one per domain, shared by every ring):
+    [encode] must fill its first {!Proto.slot_size} bytes, and is
+    called at each publish — a resend or a republish after a stale
+    response too — right before the slot write; [decode] gets the copy
+    the answer was read into, right after the read, and its result
+    (or exception) is the call's.  Neither may suspend, and neither
+    may keep the copy.  [trace] is the operation's trace id. *)
+val call :
+  ?timeout_us:float ->
+  t ->
+  trace:int ->
+  encode:(bytes -> unit) ->
+  decode:(bytes -> 'a) ->
+  'a
+
+(** {!call} with a ready-encoded descriptor: [req], a whole slot, is
+    copied in at each publish and the answer returned as fresh
+    bytes. *)
 val rpc : ?timeout_us:float -> t -> bytes -> bytes
 
 (** Hostile-frontend injection (adversarial tests): write raw bytes
@@ -73,7 +93,13 @@ val inject_raw : t -> slot:int -> bytes -> unit
 (** Backend: block until a descriptor is ready and claim it ([None] =
     channel dead, the worker should exit).  One doorbell wakeup drains
     many descriptors: successive calls re-scan the ring head before
-    sleeping. *)
+    sleeping.
+
+    The bytes returned are the channel's private copy of the slot (one
+    per domain, shared by every ring), read once from the shared page.
+    They stay valid only until the caller next suspends — any wait,
+    mailbox receive or RPC lets another worker of the domain refill
+    them — so decode them first, and never from the shared page. *)
 val next_request : t -> (int * bytes) option
 
 (** Complete the descriptor claimed from [slot] (dropped on a dead
@@ -82,7 +108,13 @@ val next_request : t -> (int * bytes) option
     waiter is inside its poll window).  A respond on
     a slot that is not in service — double-complete, never claimed, or
     a guest rewriting the state word — is a counted protocol violation
-    and raises EIO instead of corrupting ring accounting. *)
+    and raises EIO instead of corrupting ring accounting.  [encode]
+    fills the first {!Proto.slot_size} bytes of the private copy
+    written to the slot, right before the write; it must not suspend
+    or keep the copy, which is also the one {!next_request} returned. *)
+val respond_with : t -> slot:int -> (bytes -> unit) -> unit
+
+(** {!respond_with} a ready-encoded response (a whole slot). *)
 val respond : t -> slot:int -> bytes -> unit
 
 (** Backend: asynchronous notification (collapses while pending, like

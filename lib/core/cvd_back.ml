@@ -389,8 +389,15 @@ let absorb_grant_counters t link worker =
    contract: every failure mode of a hostile descriptor — garbage
    bytes, out-of-bound fields, undeclared memory operations, a driver
    handler that raises — becomes an error response; no exception
-   escapes to the worker loop. *)
+   escapes to the worker loop.
+
+   [bytes] is the channel's private copy, valid until the worker first
+   suspends, so it is read before that: the trace id first, then the
+   decode.  Absorbing the grant counters can block only by
+   quarantining the link, and a quarantined link's descriptor is not
+   read. *)
 let serve_one t link worker (bytes : bytes) : Proto.response =
+  let trace = Proto.get_trace bytes in
   absorb_grant_counters t link worker;
   if link.quarantined then Proto.Rerr (Errno.to_code Errno.EPERM)
   else
@@ -437,7 +444,7 @@ let serve_one t link worker (bytes : bytes) : Proto.response =
                             grant_ref;
                           };
                         rc_charge = link.charge_hypercalls;
-                        rc_trace = Proto.get_trace bytes;
+                        rc_trace = trace;
                       }
                     in
                     link.cpu_used_us <-
@@ -558,7 +565,9 @@ let connect t ~guest_vm =
                      the control page under the backend's feet can
                      cause it): score the guest and drop the response
                      instead of letting the EIO kill the worker. *)
-                  try Channel.respond channel ~slot (Proto.encode_response resp)
+                  try
+                    Channel.respond_with channel ~slot (fun copy ->
+                        Proto.encode_response_into copy resp)
                   with Errno.Unix_error (Errno.EIO, _) ->
                     note_misbehavior t link worker score_rejected
                 end;

@@ -155,17 +155,17 @@ let resume ?pool t =
    resuming, a parked operation fails EIO (the op was possibly
    executed: EIO, not ENODEV, exactly as a mid-operation transport
    death). *)
-let rec pool_rpc t ~parked req_bytes =
+let rec pool_call t ~parked ~trace ~encode ~decode =
   while t.paused do
     Wait_queue.sleep t.resume_wq
   done;
   if t.session = Faulted then
     if parked then Errno.fail Errno.EIO "driver VM died under a parked operation"
     else Errno.fail Errno.ENODEV "driver VM session faulted";
-  try Chan_pool.rpc t.pool req_bytes
+  try Chan_pool.call t.pool ~trace ~encode ~decode
   with Channel.Retired ->
     t.ops_parked <- t.ops_parked + 1;
-    pool_rpc t ~parked:true req_bytes
+    pool_call t ~parked:true ~trace ~encode ~decode
 
 (* The watchdog: ping the backend with a no-op under a deadline; after
    [heartbeat_miss_limit] consecutive misses (or a transport EIO,
@@ -291,7 +291,8 @@ let errno_of_code code =
   match Errno.of_code code with Some e -> e | None -> Errno.EIO
 
 (** Forward one operation: declare, register the issuing process with
-    the hypervisor, rpc, release, decode.
+    the hypervisor, rpc (encoding at the slot write, decoding at the
+    slot read), release.
 
     Error paths are kept distinct: a {e decoded} [Rerr] is the remote
     driver failing an operation (normal; surfaced to the caller); a
@@ -326,28 +327,25 @@ let forward t (task : Defs.task) ~ops req : Proto.response =
         (* after a transport death the table was already revoked wholesale *)
         if t.session = Healthy then release t grant_ref)
       (fun () ->
-        let req_bytes =
-          try Proto.encode_request ~grant_ref ~pid:task.Defs.pid req
-          with Proto.Oversized { field; length; limit } ->
-            (* the derived encoder refuses what the decoder would
-               reject (e.g. an over-long open path) instead of
-               corrupting adjacent slot words *)
-            Errno.fail Errno.ENAMETOOLONG
-              (Printf.sprintf "%s: %d bytes exceeds wire limit %d" field
-                 length limit)
+        (* the derived encoder refuses what the decoder would reject
+           (e.g. an over-long open path) instead of corrupting adjacent
+           slot words; the request is encoded only at the slot write,
+           so its refusals are checked here, before any RPC *)
+        (try Proto.check_request req
+         with Proto.Oversized { field; length; limit } ->
+           Errno.fail Errno.ENAMETOOLONG
+             (Printf.sprintf "%s: %d bytes exceeds wire limit %d" field length
+                limit));
+        let encode copy =
+          Proto.encode_request_into copy ~grant_ref ~pid:task.Defs.pid req;
+          Proto.set_trace copy trace
         in
-        Proto.set_trace req_bytes trace;
-        let resp_bytes =
-          try pool_rpc t ~parked:false req_bytes with
-          | Chan_pool.Busy ->
-              Errno.fail Errno.EBUSY "per-guest operation cap reached"
-          | Errno.Unix_error (Errno.EIO, _) as e ->
-              fault_session t ~reason:"transport failure mid-operation";
-              raise e
-        in
-        try Proto.decode_response resp_bytes
-        with Proto.Malformed msg ->
-          Errno.fail Errno.EIO ("undecodable response: " ^ msg))
+        try pool_call t ~parked:false ~trace ~encode ~decode:Proto.decode_response with
+        | Chan_pool.Busy -> Errno.fail Errno.EBUSY "per-guest operation cap reached"
+        | Errno.Unix_error (Errno.EIO, _) as e ->
+            fault_session t ~reason:"transport failure mid-operation";
+            raise e
+        | Proto.Malformed msg -> Errno.fail Errno.EIO ("undecodable response: " ^ msg))
   in
   match run () with
   | resp ->

@@ -331,39 +331,48 @@ let find_batchable tag =
 
 (* ---- derived encoding ---- *)
 
-(* One length-prefixed sub-op record: [u32 record len][u32 tag =
-   opcode][u32 vfd][op payload].  Returns the offset just past the
-   record.  Only the small fixed-size data-path operations are
-   batchable. *)
-let encode_subop b off req =
+(* Every refusal of the request encoder, made before it writes a byte. *)
+let check_request req =
   match req with
-  | Rbatch _ -> invalid_arg "Proto.encode_subop: operation not batchable"
-  | _ ->
-      let s = spec_of_req req in
-      if not s.W.batchable then
-        invalid_arg "Proto.encode_subop: operation not batchable";
-      let vfd, _ = s.W.parts req in
-      let len = 12 + W.payload_span ~payload_base:16 s in
-      if off + len > trace_off then raise Batch_overflow;
-      w32 b off len;
-      w32 b (off + 4) s.W.op;
-      w32 b (off + 8) vfd;
-      (* record payload fields sit at their singleton offsets shifted
-         onto the record body (singleton payload base 16 -> off + 12) *)
-      W.encode_fields s b ~base:(off + 12 - 16) req;
-      off + len
-
-let encode_request ~grant_ref ~pid req =
-  let b = Bytes.make slot_size '\000' in
-  w32 b 4 grant_ref;
-  w32 b pid_off pid;
-  (match req with
   | Rbatch reqs ->
       let n = List.length reqs in
       if n < 1 || n > max_batch_ops then
         invalid_arg "Proto.encode_request: batch size out of range";
+      List.iter
+        (fun sub ->
+          let batchable =
+            match sub with Rbatch _ -> false | _ -> (spec_of_req sub).W.batchable
+          in
+          if not batchable then invalid_arg "Proto.encode_subop: operation not batchable")
+        reqs
+  | _ -> W.check_fields (spec_of_req req) req
+
+(* One length-prefixed sub-op record: [u32 record len][u32 tag =
+   opcode][u32 vfd][op payload].  Returns the offset just past the
+   record.  Only the small fixed-size data-path operations are
+   batchable ([check_request] has refused the others). *)
+let encode_subop b off req =
+  let s = spec_of_req req in
+  let vfd, _ = s.W.parts req in
+  let len = 12 + W.payload_span ~payload_base:16 s in
+  if off + len > trace_off then raise Batch_overflow;
+  w32 b off len;
+  w32 b (off + 4) s.W.op;
+  w32 b (off + 8) vfd;
+  (* record payload fields sit at their singleton offsets shifted
+     onto the record body (singleton payload base 16 -> off + 12) *)
+  W.encode_fields s b ~base:(off + 12 - 16) req;
+  off + len
+
+let encode_request_into b ~grant_ref ~pid req =
+  check_request req;
+  Bytes.fill b 0 slot_size '\000';
+  w32 b 4 grant_ref;
+  w32 b pid_off pid;
+  match req with
+  | Rbatch reqs ->
       w32 b 0 batch_op;
-      w32 b 12 n;
+      w32 b 12 (List.length reqs);
       let off = ref 16 in
       List.iter (fun sub -> off := encode_subop b !off sub) reqs
   | _ ->
@@ -371,7 +380,11 @@ let encode_request ~grant_ref ~pid req =
       let vfd, _ = s.W.parts req in
       w32 b 0 s.W.op;
       w32 b 8 vfd;
-      W.encode_fields s b ~base:0 req);
+      W.encode_fields s b ~base:0 req
+
+let encode_request ~grant_ref ~pid req =
+  let b = Bytes.create slot_size in
+  encode_request_into b ~grant_ref ~pid req;
   b
 
 (* ---- derived decoding ---- *)
@@ -548,9 +561,9 @@ let encode_subresp b off sub =
       W.encode_fields s b ~base:off sub;
       off + len
 
-let encode_response resp =
-  let b = Bytes.make slot_size '\000' in
-  (match resp with
+let encode_response_into b resp =
+  Bytes.fill b 0 slot_size '\000';
+  match resp with
   | Rbatch_reply subs ->
       let n = List.length subs in
       if n < 1 || n > max_batch_ops then
@@ -562,7 +575,11 @@ let encode_response resp =
   | _ ->
       let s = spec_of_resp resp in
       w32 b 0 s.W.op;
-      W.encode_fields s b ~base:0 resp);
+      W.encode_fields s b ~base:0 resp
+
+let encode_response resp =
+  let b = Bytes.create slot_size in
+  encode_response_into b resp;
   b
 
 let decode_subresp b off =

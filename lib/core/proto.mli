@@ -55,10 +55,10 @@ val get_trace : bytes -> int
 
 exception Malformed of string
 
-(** Raised by {!encode_request} when a field value has no wire
-    representation — e.g. an [Ropen] path longer than the 256-byte
-    wire cap: the encoder rejects exactly what the decoder would,
-    instead of blitting past the path slot. *)
+(** Raised by the request encoder and {!check_request} when a field
+    value has no wire representation — e.g. an [Ropen] path longer
+    than the 256-byte wire cap: the encoder rejects exactly what the
+    decoder would, instead of blitting past the path slot. *)
 exception Oversized of { field : string; length : int; limit : int }
 
 (** The spec table the codecs are derived from: one
@@ -71,7 +71,19 @@ val req_specs : request Wire_spec.spec list
     tag 4). *)
 val resp_specs : response Wire_spec.spec list
 
+(** Encode into a fresh slot-sized buffer ({!encode_request_into}). *)
 val encode_request : grant_ref:int -> pid:int -> request -> bytes
+
+(** Encode into the first {!slot_size} bytes of a caller-owned buffer,
+    every byte of them rewritten, so a buffer reused across operations
+    carries nothing of the last one. *)
+val encode_request_into : bytes -> grant_ref:int -> pid:int -> request -> unit
+
+(** Raise whatever {!encode_request_into} would refuse [request] with
+    ({!Oversized}, or [Invalid_argument] for a malformed batch),
+    without writing: a frontend refuses a request before it claims a
+    ring slot. *)
+val check_request : request -> unit
 
 (** Returns [(request, grant_ref, pid)]; raises {!Malformed} on
     garbage (a malicious frontend cannot crash the backend). *)
@@ -94,7 +106,13 @@ val validate_limits :
 (** Largest virtual descriptor number {!validate_limits} accepts. *)
 val max_vfd : int
 
+(** Encode into a fresh slot-sized buffer ({!encode_response_into}). *)
 val encode_response : response -> bytes
+
+(** Encode into the first {!slot_size} bytes of a caller-owned buffer,
+    every byte of them rewritten. *)
+val encode_response_into : bytes -> response -> unit
+
 val decode_response : bytes -> response
 val request_name : request -> string
 

@@ -112,7 +112,20 @@ let payload_span ~payload_base spec =
 
 (* ---- derived encoder ---- *)
 
+(* The refusal a value can meet before anything is written: a string
+   past its field's cap. *)
+let check_field f v =
+  match (f.kind, v) with
+  | Str { max; _ }, S s when String.length s > max ->
+      raise (Oversized { field = f.fname; length = String.length s; limit = max })
+  | _ -> ()
+
+let check_fields spec m =
+  if List.exists (fun f -> match f.kind with Str _ -> true | _ -> false) spec.fields
+  then List.iter2 check_field spec.fields (snd (spec.parts m))
+
 let encode_field b ~base f v =
+  check_field f v;
   match (f.kind, v) with
   | Int U32, I v -> w32 b (f.off + base) v
   | Int U63, I v -> w64 b (f.off + base) v
@@ -120,9 +133,8 @@ let encode_field b ~base f v =
   | Flag, B v -> w32 b (f.off + base) (if v then 1 else 0)
   | Timeout _, F v ->
       Bytes.set_int64_le b (f.off + base) (Int64.bits_of_float v)
-  | Str { len_off; max; _ }, S s ->
+  | Str { len_off; _ }, S s ->
       let n = String.length s in
-      if n > max then raise (Oversized { field = f.fname; length = n; limit = max });
       if f.off + base + n > Bytes.length b then
         raise
           (Oversized

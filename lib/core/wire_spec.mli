@@ -119,6 +119,11 @@ val payload_span : payload_base:int -> 'm spec -> int
     field at [off + base].  Raises {!Oversized} per the field specs. *)
 val encode_fields : 'm spec -> bytes -> base:int -> 'm -> unit
 
+(** Raise the {!Oversized} that {!encode_fields} would raise for [m] on
+    a whole slot, without writing anything (and, for a spec with no
+    string field, without projecting [m]). *)
+val check_fields : 'm spec -> 'm -> unit
+
 (** Derived decoder: read every field at [off + base] under its
     policy and rebuild through [spec.build].  [msg_prefix] is
     prepended to policy reject messages (["batch "] inside multi-op

@@ -21,7 +21,7 @@ type t = {
 }
 
 type view = {
-  read : offset:int -> len:int -> bytes;
+  read_into : offset:int -> len:int -> bytes -> unit;
   write : offset:int -> bytes -> unit;
   read_u32 : offset:int -> int;
   write_u32 : offset:int -> int -> unit;
@@ -66,9 +66,9 @@ let view_of t vm =
     | Some gpa -> gpa
     | None -> invalid_arg "Shared_page.view_of: not mapped in this VM"
   in
-  let read ~offset ~len =
+  let read_into ~offset ~len dst =
     check_bounds t ~offset ~len;
-    Vm.read_gpa vm ~gpa:(gpa + offset) ~len
+    Vm.read_gpa_into vm ~gpa:(gpa + offset) ~dst ~dst_off:0 ~len
   and write ~offset data =
     check_bounds t ~offset ~len:(Bytes.length data);
     Vm.write_gpa vm ~gpa:(gpa + offset) data
@@ -77,7 +77,7 @@ let view_of t vm =
      translation, no intermediate buffer) — the doorbell/slot-state
      polls of the transport hammer these. *)
   {
-    read;
+    read_into;
     write;
     read_u32 =
       (fun ~offset ->
@@ -102,15 +102,15 @@ let view_of t vm =
     are physically contiguous, so linear addressing is exact). *)
 let hypervisor_view t =
   let base = Memory.Addr.of_pfn t.base_spn in
-  let read ~offset ~len =
+  let read_into ~offset ~len dst =
     check_bounds t ~offset ~len;
-    Memory.Phys_mem.read t.phys ~spa:(base + offset) ~len
+    Memory.Phys_mem.read_into t.phys ~spa:(base + offset) ~dst ~dst_off:0 ~len
   and write ~offset data =
     check_bounds t ~offset ~len:(Bytes.length data);
     Memory.Phys_mem.write t.phys ~spa:(base + offset) data
   in
   {
-    read;
+    read_into;
     write;
     read_u32 = (fun ~offset -> Memory.Phys_mem.read_u32 t.phys ~spa:(base + offset));
     write_u32 = (fun ~offset v -> Memory.Phys_mem.write_u32 t.phys ~spa:(base + offset) v);

@@ -5,8 +5,10 @@
 
 type t
 
+(** [read_into ~offset ~len dst] copies [len] bytes of the region into
+    the start of [dst]: no accessor allocates a copy of its own. *)
 type view = {
-  read : offset:int -> len:int -> bytes;
+  read_into : offset:int -> len:int -> bytes -> unit;
   write : offset:int -> bytes -> unit;
   read_u32 : offset:int -> int;
   write_u32 : offset:int -> int -> unit;

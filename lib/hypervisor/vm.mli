@@ -33,6 +33,8 @@ val flush_tlb : t -> unit
 (** CPU access to guest-physical memory (EPT-checked). *)
 val read_gpa : t -> gpa:int -> len:int -> bytes
 
+val read_gpa_into : t -> gpa:int -> dst:bytes -> dst_off:int -> len:int -> unit
+
 val write_gpa : t -> gpa:int -> bytes -> unit
 
 (** Two-level access through a process page table then the EPT — the

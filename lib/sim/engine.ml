@@ -16,12 +16,19 @@
       execution;
     - [now] never decreases. *)
 
+(* An all-float record is stored flat, so advancing the clock, and
+   handing a wait's delay from the effect handler to its continuation
+   handler, allocate nothing. *)
+type clock = { mutable now : float; mutable wait_delay : float }
+
 type t = {
-  mutable now : float;
+  clock : clock;
   mutable seq : int;
   events : (unit -> unit) Heap.t;
   mutable live_processes : int;
   mutable spawned : int;
+  handler : (unit, unit) Effect.Deep.handler Lazy.t;
+      (* one handler serves every process of this engine *)
 }
 
 type _ Effect.t +=
@@ -36,10 +43,7 @@ type _ Effect.t +=
 
 exception Deadlock of string
 
-let create () =
-  { now = 0.; seq = 0; events = Heap.create (); live_processes = 0; spawned = 0 }
-
-let now t = t.now
+let now t = t.clock.now
 
 let next_seq t =
   let s = t.seq in
@@ -52,10 +56,20 @@ let next_seq t =
     itself call [wait]). *)
 let at t ~delay f =
   if delay < 0. then invalid_arg "Engine.at: negative delay";
-  Heap.push t.events ~time:(t.now +. delay) ~seq:(next_seq t) f
+  Heap.push t.events ~time:(t.clock.now +. delay) ~seq:(next_seq t) f
 
-let effective_handler t =
+(* The handler every process runs under.  [effc] must return its
+   continuation handler in an option; for [Wait] that option is
+   allocated once here and reads the delay [effc] parked in the
+   clock. *)
+let make_handler t : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
+  let resume_after_wait =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        Heap.push t.events ~time:(t.clock.now +. t.clock.wait_delay)
+          ~seq:(next_seq t) (fun () -> continue k ()))
+  in
   {
     retc = (fun () -> t.live_processes <- t.live_processes - 1);
     exnc = (fun exn -> t.live_processes <- t.live_processes - 1; raise exn);
@@ -63,13 +77,14 @@ let effective_handler t =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
         | Wait delay ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if delay < 0. then
-                  discontinue k (Invalid_argument "Engine.wait: negative delay")
-                else
-                  Heap.push t.events ~time:(t.now +. delay) ~seq:(next_seq t)
-                    (fun () -> continue k ()))
+            if delay < 0. then
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  discontinue k (Invalid_argument "Engine.wait: negative delay"))
+            else begin
+              t.clock.wait_delay <- delay;
+              (resume_after_wait : ((a, unit) continuation -> unit) option)
+            end
         | Suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -77,7 +92,7 @@ let effective_handler t =
                 let waker v =
                   if not !resumed then begin
                     resumed := true;
-                    Heap.push t.events ~time:t.now ~seq:(next_seq t)
+                    Heap.push t.events ~time:t.clock.now ~seq:(next_seq t)
                       (fun () -> continue k v)
                   end
                 in
@@ -85,33 +100,50 @@ let effective_handler t =
         | _ -> None);
   }
 
+let create () =
+  let rec t =
+    {
+      clock = { now = 0.; wait_delay = 0. };
+      seq = 0;
+      events = Heap.create ~dummy:ignore;
+      live_processes = 0;
+      spawned = 0;
+      handler = lazy (make_handler t);
+    }
+  in
+  t
+
 let spawn t ?name f =
   ignore name;
   t.live_processes <- t.live_processes + 1;
   t.spawned <- t.spawned + 1;
+  let handler = Lazy.force t.handler in
   (* Processes start at the current time, not immediately: spawning
      never preempts the spawner. *)
-  Heap.push t.events ~time:t.now ~seq:(next_seq t) (fun () ->
-      Effect.Deep.match_with f () (effective_handler t))
+  Heap.push t.events ~time:t.clock.now ~seq:(next_seq t) (fun () ->
+      Effect.Deep.match_with f () handler)
 
 (** Run until the event queue drains, or until [until] if given (events
-    scheduled later stay in the queue and [now] stops at [until]). *)
+    scheduled later stay in the queue and [now] stops at [until], or
+    stays where it is if it is already past [until]). *)
 let run ?until t =
-  let continue_loop = ref true in
-  while !continue_loop do
-    match Heap.peek t.events with
-    | None -> continue_loop := false
-    | Some entry ->
-        (match until with
-        | Some limit when entry.Heap.time > limit ->
-            t.now <- limit;
-            continue_loop := false
-        | _ ->
-            (match Heap.pop t.events with
-            | None -> assert false
-            | Some { Heap.time; value = thunk; _ } ->
-                if time > t.now then t.now <- time;
-                thunk ()))
+  let limit = match until with Some l -> l | None -> infinity in
+  let clock = t.clock in
+  let running = ref true in
+  while !running do
+    if Heap.is_empty t.events then running := false
+    else begin
+      let time = Heap.min_time t.events in
+      if time > limit then begin
+        if limit > clock.now then clock.now <- limit;
+        running := false
+      end
+      else begin
+        let thunk = Heap.pop t.events in
+        if time > clock.now then clock.now <- time;
+        thunk ()
+      end
+    end
   done
 
 (** True when processes are still alive but no event can ever wake

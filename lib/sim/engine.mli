@@ -28,7 +28,8 @@ val at : t -> delay:float -> (unit -> unit) -> unit
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 (** Run until the event queue drains, or until [until] if given
-    (later events stay queued and the clock stops at [until]). *)
+    (later events stay queued and the clock stops at [until]; a limit
+    already behind the clock leaves it where it is). *)
 val run : ?until:float -> t -> unit
 
 (** True when live processes remain but no event can ever wake them. *)

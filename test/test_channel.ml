@@ -552,6 +552,113 @@ let test_wedged_worker_times_out () =
   Alcotest.(check bool) "the wedged worker never wakes" true
     (Sim.Engine.deadlocked (M.engine m))
 
+(* ---- the private-copy contract: one descriptor copy per side per
+   domain, filled and consumed with no suspension in between ---- *)
+
+(* A driver-VM test device whose ioctl returns its argument, exported
+   to [g]: every op's result is its own, so an answer read back into
+   the wrong process shows. *)
+let echo_ioctl = Oskit.Ioctl_num.io ~typ:'e' ~nr:1
+
+let attach_echo m (g : M.guest) =
+  let drv =
+    Oskit.Defs.make_device ~path:"/dev/echo0" ~cls:"test" ~driver:"echo"
+      {
+        Oskit.Defs.default_ops with
+        Oskit.Defs.fop_kinds = [ Oskit.Os_flavor.Open; Release; Ioctl ];
+        fop_ioctl = (fun _ _ ~cmd:_ ~arg -> Int64.to_int arg);
+      }
+  in
+  Oskit.Devfs.register (Oskit.Kernel.devfs (M.driver_kernel m)) drv;
+  Paradice.Cvd_back.export m.M.backend "/dev/echo0";
+  ignore (Paradice.Cvd_front.export g.M.frontend drv : Oskit.Defs.device)
+
+let test_copies_keep_results_apart () =
+  let tracer = Obs.Trace.create () in
+  let m = M.create ~config:{ Paradice.Config.default with Paradice.Config.tracer } () in
+  let g = M.add_guest m ~name:"g" () in
+  attach_echo m g;
+  let k = g.M.kernel in
+  let procs = 4 and per_proc = 20 in
+  let wrong = ref [] and answered = ref 0 in
+  let in_flight = ref 0 and most_in_flight = ref 0 in
+  for p = 1 to procs do
+    Sim.Engine.spawn (M.engine m) (fun () ->
+        let app = M.spawn_app m k ~name:(Printf.sprintf "app%d" p) in
+        let fd = Fixtures.ok (Oskit.Vfs.openf k app "/dev/echo0") in
+        for i = 1 to per_proc do
+          let arg = (p * 1000) + i in
+          incr in_flight;
+          most_in_flight := max !most_in_flight !in_flight;
+          (match Oskit.Vfs.ioctl k app fd ~cmd:echo_ioctl ~arg:(Int64.of_int arg) with
+          | Ok r when r = arg -> incr answered
+          | Ok r -> wrong := (arg, r) :: !wrong
+          | Error e -> Alcotest.failf "ioctl %d: %s" arg (Oskit.Errno.to_string e));
+          decr in_flight;
+          (* stagger the processes so their ops overlap unevenly *)
+          Sim.Engine.wait (float_of_int (((p * 7) + i) mod 5))
+        done;
+        Fixtures.ok (Oskit.Vfs.close k app fd))
+  done;
+  Sim.Engine.run (M.engine m);
+  Alcotest.(check (list (pair int int))) "no op got another op's result" [] !wrong;
+  Alcotest.(check int) "every op answered" (procs * per_proc) !answered;
+  let busy_rings = List.length (List.filter (fun n -> n > 0) (per_channel_rpcs g)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "ops interleaved (%d of 4 rings used, %d ops at once)" busy_rings
+       !most_in_flight)
+    true
+    (busy_rings >= 2 && !most_in_flight >= 2);
+  let r = Obs.Trace.reconcile tracer in
+  Alcotest.(check bool) "every op reconciled" true
+    (r.Obs.Trace.r_ops >= procs * (per_proc + 2));
+  Alcotest.(check (float 0.)) "stage spans tile each op" 0. r.Obs.Trace.r_max_gap_us
+
+let test_unencodable_open_refused_before_rpc () =
+  let m, g = boot_null () in
+  let long = "/dev/" ^ String.make 295 'x' in
+  let drv =
+    Oskit.Defs.make_device ~path:long ~cls:"test" ~driver:"long"
+      { Oskit.Defs.default_ops with Oskit.Defs.fop_kinds = [ Oskit.Os_flavor.Open ] }
+  in
+  ignore (Paradice.Cvd_front.export g.M.frontend drv : Oskit.Defs.device);
+  let pool = g.M.link.Paradice.Cvd_back.pool and k = g.M.kernel in
+  run_in (M.engine m) (fun () ->
+      let app = M.spawn_app m k ~name:"app" in
+      let rpcs () = (Paradice.Chan_pool.stats pool).Paradice.Chan_pool.rpcs in
+      let rpcs0 = rpcs () and t0 = Sim.Engine.now (M.engine m) in
+      (match Oskit.Vfs.openf k app long with
+      | Error Oskit.Errno.ENAMETOOLONG -> ()
+      | Error e -> Alcotest.failf "open failed with %s" (Oskit.Errno.to_string e)
+      | Ok _ -> Alcotest.fail "a 300-byte path has no wire form");
+      Alcotest.(check int) "no rpc issued" rpcs0 (rpcs ());
+      Alcotest.(check (float 0.)) "no time passed but the guest's own syscall entry"
+        (Oskit.Kernel.syscall_cost k)
+        (Sim.Engine.now (M.engine m) -. t0))
+
+let test_forwarded_ioctl_allocation () =
+  let m, g = boot_null () in
+  let k = g.M.kernel and ops = 1000 in
+  let words =
+    run_in (M.engine m) (fun () ->
+        let app = M.spawn_app m k ~name:"app" in
+        let fd = Fixtures.ok (Oskit.Vfs.openf k app "/dev/null0") in
+        let ioctl () =
+          ignore (Fixtures.ok (Oskit.Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L) : int)
+        in
+        for _ = 1 to 200 do
+          ioctl ()
+        done;
+        let before = Gc.minor_words () in
+        for _ = 1 to ops do
+          ioctl ()
+        done;
+        (Gc.minor_words () -. before) /. float_of_int ops)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per forwarded null ioctl (at most 900)" words)
+    true (words <= 900.)
+
 let suites =
   [
     ( "channel.failure_injection",
@@ -590,5 +697,14 @@ let suites =
           test_concurrent_files_dispatch_correctly;
         Alcotest.test_case "wedged worker times out" `Quick
           test_wedged_worker_times_out;
+      ] );
+    ( "channel.copies",
+      [
+        Alcotest.test_case "interleaved ops keep their own results" `Quick
+          test_copies_keep_results_apart;
+        Alcotest.test_case "unencodable open refused before any rpc" `Quick
+          test_unencodable_open_refused_before_rpc;
+        Alcotest.test_case "forwarded null ioctl allocation" `Quick
+          test_forwarded_ioctl_allocation;
       ] );
   ]

@@ -60,6 +60,33 @@ let test_run_until () =
   Alcotest.(check int) "remaining events run on resume" 2 !hits;
   check_float "clock advances" 20. (Sim.Engine.now eng)
 
+let test_run_until_never_rewinds () =
+  let eng = Sim.Engine.create () in
+  Sim.Engine.at eng ~delay:20. ignore;
+  Sim.Engine.run ~until:15. eng;
+  check_float "clock stops at the limit" 15. (Sim.Engine.now eng);
+  Sim.Engine.run ~until:10. eng;
+  check_float "an earlier limit leaves the clock alone" 15. (Sim.Engine.now eng);
+  Sim.Engine.run eng;
+  check_float "the queued event still runs" 20. (Sim.Engine.now eng)
+
+(* The queue must not keep a run event alive: its closure, and what the
+   closure captured, are garbage once it has run. *)
+let test_run_event_not_retained () =
+  let eng = Sim.Engine.create () in
+  let weak = Weak.create 1 in
+  let arm () =
+    let captured = Bytes.create 64 in
+    Weak.set weak 0 (Some captured);
+    Sim.Engine.at eng ~delay:1. (fun () -> ignore (Sys.opaque_identity captured))
+  in
+  arm ();
+  Sim.Engine.run eng;
+  Gc.full_major ();
+  Alcotest.(check bool) "captured value collected" false (Weak.check weak 0);
+  (* the engine, and so its queue, was live across the collection *)
+  ignore (Sys.opaque_identity eng)
+
 let test_suspend_wake () =
   let eng = Sim.Engine.create () in
   let waker_cell = ref None in
@@ -313,22 +340,34 @@ let test_stats_merge () =
 
 (* Property tests *)
 
+(* A model test: random pushes and pops, interleaved, on a handful of
+   distinct times so that ties abound, against a sorted-list reference
+   of (time, seq) pairs. *)
 let prop_heap_pops_sorted =
-  QCheck.Test.make ~name:"heap pops in (time, seq) order" ~count:200
-    QCheck.(list (pair (float_bound_exclusive 1000.) unit))
-    (fun entries ->
-      let heap = Sim.Heap.create () in
-      List.iteri
-        (fun i (t, ()) -> Sim.Heap.push heap ~time:t ~seq:i (t, i))
-        entries;
-      let rec drain acc =
-        match Sim.Heap.pop heap with
-        | None -> List.rev acc
-        | Some e -> drain (e.Sim.Heap.value :: acc)
+  QCheck.Test.make ~name:"heap pops in (time, seq) order" ~count:300
+    QCheck.(list (option (int_bound 4)))
+    (fun script ->
+      let heap = Sim.Heap.create ~dummy:(nan, -1) in
+      let model = ref [] and seq = ref 0 in
+      let pop_agrees () =
+        match !model with
+        | [] -> Sim.Heap.is_empty heap
+        | ((time, _) as e) :: rest ->
+            model := rest;
+            Sim.Heap.min_time heap = time && Sim.Heap.pop heap = e
       in
-      let out = drain [] in
-      let sorted = List.sort compare out in
-      out = sorted)
+      let step = function
+        | Some t ->
+            let e = (float_of_int t, !seq) in
+            Sim.Heap.push heap ~time:(fst e) ~seq:!seq e;
+            incr seq;
+            model := List.merge compare !model [ e ];
+            true
+        | None -> pop_agrees ()
+      in
+      List.for_all step script
+      && List.for_all (fun _ -> pop_agrees ()) !model
+      && Sim.Heap.is_empty heap)
 
 let prop_engine_time_monotonic =
   QCheck.Test.make ~name:"engine time is monotonic over random waits" ~count:100
@@ -368,6 +407,10 @@ let suites =
         Alcotest.test_case "spawn does not preempt" `Quick test_spawn_does_not_preempt;
         Alcotest.test_case "deterministic ordering" `Quick test_event_ordering_deterministic;
         Alcotest.test_case "run until" `Quick test_run_until;
+        Alcotest.test_case "run until never rewinds the clock" `Quick
+          test_run_until_never_rewinds;
+        Alcotest.test_case "run events are not retained" `Quick
+          test_run_event_not_retained;
         Alcotest.test_case "suspend/wake" `Quick test_suspend_wake;
         Alcotest.test_case "waker idempotent" `Quick test_suspend_waker_idempotent;
         Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
