@@ -18,6 +18,11 @@ let ints = Report.labelled string_of_int
 let resolutions = Report.labelled (fun (w, h) -> Printf.sprintf "%dx%d" w h)
 let one col = [ (col, ()) ]
 
+(* The transport counts of a one-guest setup's channel pool. *)
+let pool_stats machine =
+  Paradice.Chan_pool.stats
+    (List.hd (Paradice.Machine.guests machine)).Paradice.Machine.link.Paradice.Cvd_back.pool
+
 (* Native, device assignment and Paradice with interrupts, then [extra]
    Paradice configurations: the columns most of §6 compares. *)
 let native_da_paradice extra =
@@ -849,18 +854,13 @@ let throughput () =
   let total = scaled 2000 in
   let run_depth config depth =
     let machine, env = Setup.make ~devices:[ Setup.Null ] (Setup.Paradice config) in
-    let g = List.hd (Paradice.Machine.guests machine) in
-    let pool_stats () =
-      Paradice.Chan_pool.stats
-        g.Paradice.Machine.link.Paradice.Cvd_back.pool
-    in
     (* warm the channel so the sweep measures the steady state *)
     R.run_to_completion env (fun () ->
         let task = R.spawn_app env ~name:"warm" in
         let fd = R.openf env task "/dev/null0" in
         let (_ : int) = R.ioctl env task fd ~cmd:Paradice.Machine.null_ioctl ~arg:0L in
         R.close env task fd);
-    let s0 = pool_stats () in
+    let s0 = pool_stats machine in
     let t0 = R.now_us env in
     let per_fiber = max 1 (total / depth) in
     for i = 1 to depth do
@@ -875,7 +875,7 @@ let throughput () =
           done)
     done;
     R.run env;
-    let s1 = pool_stats () in
+    let s1 = pool_stats machine in
     let ops = per_fiber * depth in
     let us_per_op = (R.now_us env -. t0) /. float_of_int ops in
     let legs_per_op =
@@ -1115,8 +1115,9 @@ let trace () =
   Report.heading "Operation tracing — Chrome trace export + §6.1 reconciliation";
   let noop_run tracer =
     let cfg = { Paradice.Config.default with Paradice.Config.tracer } in
-    let _m, env = Setup.make ~devices:[ Setup.Null ] (Setup.Paradice cfg) in
-    Workloads.Noop_bench.run env ~ops:(scaled 50) ()
+    let m, env = Setup.make ~devices:[ Setup.Null ] (Setup.Paradice cfg) in
+    let us = Workloads.Noop_bench.run env ~ops:(scaled 50) () in
+    (us, pool_stats m)
   in
   let netmap_run tracer =
     let cfg = { Paradice.Config.default with Paradice.Config.tracer } in
@@ -1124,9 +1125,9 @@ let trace () =
     (Workloads.Netmap_pktgen.run env ~packets:(scaled 2000) ~batch:8)
       .Workloads.Netmap_pktgen.elapsed_s
   in
-  let noop_off = noop_run Obs.Trace.disabled in
+  let noop_off, _ = noop_run Obs.Trace.disabled in
   let noop_tr = Obs.Trace.create () in
-  let noop_on = noop_run noop_tr in
+  let noop_on, noop_stats = noop_run noop_tr in
   let nm_off = netmap_run Obs.Trace.disabled in
   let nm_tr = Obs.Trace.create () in
   let nm_on = netmap_run nm_tr in
@@ -1151,16 +1152,14 @@ let trace () =
     "acceptance: per-stage span sums reconcile with end-to-end op latency";
   Report.note
     "            within one simulated tick; tracing on = bit-identical timing";
-  (* per-stage latency histograms from the span metrics (noop run) *)
-  let noop_metrics = Obs.Trace.metrics noop_tr in
+  (* per-stage latency histograms from the spans, and the signalling
+     counts (noop run) *)
   let stages =
     Report.rows ~prefix:"noop span" ~corner:"span (noop run)"
       [ Report.int "count" Sim.Stats.count; Report.num ~unit:"us" "mean (us)" Sim.Stats.mean ]
-      (List.filter
-         (fun (_, h) -> Sim.Stats.count h > 0)
-         (Obs.Metrics.histograms noop_metrics))
+      (Obs.Trace.histograms noop_tr)
   in
-  let counters = Obs.Metrics.counters noop_metrics in
+  let counters = Paradice.Chan_pool.signal_counts noop_stats in
   List.iter (fun (name, count) -> Report.note "counter %s = %d" name count) counters;
   (* Perfetto-loadable exports *)
   let dump path t =
@@ -1603,18 +1602,18 @@ let notify () =
       (fun (name, cfg) ->
         let tracer = Obs.Trace.create () in
         let cfg = { cfg with Paradice.Config.tracer } in
-        let _m, env = Setup.make ~devices:[ Setup.Null ] (Setup.Paradice cfg) in
+        let m, env = Setup.make ~devices:[ Setup.Null ] (Setup.Paradice cfg) in
         let (_ : float) =
           guard ~what:("reconcile/" ^ name) ~fallback:nan (fun () ->
               Workloads.Noop_bench.run env ~ops:(scaled 50) ())
         in
-        (name, (Obs.Trace.reconcile tracer, Obs.Trace.metrics tracer)))
+        (name, (Obs.Trace.reconcile tracer, pool_stats m)))
       noop_modes
   in
   let batch_reconcile =
     let tracer = Obs.Trace.create () in
     let cfg = { Paradice.Config.hybrid with Paradice.Config.tracer } in
-    let _m, env = Setup.make ~devices:[ Setup.Netmap ] (Setup.Paradice cfg) in
+    let m, env = Setup.make ~devices:[ Setup.Netmap ] (Setup.Paradice cfg) in
     let (_ : Workloads.Netmap_pktgen.result) =
       guard ~what:"reconcile/hybrid+mop" (fun () ->
           Workloads.Netmap_pktgen.run_batched env ~packets:(scaled 2000) ~batch:8
@@ -1622,7 +1621,7 @@ let notify () =
         ~fallback:
           { Workloads.Netmap_pktgen.rate_mpps = nan; packets = 0; elapsed_s = nan }
     in
-    ("hybrid+mop", (Obs.Trace.reconcile tracer, Obs.Trace.metrics tracer))
+    ("hybrid+mop", (Obs.Trace.reconcile tracer, pool_stats m))
   in
   let reconcile_rows = reconcile_rows @ [ batch_reconcile ] in
   let reconcile =
@@ -1635,7 +1634,7 @@ let notify () =
       reconcile_rows
   in
   List.iter
-    (fun (name, (_, metrics)) ->
+    (fun (name, (_, stats)) ->
       List.iter
         (fun (counter, count) ->
           if
@@ -1643,7 +1642,7 @@ let notify () =
             || counter = "doorbell.resp_suppressed"
             || counter = "hybrid.poll_windows"
           then Report.note "%s: counter %s = %d" name counter count)
-        (Obs.Metrics.counters metrics))
+        (Paradice.Chan_pool.signal_counts stats))
     reconcile_rows;
   Report.note
     "acceptance: stage spans (incl. hybrid handoffs, per-sub-op spans excluded)";
@@ -1689,7 +1688,7 @@ let notify () =
    per-shard simulated-time results whatever the domain count — the
    determinism gate — while wall-clock aggregate throughput scales
    with shards.  Tail latency (p99/p999) is aggregated across shards
-   by exact histogram pooling (Sim.Stats.merge / Obs.Metrics.merge),
+   by exact histogram pooling (Sim.Stats.merge),
    and a Zipf-skewed offered load checks that per-guest isolation
    (rings + caps, §5.1) keeps the fleet fair. *)
 
@@ -1774,19 +1773,6 @@ let fleet () =
   Report.note "1-domain vs %d-domain per-shard results: %s"
     (max 1 (min 4 cores))
     (if deterministic then "bit-identical" else "DIVERGED");
-
-  (* -- per-shard metric namespaces -> one fleet registry -- *)
-  let agg = Obs.Metrics.create () in
-  Array.iter
-    (fun (r : FL.result) ->
-      Obs.Metrics.merge ~into:agg
-        ~prefix:(Printf.sprintf "shard%d." r.FL.r_shard)
-        r.FL.r_metrics;
-      Obs.Metrics.merge ~into:agg r.FL.r_metrics)
-    par4;
-  Report.note "merged metrics: fleet ops_ok=%d (shard0 ops_ok=%d)"
-    (Obs.Metrics.count agg "fleet.ops_ok")
-    (Obs.Metrics.count agg "shard0.fleet.ops_ok");
 
   (* -- fairness under Zipf-skewed offered load (4 shards) -- *)
   let zipf = FL.zipf_ops ~guests ~base:base_ops ~alpha:1.0 in

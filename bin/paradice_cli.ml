@@ -166,7 +166,7 @@ let trace workload out ops packets batch =
     | "netmap" -> [ Baselines.Setup.Netmap ]
     | w -> failwith ("trace supports noop | netmap, not " ^ w)
   in
-  let _machine, env =
+  let machine, env =
     Baselines.Setup.make ~devices (Baselines.Setup.Paradice config)
   in
   (match workload with
@@ -187,8 +187,10 @@ let trace workload out ops packets batch =
     (fun (name, h) ->
       Printf.printf "  %-22s n=%-6d mean=%9.2f p95=%9.2f\n" name
         (Sim.Stats.count h) (Sim.Stats.mean h) (Sim.Stats.percentile h 95.))
-    (Obs.Metrics.histograms (Obs.Trace.metrics tracer));
-  (match Obs.Metrics.counters (Obs.Trace.metrics tracer) with
+    (Obs.Trace.histograms tracer);
+  let guest = List.hd (Paradice.Machine.guests machine) in
+  let _, _, stats = Paradice.Cvd_front.stats guest.Paradice.Machine.frontend in
+  (match Paradice.Chan_pool.signal_counts stats with
   | [] -> ()
   | cs ->
       Printf.printf "counters:\n";

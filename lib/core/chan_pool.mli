@@ -48,6 +48,18 @@ type stats = {
   protocol_violations : int;  (** responds on slots not in service *)
   req_poll_pickups : int;  (** request handoffs to a polling backend *)
   resp_poll_deliveries : int;  (** response handoffs to a polling waiter *)
+  req_legs : int;  (** request doorbell legs sent *)
+  resp_legs : int;  (** response doorbell legs sent (notifications not included) *)
+  req_suppressed : int;  (** request signals to a backend inside its poll window *)
+  resp_suppressed : int;  (** response signals to a waiter inside its poll window *)
+  dropped_legs : int;  (** doorbell legs lost to the drop faults *)
+  poll_windows : int;  (** backend poll windows opened *)
 }
 
+(** Every channel's {!Channel.stats}, summed (always on). *)
 val stats : t -> stats
+
+(** The signalling counts ([req_legs] … [poll_windows]) under their
+    report names (["doorbell.req_legs"], ["hybrid.poll_windows"], …),
+    sorted by name; zero counts are left out. *)
+val signal_counts : stats -> (string * int) list

@@ -88,6 +88,8 @@ type t = {
   mutable notify_seen : int; (* frontend: last counter value observed *)
   mutable stale_responses : int;
   mutable protocol_violations : int; (* responds on slots not in service *)
+  mutable dropped_legs : int; (* doorbell legs lost to the drop faults *)
+  mutable poll_windows : int; (* backend poll windows opened *)
   (* A killed channel (driver-VM crash) never completes an exchange
      again: senders fail fast with EIO, blocked receivers are woken so
      they can observe the death instead of hanging forever. *)
@@ -122,7 +124,22 @@ and dir = {
      hot.  This is what makes back-to-back no-ops cost ~35us while an
      isolated input event costs hundreds (§6.1.1 vs §6.1.5). *)
   mutable last_wake : float;
+  mutable legs_sent : int; (* doorbell legs *)
+  mutable suppressed : int; (* signals to a receiver inside its window *)
   mutable handoffs : int;
+  (* Tracing: the leg and the handoff in flight, each with its stage
+     span and the slot it was raised for (-1 once that descriptor was
+     picked up without it), and per slot the instant its descriptor
+     last became ready for the receiver: marked ready, reached by its
+     own signal, or picked up ahead of it.  A descriptor picked up
+     later than that (its signal coalesced onto another's, or the
+     receiver busy) records the wait as a ring stage span, so the
+     stage spans still tile its op. *)
+  mutable leg_sp : Obs.Trace.span;
+  mutable leg_slot : int;
+  mutable handoff_sp : Obs.Trace.span;
+  mutable handoff_slot : int;
+  ready : float array;
 }
 
 (* The fixed half of a direction: what a landing signal does, the
@@ -133,9 +150,6 @@ and spec = {
   drop_site : string;
   leg_span : string;
   handoff_span : string;
-  legs_counter : string;
-  suppressed_counter : string;
-  coalesced_counter : string;
 }
 
 (* Channel ordinal for trace counter-series names ("ring3.occupancy").
@@ -198,9 +212,6 @@ let req_spec =
     drop_site = site_drop_req;
     leg_span = "doorbell:req";
     handoff_span = "doorbell:req_poll";
-    legs_counter = "doorbell.req_legs";
-    suppressed_counter = "doorbell.req_suppressed";
-    coalesced_counter = "doorbell.req_coalesced";
   }
 
 let resp_spec =
@@ -209,9 +220,6 @@ let resp_spec =
     drop_site = site_drop_resp;
     leg_span = "doorbell:resp";
     handoff_span = "doorbell:resp_poll";
-    legs_counter = "doorbell.resp_legs";
-    suppressed_counter = "doorbell.resp_suppressed";
-    coalesced_counter = "doorbell.resp_coalesced";
   }
 
 let new_dir spec =
@@ -222,7 +230,14 @@ let new_dir spec =
     leg_pending = false;
     handoff_pending = false;
     last_wake = neg_infinity;
+    legs_sent = 0;
+    suppressed = 0;
     handoffs = 0;
+    leg_sp = Obs.Trace.no_span;
+    leg_slot = -1;
+    handoff_sp = Obs.Trace.no_span;
+    handoff_slot = -1;
+    ready = Array.make Config.ring_slots 0.;
   }
 
 let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
@@ -279,6 +294,8 @@ let create ?uid engine ~config ~phys ~guest_vm ~driver_vm =
     notify_seen = 0;
     stale_responses = 0;
     protocol_violations = 0;
+    dropped_legs = 0;
+    poll_windows = 0;
     dead = false;
     retired = false;
     timeouts = 0;
@@ -360,19 +377,43 @@ let fail_dead t =
 
 (* Tracing helpers.  Every one is a no-op behind a single boolean when
    the sink is disabled; none of them waits, so simulated time is
-   untouched.  Counters are registry-wide; spans attach to the
-   operation's trace id (0 = untraced, e.g. the watchdog heartbeat). *)
+   untouched.  Spans attach to the operation's trace id (0 = untraced,
+   e.g. the watchdog heartbeat). *)
 let traced t = Obs.Trace.enabled t.tracer
-let m_incr t name = if traced t then Obs.Metrics.incr (Obs.Trace.metrics t.tracer) name
 
 let occupancy_sample t =
-  if traced t then begin
-    let occ = float_of_int t.held in
+  if traced t then
     Obs.Trace.counter t.tracer ~lane:Obs.Trace.Ring
       ~name:(Printf.sprintf "ring%d.occupancy" t.chan_uid)
-      occ;
-    Obs.Metrics.observe (Obs.Trace.metrics t.tracer) "ring.occupancy" occ
+      (float_of_int t.held)
+
+(* [slot]'s descriptor is ready for [d]'s receiver from now on. *)
+let mark_ready t d slot =
+  if traced t && slot >= 0 then d.ready.(slot) <- Sim.Engine.now t.engine
+
+(* [slot]'s descriptor is picked up now: claimed by the backend's scan,
+   or its waiter woken (tracing only).  A signal it raised that is
+   still in flight has delivered nothing to it, so its stage span ends
+   here and it lands for nobody. *)
+let picked_up t d slot =
+  if d.leg_pending && d.leg_slot = slot then begin
+    Obs.Trace.span_end t.tracer d.leg_sp;
+    d.leg_slot <- -1;
+    mark_ready t d slot
+  end;
+  if d.handoff_pending && d.handoff_slot = slot then begin
+    Obs.Trace.span_end t.tracer d.handoff_sp;
+    d.handoff_slot <- -1;
+    mark_ready t d slot
   end
+
+(* Record the wait of [slot]'s descriptor on the ring, from its ready
+   instant to its pickup at [stop], when non-zero. *)
+let ring_wait t d ~slot ~trace ~name ~stop =
+  let ready = d.ready.(slot) in
+  if stop > ready then
+    Obs.Trace.add_complete t.tracer ~trace ~lane:Obs.Trace.Ring ~cat:"stage" ~name
+      ~start:ready ~stop
 
 (* The one signalling decision, for requests and responses alike.  A
    receiver inside its poll window gets a handoff: no interrupt and no
@@ -382,46 +423,48 @@ let occupancy_sample t =
    its next head re-scan, or that leg, picks the work up.  Anyone else
    gets a leg, which the drop fault can lose (the descriptor stays
    marked, so a later leg or the deadline recovers it).  Only a leg's
-   arrival clears [leg_pending]. *)
-let signal t d ~trace =
+   arrival clears [leg_pending].  [slot] is the descriptor signalled
+   for. *)
+let signal t d ~trace ~slot =
   if d.watchers > 0 then begin
-    m_incr t d.spec.suppressed_counter;
+    d.suppressed <- d.suppressed + 1;
     if not d.handoff_pending then begin
       d.handoff_pending <- true;
+      d.handoff_slot <- slot;
       d.handoffs <- d.handoffs + 1;
-      let sp =
+      d.handoff_sp <-
         Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
-          ~cat:"stage" ~name:d.spec.handoff_span ()
-      in
+          ~cat:"stage" ~name:d.spec.handoff_span ();
       d.last_wake <- Sim.Engine.now t.engine;
       Sim.Engine.at t.engine ~delay:t.signalling.Config.handoff_us (fun () ->
           d.handoff_pending <- false;
-          Obs.Trace.span_end t.tracer sp;
+          Obs.Trace.span_end t.tracer d.handoff_sp;
+          mark_ready t d d.handoff_slot;
           d.spec.arrive t ~leg:false)
     end
   end
-  else if d.awake || d.leg_pending then m_incr t d.spec.coalesced_counter
-  else if Config.fires t.config d.spec.drop_site then
-    m_incr t "fault.doorbell_dropped"
-  else begin
-    d.leg_pending <- true;
-    m_incr t d.spec.legs_counter;
-    let sp =
-      Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
-        ~cat:"stage" ~name:d.spec.leg_span ()
-    in
-    leg t d (fun () ->
-        d.leg_pending <- false;
-        Obs.Trace.span_end t.tracer sp;
-        d.spec.arrive t ~leg:true)
-  end
+  else if not (d.awake || d.leg_pending) then
+    if Config.fires t.config d.spec.drop_site then t.dropped_legs <- t.dropped_legs + 1
+    else begin
+      d.leg_pending <- true;
+      d.leg_slot <- slot;
+      d.legs_sent <- d.legs_sent + 1;
+      d.leg_sp <-
+        Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Transport
+          ~cat:"stage" ~name:d.spec.leg_span ();
+      leg t d (fun () ->
+          d.leg_pending <- false;
+          Obs.Trace.span_end t.tracer d.leg_sp;
+          mark_ready t d d.leg_slot;
+          d.spec.arrive t ~leg:true)
+    end
 
 (* Request doorbell.  The delay fault stalls the publish path before
    the signalling decision. *)
-let ring_req_doorbell t ~trace =
+let ring_req_doorbell t ~trace ~slot =
   if Config.fires t.config site_delay_req then
     Sim.Engine.wait Config.fault_delay_us;
-  signal t t.req ~trace
+  signal t t.req ~trace ~slot
 
 (* Publish one request descriptor: marshal, encode it into the
    domain's private copy and write that to the slot, stamp the
@@ -448,7 +491,8 @@ let publish t ~slot ~seq ~trace encode =
     view.Hypervisor.Shared_page.write_u32 ~offset:off (word lxor 0xff)
   end;
   view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot) st_req_ready;
-  ring_req_doorbell t ~trace;
+  mark_ready t t.req slot;
+  ring_req_doorbell t ~trace ~slot;
   Obs.Trace.span_end t.tracer sp
 
 let slot_span_name = Printf.sprintf "slot%d"
@@ -558,14 +602,20 @@ let call ?timeout_us t ~trace ~encode ~decode =
             match got with
             | Some () ->
                 let wake = Sim.Engine.now t.engine in
+                if traced t then begin
+                  picked_up t t.resp slot;
+                  ring_wait t t.resp ~slot ~trace ~name:"ring:resp_wait" ~stop:wake
+                end;
                 marshal ();
                 let copy = Domain.DLS.get front_copy in
                 t.front_view.Hypervisor.Shared_page.read_into
                   ~offset:(slot_off slot) ~len:Proto.slot_size copy;
                 if Proto.get_seq copy = seq then begin
-                  Obs.Trace.add_complete t.tracer ~trace
-                    ~lane:Obs.Trace.Frontend ~cat:"stage"
-                    ~name:"front:complete" ~start:wake ();
+                  if traced t then
+                    Obs.Trace.add_complete t.tracer ~trace
+                      ~lane:Obs.Trace.Frontend ~cat:"stage"
+                      ~name:"front:complete" ~start:wake
+                      ~stop:(Sim.Engine.now t.engine);
                   decode copy
                 end
                 else begin
@@ -573,17 +623,14 @@ let call ?timeout_us t ~trace ~encode ~decode =
                      clobbered our live request, so discard it and
                      republish the same attempt *)
                   t.stale_responses <- t.stale_responses + 1;
-                  m_incr t "rpc.stale_responses";
                   publish t ~slot ~seq ~trace encode;
                   if t.dead then fail_dead t;
                   await tries_left seq
                 end
             | None ->
                 t.timeouts <- t.timeouts + 1;
-                m_incr t "rpc.timeouts";
                 if tries_left > 0 then begin
                   t.retries <- t.retries + 1;
-                  m_incr t "rpc.retries";
                   attempt (tries_left - 1)
                 end
                 else
@@ -615,7 +662,7 @@ let inject_raw t ~slot (bytes : bytes) =
     t.front_view.Hypervisor.Shared_page.write ~offset:(slot_off slot) wire;
     t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
       st_req_ready;
-    ring_req_doorbell t ~trace:0
+    ring_req_doorbell t ~trace:0 ~slot
   end
 
 (** Backend: block until a descriptor is ready and claim it; [None]
@@ -655,6 +702,7 @@ let next_request t : (int * bytes) option =
             st_in_service;
           t.service_active.(slot) <- true;
           t.in_service <- t.in_service + 1;
+          if traced t then picked_up t t.req slot;
           marshal ();
           let bytes = Domain.DLS.get back_copy in
           t.back_view.Hypervisor.Shared_page.read_into ~offset:(slot_off slot)
@@ -662,10 +710,15 @@ let next_request t : (int * bytes) option =
           t.service_seq.(slot) <- Proto.get_seq bytes;
           let trace = Proto.get_trace bytes in
           t.service_trace.(slot) <- trace;
-          (* the drain's trace id is only known once the descriptor is
-             read, so the span is recorded after the fact *)
-          Obs.Trace.add_complete t.tracer ~trace ~lane:Obs.Trace.Backend
-            ~cat:"stage" ~name:"back:drain" ~start:!start ();
+          (* the trace id is only known once the descriptor is read,
+             so the spans up to here are recorded after the fact: the
+             descriptor's wait for this scan, then the drain *)
+          if traced t then begin
+            ring_wait t t.req ~slot ~trace ~name:"ring:req_wait" ~stop:!start;
+            Obs.Trace.add_complete t.tracer ~trace ~lane:Obs.Trace.Backend
+              ~cat:"stage" ~name:"back:drain" ~start:!start
+              ~stop:(Sim.Engine.now t.engine)
+          end;
           Some (slot, bytes)
       | None ->
           let window = t.signalling.Config.window_us in
@@ -677,7 +730,7 @@ let next_request t : (int * bytes) option =
                (or the episode's dry-poll budget runs out). *)
             let window = min window t.poll_budget_left in
             t.req.watchers <- t.req.watchers + 1;
-            m_incr t "hybrid.poll_windows";
+            t.poll_windows <- t.poll_windows + 1;
             let t0 = Sim.Engine.now t.engine in
             let got = Sim.Mailbox.recv_timeout t.req_rx ~timeout:window in
             t.req.watchers <- t.req.watchers - 1;
@@ -729,7 +782,6 @@ let respond_with t ~slot encode =
        silently corrupting ring accounting. *)
     if not t.service_active.(slot) then begin
       t.protocol_violations <- t.protocol_violations + 1;
-      m_incr t "containment.respond_violation";
       Oskit.Errno.fail Oskit.Errno.EIO "respond: slot not in service"
     end;
     t.service_active.(slot) <- false;
@@ -747,9 +799,10 @@ let respond_with t ~slot encode =
       t.service_seq.(slot);
     view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.trace_off) trace;
     view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot) st_resp_ready;
+    mark_ready t t.resp slot;
     t.in_service <- t.in_service - 1;
     Obs.Trace.span_end t.tracer sp;
-    signal t t.resp ~trace
+    signal t t.resp ~trace ~slot
   end
 
 (** {!respond_with} a ready-encoded slot. *)
@@ -775,10 +828,8 @@ let notify t =
        events only bump the counter (like SIGIO, §2.1). *)
     if not t.pending_notify then begin
       t.pending_notify <- true;
-      m_incr t "notify.legs";
       leg t t.resp (fun () -> Sim.Mailbox.send t.notify_rx ())
     end
-    else m_incr t "notify.collapsed"
   end
 
 (** Test hook: preset the raw notification counter (e.g. just below the
@@ -820,6 +871,12 @@ type stats = {
   protocol_violations : int;
   req_poll_pickups : int;
   resp_poll_deliveries : int;
+  req_legs : int;
+  resp_legs : int;
+  req_suppressed : int;
+  resp_suppressed : int;
+  dropped_legs : int;
+  poll_windows : int;
 }
 
 let stats (t : t) : stats =
@@ -835,4 +892,10 @@ let stats (t : t) : stats =
     protocol_violations = t.protocol_violations;
     req_poll_pickups = t.req.handoffs;
     resp_poll_deliveries = t.resp.handoffs;
+    req_legs = t.req.legs_sent;
+    resp_legs = t.resp.legs_sent;
+    req_suppressed = t.req.suppressed;
+    resp_suppressed = t.resp.suppressed;
+    dropped_legs = t.dropped_legs;
+    poll_windows = t.poll_windows;
   }

@@ -109,10 +109,6 @@ let score_rejected = 3
 let score_grant_fault = 5
 let score_quota_breach = 2
 
-let m_incr ?by t name =
-  if Obs.Trace.enabled t.config.Config.tracer then
-    Obs.Metrics.incr ?by (Obs.Trace.metrics t.config.Config.tracer) name
-
 let audit t = Hypervisor.Hyp.audit t.hyp
 
 let note_sanitize_rejection t =
@@ -142,7 +138,6 @@ let quarantine t link worker =
     link.quarantined <- true;
     let a = audit t in
     a.Hypervisor.Audit.quarantines <- a.Hypervisor.Audit.quarantines + 1;
-    m_incr t "containment.quarantines";
     force_release_files link worker;
     (match Hypervisor.Hyp.grant_table_of t.hyp link.guest_vm with
     | Some table -> ignore (Hypervisor.Grant_table.revoke_all table)
@@ -177,7 +172,6 @@ let throttle t link =
     end
     else if link.cpu_used_us >= budget then begin
       link.throttle_events <- link.throttle_events + 1;
-      m_incr t "containment.throttles";
       Sim.Engine.wait (link.cpu_window_start +. window -. now);
       link.cpu_window_start <- Sim.Engine.now engine;
       link.cpu_used_us <- 0.
@@ -227,10 +221,9 @@ let guard_ioctl t link worker fs ~cmd ~arg =
         let read ~addr ~len = Hypervisor.Vm.read_gva target ~pt ~gva:addr ~len in
         match Ioctl_guard.check ~dev_class ~cmd ~arg ~limits:t.limits ~read with
         | Ioctl_guard.Pass -> None
-        | Ioctl_guard.Reject { handler; violated = _ } ->
+        | Ioctl_guard.Reject _ ->
             link.rejected <- link.rejected + 1;
             note_sanitize_rejection t;
-            m_incr t (Printf.sprintf "sanitize.%s.%s" dev_class handler);
             note_misbehavior t link worker score_rejected;
             Some (Proto.Rerr (Errno.to_code Errno.EINVAL)))
 
@@ -287,7 +280,6 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
         (* per-guest descriptor cap: an open loop exhausts the guest's
            own allowance, not the backend's tables *)
         link.quota_breaches <- link.quota_breaches + 1;
-        m_incr t "containment.quota_breaches";
         note_misbehavior t link worker score_quota_breach;
         Proto.Rerr (Errno.to_code Errno.EBUSY)
       end
@@ -379,8 +371,6 @@ let absorb_grant_counters t link worker =
         link.grant_quota_seen <- link.grant_quota_seen + breaches;
         link.grant_faults <- link.grant_faults + faults;
         link.quota_breaches <- link.quota_breaches + breaches;
-        if faults > 0 then m_incr ~by:faults t "containment.grant_faults";
-        if breaches > 0 then m_incr ~by:breaches t "containment.quota_breaches";
         note_misbehavior t link worker
           ((faults * score_grant_fault) + (breaches * score_quota_breach))
       end
@@ -405,7 +395,6 @@ let serve_one t link worker (bytes : bytes) : Proto.response =
     | exception Proto.Malformed _ ->
         link.malformed <- link.malformed + 1;
         note_sanitize_rejection t;
-        m_incr t "containment.malformed";
         note_misbehavior t link worker score_malformed;
         Proto.Rerr (Errno.to_code Errno.EINVAL)
     | (_, grant_ref, pid) as decoded -> (
@@ -420,7 +409,6 @@ let serve_one t link worker (bytes : bytes) : Proto.response =
         | Error _ ->
             link.rejected <- link.rejected + 1;
             note_sanitize_rejection t;
-            m_incr t "containment.rejected";
             note_misbehavior t link worker score_rejected;
             Proto.Rerr (Errno.to_code Errno.EINVAL)
         | Ok req -> (
@@ -459,7 +447,6 @@ let serve_one t link worker (bytes : bytes) : Proto.response =
                           (* an unexpected driver/backend exception is
                              contained as EIO, never propagated into
                              the worker loop *)
-                          m_incr t "containment.dispatch_exn";
                           Proto.Rerr (Errno.to_code Errno.EIO)
                     in
                     absorb_grant_counters t link worker;

@@ -8,7 +8,7 @@
     process-global counters), so they may execute on concurrent
     domains; cross-shard interaction happens only before they start
     (assigning guests to shards) and after they finish (result
-    aggregation, {!Sim.Stats.merge} / [Obs.Metrics.merge]).
+    aggregation, {!Sim.Stats.merge}).
 
     Determinism contract: a shard's simulated-time results are a pure
     function of its inputs (spec + derived seed, {!Sim.Rng.derive}).

@@ -13,10 +13,11 @@
     point checks one boolean and returns a preallocated dummy, with no
     allocation and no table updates.
 
-    Completed spans feed (a) the per-key {!Metrics} histograms (keyed
-    ["cat.name"], so per-op-type latency distributions come for free)
-    and (b) the Chrome trace-event JSON exporter ({!to_chrome_json}),
-    loadable in Perfetto / chrome://tracing.
+    The completed spans are the one record of stage durations: the
+    per-["cat.name"] latency distributions ({!histograms}), the Chrome
+    trace-event JSON exporter ({!to_chrome_json}, loadable in Perfetto
+    / chrome://tracing) and the reconciliation ({!reconcile}) are all
+    views of them.
 
     Open spans are tracked so a fault path can close every one of them
     with an error status ({!abort_open}): a driver-VM crash must not
@@ -82,13 +83,11 @@ type t = {
   mutable spans : completed list; (* reverse completion order *)
   mutable counter_events : counter_event list; (* reverse order *)
   open_spans : (int, span) Hashtbl.t;
-  metrics : Metrics.t;
 }
 
-(* The shared no-op sink and the dummy span every disabled (or
-   untraced, trace id 0) begin returns.  [sp_closed = true] makes
-   span_end a no-op on it. *)
-let dummy_span =
+(* The dummy span every disabled (or untraced, trace id 0) begin
+   returns.  [sp_closed = true] makes span_end a no-op on it. *)
+let no_span =
   {
     sp_id = 0;
     sp_trace = 0;
@@ -109,13 +108,11 @@ let make ~enabled =
     spans = [];
     counter_events = [];
     open_spans = Hashtbl.create 16;
-    metrics = Metrics.create ();
   }
 
 let disabled = make ~enabled:false
 let create () = make ~enabled:true
 let enabled t = t.enabled
-let metrics t = t.metrics
 
 (** Point the tracer at the simulation clock; {!Machine.create} does
     this for [Config.tracer].  Until attached, timestamps read 0. *)
@@ -134,7 +131,7 @@ let mint_id t =
     untraced operation (trace id 0, e.g. the watchdog heartbeat) — the
     shared dummy span is returned and nothing is recorded. *)
 let span_begin t ~trace ~lane ~cat ~name () =
-  if (not t.enabled) || trace = 0 then dummy_span
+  if (not t.enabled) || trace = 0 then no_span
   else begin
     t.next_span <- t.next_span + 1;
     let sp =
@@ -156,21 +153,18 @@ let span_begin t ~trace ~lane ~cat ~name () =
 (** As {!span_begin}, but the name is [name x], computed only when the
     span is recorded — for names that cost a format to build. *)
 let span_begin_by t ~trace ~lane ~cat ~name x =
-  if (not t.enabled) || trace = 0 then dummy_span
+  if (not t.enabled) || trace = 0 then no_span
   else span_begin t ~trace ~lane ~cat ~name:(name x) ()
 
 let span_arg sp key v = if not sp.sp_closed then sp.sp_args <- (key, v) :: sp.sp_args
 
-(** Close a span: record the completed event and feed the
-    ["cat.name"] metrics histogram.  Idempotent — closing an
+(** Close a span: record the completed event.  Idempotent — closing an
     already-closed (or dummy) span does nothing, so a fault path's
     {!abort_open} and a [Fun.protect] finaliser may race safely. *)
 let span_end ?(status = "ok") t sp =
   if t.enabled && not sp.sp_closed then begin
     sp.sp_closed <- true;
     Hashtbl.remove t.open_spans sp.sp_id;
-    let finish = t.clock () in
-    let dur = finish -. sp.sp_start in
     t.spans <-
       {
         c_trace = sp.sp_trace;
@@ -178,21 +172,20 @@ let span_end ?(status = "ok") t sp =
         c_cat = sp.sp_cat;
         c_name = sp.sp_name;
         c_start = sp.sp_start;
-        c_dur = dur;
+        c_dur = t.clock () -. sp.sp_start;
         c_status = status;
         c_args = List.rev sp.sp_args;
       }
-      :: t.spans;
-    Metrics.observe t.metrics (sp.sp_cat ^ "." ^ sp.sp_name) dur
+      :: t.spans
   end
 
-(** Record an already-finished span in one shot — for stages whose
-    trace id is only known at the end (e.g. the backend drain learns
-    the id from the descriptor it just read).  [start] comes from the
-    caller; the end is now. *)
-let add_complete ?(status = "ok") ?(args = []) t ~trace ~lane ~cat ~name ~start () =
-  if t.enabled && trace <> 0 then begin
-    let dur = t.clock () -. start in
+(** Record an already-finished span from [start] to [stop] in one
+    shot — for stages whose trace id is only known at the end (the
+    backend drain learns the id from the descriptor it just read), or
+    whose end has already passed (a ring wait, known once the waiting
+    descriptor is picked up). *)
+let add_complete t ~trace ~lane ~cat ~name ~start ~stop =
+  if t.enabled && trace <> 0 then
     t.spans <-
       {
         c_trace = trace;
@@ -200,13 +193,11 @@ let add_complete ?(status = "ok") ?(args = []) t ~trace ~lane ~cat ~name ~start 
         c_cat = cat;
         c_name = name;
         c_start = start;
-        c_dur = dur;
-        c_status = status;
-        c_args = args;
+        c_dur = stop -. start;
+        c_status = "ok";
+        c_args = [];
       }
-      :: t.spans;
-    Metrics.observe t.metrics (cat ^ "." ^ name) dur
-  end
+      :: t.spans
 
 (** Run [f] inside a span; an escaping exception closes it with an
     error status before re-raising. *)
@@ -254,8 +245,28 @@ let counter_events t = List.rev t.counter_events
 let reset t =
   t.spans <- [];
   t.counter_events <- [];
-  Hashtbl.reset t.open_spans;
-  Metrics.reset t.metrics
+  Hashtbl.reset t.open_spans
+
+(** Per-["cat.name"] duration distributions of every completed span,
+    sorted by key, each fed in completion order (e.g. ["op.ioctl"],
+    ["stage.doorbell:req"]). *)
+let histograms t =
+  let by_key = Hashtbl.create 32 in
+  List.iter
+    (fun c ->
+      let key = c.c_cat ^ "." ^ c.c_name in
+      let h =
+        match Hashtbl.find_opt by_key key with
+        | Some h -> h
+        | None ->
+            let h = Sim.Stats.create key in
+            Hashtbl.replace by_key key h;
+            h
+      in
+      Sim.Stats.add h c.c_dur)
+    (completed t);
+  Hashtbl.fold (fun key h acc -> (key, h) :: acc) by_key []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ---- Chrome trace-event JSON export (Perfetto-loadable) ---- *)
 

@@ -4,9 +4,10 @@
     descriptor; every pipeline stage opens a span against it.  The
     tracer only {e reads} the simulation clock — it never waits — so
     enabling it cannot perturb a simulated-time result, and the
-    {!disabled} sink makes it zero-cost when off.  Completed spans
-    feed the {!Metrics} histograms (keyed ["cat.name"]) and the
-    Chrome trace-event exporter ({!to_chrome_json}, Perfetto-loadable). *)
+    {!disabled} sink makes it zero-cost when off.  Completed spans are
+    the one record of durations: the per-["cat.name"] distributions
+    ({!histograms}) and the Chrome trace-event exporter
+    ({!to_chrome_json}, Perfetto-loadable) are views of them. *)
 
 type lane = Frontend | Transport | Ring | Backend | Hypervisor | Machine
 
@@ -37,7 +38,6 @@ val disabled : t
 
 val create : unit -> t
 val enabled : t -> bool
-val metrics : t -> Metrics.t
 
 (** Point the tracer at the owning engine's clock
     ([fun () -> Sim.Engine.now engine]); {!Machine.create} does this. *)
@@ -55,6 +55,10 @@ val span_begin : t -> trace:int -> lane:lane -> cat:string -> name:string -> uni
 val span_begin_by :
   t -> trace:int -> lane:lane -> cat:string -> name:('a -> string) -> 'a -> span
 
+(** The span {!span_begin} returns when nothing is recorded: closing
+    it does nothing.  A placeholder for a span field. *)
+val no_span : span
+
 (** Attach a numeric argument to a still-open span. *)
 val span_arg : span -> string -> float -> unit
 
@@ -62,19 +66,11 @@ val span_arg : span -> string -> float -> unit
     [Fun.protect] finaliser may both close the same span safely. *)
 val span_end : ?status:string -> t -> span -> unit
 
-(** Record an already-finished span whose trace id was only known at
-    the end (e.g. the backend drain reads it from the descriptor). *)
+(** Record an already-finished span from [start] to [stop], whose
+    trace id was only known at the end (e.g. the backend drain reads
+    it from the descriptor). *)
 val add_complete :
-  ?status:string ->
-  ?args:(string * float) list ->
-  t ->
-  trace:int ->
-  lane:lane ->
-  cat:string ->
-  name:string ->
-  start:float ->
-  unit ->
-  unit
+  t -> trace:int -> lane:lane -> cat:string -> name:string -> start:float -> stop:float -> unit
 
 (** Run [f] inside a span; an escaping exception closes it with
     status ["error"] before re-raising. *)
@@ -96,6 +92,10 @@ val completed : t -> completed list
 
 (** Counter samples, in emission order. *)
 val counter_events : t -> counter_event list
+
+(** Duration distribution of every completed span per ["cat.name"]
+    key (e.g. ["op.ioctl"], ["stage.doorbell:req"]), sorted by key. *)
+val histograms : t -> (string * Sim.Stats.t) list
 
 (** Drop recorded events and open-span state; ids keep counting. *)
 val reset : t -> unit

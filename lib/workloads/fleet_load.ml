@@ -47,7 +47,6 @@ type result = {
   r_sim_end_us : float;
   r_digest : int64; (* order-sensitive over every completion *)
   r_guests : guest_result list; (* ascending global index *)
-  r_metrics : Obs.Metrics.t; (* per-shard namespace, merged by caller *)
 }
 
 (** The owning shard per global guest index: every shard serves the
@@ -125,7 +124,6 @@ let run_shard spec =
     Sim.Rng.derive ~seed:spec.master_seed ~index:spec.shard_id
   in
   let shard_seed = Sim.Rng.next_int64 shard_rng in
-  let metrics = Obs.Metrics.create () in
   let digest = ref Paradice.Fleet.digest_empty in
   let ok = Array.make n 0
   and err = Array.make n 0
@@ -194,22 +192,14 @@ let run_shard spec =
           g_lat = lat.(i);
         })
   in
-  let r_ok = Array.fold_left ( + ) 0 ok and r_err = Array.fold_left ( + ) 0 err in
-  Obs.Metrics.incr ~by:r_ok metrics "fleet.ops_ok";
-  Obs.Metrics.incr ~by:r_err metrics "fleet.ops_err";
-  Obs.Metrics.incr ~by:!recoveries metrics "fleet.recoveries";
-  List.iter
-    (fun gr -> Sim.Stats.merge_into ~into:(Obs.Metrics.histogram metrics "fleet.lat_us") gr.g_lat)
-    r_guests;
   {
     r_shard = spec.shard_id;
-    r_ok;
-    r_err;
+    r_ok = Array.fold_left ( + ) 0 ok;
+    r_err = Array.fold_left ( + ) 0 err;
     r_recoveries = !recoveries;
     r_sim_end_us = Sim.Engine.now engine;
     r_digest = !digest;
     r_guests;
-    r_metrics = metrics;
   }
 
 (** [run_fleet ?domains specs] — all shards via

@@ -29,7 +29,6 @@ type result = {
   r_sim_end_us : float;
   r_digest : int64;  (** order-sensitive over every completion *)
   r_guests : guest_result list;  (** ascending global index *)
-  r_metrics : Obs.Metrics.t;  (** per-shard namespace, merged by caller *)
 }
 
 val uniform_ops : guests:int -> base:int -> int array

@@ -573,13 +573,18 @@ let attach_echo m (g : M.guest) =
   Paradice.Cvd_back.export m.M.backend "/dev/echo0";
   ignore (Paradice.Cvd_front.export g.M.frontend drv : Oskit.Defs.device)
 
-let test_copies_keep_results_apart () =
+(* [procs] processes over the default 4-ring pool.  At six, rings carry
+   two ops at once: a request coalesces onto another's doorbell or
+   waits for a backend busy with another slot, a response rides
+   another's leg, and (hybrid) a descriptor is picked up before its
+   own signal lands.  The ring wait spans keep the stages tiling. *)
+let test_copies_keep_results_apart ~config ~procs () =
   let tracer = Obs.Trace.create () in
-  let m = M.create ~config:{ Paradice.Config.default with Paradice.Config.tracer } () in
+  let m = M.create ~config:{ config with Paradice.Config.tracer } () in
   let g = M.add_guest m ~name:"g" () in
   attach_echo m g;
   let k = g.M.kernel in
-  let procs = 4 and per_proc = 20 in
+  let per_proc = 20 in
   let wrong = ref [] and answered = ref 0 in
   let in_flight = ref 0 and most_in_flight = ref 0 in
   for p = 1 to procs do
@@ -701,7 +706,11 @@ let suites =
     ( "channel.copies",
       [
         Alcotest.test_case "interleaved ops keep their own results" `Quick
-          test_copies_keep_results_apart;
+          (test_copies_keep_results_apart ~config:Paradice.Config.default ~procs:4);
+        Alcotest.test_case "six processes on four rings tile" `Quick
+          (test_copies_keep_results_apart ~config:Paradice.Config.default ~procs:6);
+        Alcotest.test_case "six hybrid processes on four rings tile" `Quick
+          (test_copies_keep_results_apart ~config:Paradice.Config.hybrid ~procs:6);
         Alcotest.test_case "unencodable open refused before any rpc" `Quick
           test_unencodable_open_refused_before_rpc;
         Alcotest.test_case "forwarded null ioctl allocation" `Quick

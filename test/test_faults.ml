@@ -337,8 +337,8 @@ let test_timed_out_op_span_closes_with_error () =
   in
   Alcotest.(check int) "exactly the timed-out op closed with error" 1
     (List.length failed_ops);
-  Alcotest.(check int) "the drop was counted" 1
-    (Obs.Metrics.count (Obs.Trace.metrics tracer) "fault.doorbell_dropped")
+  let _, _, stats = Cvd_front.stats g.M.frontend in
+  Alcotest.(check int) "the drop was counted" 1 stats.Paradice.Chan_pool.dropped_legs
 
 (* A driver-VM crash aborts every open span with an error status, and
    a reattached session starts clean: no trace state crosses the

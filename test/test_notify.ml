@@ -128,10 +128,7 @@ let test_drain_spans_tight_and_tiling () =
        r.Obs.Trace.r_max_gap_us)
     true
     (r.Obs.Trace.r_max_gap_us <= 0.001);
-  match
-    List.assoc_opt "stage.back:drain"
-      (Obs.Metrics.histograms (Obs.Trace.metrics tracer))
-  with
+  match List.assoc_opt "stage.back:drain" (Obs.Trace.histograms tracer) with
   | None -> Alcotest.fail "no back:drain spans recorded"
   | Some h ->
       let mean = Sim.Stats.mean h in

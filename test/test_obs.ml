@@ -1,4 +1,4 @@
-(* The observability layer: span tracing + metrics on simulated time
+(* The observability layer: span tracing on simulated time
    (zero-cost when off, zero perturbation when on), the Chrome
    trace-event exporter, and the frontend poll/fasync forwarding
    regressions that tracing made visible. *)
@@ -8,7 +8,6 @@ open Fixtures
 module M = Paradice.Machine
 module Config = Paradice.Config
 module Trace = Obs.Trace
-module Metrics = Obs.Metrics
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -26,7 +25,7 @@ let test_disabled_sink_is_inert () =
   Trace.span_end t sp;
   Trace.counter t ~lane:Trace.Ring ~name:"c" 1.;
   Trace.add_complete t ~trace:7 ~lane:Trace.Backend ~cat:"stage" ~name:"y"
-    ~start:0. ();
+    ~start:0. ~stop:1.;
   Alcotest.(check int) "nothing open" 0 (Trace.open_count t);
   Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.completed t));
   Alcotest.(check int) "abort closes nothing" 0 (Trace.abort_open t ~reason:"r");
@@ -36,7 +35,7 @@ let test_disabled_sink_is_inert () =
   let dsp = Trace.span_begin live ~trace:0 ~lane:Trace.Frontend ~cat:"op" ~name:"hb" () in
   Trace.span_end live dsp;
   Trace.add_complete live ~trace:0 ~lane:Trace.Backend ~cat:"stage" ~name:"hb"
-    ~start:0. ();
+    ~start:0. ~stop:1.;
   Alcotest.(check int) "untraced ops record nothing" 0
     (List.length (Trace.completed live))
 
@@ -60,20 +59,24 @@ let test_span_lifecycle_and_metrics () =
       Alcotest.(check string) "default status" "ok" c.Trace.c_status;
       Alcotest.(check int) "one arg" 1 (List.length c.Trace.c_args)
   | l -> Alcotest.failf "expected 1 completed span, got %d" (List.length l));
-  (match Metrics.find_histogram (Trace.metrics t) "op.ioctl" with
-  | Some h ->
+  (match Trace.histograms t with
+  | [ ("op.ioctl", h) ] ->
       Alcotest.(check int) "histogram fed once" 1 (Sim.Stats.count h);
       Alcotest.(check (float 1e-9)) "histogram sum = duration" 35. (Sim.Stats.sum h)
-  | None -> Alcotest.fail "op.ioctl histogram missing");
+  | _ -> Alcotest.fail "expected one op.ioctl histogram");
   (* add_complete covers stages whose id is only known at the end *)
   now := 200.;
   Trace.add_complete t ~trace ~lane:Trace.Backend ~cat:"stage" ~name:"drain"
-    ~start:190. ();
+    ~start:190. ~stop:197.;
   (match List.rev (Trace.completed t) with
   | c :: _ ->
       Alcotest.(check string) "after-the-fact span recorded" "drain" c.Trace.c_name;
-      Alcotest.(check (float 1e-9)) "its duration" 10. c.Trace.c_dur
+      Alcotest.(check (float 1e-9)) "its start" 190. c.Trace.c_start;
+      Alcotest.(check (float 1e-9)) "its duration ends at stop, not now" 7. c.Trace.c_dur
   | [] -> Alcotest.fail "add_complete recorded nothing");
+  Alcotest.(check (list string)) "one histogram per cat.name, sorted"
+    [ "op.ioctl"; "stage.drain" ]
+    (List.map fst (Trace.histograms t));
   Trace.reset t;
   Alcotest.(check int) "reset drops events" 0 (List.length (Trace.completed t));
   Alcotest.(check bool) "ids keep counting across reset" true
@@ -156,7 +159,7 @@ let test_machine_trace_reconciles () =
        r.Trace.r_max_gap_us)
     true
     (r.Trace.r_max_gap_us <= 1.);
-  (match Metrics.find_histogram (Trace.metrics tracer) "op.ioctl" with
+  (match List.assoc_opt "op.ioctl" (Trace.histograms tracer) with
   | Some h -> Alcotest.(check int) "per-op-type histogram fed" 20 (Sim.Stats.count h)
   | None -> Alcotest.fail "op.ioctl histogram missing");
   (* the ring counters ran too *)
@@ -182,6 +185,63 @@ let test_tracing_does_not_perturb_simulated_time () =
   let off = run Trace.disabled in
   let on_ = run (Trace.create ()) in
   Alcotest.(check (float 0.)) "off and on finish at the same instant" off on_
+
+(* ---- the transport's counts: typed and always on ---- *)
+
+(* Every count a report reads is a field of [Channel.stats], kept
+   whether or not anyone traces: a hybrid run (legs after idle,
+   handoffs while busy) counts the same with tracing off as on, and a
+   dropped doorbell is counted with tracing off. *)
+let test_counts_do_not_depend_on_tracing () =
+  let pool_stats (g : M.guest) = Paradice.Chan_pool.stats g.M.link.Paradice.Cvd_back.pool in
+  let hybrid_run tracer =
+    let config = { Config.hybrid with Config.tracer } in
+    let m = M.create ~config () in
+    let (_ : Defs.device) = M.attach_null m in
+    let g = M.add_guest m ~name:"g1" () in
+    run_in_process (M.engine m) (fun () ->
+        let app = M.spawn_app m g.M.kernel ~name:"app" in
+        let k = g.M.kernel in
+        let fd = ok (Vfs.openf k app "/dev/null0") in
+        for _ = 1 to 2 do
+          (* idle past every poll window: the burst starts with legs *)
+          Sim.Engine.wait 1_000.;
+          for _ = 1 to 10 do
+            ignore (ok (Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L))
+          done
+        done;
+        ok (Vfs.close k app fd));
+    pool_stats g
+  in
+  let off = hybrid_run Trace.disabled in
+  let on_ = hybrid_run (Trace.create ()) in
+  Alcotest.(check bool) "tracing off counts what tracing on counts" true (off = on_);
+  List.iter
+    (fun (name, n) -> Alcotest.(check bool) (Printf.sprintf "%s > 0 (%d)" name n) true (n > 0))
+    [
+      ("request legs", off.Paradice.Chan_pool.req_legs);
+      ("response legs", off.resp_legs);
+      ("suppressed request signals", off.req_suppressed);
+      ("suppressed response signals", off.resp_suppressed);
+      ("poll windows", off.poll_windows);
+    ];
+  let inj = Sim.Fault_inject.create ~seed:31L () in
+  let config =
+    { Config.default with Config.injector = Some inj; rpc_timeout_us = 500.; rpc_retries = 1 }
+  in
+  let m = M.create ~config () in
+  let (_ : Defs.device) = M.attach_null m in
+  let g = M.add_guest m ~name:"g1" () in
+  run_in_process (M.engine m) (fun () ->
+      let app = M.spawn_app m g.M.kernel ~name:"app" in
+      let k = g.M.kernel in
+      let fd = ok (Vfs.openf k app "/dev/null0") in
+      Sim.Fault_inject.arm inj ~key:Paradice.Channel.site_drop_req (Sim.Fault_inject.Nth 1);
+      Alcotest.(check int) "the resend answers" 0
+        (ok (Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L)));
+  let s = pool_stats g in
+  Alcotest.(check int) "the drop is counted untraced" 1 s.Paradice.Chan_pool.dropped_legs;
+  Alcotest.(check int) "and its resend" 1 s.Paradice.Chan_pool.retries
 
 (* ---- poll forwarding (the interest-mask and backoff fixes) ---- *)
 
@@ -259,34 +319,6 @@ let test_fasync_failure_keeps_subscription_state () =
     "a rejected unsubscribe must not silently stop SIGIO delivery" true
     (!sigio_after > !sigio_before)
 
-let test_metrics_merge_namespaces () =
-  (* cross-shard aggregation: prefixed merges keep per-shard
-     namespaces apart, unprefixed merges pool exactly, and the source
-     registries stay untouched *)
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.incr ~by:3 a "ops";
-  Metrics.observe a "lat" 10.;
-  Metrics.observe a "lat" 20.;
-  Metrics.incr b "ops";
-  Metrics.observe b "lat" 30.;
-  let agg = Metrics.create () in
-  Metrics.merge ~into:agg ~prefix:"shard0." a;
-  Metrics.merge ~into:agg ~prefix:"shard1." b;
-  Metrics.merge ~into:agg a;
-  Metrics.merge ~into:agg b;
-  Alcotest.(check int) "shard0 counter" 3 (Metrics.count agg "shard0.ops");
-  Alcotest.(check int) "shard1 counter" 1 (Metrics.count agg "shard1.ops");
-  Alcotest.(check int) "pooled counter" 4 (Metrics.count agg "ops");
-  let pooled = Option.get (Metrics.find_histogram agg "lat") in
-  Alcotest.(check int) "pooled samples" 3 (Sim.Stats.count pooled);
-  Alcotest.(check (float 1e-9)) "pooled mean" 20. (Sim.Stats.mean pooled);
-  Alcotest.(check (float 1e-9)) "pooled max" 30. (Sim.Stats.max_value pooled);
-  let s0 = Option.get (Metrics.find_histogram agg "shard0.lat") in
-  Alcotest.(check int) "shard0 samples" 2 (Sim.Stats.count s0);
-  Alcotest.(check int) "source unchanged" 2
-    (Sim.Stats.count (Option.get (Metrics.find_histogram a "lat")));
-  Alcotest.(check int) "source counter unchanged" 3 (Metrics.count a "ops")
-
 (* ---- the shared bench result writer ---- *)
 
 module Outcome = Obs.Outcome
@@ -356,12 +388,12 @@ let suites =
           test_machine_trace_reconciles;
         Alcotest.test_case "tracing does not perturb simulated time" `Quick
           test_tracing_does_not_perturb_simulated_time;
+        Alcotest.test_case "counts do not depend on tracing" `Quick
+          test_counts_do_not_depend_on_tracing;
         Alcotest.test_case "poll forwards the interest mask" `Quick
           test_poll_forwards_interest_mask;
         Alcotest.test_case "failed fasync leaves subscriptions intact" `Quick
           test_fasync_failure_keeps_subscription_state;
-        Alcotest.test_case "metrics merge with shard prefixes" `Quick
-          test_metrics_merge_namespaces;
         Alcotest.test_case "result writer: non-finite floats are null" `Quick
           test_outcome_non_finite_is_null;
         Alcotest.test_case "result writer: strings are escaped" `Quick
