@@ -83,16 +83,10 @@ let tx_packets t = t.tx_packets
 
 (* Driver-side access to the ring header/slots through its own pages. *)
 let hdr_read t off =
-  let vm = Kernel.vm t.kernel in
-  Int32.to_int
-    (Bytes.get_int32_le (Hypervisor.Vm.read_gpa vm ~gpa:(t.ring_pages.(0) + off) ~len:4) 0)
-  land 0xffffffff
+  Hypervisor.Vm.read_gpa_u32 (Kernel.vm t.kernel) ~gpa:(t.ring_pages.(0) + off)
 
 let hdr_write t off v =
-  let vm = Kernel.vm t.kernel in
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  Hypervisor.Vm.write_gpa vm ~gpa:(t.ring_pages.(0) + off) b
+  Hypervisor.Vm.write_gpa_u32 (Kernel.vm t.kernel) ~gpa:(t.ring_pages.(0) + off) v
 
 let slot_addr slot = slots_off + (slot * slot_bytes)
 
@@ -125,15 +119,7 @@ let start t =
           let cur = if cur >= num_slots then t.hw_tail else cur in
           while t.hw_tail <> cur do
             let slot = t.hw_tail in
-            let len =
-              let vm = Kernel.vm t.kernel in
-              Int32.to_int
-                (Bytes.get_int32_le
-                   (Hypervisor.Vm.read_gpa vm
-                      ~gpa:(t.ring_pages.(0) + slot_addr slot)
-                      ~len:4)
-                   0)
-            in
+            let len = hdr_read t (slot_addr slot) in
             let len = if len <= 0 || len > buf_size then 60 else len in
             (* DMA the frame header: permissions checked by the IOMMU *)
             (try

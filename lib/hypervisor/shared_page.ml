@@ -57,44 +57,106 @@ let check_bounds t ~offset ~len =
   if offset < 0 || len < 0 || offset + len > t.pages * Memory.Addr.page_size then
     invalid_arg "Shared_page: access outside region"
 
+let no_frame = Memory.Phys_mem.no_frame
+
+(* The translations a view holds: per page and access kind, the RAM
+   frame last found, and the EPT generation and TLB epoch all of them
+   were found under.  While both read the same, the page's TLB entry is
+   unchanged (entries leave only by a flush, every EPT change bumps the
+   generation, and a RAM frame's bytes are never replaced), so a lookup
+   would hit with that very frame. *)
+type held = {
+  region : t;
+  vm : Vm.t;
+  gpa : int; (* the region's base in [vm] *)
+  frames : bytes array; (* by 2 * page + kind (0 read, 1 write), or [no_frame] *)
+  mutable gen : int;
+  mutable epoch : int;
+}
+
+(* Bounds-check [len] bytes at [offset]; return the frame to access
+   them in directly, counting the TLB hit its lookup would have made,
+   or [no_frame] for the per-access path (bytes straddling a page, or
+   an MMIO page).  A missing or stale frame is resolved by the ordinary
+   translation at the accessed address, which may fault, and may flush
+   the TLB as it fills it. *)
+let frame h ~offset ~len ~kind =
+  check_bounds h.region ~offset ~len;
+  if len = 0 || Memory.Addr.offset offset + len > Memory.Addr.page_size then no_frame
+  else begin
+    let i = (2 * Memory.Addr.pfn offset) + kind in
+    let f = h.frames.(i) in
+    if
+      f != no_frame
+      && h.gen = Memory.Ept.generation h.vm.Vm.ept
+      && h.epoch = Memory.Tlb.epoch h.vm.Vm.tlb
+    then begin
+      Memory.Tlb.note_hit h.vm.Vm.tlb;
+      f
+    end
+    else begin
+      let access = if kind = 0 then Memory.Perm.Read else Memory.Perm.Write in
+      let f = Vm.frame_of_gpa h.vm ~gpa:(h.gpa + offset) ~access in
+      let gen = Memory.Ept.generation h.vm.Vm.ept
+      and epoch = Memory.Tlb.epoch h.vm.Vm.tlb in
+      if gen <> h.gen || epoch <> h.epoch then begin
+        Array.fill h.frames 0 (Array.length h.frames) no_frame;
+        h.gen <- gen;
+        h.epoch <- epoch
+      end;
+      h.frames.(i) <- f;
+      f
+    end
+  end
+
 (** A [view] for a VM that has the region mapped: every access performs
     the EPT-checked CPU access of that VM (crossing page boundaries
-    splits into per-page accesses, as the CPU would). *)
+    splits into per-page accesses, as the CPU would), through the
+    frames it holds where it can.  An access to an MMIO page, which a
+    region's own frames never are (only a remapped leaf could be), is
+    translated twice: once to find it is not RAM, once per access. *)
 let view_of t vm =
   let gpa =
     match List.assoc_opt vm.Vm.id t.mappings with
     | Some gpa -> gpa
     | None -> invalid_arg "Shared_page.view_of: not mapped in this VM"
   in
-  let read_into ~offset ~len dst =
-    check_bounds t ~offset ~len;
-    Vm.read_gpa_into vm ~gpa:(gpa + offset) ~dst ~dst_off:0 ~len
-  and write ~offset data =
-    check_bounds t ~offset ~len:(Bytes.length data);
-    Vm.write_gpa vm ~gpa:(gpa + offset) data
-  in
-  (* Scalars go through the VM's direct accessors (one TLB-cached
-     translation, no intermediate buffer) — the doorbell/slot-state
-     polls of the transport hammer these. *)
+  let frames = Array.make (2 * t.pages) no_frame in
+  let h = { region = t; vm; gpa; frames; gen = -1; epoch = -1 } in
   {
-    read_into;
-    write;
+    read_into =
+      (fun ~offset ~len dst ->
+        let f = frame h ~offset ~len ~kind:0 in
+        if f != no_frame then Bytes.blit f (Memory.Addr.offset offset) dst 0 len
+        else Vm.read_gpa_into h.vm ~gpa:(h.gpa + offset) ~dst ~dst_off:0 ~len);
+    write =
+      (fun ~offset data ->
+        let len = Bytes.length data in
+        let f = frame h ~offset ~len ~kind:1 in
+        if f != no_frame then Bytes.blit data 0 f (Memory.Addr.offset offset) len
+        else Vm.write_gpa h.vm ~gpa:(h.gpa + offset) data);
     read_u32 =
       (fun ~offset ->
-        check_bounds t ~offset ~len:4;
-        Vm.read_gpa_u32 vm ~gpa:(gpa + offset));
+        let f = frame h ~offset ~len:4 ~kind:0 in
+        if f != no_frame then
+          Int32.to_int (Bytes.get_int32_le f (Memory.Addr.offset offset)) land 0xffffffff
+        else Vm.read_gpa_u32 h.vm ~gpa:(h.gpa + offset));
     write_u32 =
       (fun ~offset v ->
-        check_bounds t ~offset ~len:4;
-        Vm.write_gpa_u32 vm ~gpa:(gpa + offset) v);
+        let f = frame h ~offset ~len:4 ~kind:1 in
+        if f != no_frame then
+          Bytes.set_int32_le f (Memory.Addr.offset offset) (Int32.of_int v)
+        else Vm.write_gpa_u32 h.vm ~gpa:(h.gpa + offset) v);
     read_u64 =
       (fun ~offset ->
-        check_bounds t ~offset ~len:8;
-        Vm.read_gpa_u64 vm ~gpa:(gpa + offset));
+        let f = frame h ~offset ~len:8 ~kind:0 in
+        if f != no_frame then Bytes.get_int64_le f (Memory.Addr.offset offset)
+        else Vm.read_gpa_u64 h.vm ~gpa:(h.gpa + offset));
     write_u64 =
       (fun ~offset v ->
-        check_bounds t ~offset ~len:8;
-        Vm.write_gpa_u64 vm ~gpa:(gpa + offset) v);
+        let f = frame h ~offset ~len:8 ~kind:1 in
+        if f != no_frame then Bytes.set_int64_le f (Memory.Addr.offset offset) v
+        else Vm.write_gpa_u64 h.vm ~gpa:(h.gpa + offset) v);
   }
 
 (** The hypervisor's own view bypasses EPTs: it addresses the frames

@@ -24,7 +24,11 @@ val allocate : ?pages:int -> Memory.Phys_mem.t -> t
     (base returned). *)
 val map_into : t -> Vm.t -> perms:Memory.Perm.t -> int
 
-(** EPT-checked accessors for a VM that has the region mapped. *)
+(** EPT-checked accessors for a VM that has the region mapped.  The
+    view holds the RAM frame each in-page access was translated to and
+    reuses it, counting the TLB hit a lookup would have made, while the
+    VM's EPT generation and TLB epoch are unchanged; values, faults and
+    TLB counts equal a per-access translation's. *)
 val view_of : t -> Vm.t -> view
 
 (** The hypervisor's own view bypasses EPTs. *)

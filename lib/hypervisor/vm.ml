@@ -64,6 +64,12 @@ let translate_gpa t ~gpa ~access =
     spa
   end
 
+(* Only [Shared_page] views call this. *)
+let frame_of_gpa t ~gpa ~access =
+  Memory.Phys_mem.ram_frame t.phys
+    ~spn:(Memory.Addr.pfn (translate_gpa t ~gpa ~access))
+    ~access
+
 (** Combined guest-PT + EPT translation with TLB caching, keyed by the
     process's address-space id. *)
 let translate_gva t ~pt ~gva ~access =

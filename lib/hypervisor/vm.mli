@@ -37,6 +37,14 @@ val read_gpa_into : t -> gpa:int -> dst:bytes -> dst_off:int -> len:int -> unit
 
 val write_gpa : t -> gpa:int -> bytes -> unit
 
+(** The RAM frame backing [gpa] for [access], found by the same
+    translation an access at [gpa] makes (TLB lookup or walk, counted,
+    faulting at [gpa]), or {!Memory.Phys_mem.no_frame} for an MMIO
+    page.  For {!Shared_page} views only: a holder must revalidate it
+    against {!Memory.Ept.generation} and {!Memory.Tlb.epoch} before
+    each use. *)
+val frame_of_gpa : t -> gpa:int -> access:Memory.Perm.access -> bytes
+
 (** Two-level access through a process page table then the EPT — the
     path every simulated application load/store takes. *)
 val read_gva : t -> pt:Memory.Guest_pt.t -> gva:int -> len:int -> bytes

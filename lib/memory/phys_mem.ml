@@ -132,16 +132,21 @@ let write t ~spa data = write_from t ~spa ~src:data ~src_off:0 ~len:(Bytes.lengt
    overhead.  Scalars straddling a frame boundary (misaligned by
    design only in tests) fall back to the buffered path. *)
 
-(* The frame a scalar of [width] bytes at [spa] can be accessed in
-   directly, or [no_frame] when it straddles a frame or hits MMIO. *)
 let no_frame = Bytes.create 0
 
+(* [backing] raises the bus error any access to an unpopulated [spn]
+   would; a materialised RAM frame is never replaced. *)
+let[@inline] ram_frame t ~spn ~access =
+  match backing t ~spn ~access with
+  | Ram frame -> frame
+  | Unbacked -> assert false (* materialised by [backing] *)
+  | Mmio _ -> no_frame
+
+(* The frame a scalar of [width] bytes at [spa] can be accessed in
+   directly, or [no_frame] when it straddles a frame or hits MMIO. *)
 let[@inline] direct_frame t ~spa ~access ~width =
   if Addr.offset spa + width <= Addr.page_size then
-    match backing t ~spn:(Addr.pfn spa) ~access with
-    | Ram frame -> frame
-    | Unbacked -> assert false (* materialised by [backing] *)
-    | Mmio _ -> no_frame
+    ram_frame t ~spn:(Addr.pfn spa) ~access
   else no_frame
 
 let read_u32 t ~spa =

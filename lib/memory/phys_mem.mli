@@ -40,5 +40,14 @@ val write_u32 : t -> spa:int -> int -> unit
 val read_u64 : t -> spa:int -> int64
 val write_u64 : t -> spa:int -> int64 -> unit
 
+(** The empty sentinel {!ram_frame} returns for an MMIO page. *)
+val no_frame : bytes
+
+(** The bytes of RAM frame [spn], materialised on first use, or
+    {!no_frame} for an MMIO page; raises {!Fault.Bus_error} on an
+    unpopulated one.  Allocates nothing once materialised, and a RAM
+    frame's bytes are never replaced, so a holder may keep them. *)
+val ram_frame : t -> spn:int -> access:Perm.access -> bytes
+
 (** Scrub a frame to zero (protected-region recycling, §5.3). *)
 val zero_frame : t -> int -> unit

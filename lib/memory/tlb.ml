@@ -63,6 +63,7 @@ let vacant =
 type t = {
   mutable slots : entry array; (* power-of-two length, at most half used *)
   mutable count : int;
+  mutable epoch : int; (* bumped by every flush *)
   stats : stats;
   max_entries : int;
 }
@@ -78,14 +79,19 @@ let initial_slots = 256
 
 let create ?(max_entries = 16384) ?stats () =
   let stats = match stats with Some s -> s | None -> create_stats () in
-  { slots = Array.make initial_slots vacant; count = 0; stats; max_entries }
+  { slots = Array.make initial_slots vacant; count = 0; epoch = 0; stats; max_entries }
 
 let stats t = t.stats
 let entry_count t = t.count
 
+(* Entries leave the table only here, all at once, so an entry found
+   under epoch [e] is still present while the epoch reads [e]. *)
 let flush t =
   t.slots <- Array.make initial_slots vacant;
-  t.count <- 0
+  t.count <- 0;
+  t.epoch <- t.epoch + 1
+
+let epoch t = t.epoch
 
 (* The space id is scrambled into the page number's low bits, so the
    same page in two spaces starts probing in different slots. *)
@@ -139,4 +145,5 @@ let install t e =
     end
   end
 
+let note_hit t = t.stats.hits <- t.stats.hits + 1
 let count_walks t n = t.stats.walks <- t.stats.walks + n

@@ -45,7 +45,16 @@ val create : ?max_entries:int -> ?stats:stats -> unit -> t
 
 val stats : t -> stats
 val entry_count : t -> int
+
+(** Drop every entry (also done by {!install} when [max_entries] is
+    reached) and bump the {!epoch}. *)
 val flush : t -> unit
+
+(** Counts flushes.  Entries leave the cache only by a flush, so an
+    entry present under one epoch is still present while the epoch is
+    unchanged: a translation held since then, and still current in its
+    EPT generation, is exactly what {!lookup} would return. *)
+val epoch : t -> int
 
 (** Returns the backing frame iff the entry for exactly [(space, vfn)]
     is generation-current and its cached permissions allow [access],
@@ -55,5 +64,9 @@ val lookup :
 
 (** Fill (or replace) the entry for the entry's own [(space, vfn)]. *)
 val install : t -> entry -> unit
+
+(** Count a hit for an access that used, instead of a lookup, a
+    translation held since the current {!epoch}. *)
+val note_hit : t -> unit
 
 val count_walks : t -> int -> unit

@@ -64,6 +64,7 @@ type completed = {
   c_name : string;
   c_start : float;
   c_dur : float;
+  c_stop : float;
   c_status : string;
   c_args : (string * float) list;
 }
@@ -165,6 +166,7 @@ let span_end ?(status = "ok") t sp =
   if t.enabled && not sp.sp_closed then begin
     sp.sp_closed <- true;
     Hashtbl.remove t.open_spans sp.sp_id;
+    let stop = t.clock () in
     t.spans <-
       {
         c_trace = sp.sp_trace;
@@ -172,7 +174,8 @@ let span_end ?(status = "ok") t sp =
         c_cat = sp.sp_cat;
         c_name = sp.sp_name;
         c_start = sp.sp_start;
-        c_dur = t.clock () -. sp.sp_start;
+        c_dur = stop -. sp.sp_start;
+        c_stop = stop;
         c_status = status;
         c_args = List.rev sp.sp_args;
       }
@@ -194,6 +197,7 @@ let add_complete t ~trace ~lane ~cat ~name ~start ~stop =
         c_name = name;
         c_start = start;
         c_dur = stop -. start;
+        c_stop = stop;
         c_status = "ok";
         c_args = [];
       }
@@ -320,33 +324,55 @@ let to_chrome_json t =
 
 type reconciliation = {
   r_ops : int; (* operations with both an op span and stage spans *)
-  r_max_gap_us : float; (* worst |op duration - sum of its stages| *)
+  r_max_gap_us : float; (* worst time an op's stages leave bare or cover twice *)
 }
 
-(** Check that, per trace id, the non-overlapping ["stage"] spans tile
-    the end-to-end ["op"] span: their durations must sum to the
-    operation's duration.  This is the executable form of the paper's
-    §6.1 cost breakdown — every microsecond of a forwarded operation
-    is attributed to exactly one pipeline stage. *)
+(* Sweep the boundaries of [spans] and of the interval [start, stop]
+   in time order.  The time between two boundaries counts once for
+   each span covering it beyond the one the interval expects there
+   (none outside it), or once if no span covers it inside the
+   interval.  Where the spans tile the interval, every length counts
+   zero times, so the gap is exactly 0. *)
+let sweep ~start ~stop spans =
+  let edges =
+    (start, 0, 1) :: (stop, 0, -1)
+    :: List.concat_map (fun c -> [ (c.c_start, 1, 0); (c.c_stop, -1, 0) ]) spans
+  in
+  let gap, _, _, _ =
+    List.fold_left
+      (fun (gap, at, covering, inside) (t, d_covering, d_inside) ->
+        ( gap +. (float_of_int (abs (covering - inside)) *. (t -. at)),
+          t,
+          covering + d_covering,
+          inside + d_inside ))
+      (0., start, 0, 0)
+      (List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b) edges)
+  in
+  gap
+
+(** Check that, per trace id, the ["stage"] spans tile the end-to-end
+    ["op"] span: every instant of the operation is covered by exactly
+    one stage.  This is the executable form of the paper's §6.1 cost
+    breakdown — every microsecond of a forwarded operation is
+    attributed to exactly one pipeline stage. *)
 let reconcile t =
   let ops = Hashtbl.create 64 and stages = Hashtbl.create 64 in
   List.iter
     (fun c ->
       if c.c_status = "ok" then
-        if c.c_cat = "op" then Hashtbl.replace ops c.c_trace c.c_dur
+        if c.c_cat = "op" then Hashtbl.replace ops c.c_trace c
         else if c.c_cat = "stage" then
           Hashtbl.replace stages c.c_trace
-            (c.c_dur
-            +. (match Hashtbl.find_opt stages c.c_trace with Some s -> s | None -> 0.)))
+            (c :: Option.value ~default:[] (Hashtbl.find_opt stages c.c_trace)))
     (completed t);
   let n = ref 0 and worst = ref 0. in
   Hashtbl.iter
-    (fun trace op_dur ->
+    (fun trace op ->
       match Hashtbl.find_opt stages trace with
       | None -> ()
-      | Some stage_sum ->
+      | Some spans ->
           incr n;
-          let gap = Float.abs (op_dur -. stage_sum) in
+          let gap = sweep ~start:op.c_start ~stop:op.c_stop spans in
           if gap > !worst then worst := gap)
     ops;
   { r_ops = !n; r_max_gap_us = !worst }

@@ -20,6 +20,7 @@ type completed = {
   c_name : string;
   c_start : float;
   c_dur : float;
+  c_stop : float;  (** the clock reading that closed the span *)
   c_status : string;
   c_args : (string * float) list;
 }
@@ -108,9 +109,13 @@ val to_chrome_json : t -> string
 
 type reconciliation = {
   r_ops : int;  (** operations with both an op span and stage spans *)
-  r_max_gap_us : float;  (** worst |op duration − sum of its stages| *)
+  r_max_gap_us : float;
+      (** worst, over ops, of the time in the op covered by no stage,
+          plus the time covered by more than one (once per extra
+          stage), plus stage time outside the op; exactly 0 when the
+          stages tile *)
 }
 
-(** Per-trace check that the non-overlapping ["stage"] spans tile the
-    end-to-end ["op"] span — the executable §6.1 cost breakdown. *)
+(** Per-trace check that the ["stage"] spans tile the end-to-end
+    ["op"] span — the executable §6.1 cost breakdown. *)
 val reconcile : t -> reconciliation

@@ -133,6 +133,29 @@ let test_chrome_json_export () =
 
 (* ---- end-to-end: a traced machine ---- *)
 
+(* Reconciliation sweeps the stage spans over the op span: a hole and
+   an overlap both count (a duration sum lets them cancel), and stages
+   that tile read exactly 0 even where their durations do not sum
+   exactly to the op's (3.6e-15 here). *)
+let test_reconcile_sweeps_stage_spans () =
+  let gap ~op:(start, stop) stages =
+    let t = Trace.create () in
+    let trace = Trace.mint_id t in
+    Trace.add_complete t ~trace ~lane:Trace.Frontend ~cat:"op" ~name:"ioctl" ~start ~stop;
+    List.iter
+      (fun (start, stop) ->
+        Trace.add_complete t ~trace ~lane:Trace.Backend ~cat:"stage" ~name:"s" ~start
+          ~stop)
+      stages;
+    (Trace.reconcile t).Trace.r_max_gap_us
+  in
+  Alcotest.(check (float 0.)) "stages that tile" 0.
+    (gap ~op:(0.1, 17.3) [ (0.1, 0.7); (0.7, 17.3) ]);
+  Alcotest.(check (float 0.)) "a 2 us hole and a 1 us overlap" 3.
+    (gap ~op:(0., 10.) [ (0., 4.); (3., 8.) ]);
+  Alcotest.(check (float 0.)) "stage time outside the op" 2.
+    (gap ~op:(20., 30.) [ (18., 25.); (25., 30.) ])
+
 let test_machine_trace_reconciles () =
   let tracer = Trace.create () in
   let config = { Config.default with Config.tracer } in
@@ -384,6 +407,8 @@ let suites =
         Alcotest.test_case "abort_open closes all with error" `Quick
           test_abort_open_closes_all_with_error;
         Alcotest.test_case "chrome trace JSON export" `Quick test_chrome_json_export;
+        Alcotest.test_case "reconcile sweeps stage spans" `Quick
+          test_reconcile_sweeps_stage_spans;
         Alcotest.test_case "traced machine reconciles per stage" `Quick
           test_machine_trace_reconciles;
         Alcotest.test_case "tracing does not perturb simulated time" `Quick

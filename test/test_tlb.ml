@@ -169,7 +169,137 @@ let test_hot_page_no_alloc () =
   Alcotest.(check (float 0.)) "3,000 hot-page accesses allocate nothing" idle words;
   Alcotest.(check int) "every access was a TLB hit" (hits + 3000) (Audit.tlb_hits audit);
   Alcotest.(check int) "and none missed" misses (Audit.tlb_misses audit);
-  Alcotest.(check int) "the stores landed" 1000 (Vm.read_gpa_u32 vm ~gpa)
+  Alcotest.(check int) "the stores landed" 1000 (Vm.read_gpa_u32 vm ~gpa);
+  (* a warm view's slot-sized blits hold their frame too *)
+  let slot = Bytes.make 1024 'x' and copy = Bytes.create 1024 in
+  view.Shared_page.write ~offset:1024 slot;
+  view.Shared_page.read_into ~offset:1024 ~len:1024 copy;
+  let hits = Audit.tlb_hits audit in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          view.Shared_page.write ~offset:1024 slot;
+          view.Shared_page.read_into ~offset:1024 ~len:1024 copy
+        done)
+  in
+  Alcotest.(check (float 0.)) "2,000 warm 1 KiB blits allocate nothing" idle words;
+  Alcotest.(check int) "each counted one TLB hit" (hits + 2000) (Audit.tlb_hits audit);
+  Alcotest.(check string) "and the bytes arrived" (Bytes.to_string slot)
+    (Bytes.to_string copy)
+
+(* ---- held view translations equal fresh ones ---- *)
+
+(* One side of the oracle: a hypervisor with one VM and a 3-page region
+   mapped rw.  Two sides built alike get equal frames and addresses. *)
+let oracle_side () =
+  let hyp = make_hyp () in
+  let vm = Hyp.create_vm hyp ~name:"vm" ~kind:Vm.Guest ~mem_bytes:(4 * mib) in
+  let region = Shared_page.allocate ~pages:3 (Hyp.phys hyp) in
+  let gpa = Shared_page.map_into region vm ~perms:Memory.Perm.rw in
+  (hyp, vm, gpa, Shared_page.view_of region vm)
+
+(* What one access did: its value, or its fault's constructor, address
+   and access kind. *)
+let outcome f =
+  let fault kind (i : Memory.Fault.info) =
+    Format.asprintf "%s at 0x%x (%a)" kind i.Memory.Fault.addr Memory.Perm.pp_access
+      i.Memory.Fault.access
+  in
+  match f () with
+  | v -> v
+  | exception Memory.Fault.Ept_violation i -> fault "Ept_violation" i
+  | exception Memory.Fault.Page_fault i -> fault "Page_fault" i
+  | exception Memory.Fault.Bus_error i -> fault "Bus_error" i
+
+let counts hyp =
+  let a = Hyp.audit hyp in
+  Printf.sprintf "hits %d misses %d walks %d" (Audit.tlb_hits a) (Audit.tlb_misses a)
+    (Audit.walks_performed a)
+
+(* A seeded run applies each step to two identical machines: one
+   accesses the region through a view, which holds its translations,
+   the other makes the same access through the VM's per-access path at
+   the same address.  EPT permission changes and TLB flushes land
+   between accesses.  Every step must give the same value or fault,
+   and the same TLB hits, misses and walks. *)
+let test_held_translations_match_fresh () =
+  let seed = 25 and steps = 20_000 in
+  let rng = Sim.Rng.create ~seed:(Int64.of_int seed) in
+  let hyp_v, vm_v, gpa, view = oracle_side () in
+  let hyp_f, vm_f, gpa_f, _ = oracle_side () in
+  Alcotest.(check int) "both regions at one address" gpa gpa_f;
+  let size = 3 * Memory.Addr.page_size in
+  let offset len = Sim.Rng.int rng (size - len + 1) in
+  let bytes n = Bytes.init n (fun _ -> Char.chr (Sim.Rng.int rng 256)) in
+  let both what on_view on_fresh = (what, outcome on_view, outcome on_fresh) in
+  for step = 1 to steps do
+    let what, got_view, got_fresh =
+      match Sim.Rng.int rng 20 with
+      | 0 ->
+          let page = Sim.Rng.int rng 3 in
+          let perms =
+            [| Memory.Perm.r; Memory.Perm.rw; Memory.Perm.none |].(Sim.Rng.int rng 3)
+          in
+          let set vm () =
+            Memory.Ept.set_perms (Vm.ept vm)
+              ~gpa:(gpa + (page * Memory.Addr.page_size))
+              ~perms;
+            ""
+          in
+          both (Printf.sprintf "set_perms page %d" page) (set vm_v) (set vm_f)
+      | 1 ->
+          let flush vm () = Vm.flush_tlb vm; "" in
+          both "flush" (flush vm_v) (flush vm_f)
+      | _ -> (
+          match Sim.Rng.int rng 5 with
+          | 0 ->
+              let o = offset 4 in
+              both
+                (Printf.sprintf "read_u32 %d" o)
+                (fun () -> string_of_int (view.Shared_page.read_u32 ~offset:o))
+                (fun () -> string_of_int (Vm.read_gpa_u32 vm_f ~gpa:(gpa + o)))
+          | 1 ->
+              let o = offset 4 and v = Sim.Rng.int rng 0x1_0000_0000 in
+              both
+                (Printf.sprintf "write_u32 %d" o)
+                (fun () -> view.Shared_page.write_u32 ~offset:o v; "")
+                (fun () -> Vm.write_gpa_u32 vm_f ~gpa:(gpa + o) v; "")
+          | 2 ->
+              let o = offset 8 in
+              both
+                (Printf.sprintf "read_u64 %d" o)
+                (fun () -> Int64.to_string (view.Shared_page.read_u64 ~offset:o))
+                (fun () -> Int64.to_string (Vm.read_gpa_u64 vm_f ~gpa:(gpa + o)))
+          | 3 ->
+              let len = 1 + Sim.Rng.int rng 1024 in
+              let o = offset len in
+              both
+                (Printf.sprintf "read_into %d+%d" o len)
+                (fun () ->
+                  let dst = Bytes.create len in
+                  view.Shared_page.read_into ~offset:o ~len dst;
+                  Bytes.to_string dst)
+                (fun () ->
+                  let dst = Bytes.create len in
+                  Vm.read_gpa_into vm_f ~gpa:(gpa + o) ~dst ~dst_off:0 ~len;
+                  Bytes.to_string dst)
+          | _ ->
+              let data = bytes (1 + Sim.Rng.int rng 64) in
+              let o = offset (Bytes.length data) in
+              both
+                (Printf.sprintf "write %d+%d" o (Bytes.length data))
+                (fun () -> view.Shared_page.write ~offset:o data; "")
+                (fun () -> Vm.write_gpa vm_f ~gpa:(gpa + o) data; ""))
+    in
+    if got_view <> got_fresh then
+      Alcotest.failf "seed %d step %d, %s: view gave %S, per-access %S" seed step what
+        got_view got_fresh;
+    if counts hyp_v <> counts hyp_f then
+      Alcotest.failf "seed %d step %d, %s: view counted %s, per-access %s" seed step what
+        (counts hyp_v) (counts hyp_f)
+  done;
+  Alcotest.(check bool) "the run made TLB hits" true
+    (Audit.tlb_hits (Hyp.audit hyp_v) > steps / 4)
 
 (* ---- colliding pairs never share an entry ---- *)
 
@@ -319,6 +449,8 @@ let suites =
         Alcotest.test_case "stale after teardown" `Quick
           test_stale_after_teardown_vm_mappings;
         Alcotest.test_case "kill_vm flushes" `Quick test_kill_vm_flushes_tlb;
+        Alcotest.test_case "held view translations equal fresh ones" `Quick
+          test_held_translations_match_fresh;
       ] );
     ( "tlb.hit_rate",
       [
