@@ -436,7 +436,9 @@ let isolation () =
       if
         List.for_all
           (fun gpa ->
-            match Hypervisor.Vm.read_gpa driver_vm ~gpa ~len:8 with
+            match
+              Hypervisor.Vm.read driver_vm ~pt:Hypervisor.Vm.no_pt ~addr:gpa ~len:8
+            with
             | _ -> false
             | exception Memory.Fault.Ept_violation _ -> true)
           gpas
@@ -452,7 +454,9 @@ let isolation () =
         gpas <> []
         && List.for_all
              (fun gpa ->
-               match Hypervisor.Vm.read_gpa driver_vm ~gpa ~len:8 with
+               match
+                 Hypervisor.Vm.read driver_vm ~pt:Hypervisor.Vm.no_pt ~addr:gpa ~len:8
+               with
                | _ -> false
                | exception Memory.Fault.Ept_violation _ -> true)
              gpas
@@ -955,7 +959,7 @@ let memops () =
       ~gva:(buf_gva + (i * page_size))
       ~gpa ~perms:Memory.Perm.rw
   done;
-  Vm.write_gva guest ~pt ~gva:buf_gva
+  Vm.write guest ~pt ~addr:buf_gva
     (Bytes.init buf_len (fun i -> Char.chr (i land 0xff)));
   let grant_ref =
     Grant_table.declare table

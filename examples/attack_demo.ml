@@ -66,7 +66,9 @@ let () =
      else if
        List.for_all
          (fun gpa ->
-           match Hypervisor.Vm.read_gpa driver_vm ~gpa ~len:16 with
+           match
+             Hypervisor.Vm.read driver_vm ~pt:Hypervisor.Vm.no_pt ~addr:gpa ~len:16
+           with
            | _ -> false
            | exception Memory.Fault.Ept_violation _ -> true)
          gpas

@@ -218,7 +218,7 @@ let guard_ioctl t link worker fs ~cmd ~arg =
     | Some rc -> (
         let dev_class = fs.file.Defs.dev.Defs.dev_class in
         let { Hypervisor.Hyp.target; pt; _ } = rc.Defs.rc_req in
-        let read ~addr ~len = Hypervisor.Vm.read_gva target ~pt ~gva:addr ~len in
+        let read ~addr ~len = Hypervisor.Vm.read target ~pt ~addr ~len in
         match Ioctl_guard.check ~dev_class ~cmd ~arg ~limits:t.limits ~read with
         | Ioctl_guard.Pass -> None
         | Ioctl_guard.Reject _ ->

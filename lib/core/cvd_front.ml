@@ -48,7 +48,6 @@ type t = {
   mutable ops_forwarded : int;
   mutable jit_evaluations : int;
   mutable hb_stop : bool; (* watchdog shutdown flag *)
-  mutable hb_suspended : bool; (* quiesce: pings would time out, skip them *)
   mutable fstats : fault_stats;
 }
 
@@ -170,7 +169,8 @@ let rec pool_call t ~parked ~trace ~encode ~decode =
 (* The watchdog: ping the backend with a no-op under a deadline; after
    [heartbeat_miss_limit] consecutive misses (or a transport EIO,
    which is definitive) declare the driver VM dead.  Idles while the
-   session is faulted and resumes once reattached. *)
+   session is faulted or paused, and resumes once reattached or
+   resumed. *)
 let heartbeat_request = Proto.encode_request ~grant_ref:0 ~pid:0 Proto.Rnoop
 
 let spawn_watchdog t =
@@ -183,7 +183,7 @@ let spawn_watchdog t =
             if not t.hb_stop then
               match t.session with
               | Faulted -> loop 0
-              | Healthy when t.hb_suspended ->
+              | Healthy when t.paused ->
                   (* planned handoff in progress: the backend is
                      legitimately not answering; a ping now would count
                      a miss against a healthy driver VM *)
@@ -215,13 +215,6 @@ let spawn_watchdog t =
 
 let stop_watchdog t = t.hb_stop <- true
 
-(** Suspend heartbeat pings for a planned quiesce: however long the
-    handoff takes, no misses accrue and the watchdog cannot declare a
-    healthy driver VM dead mid-upgrade. *)
-let suspend_watchdog t = t.hb_suspended <- true
-
-let resume_watchdog t = t.hb_suspended <- false
-
 let create ~kernel ~hyp ~guest_vm ~pool ~config =
   let grant_table = Hypervisor.Hyp.setup_grant_table hyp guest_vm in
   Hypervisor.Grant_table.set_quota grant_table config.Config.max_grant_entries;
@@ -244,7 +237,6 @@ let create ~kernel ~hyp ~guest_vm ~pool ~config =
       ops_forwarded = 0;
       jit_evaluations = 0;
       hb_stop = false;
-      hb_suspended = false;
       fstats =
         {
           grants_revoked = 0;

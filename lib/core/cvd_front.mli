@@ -47,7 +47,9 @@ val reattach : t -> pool:Chan_pool.t -> unit
 (** {1 Planned handoff (hot upgrade / session migration)} *)
 
 (** Stop issuing onto the transport: new operations park until
-    {!resume}.  Invisible to callers except as latency. *)
+    {!resume} (or {!fault_session}).  Invisible to callers except as
+    latency.  The watchdog skips its pings meanwhile, so however long
+    the handoff takes no misses accrue against a healthy driver VM. *)
 val quiesce : t -> unit
 
 val is_paused : t -> bool
@@ -74,12 +76,6 @@ val file_status : t -> Oskit.Defs.file -> file_status
 
 (** Stop the heartbeat watchdog (lets [Engine.run] drain). *)
 val stop_watchdog : t -> unit
-
-(** Suspend heartbeat pings for a planned quiesce: no misses accrue,
-    however long the handoff takes. *)
-val suspend_watchdog : t -> unit
-
-val resume_watchdog : t -> unit
 
 (** Forward an io_uring-style multi-op batch ({!Proto.Rbatch}): every
     request rides one ring slot / one doorbell and executes

@@ -370,11 +370,7 @@ let upgrade_driver_vm t =
       let quiesce_began = now () in
       Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
         ~name:"upgrade:quiesce" (fun () ->
-          List.iter
-            (fun g ->
-              Cvd_front.suspend_watchdog g.frontend;
-              Cvd_front.quiesce g.frontend)
-            guests;
+          List.iter (fun g -> Cvd_front.quiesce g.frontend) guests;
           drain_links t (List.map (fun g -> g.link) guests));
       let quiesce_us = now () -. quiesce_began in
       (* -- checkpoint: encode every session through the wire format -- *)
@@ -397,11 +393,7 @@ let upgrade_driver_vm t =
              being correct — discard the replacement and resume on it *)
           Hypervisor.Hyp.kill_vm t.hyp new_vm;
           Cvd_back.kill new_backend;
-          List.iter
-            (fun g ->
-              Cvd_front.resume g.frontend;
-              Cvd_front.resume_watchdog g.frontend)
-            guests;
+          List.iter (fun g -> Cvd_front.resume g.frontend) guests;
           Obs.Trace.span_end ~status:"error:aborted" tracer op_sp;
           Upgrade_aborted key
       | blobs -> (
@@ -462,8 +454,7 @@ let upgrade_driver_vm t =
               List.iter
                 (fun g ->
                   Cvd_front.fault_session g.frontend
-                    ~reason:("upgrade failed: " ^ key);
-                  Cvd_front.resume_watchdog g.frontend)
+                    ~reason:("upgrade failed: " ^ key))
                 guests;
               Upgrade_failed_dead key
           | per_guest ->
@@ -473,9 +464,7 @@ let upgrade_driver_vm t =
               Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
                 ~name:"upgrade:resume" (fun () ->
                   List.iter
-                    (fun g ->
-                      Cvd_front.resume ~pool:g.link.Cvd_back.pool g.frontend;
-                      Cvd_front.resume_watchdog g.frontend)
+                    (fun g -> Cvd_front.resume ~pool:g.link.Cvd_back.pool g.frontend)
                     guests);
               Obs.Trace.span_end tracer op_sp;
               let resume_us = now () -. resume_began in
@@ -563,13 +552,11 @@ let migrate_guest t g ~dst =
   in
   Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
     ~name:"migrate:quiesce" (fun () ->
-      Cvd_front.suspend_watchdog g.frontend;
       Cvd_front.quiesce g.frontend;
       drain_links t [ g.link ]);
   let soft_abort key =
     (* the source never stopped holding the session: just resume *)
     Cvd_front.resume g.frontend;
-    Cvd_front.resume_watchdog g.frontend;
     Obs.Trace.span_end ~status:"error:aborted" tracer op_sp;
     Migrate_aborted key
   in
@@ -609,8 +596,7 @@ let migrate_guest t g ~dst =
             in
             Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"
               ~name:"migrate:resume" (fun () ->
-                Cvd_front.resume ~pool:link.Cvd_back.pool g.frontend;
-                Cvd_front.resume_watchdog g.frontend)
+                Cvd_front.resume ~pool:link.Cvd_back.pool g.frontend)
           in
           match
             Obs.Trace.with_span tracer ~trace ~lane:Obs.Trace.Machine ~cat:"stage"

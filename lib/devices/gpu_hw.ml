@@ -161,32 +161,38 @@ let resolve t loc ~len ~access =
       spa
 
 (* Device reads/writes cross page boundaries; DMA translation is per
-   page like any bus master's. *)
+   page like any bus master's, and each page's bytes move straight
+   between the frame and the caller's buffer. *)
 let loc_base = function Sys_dma d -> d | Vram v -> v
 let loc_at loc addr = match loc with Sys_dma _ -> Sys_dma addr | Vram _ -> Vram addr
 
+let rec read_pages t loc ~addr ~dst ~dst_off ~len =
+  if len > 0 then begin
+    let room = Memory.Addr.page_size - Memory.Addr.offset addr in
+    let chunk = if room < len then room else len in
+    let spa = resolve t (loc_at loc addr) ~len:chunk ~access:Memory.Perm.Read in
+    Memory.Phys_mem.read_into t.phys ~spa ~dst ~dst_off ~len:chunk;
+    read_pages t loc ~addr:(addr + chunk) ~dst ~dst_off:(dst_off + chunk)
+      ~len:(len - chunk)
+  end
+
+let rec write_pages t loc ~addr ~src ~src_off ~len =
+  if len > 0 then begin
+    let room = Memory.Addr.page_size - Memory.Addr.offset addr in
+    let chunk = if room < len then room else len in
+    let spa = resolve t (loc_at loc addr) ~len:chunk ~access:Memory.Perm.Write in
+    Memory.Phys_mem.write_from t.phys ~spa ~src ~src_off ~len:chunk;
+    write_pages t loc ~addr:(addr + chunk) ~src ~src_off:(src_off + chunk)
+      ~len:(len - chunk)
+  end
+
 let read_loc t loc ~len =
   let out = Bytes.create len in
-  let base = loc_base loc in
-  let pos = ref 0 in
-  List.iter
-    (fun (addr, chunk) ->
-      let spa = resolve t (loc_at loc addr) ~len:chunk ~access:Memory.Perm.Read in
-      Bytes.blit (Memory.Phys_mem.read t.phys ~spa ~len:chunk) 0 out !pos chunk;
-      pos := !pos + chunk)
-    (Memory.Addr.page_chunks ~addr:base ~len);
+  read_pages t loc ~addr:(loc_base loc) ~dst:out ~dst_off:0 ~len;
   out
 
 let write_loc t loc data =
-  let len = Bytes.length data in
-  let base = loc_base loc in
-  let pos = ref 0 in
-  List.iter
-    (fun (addr, chunk) ->
-      let spa = resolve t (loc_at loc addr) ~len:chunk ~access:Memory.Perm.Write in
-      Memory.Phys_mem.write t.phys ~spa (Bytes.sub data !pos chunk);
-      pos := !pos + chunk)
-    (Memory.Addr.page_chunks ~addr:base ~len)
+  write_pages t loc ~addr:(loc_base loc) ~src:data ~src_off:0 ~len:(Bytes.length data)
 
 let read_f64 t loc ~index =
   Int64.float_of_bits

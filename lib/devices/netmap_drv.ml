@@ -39,12 +39,14 @@ type t = {
   ring_dma : int; (* DMA base where the NIC sees the same pages *)
   kick : unit Sim.Mailbox.t; (* txsync doorbell *)
   wq : Wait_queue.t; (* pollers waiting for ring space *)
+  probe : bytes; (* the NIC's landing buffer for frame-header DMA *)
   mutable hw_tail : int;
   mutable tx_packets : int;
   mutable started : bool;
 }
 
 let bufs_per_page = Memory.Addr.page_size / buf_size
+let probe_bytes = 16
 
 let create kernel ~iommu =
   let header_pages = 1 in
@@ -72,6 +74,7 @@ let create kernel ~iommu =
       ring_dma;
       kick = Sim.Mailbox.create (Kernel.engine kernel);
       wq = Wait_queue.create (Kernel.engine kernel);
+      probe = Bytes.create probe_bytes;
       hw_tail = 0;
       tx_packets = 0;
       started = false;
@@ -83,10 +86,12 @@ let tx_packets t = t.tx_packets
 
 (* Driver-side access to the ring header/slots through its own pages. *)
 let hdr_read t off =
-  Hypervisor.Vm.read_gpa_u32 (Kernel.vm t.kernel) ~gpa:(t.ring_pages.(0) + off)
+  Hypervisor.Vm.read_u32 (Kernel.vm t.kernel) ~pt:Hypervisor.Vm.no_pt
+    ~addr:(t.ring_pages.(0) + off)
 
 let hdr_write t off v =
-  Hypervisor.Vm.write_gpa_u32 (Kernel.vm t.kernel) ~gpa:(t.ring_pages.(0) + off) v
+  Hypervisor.Vm.write_u32 (Kernel.vm t.kernel) ~pt:Hypervisor.Vm.no_pt
+    ~addr:(t.ring_pages.(0) + off) v
 
 let slot_addr slot = slots_off + (slot * slot_bytes)
 
@@ -123,13 +128,13 @@ let start t =
             let len = if len <= 0 || len > buf_size then 60 else len in
             (* DMA the frame header: permissions checked by the IOMMU *)
             (try
-               ignore
-                 (Memory.Phys_mem.read
-                    (Hypervisor.Vm.phys (Kernel.vm t.kernel))
-                    ~spa:
-                      (Memory.Iommu.translate t.iommu ~dma:(buf_dma t slot)
-                         ~access:Memory.Perm.Read)
-                    ~len:(min len 16))
+               Memory.Phys_mem.read_into
+                 (Hypervisor.Vm.phys (Kernel.vm t.kernel))
+                 ~spa:
+                   (Memory.Iommu.translate t.iommu ~dma:(buf_dma t slot)
+                      ~access:Memory.Perm.Read)
+                 ~dst:t.probe ~dst_off:0
+                 ~len:(if len < probe_bytes then len else probe_bytes)
              with Memory.Fault.Iommu_fault _ -> ());
             Sim.Engine.wait (wire_time_us ~len);
             t.tx_packets <- t.tx_packets + 1;

@@ -112,13 +112,11 @@ let set_fair_scheduling t on =
 let init_native t =
   (match t.mc_mmio_gpa with
   | Some gpa ->
-      let vm = Kernel.vm t.kernel in
-      let b = Bytes.create 8 in
-      Bytes.set_int64_le b 0 (Int64.of_int (Gpu_hw.vram_base t.gpu));
-      Hypervisor.Vm.write_gpa vm ~gpa:(gpa + Mem_ctrl.reg_low_bound) b;
-      Bytes.set_int64_le b 0
-        (Int64.of_int (Gpu_hw.vram_base t.gpu + Gpu_hw.vram_bytes t.gpu));
-      Hypervisor.Vm.write_gpa vm ~gpa:(gpa + Mem_ctrl.reg_high_bound) b
+      let vm = Kernel.vm t.kernel and pt = Hypervisor.Vm.no_pt in
+      Hypervisor.Vm.write_u64 vm ~pt ~addr:(gpa + Mem_ctrl.reg_low_bound)
+        (Int64.of_int (Gpu_hw.vram_base t.gpu));
+      Hypervisor.Vm.write_u64 vm ~pt ~addr:(gpa + Mem_ctrl.reg_high_bound)
+        (Int64.of_int (Gpu_hw.vram_base t.gpu + Gpu_hw.vram_bytes t.gpu))
   | None -> ());
   (* interrupt-reason buffer: one driver RAM page, device-writable *)
   let vm = Kernel.vm t.kernel in
@@ -134,15 +132,9 @@ let init_native t =
   Gpu_hw.set_irq_status_buffer t.gpu (Some dma);
   Gpu_hw.bind_irq t.gpu (fun () ->
       (* read the reason from system memory, as Evergreen does *)
-      let reason =
-        Int32.to_int
-          (Bytes.get_int32_le (Hypervisor.Vm.read_gpa vm ~gpa ~len:4) 0)
-      in
+      let reason = Hypervisor.Vm.read_u32 vm ~pt:Hypervisor.Vm.no_pt ~addr:gpa in
       if reason = Gpu_hw.fence_reason_code then begin
-        let seq =
-          Int32.to_int
-            (Bytes.get_int32_le (Hypervisor.Vm.read_gpa vm ~gpa:(gpa + 4) ~len:4) 0)
-        in
+        let seq = Hypervisor.Vm.read_u32 vm ~pt:Hypervisor.Vm.no_pt ~addr:(gpa + 4) in
         Hashtbl.replace t.completed_set seq ();
         (* compact the contiguous prefix *)
         while Hashtbl.mem t.completed_set (t.completed_fence + 1) do
@@ -261,7 +253,7 @@ let write_gart_entries t task ~dma ~spas =
   match region_of t task with
   | None ->
       let vm = Kernel.vm t.kernel in
-      Hypervisor.Vm.write_gpa vm ~gpa:(t.bar_gpa + table_off) data
+      Hypervisor.Vm.write vm ~pt:Hypervisor.Vm.no_pt ~addr:(t.bar_gpa + table_off) data
   | Some (mgr, rid) ->
       let base, _ = Hypervisor.Region.dev_slice mgr rid in
       Hypervisor.Region.hyp_write_dev_mem mgr ~rid ~spa:(base + table_off) ~data

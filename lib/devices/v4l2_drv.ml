@@ -89,7 +89,7 @@ let start_sensor t =
               let hdr = Bytes.create 8 in
               Bytes.set_int32_le hdr 0 (Int32.of_int 0xAFAF);
               Bytes.set_int32_le hdr 4 (Int32.of_int t.sequence);
-              Hypervisor.Vm.write_gpa vm ~gpa:b.pages.(0) hdr;
+              Hypervisor.Vm.write vm ~pt:Hypervisor.Vm.no_pt ~addr:b.pages.(0) hdr;
               Wait_queue.wake_all t.wq
           | None -> () (* buffer was dequeued while we slept: drop *)
         end;

@@ -256,12 +256,12 @@ let check_caller t req =
     [dst] at [dst_off] (the driver's [copy_from_user]).  Translation
     is per page — guest PT walk then EPT walk (§5.2), both served from
     the target VM's software TLB when warm — and the bytes land
-    directly in the caller's buffer: no intermediate allocation. *)
+    directly in the caller's buffer, with no intermediate copy. *)
 let copy_from_process_into t req ~gva ~dst ~dst_off ~len =
   check_caller t req;
   check_grant t ~target:req.target ~grant_ref:req.grant_ref
     ~requested:(Grant_table.Copy_from_user { addr = gva; len });
-  (try Vm.read_gva_into req.target ~pt:req.pt ~gva ~dst ~dst_off ~len
+  (try Vm.read_into req.target ~pt:req.pt ~addr:gva ~dst ~dst_off ~len
    with Memory.Fault.Page_fault info ->
      reject t (Fmt.str "target translation failed: %a" Memory.Fault.pp_info info));
   t.audit.Audit.copy_bytes <- t.audit.Audit.copy_bytes + len
@@ -277,7 +277,7 @@ let copy_to_process_from t req ~gva ~src ~src_off ~len =
   check_caller t req;
   check_grant t ~target:req.target ~grant_ref:req.grant_ref
     ~requested:(Grant_table.Copy_to_user { addr = gva; len });
-  (try Vm.write_gva_from req.target ~pt:req.pt ~gva ~src ~src_off ~len
+  (try Vm.write_from req.target ~pt:req.pt ~addr:gva ~src ~src_off ~len
    with Memory.Fault.Page_fault info ->
      reject t (Fmt.str "target translation failed: %a" Memory.Fault.pp_info info));
   t.audit.Audit.copy_bytes <- t.audit.Audit.copy_bytes + len

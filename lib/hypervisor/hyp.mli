@@ -75,9 +75,9 @@ val copy_from_process : t -> request -> gva:int -> len:int -> bytes
 (** The driver's [copy_to_user] against a remote process. *)
 val copy_to_process : t -> request -> gva:int -> data:bytes -> unit
 
-(** Zero-copy variants: the bytes move between guest frames and a
-    caller-supplied buffer with no intermediate allocation — the
-    data-plane fast path. *)
+(** Zero-copy variants — the data-plane fast path: the bytes move
+    between guest frames and a caller-supplied buffer without an
+    intermediate copy, though the grant check still allocates. *)
 val copy_from_process_into :
   t -> request -> gva:int -> dst:bytes -> dst_off:int -> len:int -> unit
 

@@ -128,35 +128,35 @@ let view_of t vm =
       (fun ~offset ~len dst ->
         let f = frame h ~offset ~len ~kind:0 in
         if f != no_frame then Bytes.blit f (Memory.Addr.offset offset) dst 0 len
-        else Vm.read_gpa_into h.vm ~gpa:(h.gpa + offset) ~dst ~dst_off:0 ~len);
+        else Vm.read_into h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset) ~dst ~dst_off:0 ~len);
     write =
       (fun ~offset data ->
         let len = Bytes.length data in
         let f = frame h ~offset ~len ~kind:1 in
         if f != no_frame then Bytes.blit data 0 f (Memory.Addr.offset offset) len
-        else Vm.write_gpa h.vm ~gpa:(h.gpa + offset) data);
+        else Vm.write h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset) data);
     read_u32 =
       (fun ~offset ->
         let f = frame h ~offset ~len:4 ~kind:0 in
         if f != no_frame then
           Int32.to_int (Bytes.get_int32_le f (Memory.Addr.offset offset)) land 0xffffffff
-        else Vm.read_gpa_u32 h.vm ~gpa:(h.gpa + offset));
+        else Vm.read_u32 h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset));
     write_u32 =
       (fun ~offset v ->
         let f = frame h ~offset ~len:4 ~kind:1 in
         if f != no_frame then
           Bytes.set_int32_le f (Memory.Addr.offset offset) (Int32.of_int v)
-        else Vm.write_gpa_u32 h.vm ~gpa:(h.gpa + offset) v);
+        else Vm.write_u32 h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset) v);
     read_u64 =
       (fun ~offset ->
         let f = frame h ~offset ~len:8 ~kind:0 in
         if f != no_frame then Bytes.get_int64_le f (Memory.Addr.offset offset)
-        else Vm.read_gpa_u64 h.vm ~gpa:(h.gpa + offset));
+        else Vm.read_u64 h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset));
     write_u64 =
       (fun ~offset v ->
         let f = frame h ~offset ~len:8 ~kind:1 in
         if f != no_frame then Bytes.set_int64_le f (Memory.Addr.offset offset) v
-        else Vm.write_gpa_u64 h.vm ~gpa:(h.gpa + offset) v);
+        else Vm.write_u64 h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset) v);
   }
 
 (** The hypervisor's own view bypasses EPTs: it addresses the frames

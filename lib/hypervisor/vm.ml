@@ -6,12 +6,12 @@
     guest kernel itself lives in [lib/oskit] and is attached by the
     machine assembly code; the hypervisor never depends on it.
 
-    Every CPU memory access funnels through {!translate_gva} /
-    {!translate_gpa}, which consult the VM's software TLB before
-    walking the radix tables.  A TLB hit still checks the cached leaf
-    permissions and the source tables' generation counters, so a
-    revoked or re-permissioned mapping can never be reached through a
-    stale entry — §4.1 fault isolation holds with the cache on. *)
+    Every CPU memory access funnels through {!translate}, which
+    consults the VM's software TLB before walking the radix tables.
+    A TLB hit still checks the cached leaf permissions and the source
+    tables' generation counters, so a revoked or re-permissioned
+    mapping can never be reached through a stale entry — §4.1 fault
+    isolation holds with the cache on. *)
 
 type kind = Guest | Driver
 
@@ -35,118 +35,88 @@ let tlb t = t.tlb
 let alive t = t.alive
 let flush_tlb t = Memory.Tlb.flush t.tlb
 
-(** EPT translation with TLB caching.  gpa-space entries live in
-    {!Memory.Tlb.gpa_space} with a pinned pt generation of 0.  A miss
-    (or a stale or denied hit) re-walks, so callers see exactly the
-    faults the walk raises ({!Memory.Fault.Ept_violation} /
-    {!Memory.Fault.Page_fault}). *)
-let translate_gpa t ~gpa ~access =
-  let vfn = Memory.Addr.pfn gpa in
+(** The guest-physical address space, as a page table: an empty one
+    numbered {!Memory.Tlb.gpa_space}, which no process table shares
+    (kernels number theirs from 1).  Nothing maps into it, so its
+    generation stays 0 and it is safe to share across domains. *)
+let no_pt = Memory.Guest_pt.create ~id:Memory.Tlb.gpa_space ()
+
+(* A TLB miss: the EPT walk of [gpa], then the fill.  [walks] counts
+   the guest-table walk that found [gpa], if any, plus this one. *)
+let fill t ~space ~vfn ~pt_perms ~pt_gen ~ept_gen ~gpa ~access ~walks =
+  let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
+  Memory.Tlb.count_walks t.tlb walks;
+  Memory.Tlb.install t.tlb
+    {
+      Memory.Tlb.space;
+      vfn;
+      spn = Memory.Addr.pfn spa;
+      pt_perms;
+      ept_perms;
+      pt_gen;
+      ept_gen;
+    };
+  spa
+
+(** The one CPU translation, TLB cached and keyed by [pt]'s id.  Both
+    spaces make the same lookup ({!no_pt}'s generation is the pinned 0
+    of gpa entries); only a miss (or a stale or denied hit) branches:
+    through {!no_pt} it is one EPT walk, with [Perm.rwx] standing for
+    the absent guest table, otherwise the guest-table walk and then the
+    EPT walk.  Callers see exactly the faults the walks raise
+    ({!Memory.Fault.Page_fault} / {!Memory.Fault.Ept_violation}). *)
+let translate t ~pt ~addr ~access =
+  let vfn = Memory.Addr.pfn addr in
+  let space = Memory.Guest_pt.id pt in
+  let pt_gen = Memory.Guest_pt.generation pt in
   let ept_gen = Memory.Ept.generation t.ept in
-  let spn =
-    Memory.Tlb.lookup t.tlb ~space:Memory.Tlb.gpa_space ~vfn ~access ~pt_gen:0
-      ~ept_gen
-  in
-  if spn <> Memory.Tlb.miss then Memory.Addr.of_pfn spn lor Memory.Addr.offset gpa
+  let spn = Memory.Tlb.lookup t.tlb ~space ~vfn ~access ~pt_gen ~ept_gen in
+  if spn <> Memory.Tlb.miss then Memory.Addr.of_pfn spn lor Memory.Addr.offset addr
+  else if pt == no_pt then
+    fill t ~space ~vfn ~pt_perms:Memory.Perm.rwx ~pt_gen ~ept_gen ~gpa:addr ~access
+      ~walks:1
   else begin
-    let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
-    Memory.Tlb.count_walks t.tlb 1;
-    Memory.Tlb.install t.tlb
-      {
-        Memory.Tlb.space = Memory.Tlb.gpa_space;
-        vfn;
-        spn = Memory.Addr.pfn spa;
-        pt_perms = Memory.Perm.rwx;
-        ept_perms;
-        pt_gen = 0;
-        ept_gen;
-      };
-    spa
+    let gpa, pt_perms = Memory.Guest_pt.translate_leaf pt ~gva:addr ~access in
+    fill t ~space ~vfn ~pt_perms ~pt_gen ~ept_gen ~gpa ~access ~walks:2
   end
 
 (* Only [Shared_page] views call this. *)
 let frame_of_gpa t ~gpa ~access =
   Memory.Phys_mem.ram_frame t.phys
-    ~spn:(Memory.Addr.pfn (translate_gpa t ~gpa ~access))
+    ~spn:(Memory.Addr.pfn (translate t ~pt:no_pt ~addr:gpa ~access))
     ~access
 
-(** Combined guest-PT + EPT translation with TLB caching, keyed by the
-    process's address-space id. *)
-let translate_gva t ~pt ~gva ~access =
-  let vfn = Memory.Addr.pfn gva in
-  let space = Memory.Guest_pt.id pt in
-  let pt_gen = Memory.Guest_pt.generation pt in
-  let ept_gen = Memory.Ept.generation t.ept in
-  let spn = Memory.Tlb.lookup t.tlb ~space ~vfn ~access ~pt_gen ~ept_gen in
-  if spn <> Memory.Tlb.miss then Memory.Addr.of_pfn spn lor Memory.Addr.offset gva
-  else begin
-    let gpa, pt_perms = Memory.Guest_pt.translate_leaf pt ~gva ~access in
-    let spa, ept_perms = Memory.Ept.translate_leaf t.ept ~gpa ~access in
-    Memory.Tlb.count_walks t.tlb 2;
-    Memory.Tlb.install t.tlb
-      {
-        Memory.Tlb.space;
-        vfn;
-        spn = Memory.Addr.pfn spa;
-        pt_perms;
-        ept_perms;
-        pt_gen;
-        ept_gen;
-      };
-    spa
+(* The page loops: contiguity in one space implies nothing about the
+   next (§5.2), so each page-sized piece is one translation plus one
+   blit.  Plain recursion over the cursor, so an access allocates
+   nothing. *)
+let rec read_into t ~pt ~addr ~dst ~dst_off ~len =
+  if len > 0 then begin
+    let room = Memory.Addr.page_size - Memory.Addr.offset addr in
+    let chunk = if room < len then room else len in
+    let spa = translate t ~pt ~addr ~access:Memory.Perm.Read in
+    Memory.Phys_mem.read_into t.phys ~spa ~dst ~dst_off ~len:chunk;
+    read_into t ~pt ~addr:(addr + chunk) ~dst ~dst_off:(dst_off + chunk)
+      ~len:(len - chunk)
   end
 
-(** CPU access to guest-physical memory from inside the VM: the
-    hardware walks the EPT with permission checks, so reads of
-    protected-region pages raise {!Memory.Fault.Ept_violation} exactly
-    as §4.2 requires. *)
-let read_gpa_into t ~gpa ~dst ~dst_off ~len =
-  let pos = ref dst_off in
-  Memory.Addr.iter_page_chunks ~addr:gpa ~len (fun addr chunk ->
-      let spa = translate_gpa t ~gpa:addr ~access:Memory.Perm.Read in
-      Memory.Phys_mem.read_into t.phys ~spa ~dst ~dst_off:!pos ~len:chunk;
-      pos := !pos + chunk)
+let rec write_from t ~pt ~addr ~src ~src_off ~len =
+  if len > 0 then begin
+    let room = Memory.Addr.page_size - Memory.Addr.offset addr in
+    let chunk = if room < len then room else len in
+    let spa = translate t ~pt ~addr ~access:Memory.Perm.Write in
+    Memory.Phys_mem.write_from t.phys ~spa ~src ~src_off ~len:chunk;
+    write_from t ~pt ~addr:(addr + chunk) ~src ~src_off:(src_off + chunk)
+      ~len:(len - chunk)
+  end
 
-let write_gpa_from t ~gpa ~src ~src_off ~len =
-  let pos = ref src_off in
-  Memory.Addr.iter_page_chunks ~addr:gpa ~len (fun addr chunk ->
-      let spa = translate_gpa t ~gpa:addr ~access:Memory.Perm.Write in
-      Memory.Phys_mem.write_from t.phys ~spa ~src ~src_off:!pos ~len:chunk;
-      pos := !pos + chunk)
-
-let read_gpa t ~gpa ~len =
+let read t ~pt ~addr ~len =
   let out = Bytes.create len in
-  read_gpa_into t ~gpa ~dst:out ~dst_off:0 ~len;
+  read_into t ~pt ~addr ~dst:out ~dst_off:0 ~len;
   out
 
-let write_gpa t ~gpa data =
-  write_gpa_from t ~gpa ~src:data ~src_off:0 ~len:(Bytes.length data)
-
-(** Access through a process's guest page table: two-level translation
-    (guest PT then EPT), the path every simulated application load and
-    store takes.  A page-granular gva chunk maps into a single frame,
-    so each chunk is one translation plus one blit. *)
-let read_gva_into t ~pt ~gva ~dst ~dst_off ~len =
-  let pos = ref dst_off in
-  Memory.Addr.iter_page_chunks ~addr:gva ~len (fun addr chunk ->
-      let spa = translate_gva t ~pt ~gva:addr ~access:Memory.Perm.Read in
-      Memory.Phys_mem.read_into t.phys ~spa ~dst ~dst_off:!pos ~len:chunk;
-      pos := !pos + chunk)
-
-let write_gva_from t ~pt ~gva ~src ~src_off ~len =
-  let pos = ref src_off in
-  Memory.Addr.iter_page_chunks ~addr:gva ~len (fun addr chunk ->
-      let spa = translate_gva t ~pt ~gva:addr ~access:Memory.Perm.Write in
-      Memory.Phys_mem.write_from t.phys ~spa ~src ~src_off:!pos ~len:chunk;
-      pos := !pos + chunk)
-
-let read_gva t ~pt ~gva ~len =
-  let out = Bytes.create len in
-  read_gva_into t ~pt ~gva ~dst:out ~dst_off:0 ~len;
-  out
-
-let write_gva t ~pt ~gva data =
-  write_gva_from t ~pt ~gva ~src:data ~src_off:0 ~len:(Bytes.length data)
+let write t ~pt ~addr data =
+  write_from t ~pt ~addr ~src:data ~src_off:0 ~len:(Bytes.length data)
 
 (* Scalar accessors: one TLB-cached translation plus a direct frame
    access when the scalar sits inside one page (the overwhelmingly
@@ -155,74 +125,36 @@ let write_gva t ~pt ~gva data =
 let[@inline] fits_in_page addr width =
   Memory.Addr.offset addr + width <= Memory.Addr.page_size
 
-let read_gpa_u32 t ~gpa =
-  if fits_in_page gpa 4 then
-    Memory.Phys_mem.read_u32 t.phys
-      ~spa:(translate_gpa t ~gpa ~access:Memory.Perm.Read)
-  else Int32.to_int (Bytes.get_int32_le (read_gpa t ~gpa ~len:4) 0) land 0xffffffff
+let read_u32 t ~pt ~addr =
+  if fits_in_page addr 4 then
+    Memory.Phys_mem.read_u32 t.phys ~spa:(translate t ~pt ~addr ~access:Memory.Perm.Read)
+  else Int32.to_int (Bytes.get_int32_le (read t ~pt ~addr ~len:4) 0) land 0xffffffff
 
-let write_gpa_u32 t ~gpa v =
-  if fits_in_page gpa 4 then
+let write_u32 t ~pt ~addr v =
+  if fits_in_page addr 4 then
     Memory.Phys_mem.write_u32 t.phys
-      ~spa:(translate_gpa t ~gpa ~access:Memory.Perm.Write)
+      ~spa:(translate t ~pt ~addr ~access:Memory.Perm.Write)
       v
   else begin
     let b = Bytes.create 4 in
     Bytes.set_int32_le b 0 (Int32.of_int v);
-    write_gpa t ~gpa b
+    write t ~pt ~addr b
   end
 
-let read_gpa_u64 t ~gpa =
-  if fits_in_page gpa 8 then
-    Memory.Phys_mem.read_u64 t.phys
-      ~spa:(translate_gpa t ~gpa ~access:Memory.Perm.Read)
-  else Bytes.get_int64_le (read_gpa t ~gpa ~len:8) 0
+let read_u64 t ~pt ~addr =
+  if fits_in_page addr 8 then
+    Memory.Phys_mem.read_u64 t.phys ~spa:(translate t ~pt ~addr ~access:Memory.Perm.Read)
+  else Bytes.get_int64_le (read t ~pt ~addr ~len:8) 0
 
-let write_gpa_u64 t ~gpa v =
-  if fits_in_page gpa 8 then
+let write_u64 t ~pt ~addr v =
+  if fits_in_page addr 8 then
     Memory.Phys_mem.write_u64 t.phys
-      ~spa:(translate_gpa t ~gpa ~access:Memory.Perm.Write)
+      ~spa:(translate t ~pt ~addr ~access:Memory.Perm.Write)
       v
   else begin
     let b = Bytes.create 8 in
     Bytes.set_int64_le b 0 v;
-    write_gpa t ~gpa b
-  end
-
-let read_gva_u32 t ~pt ~gva =
-  if fits_in_page gva 4 then
-    Memory.Phys_mem.read_u32 t.phys
-      ~spa:(translate_gva t ~pt ~gva ~access:Memory.Perm.Read)
-  else
-    Int32.to_int (Bytes.get_int32_le (read_gva t ~pt ~gva ~len:4) 0)
-    land 0xffffffff
-
-let write_gva_u32 t ~pt ~gva v =
-  if fits_in_page gva 4 then
-    Memory.Phys_mem.write_u32 t.phys
-      ~spa:(translate_gva t ~pt ~gva ~access:Memory.Perm.Write)
-      v
-  else begin
-    let b = Bytes.create 4 in
-    Bytes.set_int32_le b 0 (Int32.of_int v);
-    write_gva t ~pt ~gva b
-  end
-
-let read_gva_u64 t ~pt ~gva =
-  if fits_in_page gva 8 then
-    Memory.Phys_mem.read_u64 t.phys
-      ~spa:(translate_gva t ~pt ~gva ~access:Memory.Perm.Read)
-  else Bytes.get_int64_le (read_gva t ~pt ~gva ~len:8) 0
-
-let write_gva_u64 t ~pt ~gva v =
-  if fits_in_page gva 8 then
-    Memory.Phys_mem.write_u64 t.phys
-      ~spa:(translate_gva t ~pt ~gva ~access:Memory.Perm.Write)
-      v
-  else begin
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 v;
-    write_gva t ~pt ~gva b
+    write t ~pt ~addr b
   end
 
 (** Allocate a fresh page of guest-"RAM": takes a guest-physical page

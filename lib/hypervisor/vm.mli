@@ -30,12 +30,30 @@ val alive : t -> bool
 (** Drop every cached translation (VM teardown, explicit shootdown). *)
 val flush_tlb : t -> unit
 
-(** CPU access to guest-physical memory (EPT-checked). *)
-val read_gpa : t -> gpa:int -> len:int -> bytes
+(** The guest-physical address space, passed as [~pt] to the accessors
+    below: an access through it is the VM's own CPU access, EPT-checked
+    only.  Any other [pt] is a process page table, walked before the
+    EPT — the path every simulated application load/store takes. *)
+val no_pt : Memory.Guest_pt.t
 
-val read_gpa_into : t -> gpa:int -> dst:bytes -> dst_off:int -> len:int -> unit
+(** CPU access to [addr] in the address space [pt]: translated per page
+    through the VM's software TLB, faulting as the walks do
+    ({!Memory.Fault.Page_fault}, {!Memory.Fault.Ept_violation}).  The
+    [_into]/[_from] copies and the scalars allocate nothing. *)
+val read : t -> pt:Memory.Guest_pt.t -> addr:int -> len:int -> bytes
 
-val write_gpa : t -> gpa:int -> bytes -> unit
+val read_into :
+  t -> pt:Memory.Guest_pt.t -> addr:int -> dst:bytes -> dst_off:int -> len:int -> unit
+
+val write : t -> pt:Memory.Guest_pt.t -> addr:int -> bytes -> unit
+
+val write_from :
+  t -> pt:Memory.Guest_pt.t -> addr:int -> src:bytes -> src_off:int -> len:int -> unit
+
+val read_u32 : t -> pt:Memory.Guest_pt.t -> addr:int -> int
+val write_u32 : t -> pt:Memory.Guest_pt.t -> addr:int -> int -> unit
+val read_u64 : t -> pt:Memory.Guest_pt.t -> addr:int -> int64
+val write_u64 : t -> pt:Memory.Guest_pt.t -> addr:int -> int64 -> unit
 
 (** The RAM frame backing [gpa] for [access], found by the same
     translation an access at [gpa] makes (TLB lookup or walk, counted,
@@ -44,27 +62,6 @@ val write_gpa : t -> gpa:int -> bytes -> unit
     against {!Memory.Ept.generation} and {!Memory.Tlb.epoch} before
     each use. *)
 val frame_of_gpa : t -> gpa:int -> access:Memory.Perm.access -> bytes
-
-(** Two-level access through a process page table then the EPT — the
-    path every simulated application load/store takes. *)
-val read_gva : t -> pt:Memory.Guest_pt.t -> gva:int -> len:int -> bytes
-
-val write_gva : t -> pt:Memory.Guest_pt.t -> gva:int -> bytes -> unit
-
-val read_gva_into :
-  t -> pt:Memory.Guest_pt.t -> gva:int -> dst:bytes -> dst_off:int -> len:int -> unit
-
-val write_gva_from :
-  t -> pt:Memory.Guest_pt.t -> gva:int -> src:bytes -> src_off:int -> len:int -> unit
-
-val read_gpa_u32 : t -> gpa:int -> int
-val write_gpa_u32 : t -> gpa:int -> int -> unit
-val read_gpa_u64 : t -> gpa:int -> int64
-val write_gpa_u64 : t -> gpa:int -> int64 -> unit
-val read_gva_u32 : t -> pt:Memory.Guest_pt.t -> gva:int -> int
-val write_gva_u32 : t -> pt:Memory.Guest_pt.t -> gva:int -> int -> unit
-val read_gva_u64 : t -> pt:Memory.Guest_pt.t -> gva:int -> int64
-val write_gva_u64 : t -> pt:Memory.Guest_pt.t -> gva:int -> int64 -> unit
 
 (** Guest-"RAM" page management (EPT-backed at VM creation). *)
 val alloc_gpa_page : t -> int

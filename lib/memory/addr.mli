@@ -24,8 +24,4 @@ val pages_spanned : addr:int -> len:int -> int
     translation must be per page (§5.2). *)
 val page_chunks : addr:int -> len:int -> (int * int) list
 
-(** Allocation-free variant of {!page_chunks}: applies [f addr chunk]
-    per page piece without building the list — for hot paths. *)
-val iter_page_chunks : addr:int -> len:int -> (int -> int -> unit) -> unit
-
 val pp_hex : Format.formatter -> int -> unit

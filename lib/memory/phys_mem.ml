@@ -84,6 +84,33 @@ let backing t ~spn ~access =
         b
     | b -> b
 
+(* The page loops behind {!read_into} and {!write_from}: one frame per
+   step, written as plain recursion over the cursor so that an access
+   allocates nothing (an MMIO page excepted: its handler's bytes). *)
+let rec read_frames t ~spa ~dst ~dst_off ~len =
+  if len > 0 then begin
+    let off = Addr.offset spa in
+    let room = Addr.page_size - off in
+    let chunk = if room < len then room else len in
+    (match backing t ~spn:(Addr.pfn spa) ~access:Perm.Read with
+    | Ram frame -> Bytes.blit frame off dst dst_off chunk
+    | Unbacked -> assert false (* materialised by [backing] *)
+    | Mmio h -> Bytes.blit (h.mmio_read ~offset:off ~len:chunk) 0 dst dst_off chunk);
+    read_frames t ~spa:(spa + chunk) ~dst ~dst_off:(dst_off + chunk) ~len:(len - chunk)
+  end
+
+let rec write_frames t ~spa ~src ~src_off ~len =
+  if len > 0 then begin
+    let off = Addr.offset spa in
+    let room = Addr.page_size - off in
+    let chunk = if room < len then room else len in
+    (match backing t ~spn:(Addr.pfn spa) ~access:Perm.Write with
+    | Ram frame -> Bytes.blit src src_off frame off chunk
+    | Unbacked -> assert false (* materialised by [backing] *)
+    | Mmio h -> h.mmio_write ~offset:off (Bytes.sub src src_off chunk));
+    write_frames t ~spa:(spa + chunk) ~src ~src_off:(src_off + chunk) ~len:(len - chunk)
+  end
+
 (** Zero-copy read: blit [len] bytes at system physical address [spa]
     into [dst] at [dst_off].  May cross frame boundaries; no
     intermediate buffer is allocated (the data-plane fast path). *)
@@ -91,14 +118,7 @@ let read_into t ~spa ~dst ~dst_off ~len =
   if len < 0 then invalid_arg "Phys_mem.read_into: negative length";
   if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg "Phys_mem.read_into: destination range out of bounds";
-  let pos = ref dst_off in
-  Addr.iter_page_chunks ~addr:spa ~len (fun addr chunk ->
-      let spn = Addr.pfn addr and off = Addr.offset addr in
-      (match backing t ~spn ~access:Perm.Read with
-      | Ram frame -> Bytes.blit frame off dst !pos chunk
-      | Unbacked -> assert false (* materialised by [backing] *)
-      | Mmio h -> Bytes.blit (h.mmio_read ~offset:off ~len:chunk) 0 dst !pos chunk);
-      pos := !pos + chunk)
+  read_frames t ~spa ~dst ~dst_off ~len
 
 (** Zero-copy write: blit [len] bytes of [src] from [src_off] to
     system physical address [spa]. *)
@@ -106,14 +126,7 @@ let write_from t ~spa ~src ~src_off ~len =
   if len < 0 then invalid_arg "Phys_mem.write_from: negative length";
   if src_off < 0 || src_off + len > Bytes.length src then
     invalid_arg "Phys_mem.write_from: source range out of bounds";
-  let pos = ref src_off in
-  Addr.iter_page_chunks ~addr:spa ~len (fun addr chunk ->
-      let spn = Addr.pfn addr and off = Addr.offset addr in
-      (match backing t ~spn ~access:Perm.Write with
-      | Ram frame -> Bytes.blit src !pos frame off chunk
-      | Unbacked -> assert false (* materialised by [backing] *)
-      | Mmio h -> h.mmio_write ~offset:off (Bytes.sub src !pos chunk));
-      pos := !pos + chunk)
+  write_frames t ~spa ~src ~src_off ~len
 
 (** Read [len] bytes at system physical address [spa].  May cross frame
     boundaries. *)

@@ -57,13 +57,13 @@ let free_buf task ~gva ~len =
 
 (** Raw user-memory access, no demand paging (see {!Vfs.user_read} for
     the fault-handling variant applications use on mmap'd ranges). *)
-let read_mem task ~gva ~len = Hypervisor.Vm.read_gva task.vm ~pt:task.pt ~gva ~len
-let write_mem task ~gva data = Hypervisor.Vm.write_gva task.vm ~pt:task.pt ~gva data
+let read_mem task ~gva ~len = Hypervisor.Vm.read task.vm ~pt:task.pt ~addr:gva ~len
+let write_mem task ~gva data = Hypervisor.Vm.write task.vm ~pt:task.pt ~addr:gva data
 
-let read_u32 task ~gva = Hypervisor.Vm.read_gva_u32 task.vm ~pt:task.pt ~gva
-let write_u32 task ~gva v = Hypervisor.Vm.write_gva_u32 task.vm ~pt:task.pt ~gva v
-let read_u64 task ~gva = Hypervisor.Vm.read_gva_u64 task.vm ~pt:task.pt ~gva
-let write_u64 task ~gva v = Hypervisor.Vm.write_gva_u64 task.vm ~pt:task.pt ~gva v
+let read_u32 task ~gva = Hypervisor.Vm.read_u32 task.vm ~pt:task.pt ~addr:gva
+let write_u32 task ~gva v = Hypervisor.Vm.write_u32 task.vm ~pt:task.pt ~addr:gva v
+let read_u64 task ~gva = Hypervisor.Vm.read_u64 task.vm ~pt:task.pt ~addr:gva
+let write_u64 task ~gva v = Hypervisor.Vm.write_u64 task.vm ~pt:task.pt ~addr:gva v
 
 (** Register the process's SIGIO handler (the asynchronous-notification
     delivery target of §2.1). *)

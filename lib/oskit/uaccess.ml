@@ -71,14 +71,13 @@ let hyp_span rc ~name f =
 
 (** Driver reads [len] bytes from the current process at [uaddr] into
     [dst] at [dst_off] — zero-copy: the bytes land in the driver's
-    buffer with no intermediate allocation, local and remote alike. *)
+    buffer with no intermediate copy, local and remote alike. *)
 let copy_from_user_into task ~uaddr ~dst ~dst_off ~len =
   record (Rec_copy_from { uaddr; len });
   match task.remote with
   | None -> (
       try
-        Hypervisor.Vm.read_gva_into task.vm ~pt:task.pt ~gva:uaddr ~dst ~dst_off
-          ~len
+        Hypervisor.Vm.read_into task.vm ~pt:task.pt ~addr:uaddr ~dst ~dst_off ~len
       with Memory.Fault.Page_fault _ -> Errno.fail Errno.EFAULT "bad user pointer")
   | Some rc ->
       hyp_span rc ~name:"copy_from_user" (fun () ->
@@ -102,8 +101,7 @@ let copy_to_user_from task ~uaddr ~src ~src_off ~len =
   match task.remote with
   | None -> (
       try
-        Hypervisor.Vm.write_gva_from task.vm ~pt:task.pt ~gva:uaddr ~src ~src_off
-          ~len
+        Hypervisor.Vm.write_from task.vm ~pt:task.pt ~addr:uaddr ~src ~src_off ~len
       with Memory.Fault.Page_fault _ -> Errno.fail Errno.EFAULT "bad user pointer")
   | Some rc ->
       hyp_span rc ~name:"copy_to_user" (fun () ->

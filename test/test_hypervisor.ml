@@ -24,11 +24,11 @@ let make_guest_with_process hyp =
 let test_create_vm_ram () =
   let hyp = make_hyp () in
   let vm = Hyp.create_vm hyp ~name:"g" ~kind:Vm.Guest ~mem_bytes:mib in
-  Vm.write_gpa vm ~gpa:0x1234 (Bytes.of_string "data");
+  Vm.write vm ~pt:Vm.no_pt ~addr:0x1234 (Bytes.of_string "data");
   Alcotest.(check string) "gpa round trip" "data"
-    (Bytes.to_string (Vm.read_gpa vm ~gpa:0x1234 ~len:4));
+    (Bytes.to_string (Vm.read vm ~pt:Vm.no_pt ~addr:0x1234 ~len:4));
   Alcotest.(check bool) "beyond RAM faults" true
-    (match Vm.read_gpa vm ~gpa:(2 * mib) ~len:1 with
+    (match Vm.read vm ~pt:Vm.no_pt ~addr:(2 * mib) ~len:1 with
     | _ -> false
     | exception Memory.Fault.Ept_violation _ -> true)
 
@@ -36,19 +36,20 @@ let test_vm_isolated_ram () =
   let hyp = make_hyp () in
   let a = Hyp.create_vm hyp ~name:"a" ~kind:Vm.Guest ~mem_bytes:mib in
   let b = Hyp.create_vm hyp ~name:"b" ~kind:Vm.Guest ~mem_bytes:mib in
-  Vm.write_gpa a ~gpa:0 (Bytes.of_string "AAAA");
-  Vm.write_gpa b ~gpa:0 (Bytes.of_string "BBBB");
-  Alcotest.(check string) "a unchanged" "AAAA" (Bytes.to_string (Vm.read_gpa a ~gpa:0 ~len:4));
-  Alcotest.(check string) "b unchanged" "BBBB" (Bytes.to_string (Vm.read_gpa b ~gpa:0 ~len:4))
+  Vm.write a ~pt:Vm.no_pt ~addr:0 (Bytes.of_string "AAAA");
+  Vm.write b ~pt:Vm.no_pt ~addr:0 (Bytes.of_string "BBBB");
+  let read vm = Bytes.to_string (Vm.read vm ~pt:Vm.no_pt ~addr:0 ~len:4) in
+  Alcotest.(check string) "a unchanged" "AAAA" (read a);
+  Alcotest.(check string) "b unchanged" "BBBB" (read b)
 
 let test_gva_access () =
   let hyp = make_hyp () in
   let guest, pt = make_guest_with_process hyp in
-  Vm.write_gva guest ~pt ~gva:0x1ffe (Bytes.of_string "cross-page payload");
+  Vm.write guest ~pt ~addr:0x1ffe (Bytes.of_string "cross-page payload");
   Alcotest.(check string) "gva round trip across pages" "cross-page payload"
-    (Bytes.to_string (Vm.read_gva guest ~pt ~gva:0x1ffe ~len:18));
-  Vm.write_gva_u32 guest ~pt ~gva:0x3000 0xcafe;
-  Alcotest.(check int) "u32 via gva" 0xcafe (Vm.read_gva_u32 guest ~pt ~gva:0x3000)
+    (Bytes.to_string (Vm.read guest ~pt ~addr:0x1ffe ~len:18));
+  Vm.write_u32 guest ~pt ~addr:0x3000 0xcafe;
+  Alcotest.(check int) "u32 via gva" 0xcafe (Vm.read_u32 guest ~pt ~addr:0x3000)
 
 let test_shared_page_two_vms () =
   let hyp = make_hyp () in
@@ -140,7 +141,7 @@ let driver_and_guest () =
 
 let test_copy_roundtrip_via_api () =
   let hyp, driver, guest, pt, table = driver_and_guest () in
-  Vm.write_gva guest ~pt ~gva:0x1100 (Bytes.of_string "app->driver");
+  Vm.write guest ~pt ~addr:0x1100 (Bytes.of_string "app->driver");
   let r =
     Grant_table.declare table
       [
@@ -153,7 +154,7 @@ let test_copy_roundtrip_via_api () =
   Alcotest.(check string) "driver read app buffer" "app->driver" (Bytes.to_string data);
   Hyp.copy_to_process hyp req ~gva:0x2100 ~data:(Bytes.of_string "driver->app");
   Alcotest.(check string) "app sees driver reply" "driver->app"
-    (Bytes.to_string (Vm.read_gva guest ~pt ~gva:0x2100 ~len:11))
+    (Bytes.to_string (Vm.read guest ~pt ~addr:0x2100 ~len:11))
 
 let test_undeclared_copy_rejected () =
   let hyp, driver, guest, pt, table = driver_and_guest () in
@@ -213,8 +214,8 @@ let test_map_page_into_process () =
   Hyp.map_page_into_process hyp req ~gva ~spa:(Memory.Addr.of_pfn dev_spn)
     ~perms:Memory.Perm.rw;
   Alcotest.(check string) "app reads device page through its va" "framebuffer!"
-    (Bytes.to_string (Vm.read_gva guest ~pt ~gva ~len:12));
-  Vm.write_gva guest ~pt ~gva:(gva + 100) (Bytes.of_string "app-write");
+    (Bytes.to_string (Vm.read guest ~pt ~addr:gva ~len:12));
+  Vm.write guest ~pt ~addr:(gva + 100) (Bytes.of_string "app-write");
   Alcotest.(check string) "app writes reach the device page" "app-write"
     (Bytes.to_string
        (Memory.Phys_mem.read (Hyp.phys hyp)
@@ -296,11 +297,11 @@ let test_region_driver_cannot_read_pool () =
   List.iter
     (fun gpa ->
       Alcotest.(check bool) "driver CPU read faults" true
-        (match Vm.read_gpa driver ~gpa ~len:4 with
+        (match Vm.read driver ~pt:Vm.no_pt ~addr:gpa ~len:4 with
         | _ -> false
         | exception Memory.Fault.Ept_violation _ -> true);
       Alcotest.(check bool) "driver CPU write faults" true
-        (match Vm.write_gpa driver ~gpa (Bytes.of_string "x") with
+        (match Vm.write driver ~pt:Vm.no_pt ~addr:gpa (Bytes.of_string "x") with
         | () -> false
         | exception Memory.Fault.Ept_violation _ -> true))
     gpas
@@ -312,7 +313,7 @@ let test_region_driver_cannot_read_vram () =
   List.iter
     (fun gpa ->
       Alcotest.(check bool) "driver read of vram faults" true
-        (match Vm.read_gpa driver ~gpa ~len:4 with
+        (match Vm.read driver ~pt:Vm.no_pt ~addr:gpa ~len:4 with
         | _ -> false
         | exception Memory.Fault.Ept_violation _ -> true))
     gpas

@@ -73,7 +73,9 @@ let test_driver_vm_blind_to_both () =
       List.iter
         (fun gpa ->
           Alcotest.(check bool) "driver read blocked" true
-            (match Hypervisor.Vm.read_gpa driver_vm ~gpa ~len:8 with
+            (match
+               Hypervisor.Vm.read driver_vm ~pt:Hypervisor.Vm.no_pt ~addr:gpa ~len:8
+             with
             | _ -> false
             | exception Memory.Fault.Ept_violation _ -> true))
         gpas)

@@ -355,14 +355,6 @@ let test_scalars_cross_page_and_mmio () =
 
 (* --- property tests --- *)
 
-let prop_iter_page_chunks_equiv =
-  QCheck.Test.make ~name:"iter_page_chunks visits exactly page_chunks" ~count:500
-    QCheck.(pair (int_bound 100_000) (int_bound 20_000))
-    (fun (addr, len) ->
-      let visited = ref [] in
-      Addr.iter_page_chunks ~addr ~len (fun a l -> visited := (a, l) :: !visited);
-      List.rev !visited = Addr.page_chunks ~addr ~len)
-
 let prop_page_chunks_cover =
   QCheck.Test.make ~name:"page_chunks exactly covers the byte range" ~count:500
     QCheck.(pair (int_bound 100_000) (int_bound 20_000))
@@ -462,7 +454,6 @@ let suites =
         Alcotest.test_case "page arithmetic" `Quick test_addr_arithmetic;
         Alcotest.test_case "page chunks" `Quick test_page_chunks;
         QCheck_alcotest.to_alcotest prop_page_chunks_cover;
-        QCheck_alcotest.to_alcotest prop_iter_page_chunks_equiv;
       ] );
     ("memory.perm", [ Alcotest.test_case "permission lattice" `Quick test_perm_lattice ]);
     ( "memory.phys_mem",

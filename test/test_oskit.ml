@@ -27,7 +27,7 @@ let make_fixture ?(flavor = Os_flavor.Linux_3_2_0) () =
 let make_echo_device kernel =
   let stored = Buffer.create 64 in
   let device_page_gpa = Hypervisor.Vm.alloc_gpa_page (Kernel.vm kernel) in
-  Hypervisor.Vm.write_gpa (Kernel.vm kernel) ~gpa:device_page_gpa
+  Hypervisor.Vm.write (Kernel.vm kernel) ~pt:Hypervisor.Vm.no_pt ~addr:device_page_gpa
     (Bytes.of_string "device-page-contents");
   let fault_count = ref 0 in
   let ops =

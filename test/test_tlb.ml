@@ -47,7 +47,7 @@ let map_device_page hyp driver guest pt table ~gva =
   req
 
 let faults_on_read vm pt gva =
-  match Vm.read_gva vm ~pt ~gva ~len:4 with
+  match Vm.read vm ~pt ~addr:gva ~len:4 with
   | _ -> false
   | exception (Memory.Fault.Page_fault _ | Memory.Fault.Ept_violation _) -> true
 
@@ -56,9 +56,9 @@ let faults_on_read vm pt gva =
 let test_stale_after_guest_pt_unmap () =
   let hyp, _driver, guest, pt, _table = driver_and_guest () in
   ignore hyp;
-  Vm.write_gva guest ~pt ~gva:0x1000 (Bytes.of_string "warm");
+  Vm.write guest ~pt ~addr:0x1000 (Bytes.of_string "warm");
   Alcotest.(check string) "cached read works" "warm"
-    (Bytes.to_string (Vm.read_gva guest ~pt ~gva:0x1000 ~len:4));
+    (Bytes.to_string (Vm.read guest ~pt ~addr:0x1000 ~len:4));
   ignore (Memory.Guest_pt.unmap pt ~gva:0x1000);
   Alcotest.(check bool) "read faults after guest-PT unmap" true
     (faults_on_read guest pt 0x1000)
@@ -66,8 +66,8 @@ let test_stale_after_guest_pt_unmap () =
 let test_stale_after_ept_set_perms () =
   let hyp, _driver, guest, pt, _table = driver_and_guest () in
   ignore hyp;
-  Vm.write_gva guest ~pt ~gva:0x1000 (Bytes.of_string "warm");
-  let (_ : bytes) = Vm.read_gva guest ~pt ~gva:0x1000 ~len:4 in
+  Vm.write guest ~pt ~addr:0x1000 (Bytes.of_string "warm");
+  let (_ : bytes) = Vm.read guest ~pt ~addr:0x1000 ~len:4 in
   let gpa = Memory.Guest_pt.translate pt ~gva:0x1000 ~access:Memory.Perm.Read in
   Memory.Ept.set_perms (Vm.ept guest) ~gpa ~perms:Memory.Perm.none;
   Alcotest.(check bool) "read faults after EPT permission strip" true
@@ -78,7 +78,7 @@ let test_stale_after_unmap_page_from_process () =
   let gva = 0x40000000 in
   let req = map_device_page hyp driver guest pt table ~gva in
   Alcotest.(check string) "mapped page readable (fills TLB)" "device-bytes"
-    (Bytes.to_string (Vm.read_gva guest ~pt ~gva ~len:12));
+    (Bytes.to_string (Vm.read guest ~pt ~addr:gva ~len:12));
   Hyp.unmap_page_from_process hyp req ~gva;
   Alcotest.(check bool) "cached translation faults after unmap hypercall" true
     (faults_on_read guest pt gva)
@@ -88,7 +88,7 @@ let test_stale_after_teardown_vm_mappings () =
   Hyp.register_process hyp guest ~pid:1 ~pt;
   let gva = 0x40000000 in
   let (_ : Hyp.request) = map_device_page hyp driver guest pt table ~gva in
-  let (_ : bytes) = Vm.read_gva guest ~pt ~gva ~len:4 in
+  let (_ : bytes) = Vm.read guest ~pt ~addr:gva ~len:4 in
   Alcotest.(check int) "one mapping torn down" 1
     (Hyp.teardown_vm_mappings hyp ~target:guest);
   Alcotest.(check bool) "cached translation faults after teardown" true
@@ -96,8 +96,8 @@ let test_stale_after_teardown_vm_mappings () =
 
 let test_kill_vm_flushes_tlb () =
   let hyp, _driver, guest, pt, _table = driver_and_guest () in
-  Vm.write_gva guest ~pt ~gva:0x1000 (Bytes.of_string "warm");
-  let (_ : bytes) = Vm.read_gva guest ~pt ~gva:0x1000 ~len:4 in
+  Vm.write guest ~pt ~addr:0x1000 (Bytes.of_string "warm");
+  let (_ : bytes) = Vm.read guest ~pt ~addr:0x1000 ~len:4 in
   Alcotest.(check bool) "TLB populated" true
     (Memory.Tlb.entry_count (Vm.tlb guest) > 0);
   Hyp.kill_vm hyp guest;
@@ -153,7 +153,7 @@ let test_hot_page_no_alloc () =
   let (_ : int) = Shared_page.map_into region vm ~perms:Memory.Perm.rw in
   let view = Shared_page.view_of region vm in
   (* warm up: materialise both frames and fill the TLB *)
-  Vm.write_gpa_u32 vm ~gpa 1;
+  Vm.write_u32 vm ~pt:Vm.no_pt ~addr:gpa 1;
   view.Shared_page.write_u32 ~offset:8 1;
   let audit = Hyp.audit hyp in
   let hits = Audit.tlb_hits audit and misses = Audit.tlb_misses audit in
@@ -161,15 +161,15 @@ let test_hot_page_no_alloc () =
   let words =
     minor_words (fun () ->
         for i = 1 to 1000 do
-          Vm.write_gpa_u32 vm ~gpa i;
-          ignore (Sys.opaque_identity (Vm.read_gpa_u32 vm ~gpa));
+          Vm.write_u32 vm ~pt:Vm.no_pt ~addr:gpa i;
+          ignore (Sys.opaque_identity (Vm.read_u32 vm ~pt:Vm.no_pt ~addr:gpa));
           ignore (Sys.opaque_identity (view.Shared_page.read_u32 ~offset:8))
         done)
   in
   Alcotest.(check (float 0.)) "3,000 hot-page accesses allocate nothing" idle words;
   Alcotest.(check int) "every access was a TLB hit" (hits + 3000) (Audit.tlb_hits audit);
   Alcotest.(check int) "and none missed" misses (Audit.tlb_misses audit);
-  Alcotest.(check int) "the stores landed" 1000 (Vm.read_gpa_u32 vm ~gpa);
+  Alcotest.(check int) "the stores landed" 1000 (Vm.read_u32 vm ~pt:Vm.no_pt ~addr:gpa);
   (* a warm view's slot-sized blits hold their frame too *)
   let slot = Bytes.make 1024 'x' and copy = Bytes.create 1024 in
   view.Shared_page.write ~offset:1024 slot;
@@ -185,7 +185,41 @@ let test_hot_page_no_alloc () =
   Alcotest.(check (float 0.)) "2,000 warm 1 KiB blits allocate nothing" idle words;
   Alcotest.(check int) "each counted one TLB hit" (hits + 2000) (Audit.tlb_hits audit);
   Alcotest.(check string) "and the bytes arrived" (Bytes.to_string slot)
-    (Bytes.to_string copy)
+    (Bytes.to_string copy);
+  (* warm copies through a process table, the guest-physical space and
+     system memory move their bytes without allocating: 2,000 of each *)
+  let guest, pt = make_guest_with_process hyp in
+  let phys = Hyp.phys hyp in
+  let spa = Memory.Addr.of_pfn (Memory.Phys_mem.alloc_frame phys) in
+  let small = Bytes.make 64 's' and big = Bytes.make 6000 'b' in
+  let copies =
+    [
+      ( "64-byte read through a process table",
+        fun () -> Vm.read_into guest ~pt ~addr:0x1000 ~dst:small ~dst_off:0 ~len:64 );
+      ( "64-byte write through a process table",
+        fun () -> Vm.write_from guest ~pt ~addr:0x1000 ~src:small ~src_off:0 ~len:64 );
+      ( "6,000-byte page-straddling read",
+        fun () -> Vm.read_into guest ~pt ~addr:0x1f00 ~dst:big ~dst_off:0 ~len:6000 );
+      ( "64-byte read through no_pt",
+        fun () -> Vm.read_into vm ~pt:Vm.no_pt ~addr:gpa ~dst:small ~dst_off:0 ~len:64 );
+      ( "Phys_mem 64-byte write and read",
+        fun () ->
+          Memory.Phys_mem.write_from phys ~spa ~src:small ~src_off:0 ~len:64;
+          Memory.Phys_mem.read_into phys ~spa ~dst:small ~dst_off:0 ~len:64 );
+    ]
+  in
+  List.iter
+    (fun (what, copy) ->
+      copy ();
+      let words =
+        minor_words (fun () ->
+            for _ = 1 to 2000 do
+              copy ()
+            done)
+      in
+      Alcotest.(check (float 0.)) (what ^ ": minor words per copy") 0.
+        ((words -. idle) /. 2000.))
+    copies
 
 (* ---- held view translations equal fresh ones ---- *)
 
@@ -215,6 +249,36 @@ let counts hyp =
   let a = Hyp.audit hyp in
   Printf.sprintf "hits %d misses %d walks %d" (Audit.tlb_hits a) (Audit.tlb_misses a)
     (Audit.walks_performed a)
+
+(* ---- one translation, two address spaces ---- *)
+
+(* The guest-physical space and a process table share the TLB lookup;
+   only a miss branches, into one walk or two.  The gva and the gpa
+   name one page, yet each space keeps its own entry. *)
+let test_translate_both_spaces () =
+  let hyp, _driver, guest, pt, _table = driver_and_guest () in
+  let gva = 0x1000 in
+  let gpa = Memory.Guest_pt.translate pt ~gva ~access:Memory.Perm.Read in
+  let counted f =
+    let a = Hyp.audit hyp in
+    let h = Audit.tlb_hits a and m = Audit.tlb_misses a and w = Audit.walks_performed a in
+    f ();
+    Printf.sprintf "hits %d misses %d walks %d" (Audit.tlb_hits a - h)
+      (Audit.tlb_misses a - m)
+      (Audit.walks_performed a - w)
+  in
+  let via_gpa () = ignore (Vm.read_u32 guest ~pt:Vm.no_pt ~addr:gpa) in
+  let via_gva () = ignore (Vm.read_u32 guest ~pt ~addr:gva) in
+  Alcotest.(check string) "cold through no_pt: one miss, one EPT walk"
+    "hits 0 misses 1 walks 1" (counted via_gpa);
+  Alcotest.(check string) "cold through a process table: one miss, two walks"
+    "hits 0 misses 1 walks 2" (counted via_gva);
+  Alcotest.(check string) "warm through either: hits only" "hits 2 misses 0 walks 0"
+    (counted (fun () ->
+         via_gpa ();
+         via_gva ()));
+  Alcotest.(check int) "nothing ever maps into no_pt" 0
+    (Memory.Guest_pt.generation Vm.no_pt)
 
 (* A seeded run applies each step to two identical machines: one
    accesses the region through a view, which holds its translations,
@@ -257,19 +321,20 @@ let test_held_translations_match_fresh () =
               both
                 (Printf.sprintf "read_u32 %d" o)
                 (fun () -> string_of_int (view.Shared_page.read_u32 ~offset:o))
-                (fun () -> string_of_int (Vm.read_gpa_u32 vm_f ~gpa:(gpa + o)))
+                (fun () -> string_of_int (Vm.read_u32 vm_f ~pt:Vm.no_pt ~addr:(gpa + o)))
           | 1 ->
               let o = offset 4 and v = Sim.Rng.int rng 0x1_0000_0000 in
               both
                 (Printf.sprintf "write_u32 %d" o)
                 (fun () -> view.Shared_page.write_u32 ~offset:o v; "")
-                (fun () -> Vm.write_gpa_u32 vm_f ~gpa:(gpa + o) v; "")
+                (fun () -> Vm.write_u32 vm_f ~pt:Vm.no_pt ~addr:(gpa + o) v; "")
           | 2 ->
               let o = offset 8 in
               both
                 (Printf.sprintf "read_u64 %d" o)
                 (fun () -> Int64.to_string (view.Shared_page.read_u64 ~offset:o))
-                (fun () -> Int64.to_string (Vm.read_gpa_u64 vm_f ~gpa:(gpa + o)))
+                (fun () ->
+                  Int64.to_string (Vm.read_u64 vm_f ~pt:Vm.no_pt ~addr:(gpa + o)))
           | 3 ->
               let len = 1 + Sim.Rng.int rng 1024 in
               let o = offset len in
@@ -281,7 +346,7 @@ let test_held_translations_match_fresh () =
                   Bytes.to_string dst)
                 (fun () ->
                   let dst = Bytes.create len in
-                  Vm.read_gpa_into vm_f ~gpa:(gpa + o) ~dst ~dst_off:0 ~len;
+                  Vm.read_into vm_f ~pt:Vm.no_pt ~addr:(gpa + o) ~dst ~dst_off:0 ~len;
                   Bytes.to_string dst)
           | _ ->
               let data = bytes (1 + Sim.Rng.int rng 64) in
@@ -289,7 +354,7 @@ let test_held_translations_match_fresh () =
               both
                 (Printf.sprintf "write %d+%d" o (Bytes.length data))
                 (fun () -> view.Shared_page.write ~offset:o data; "")
-                (fun () -> Vm.write_gpa vm_f ~gpa:(gpa + o) data; ""))
+                (fun () -> Vm.write vm_f ~pt:Vm.no_pt ~addr:(gpa + o) data; ""))
     in
     if got_view <> got_fresh then
       Alcotest.failf "seed %d step %d, %s: view gave %S, per-access %S" seed step what
@@ -451,6 +516,8 @@ let suites =
         Alcotest.test_case "kill_vm flushes" `Quick test_kill_vm_flushes_tlb;
         Alcotest.test_case "held view translations equal fresh ones" `Quick
           test_held_translations_match_fresh;
+        Alcotest.test_case "one translate, two address spaces" `Quick
+          test_translate_both_spaces;
       ] );
     ( "tlb.hit_rate",
       [

@@ -286,7 +286,6 @@ let test_watchdog_suspended_across_quiesce () =
       let app = M.spawn_app m g.M.kernel ~name:"app" in
       let k = g.M.kernel in
       let fd = ok (Vfs.openf k app "/dev/null0") in
-      Cvd_front.suspend_watchdog g.M.frontend;
       Cvd_front.quiesce g.M.frontend;
       Alcotest.(check bool) "paused" true (Cvd_front.is_paused g.M.frontend);
       (* far longer than heartbeat_miss_limit * heartbeat_interval_us
@@ -297,7 +296,6 @@ let test_watchdog_suspended_across_quiesce () =
       Alcotest.(check int) "no heartbeat misses" 0
         (Cvd_front.fault_stats g.M.frontend).Cvd_front.heartbeat_misses;
       Cvd_front.resume g.M.frontend;
-      Cvd_front.resume_watchdog g.M.frontend;
       Alcotest.(check int) "ops flow after resume" 0
         (ok (Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L));
       (* let Engine.run drain: the watchdog fiber must exit *)
