@@ -922,192 +922,6 @@ let throughput () =
          depths)
 
 (* ------------------------------------------------------------------ *)
-(* Memory-operation fast path: wall-clock MB/s, 64 B - 1 MiB           *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike every experiment above, this one measures the wall-clock
-   cost of the implementation's own data plane, not simulated time:
-   the software TLB, the zero-copy blits and the grant-check cache
-   only change how fast the harness executes, never what the cost
-   model reports.  The "legacy" column re-implements the pre-fast-path
-   data plane in-binary (per-page radix walks with no TLB, an
-   intermediate allocation per page, a fresh grant-table scan per
-   request) so the speedup is measured against the real old path. *)
-let memops () =
-  Report.heading "Memory-operation fast path — wall-clock MB/s (not simulated time)";
-  let module Hyp = Hypervisor.Hyp in
-  let module Vm = Hypervisor.Vm in
-  let module Grant_table = Hypervisor.Grant_table in
-  let page_size = Memory.Addr.page_size in
-  let phys = Memory.Phys_mem.create () in
-  let hyp = Hyp.create phys in
-  let driver =
-    Hyp.create_vm hyp ~name:"driver" ~kind:Vm.Driver ~mem_bytes:(4 * 1024 * 1024)
-  in
-  let guest =
-    Hyp.create_vm hyp ~name:"guest" ~kind:Vm.Guest ~mem_bytes:(8 * 1024 * 1024)
-  in
-  let table = Hyp.setup_grant_table hyp guest in
-  let pt = Memory.Guest_pt.create () in
-  Hyp.register_process hyp guest ~pid:1 ~pt;
-  (* a 1 MiB process buffer, page by page *)
-  let buf_gva = 0x4000_0000 in
-  let buf_len = 1 lsl 20 in
-  for i = 0 to (buf_len / page_size) - 1 do
-    let gpa = Vm.alloc_gpa_page guest in
-    Memory.Guest_pt.map pt
-      ~gva:(buf_gva + (i * page_size))
-      ~gpa ~perms:Memory.Perm.rw
-  done;
-  Vm.write guest ~pt ~addr:buf_gva
-    (Bytes.init buf_len (fun i -> Char.chr (i land 0xff)));
-  let grant_ref =
-    Grant_table.declare table
-      [
-        Grant_table.Copy_from_user { addr = buf_gva; len = buf_len };
-        Grant_table.Copy_to_user { addr = buf_gva; len = buf_len };
-      ]
-  in
-  let req = { Hyp.caller = driver; target = guest; pt; grant_ref } in
-  (* the pre-fast-path data plane, reproduced exactly: grant scan plus
-     per-page walk/walk/alloc/blit (read) or walk/walk/sub/write *)
-  let legacy_copy_from ~gva ~len =
-    if
-      not
-        (Grant_table.authorises table ~grant_ref
-           ~requested:(Grant_table.Copy_from_user { addr = gva; len }))
-    then failwith "memops: unauthorised";
-    let out = Bytes.create len in
-    let pos = ref 0 in
-    List.iter
-      (fun (addr, chunk) ->
-        let gpa = Memory.Guest_pt.translate pt ~gva:addr ~access:Memory.Perm.Read in
-        let spa =
-          Memory.Ept.translate (Vm.ept guest) ~gpa ~access:Memory.Perm.Read
-        in
-        Bytes.blit (Memory.Phys_mem.read phys ~spa ~len:chunk) 0 out !pos chunk;
-        pos := !pos + chunk)
-      (Memory.Addr.page_chunks ~addr:gva ~len);
-    out
-  in
-  let legacy_copy_to ~gva data =
-    let len = Bytes.length data in
-    if
-      not
-        (Grant_table.authorises table ~grant_ref
-           ~requested:(Grant_table.Copy_to_user { addr = gva; len }))
-    then failwith "memops: unauthorised";
-    let pos = ref 0 in
-    List.iter
-      (fun (addr, chunk) ->
-        let gpa = Memory.Guest_pt.translate pt ~gva:addr ~access:Memory.Perm.Write in
-        let spa =
-          Memory.Ept.translate (Vm.ept guest) ~gpa ~access:Memory.Perm.Write
-        in
-        Memory.Phys_mem.write phys ~spa (Bytes.sub data !pos chunk);
-        pos := !pos + chunk)
-      (Memory.Addr.page_chunks ~addr:gva ~len)
-  in
-  (* best of three trials, collecting first, so one path's garbage (or
-     a stray collection) doesn't get billed to the other *)
-  let time f =
-    let trial () =
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      f ();
-      Unix.gettimeofday () -. t0
-    in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t = trial () in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  let mbps bytes secs = float_of_int bytes /. 1e6 /. secs in
-  let sizes = [ 64; 256; 1024; 4096; 16384; 65536; 262144; 1048576 ] in
-  let iters size = max 4 (scaled (16 * 1024 * 1024) / size) in
-  let audit = Hyp.audit hyp in
-  let results =
-    List.map
-      (fun size ->
-        let n = iters size in
-        let total = n * size in
-        let scratch = Bytes.create size in
-        let legacy_read =
-          time (fun () ->
-              for _ = 1 to n do
-                ignore (legacy_copy_from ~gva:buf_gva ~len:size)
-              done)
-        in
-        let fast_read =
-          time (fun () ->
-              for _ = 1 to n do
-                Hyp.copy_from_process_into hyp req ~gva:buf_gva ~dst:scratch
-                  ~dst_off:0 ~len:size
-              done)
-        in
-        let legacy_write =
-          time (fun () ->
-              for _ = 1 to n do
-                legacy_copy_to ~gva:buf_gva scratch
-              done)
-        in
-        let fast_write =
-          time (fun () ->
-              for _ = 1 to n do
-                Hyp.copy_to_process_from hyp req ~gva:buf_gva ~src:scratch
-                  ~src_off:0 ~len:size
-              done)
-        in
-        ( string_of_int size,
-          ( mbps total legacy_read, mbps total fast_read,
-            mbps total legacy_write, mbps total fast_write ) ))
-      sizes
-  in
-  let mbps header get = Report.num ~clock:Wall ~unit:"MB/s" ~fmt:Report.f0 header get in
-  let speedup header get = Report.num ~clock:Wall ~unit:"x" ~fmt:Report.f1 header get in
-  let metrics =
-    Report.rows ~corner:"size (B)"
-      [
-        mbps "legacy rd MB/s" (fun (lr, _, _, _) -> lr);
-        mbps "fast rd MB/s" (fun (_, fr, _, _) -> fr);
-        speedup "rd speedup" (fun (lr, fr, _, _) -> fr /. lr);
-        mbps "legacy wr MB/s" (fun (_, _, lw, _) -> lw);
-        mbps "fast wr MB/s" (fun (_, _, _, fw) -> fw);
-        speedup "wr speedup" (fun (_, _, lw, fw) -> fw /. lw);
-      ]
-      results
-  in
-  let hits = Hypervisor.Audit.tlb_hits audit
-  and misses = Hypervisor.Audit.tlb_misses audit
-  and walks = Hypervisor.Audit.walks_performed audit in
-  let hit_rate =
-    if hits + misses = 0 then 0.
-    else float_of_int hits /. float_of_int (hits + misses)
-  in
-  let grant_hits = audit.Hypervisor.Audit.grant_cache_hits in
-  Report.note "tlb_hits=%d tlb_misses=%d walks_performed=%d grant_cache_hits=%d"
-    hits misses walks grant_hits;
-  Report.note "TLB hit rate %.1f%% (gate: > 90%%)" (100. *. hit_rate);
-  Report.note
-    "target: >= 5x wall-clock MB/s over the legacy path on 64 KiB copies";
-  Report.note
-    "simulated-time results are unaffected: the fast path changes harness speed only";
-  outcome
-    (metrics
-    @ [
-        Report.count "tlb hits" hits; Report.count "tlb misses" misses;
-        Report.count "walks performed" walks; Report.count "grant cache hits" grant_hits;
-        Report.sim ~unit:"ratio" "tlb hit rate" hit_rate;
-      ])
-    ~gates:
-      [
-        O.gate "TLB hit rate > 90%" (hit_rate > 0.9)
-          (Printf.sprintf "%.1f%%" (100. *. hit_rate));
-      ]
-
-(* ------------------------------------------------------------------ *)
 (* Operation tracing: Chrome trace export + §6.1 cost reconciliation   *)
 (* ------------------------------------------------------------------ *)
 

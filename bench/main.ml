@@ -24,7 +24,6 @@ let entries =
     ("ablations", Experiments.ablations);
     ("recovery", Experiments.recovery);
     ("throughput", Experiments.throughput);
-    ("memops", Experiments.memops);
     ("trace", Experiments.trace);
     ("containment", Experiments.containment);
     ("upgrade", Experiments.upgrade);

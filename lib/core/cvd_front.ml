@@ -45,6 +45,7 @@ type t = {
   mutable paused : bool;
   resume_wq : Wait_queue.t;
   mutable ops_parked : int; (* stragglers replayed across a handoff *)
+  mutable faults : int; (* session faults so far *)
   mutable ops_forwarded : int;
   mutable jit_evaluations : int;
   mutable hb_stop : bool; (* watchdog shutdown flag *)
@@ -82,6 +83,7 @@ let fault_session t ~reason =
   | Faulted -> ()
   | Healthy ->
       t.session <- Faulted;
+      t.faults <- t.faults + 1;
       (* a fault during a planned handoff aborts the pause: parked
          operations must wake and fail, not hang forever *)
       t.paused <- false;
@@ -147,23 +149,28 @@ let resume ?pool t =
   t.paused <- false;
   Wait_queue.wake_all t.resume_wq
 
-(* Forward through the pause gate.  A {!Channel.Retired} straggler —
-   the transport was swapped while the operation was in flight — parks
-   and replays on the successor: at-least-once across a handoff, same
-   contract as RPC retries.  If the session faults instead of
-   resuming, a parked operation fails EIO (the op was possibly
-   executed: EIO, not ENODEV, exactly as a mid-operation transport
-   death). *)
-let rec pool_call t ~parked ~trace ~encode ~decode =
+(* The pause gate: wait out a planned handoff.  {!resume} opens it,
+   and so does {!fault_session}, after which the caller must fail. *)
+let wait_gate t =
   while t.paused do
     Wait_queue.sleep t.resume_wq
-  done;
+  done
+
+(* Forward over the pool.  A {!Channel.Retired} straggler — the
+   transport was swapped while the operation was in flight — waits at
+   the gate and replays on the successor, keeping the grant it declared
+   before the checkpoint: at-least-once across a handoff, same contract
+   as RPC retries.  If the session faults instead of resuming, a parked
+   operation fails EIO (the op was possibly executed: EIO, not ENODEV,
+   exactly as a mid-operation transport death). *)
+let rec pool_call t ~parked ~trace ~encode ~decode =
   if t.session = Faulted then
     if parked then Errno.fail Errno.EIO "driver VM died under a parked operation"
     else Errno.fail Errno.ENODEV "driver VM session faulted";
   try Chan_pool.call t.pool ~trace ~encode ~decode
   with Channel.Retired ->
     t.ops_parked <- t.ops_parked + 1;
+    wait_gate t;
     pool_call t ~parked:true ~trace ~encode ~decode
 
 (* The watchdog: ping the backend with a no-op under a deadline; after
@@ -234,6 +241,7 @@ let create ~kernel ~hyp ~guest_vm ~pool ~config =
       paused = false;
       resume_wq = Wait_queue.create (Kernel.engine kernel);
       ops_parked = 0;
+      faults = 0;
       ops_forwarded = 0;
       jit_evaluations = 0;
       hb_stop = false;
@@ -277,14 +285,40 @@ let release t grant_ref =
   if t.config.Config.validate_grants then
     Hypervisor.Grant_table.release t.grant_table grant_ref
 
+(* Pass the pause gate, then register the issuing process and declare
+   the operation's group; returns the grant reference.  A parked
+   operation holds no grant: a restore revokes every group its
+   checkpoint did not see, so an operation that finds a handoff begun
+   by the time its declare is written gives the group back and waits
+   again. *)
+let rec admit t (task : Defs.task) ~ops ~trace =
+  wait_gate t;
+  if t.session = Faulted then Errno.fail Errno.ENODEV "driver VM session faulted";
+  let tracer = t.config.Config.tracer in
+  let decl_sp =
+    Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
+      ~name:"front:declare" ()
+  in
+  Hypervisor.Hyp.register_process t.hyp t.guest_vm ~pid:task.Defs.pid ~pt:task.Defs.pt;
+  let grant_ref = declare t ops in
+  Obs.Trace.span_end tracer decl_sp;
+  if t.paused then begin
+    release t grant_ref;
+    admit t task ~ops ~trace
+  end
+  else grant_ref
+
 (* ---- forwarding core ---- *)
 
 let errno_of_code code =
   match Errno.of_code code with Some e -> e | None -> Errno.EIO
 
-(** Forward one operation: declare, register the issuing process with
-    the hypervisor, rpc (encoding at the slot write, decoding at the
-    slot read), release.
+(** Forward one operation: wait out any planned handoff, register the
+    issuing process with the hypervisor, declare, rpc (encoding at the
+    slot write, decoding at the slot read), release — unless the
+    session faulted since the declare: the fault revoked the table
+    wholesale, and the slots may since hold another operation's
+    group.
 
     Error paths are kept distinct: a {e decoded} [Rerr] is the remote
     driver failing an operation (normal; surfaced to the caller); a
@@ -306,18 +340,11 @@ let forward t (task : Defs.task) ~ops req : Proto.response =
       ~name:Proto.request_name req
   in
   let run () =
-    let decl_sp =
-      Obs.Trace.span_begin tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
-        ~name:"front:declare" ()
-    in
-    Hypervisor.Hyp.register_process t.hyp t.guest_vm ~pid:task.Defs.pid
-      ~pt:task.Defs.pt;
-    let grant_ref = declare t ops in
-    Obs.Trace.span_end tracer decl_sp;
+    let grant_ref = admit t task ~ops ~trace in
+    (* read once the declare, which may wait, has returned *)
+    let faults = t.faults in
     Fun.protect
-      ~finally:(fun () ->
-        (* after a transport death the table was already revoked wholesale *)
-        if t.session = Healthy then release t grant_ref)
+      ~finally:(fun () -> if t.faults = faults then release t grant_ref)
       (fun () ->
         (* the derived encoder refuses what the decoder would reject
            (e.g. an over-long open path) instead of corrupting adjacent

@@ -16,7 +16,7 @@ type t = {
   mutable region_switches : int;
   mutable pages_scrubbed : int;
   mutable ept_perm_updates : int;
-  mutable grant_cache_hits : int;
+  grant_cache_hits : int; (* always 0: there is no grant-check cache *)
   mutable sanitize_rejections : int;
   mutable quarantines : int;
   tlb : Memory.Tlb.stats;

@@ -12,7 +12,10 @@ type t = {
   mutable region_switches : int;
   mutable pages_scrubbed : int;
   mutable ept_perm_updates : int;
-  mutable grant_cache_hits : int;
+  grant_cache_hits : int;
+      (** always 0: the grant check reads the guest's table in place
+          and keeps no cache.  Kept for readers of the field by name
+          (perfbench's [hypervisor.grant_cache_hit_ratio] row) *)
   mutable sanitize_rejections : int;
       (** backend sanitization refusals (malformed or out-of-bound
           request fields), across all guests *)

@@ -7,7 +7,8 @@
     entries and obtains a {e grant reference} (the index of the group's
     first slot).  The backend attaches that reference to every
     hypervisor memory-operation request; the hypervisor validates the
-    request against the referenced entries with a bounded scan.
+    request against the referenced entries with a bounded scan of the
+    page as it stands.
 
     Entry layout (24 bytes, 170 slots per 4 KiB page):
     {v
@@ -30,13 +31,10 @@ let capacity = Memory.Addr.page_size / entry_size
 type t = {
   guest : Shared_page.view; (* frontend's mapping *)
   hyp : Shared_page.view; (* hypervisor's direct view *)
-  (* Bumped by every mutation (declare/release/revoke_all) so the
-     hypervisor's grant-check cache can detect stale entries.  All
-     writes to the table page go through those three functions. *)
-  mutable generation : int;
   (* Outstanding-entry quota: a guest may be capped below the physical
      table capacity, bounding how much validation state it can pin.
-     [active] mirrors the non-free slot count (same three mutators). *)
+     [active] mirrors the non-free slot count (declare, release and
+     revoke_all keep it). *)
   mutable quota : int;
   mutable active : int;
   mutable quota_breaches : int;
@@ -57,14 +55,11 @@ let create phys ~guest_vm =
   {
     guest = Shared_page.view_of page guest_vm;
     hyp = Shared_page.hypervisor_view page;
-    generation = 0;
     quota = capacity;
     active = 0;
     quota_breaches = 0;
     violations = 0;
   }
-
-let generation t = t.generation
 
 let set_quota t q =
   if q < 1 || q > capacity then invalid_arg "Grant_table.set_quota";
@@ -87,17 +82,23 @@ let op_addr = function
 let op_len = function
   | Copy_to_user { len; _ } | Copy_from_user { len; _ } | Map_page { len; _ } -> len
 
+(* An entry's first word: its kind in the low byte, [last_flag] set on
+   the group's final entry.  Only kinds 1-3 name an operation. *)
+let last_flag = 0x100
+
+let is_op kind = kind >= 1 && kind <= 3
+
 let write_entry (view : Shared_page.view) ~slot ~op ~last =
   let base = slot * entry_size in
   view.Shared_page.write_u32 ~offset:base
-    (kind_code op lor ((if last then 1 else 0) lsl 8));
+    (kind_code op lor (if last then last_flag else 0));
   view.Shared_page.write_u32 ~offset:(base + 4) (op_len op);
   view.Shared_page.write_u64 ~offset:(base + 8) (Int64.of_int (op_addr op))
 
 let read_entry (view : Shared_page.view) ~slot =
   let base = slot * entry_size in
   let word = view.Shared_page.read_u32 ~offset:base in
-  let kind = word land 0xff and last = word land 0x100 <> 0 in
+  let kind = word land 0xff and last = word land last_flag <> 0 in
   let len = view.Shared_page.read_u32 ~offset:(base + 4) in
   let addr = Int64.to_int (view.Shared_page.read_u64 ~offset:(base + 8)) in
   let op =
@@ -140,24 +141,24 @@ let declare t ops =
     (fun i op -> write_entry t.guest ~slot:(start + i) ~op ~last:(i = n - 1))
     ops;
   t.active <- t.active + n;
-  t.generation <- t.generation + 1;
   start
 
-(** Release a group once its file operation has completed. *)
+(** Release a group once its file operation has completed: free each
+    slot from [grant_ref] through the one flagged last, reading only
+    its kind and flag in place. *)
 let release t grant_ref =
   let rec go slot =
-    if slot >= capacity then ()
-    else begin
-      let op, last = read_entry t.guest ~slot in
-      if op <> None then t.active <- max 0 (t.active - 1);
-      t.guest.Shared_page.write_u32 ~offset:(slot * entry_size) 0;
-      if not last then go (slot + 1)
+    if slot < capacity then begin
+      let offset = slot * entry_size in
+      let word = t.guest.Shared_page.read_u32 ~offset in
+      if is_op (word land 0xff) then t.active <- max 0 (t.active - 1);
+      t.guest.Shared_page.write_u32 ~offset 0;
+      if word land last_flag = 0 then go (slot + 1)
     end
   in
   if grant_ref < 0 || grant_ref >= capacity then
     invalid_arg "Grant_table.release: bad reference";
-  go grant_ref;
-  t.generation <- t.generation + 1
+  go grant_ref
 
 (** Revoke every outstanding declaration at once (driver-VM crash
     recovery: nothing the dead backend held may stay authorised).
@@ -171,7 +172,6 @@ let revoke_all t =
     end
   done;
   t.active <- 0;
-  t.generation <- t.generation + 1;
   !cleared
 
 (** Outstanding (non-free) entries — 0 once every grant is released
@@ -228,44 +228,39 @@ let verify_snapshot t snap =
 
 (* ---- hypervisor side ---- *)
 
-(** All operations declared under [grant_ref] (hypervisor's view). *)
-let lookup t grant_ref =
-  if grant_ref < 0 || grant_ref >= capacity then []
-  else begin
-    let rec go slot acc =
-      if slot >= capacity then List.rev acc
-      else
-        match read_entry t.hyp ~slot with
-        | None, _ -> List.rev acc (* free slot terminates the group *)
-        | Some op, true -> List.rev (op :: acc)
-        | Some op, false -> go (slot + 1) (op :: acc)
-    in
-    go grant_ref []
-  end
-
-let range_within ~addr ~len ~decl_addr ~decl_len =
+(* Does the entry at [base] span [addr, addr + len)?  Its address is
+   read as two 32-bit halves, which keeps the check free of boxed
+   integers. *)
+let spans (view : Shared_page.view) ~base ~addr ~len =
+  let decl_len = view.Shared_page.read_u32 ~offset:(base + 4)
+  and decl_addr =
+    view.Shared_page.read_u32 ~offset:(base + 8)
+    lor (view.Shared_page.read_u32 ~offset:(base + 12) lsl 32)
+  in
   len >= 0 && addr >= decl_addr && addr + len <= decl_addr + decl_len
 
-(** Does a declared group authorise [requested]?  A request is covered
-    when it falls inside a declared entry of the same kind — drivers
-    may copy a prefix or a piece of a declared buffer.  Pure check
-    against an already-read group, so the hypervisor can validate from
-    its grant-check cache without touching the shared page. *)
-let authorises_ops declared ~requested =
-  List.exists
-    (fun decl ->
-      match (decl, requested) with
-      | Copy_to_user d, Copy_to_user r ->
-          range_within ~addr:r.addr ~len:r.len ~decl_addr:d.addr ~decl_len:d.len
-      | Copy_from_user d, Copy_from_user r ->
-          range_within ~addr:r.addr ~len:r.len ~decl_addr:d.addr ~decl_len:d.len
-      | Map_page d, Map_page r ->
-          range_within ~addr:r.addr ~len:r.len ~decl_addr:d.addr ~decl_len:d.len
-      | _ -> false)
-    declared
+(* Scan the group from [slot] through the hypervisor's view: it ends
+   at the entry flagged last, or before the first entry that names no
+   operation. *)
+let rec covers (view : Shared_page.view) ~kind ~addr ~len slot =
+  slot < capacity
+  &&
+  let base = slot * entry_size in
+  let word = view.Shared_page.read_u32 ~offset:base in
+  let k = word land 0xff in
+  is_op k
+  && ((k = kind && spans view ~base ~addr ~len)
+     || (word land last_flag = 0 && covers view ~kind ~addr ~len (slot + 1)))
 
+(** Does the group under [grant_ref] cover [requested]?  A request is
+    covered when it falls inside a declared entry of the same kind —
+    drivers may copy a prefix or a piece of a declared buffer.  Reads
+    the table in place, so a released or revoked group stops
+    authorising the moment its slots are cleared. *)
 let authorises t ~grant_ref ~requested =
-  authorises_ops (lookup t grant_ref) ~requested
+  grant_ref >= 0
+  && covers t.hyp ~kind:(kind_code requested) ~addr:(op_addr requested)
+       ~len:(op_len requested) grant_ref
 
 let pp_op ppf = function
   | Copy_to_user { addr; len } -> Fmt.pf ppf "copy_to_user(0x%x, %d)" addr len

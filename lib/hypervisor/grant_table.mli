@@ -23,11 +23,6 @@ exception Quota_exceeded
 val capacity : int
 val create : Memory.Phys_mem.t -> guest_vm:Vm.t -> t
 
-(** Mutation counter — bumped by {!declare}, {!release} and
-    {!revoke_all}; lets the hypervisor's grant-check cache detect
-    stale entries. *)
-val generation : t -> int
-
 (** Frontend: declare a group of operations; returns the grant
     reference the backend must attach to its requests. *)
 val declare : t -> op list -> int
@@ -68,15 +63,10 @@ val snapshot : t -> (int * op list) list
     many groups were revoked. *)
 val verify_snapshot : t -> (int * op list) list -> int
 
-(** Hypervisor: the operations declared under a reference. *)
-val lookup : t -> int -> op list
-
-(** Hypervisor: does the declared group cover [requested]?  Requests
-    inside a declared range of the same kind are covered. *)
+(** Hypervisor: does the group under a reference cover [requested]?
+    Requests inside a declared range of the same kind are covered.
+    The group is read from the table in place on every call: there is
+    no copy of it to go stale. *)
 val authorises : t -> grant_ref:int -> requested:op -> bool
-
-(** Pure variant of {!authorises} over an already-read group (the
-    hypervisor's grant-check cache). *)
-val authorises_ops : op list -> requested:op -> bool
 
 val pp_op : Format.formatter -> op -> unit

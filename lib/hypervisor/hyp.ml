@@ -6,22 +6,23 @@
     driver VM — with the strict runtime checks of §4.1 applied to every
     request, because a compromised driver VM is assumed. *)
 
+(* What the hypervisor knows about one VM. *)
+type vm_state = {
+  vm : Vm.t;
+  mutable grants : Grant_table.t option; (* a guest's, once set up *)
+  (* pid -> process page table: how the hypervisor resolves a guest
+     process named in a driver-VM request (the real system reads the
+     guest CR3 at trap time) *)
+  processes : (int, Memory.Guest_pt.t) Hashtbl.t;
+  (* (pt id, gva) -> gpa backing an mmap performed via map_page *)
+  mmaps : (int * int, int) Hashtbl.t;
+}
+
 type t = {
   phys : Memory.Phys_mem.t;
   audit : Audit.t;
-  mutable vms : Vm.t list;
-  grant_tables : (int, Grant_table.t) Hashtbl.t; (* vm id -> table *)
-  (* (vm id, grant_ref) -> declared group + the table generation it was
-     read at; stale generations fall through to a fresh shared-page scan *)
-  grant_cache : (int * int, Grant_table.op list * int) Hashtbl.t;
-  (* (vm id, pt id, gva) -> gpa backing an mmap performed via map_page *)
-  mmap_registry : (int * int * int, int) Hashtbl.t;
-  (* (vm id, pid) -> process page table: how the hypervisor resolves a
-     guest process named in a driver-VM request (the real system reads
-     the guest CR3 at trap time) *)
-  process_registry : (int * int, Memory.Guest_pt.t) Hashtbl.t;
+  mutable vms : vm_state array; (* indexed by VM id: ids are dense from 0 *)
   mutable validate : bool; (* fault-isolation runtime checks (§4.1) *)
-  mutable next_vm_id : int;
   mutable tracer : Obs.Trace.t; (* span sink for memory-op callers *)
 }
 
@@ -33,13 +34,8 @@ let create phys =
   {
     phys;
     audit = Audit.create ();
-    vms = [];
-    grant_tables = Hashtbl.create 8;
-    grant_cache = Hashtbl.create 64;
-    mmap_registry = Hashtbl.create 64;
-    process_registry = Hashtbl.create 64;
+    vms = [||];
     validate = true;
-    next_vm_id = 0;
     tracer = Obs.Trace.disabled;
   }
 
@@ -49,7 +45,11 @@ let tracer t = t.tracer
 
 let phys t = t.phys
 let audit t = t.audit
-let vms t = t.vms
+
+(* Newest first. *)
+let vms t = Array.fold_left (fun acc s -> s.vm :: acc) [] t.vms
+
+let state t vm = t.vms.(Vm.id vm)
 
 let reject t msg =
   t.audit.Audit.grants_rejected <- t.audit.Audit.grants_rejected + 1;
@@ -60,8 +60,7 @@ let reject t msg =
 let create_vm t ~name ~kind ~mem_bytes =
   if mem_bytes <= 0 || mem_bytes mod Memory.Addr.page_size <> 0 then
     invalid_arg "Hyp.create_vm: mem_bytes must be a positive page multiple";
-  let id = t.next_vm_id in
-  t.next_vm_id <- id + 1;
+  let id = Array.length t.vms in
   let pages = mem_bytes / Memory.Addr.page_size in
   let ept = Memory.Ept.create () in
   let base_spn = Memory.Phys_mem.alloc_frames t.phys pages in
@@ -84,7 +83,11 @@ let create_vm t ~name ~kind ~mem_bytes =
       alive = true;
     }
   in
-  t.vms <- vm :: t.vms;
+  (* most VMs hold a few processes and no mmaps: start the tables small *)
+  let state =
+    { vm; grants = None; processes = Hashtbl.create 1; mmaps = Hashtbl.create 1 }
+  in
+  t.vms <- Array.append t.vms [| state |];
   vm
 
 (** Mark a VM dead (crash or explicit kill).  Its pending and future
@@ -100,12 +103,18 @@ let kill_vm t vm =
 (* Undo one {!map_page_into_process} mapping: clear the guest leaf
    (when its page table is known), unmap the EPT entry, unreserve the
    gpa, drop the registry entry and count the unmap, in that order. *)
-let drop_mapping t ~target pt ((_, _, gva) as key) gpa =
+let drop_mapping t s pt ((_, gva) as key) gpa =
   Option.iter (fun pt -> ignore (Memory.Guest_pt.unmap pt ~gva)) pt;
-  ignore (Memory.Ept.unmap target.Vm.ept ~gpa);
-  Memory.Allocator.unreserve target.Vm.gpa_alloc gpa;
-  Hashtbl.remove t.mmap_registry key;
+  ignore (Memory.Ept.unmap s.vm.Vm.ept ~gpa);
+  Memory.Allocator.unreserve s.vm.Vm.gpa_alloc gpa;
+  Hashtbl.remove s.mmaps key;
   t.audit.Audit.unmaps_performed <- t.audit.Audit.unmaps_performed + 1
+
+(* The registered process page table with id [pt_id], if any. *)
+let registered_pt s pt_id =
+  Seq.find (fun pt -> Memory.Guest_pt.id pt = pt_id) (Hashtbl.to_seq_values s.processes)
+
+let mappings s = Hashtbl.fold (fun key gpa acc -> (key, gpa) :: acc) s.mmaps []
 
 (** Tear down every cross-VM mapping installed into [target] by
     {!map_page_into_process}: EPT entries are unmapped, the backing
@@ -115,23 +124,10 @@ let drop_mapping t ~target pt ((_, _, gva) as key) gpa =
     (or attacker-controlled) driver VM could reuse.  Returns the
     number of mappings destroyed. *)
 let teardown_vm_mappings t ~target =
-  let vm_id = Vm.id target in
-  let doomed =
-    Hashtbl.fold
-      (fun ((id, _, _) as key) gpa acc ->
-        if id = vm_id then (key, gpa) :: acc else acc)
-      t.mmap_registry []
-  in
-  let pts =
-    Hashtbl.fold
-      (fun (id, _) pt acc -> if id = vm_id then pt :: acc else acc)
-      t.process_registry []
-  in
+  let s = state t target in
+  let doomed = mappings s in
   List.iter
-    (fun (((_, pt_id, _) as key), gpa) ->
-      drop_mapping t ~target
-        (List.find_opt (fun pt -> Memory.Guest_pt.id pt = pt_id) pts)
-        key gpa)
+    (fun (((pt_id, _) as key), gpa) -> drop_mapping t s (registered_pt s pt_id) key gpa)
     doomed;
   List.length doomed
 
@@ -145,40 +141,26 @@ let teardown_vm_mappings t ~target =
     anything else is torn down exactly as {!teardown_vm_mappings}
     would.  Returns [(kept, dropped)]. *)
 let revalidate_vm_mappings t ~target =
-  let vm_id = Vm.id target in
-  let entries =
-    Hashtbl.fold
-      (fun ((id, _, _) as key) gpa acc ->
-        if id = vm_id then (key, gpa) :: acc else acc)
-      t.mmap_registry []
-    |> List.sort compare
-  in
-  let pt_of pt_id =
-    Hashtbl.fold
-      (fun (id, _) pt acc ->
-        if id = vm_id && Memory.Guest_pt.id pt = pt_id then Some pt else acc)
-      t.process_registry None
-  in
+  let s = state t target in
   let kept = ref 0 and dropped = ref 0 in
   List.iter
-    (fun (((_, pt_id, gva) as key), gpa) ->
-      let pt = pt_of pt_id in
+    (fun (((pt_id, gva) as key), gpa) ->
+      let pt = registered_pt s pt_id in
       let valid =
         match pt with
         | None -> false
         | Some pt -> (
             match Memory.Guest_pt.translate_opt pt ~gva ~access:Memory.Perm.Read with
             | Some leaf_gpa ->
-                leaf_gpa = gpa
-                && Memory.Ept.lookup target.Vm.ept ~gpa <> None
+                leaf_gpa = gpa && Memory.Ept.lookup s.vm.Vm.ept ~gpa <> None
             | None -> false)
       in
       if valid then incr kept
       else begin
-        drop_mapping t ~target pt key gpa;
+        drop_mapping t s pt key gpa;
         incr dropped
       end)
-    entries;
+    (List.sort compare (mappings s));
   (!kept, !dropped)
 
 (* ---- grant tables ---- *)
@@ -186,34 +168,18 @@ let revalidate_vm_mappings t ~target =
 (** Set up a guest's grant table (one page shared guest<->hypervisor). *)
 let setup_grant_table t guest =
   let table = Grant_table.create t.phys ~guest_vm:guest in
-  Hashtbl.replace t.grant_tables (Vm.id guest) table;
+  (state t guest).grants <- Some table;
   table
 
-let grant_table_of t guest = Hashtbl.find_opt t.grant_tables (Vm.id guest)
+let grant_table_of t guest = (state t guest).grants
 
 let check_grant t ~target ~grant_ref ~requested =
   if t.validate then begin
     t.audit.Audit.copies_validated <- t.audit.Audit.copies_validated + 1;
-    match Hashtbl.find_opt t.grant_tables (Vm.id target) with
+    match (state t target).grants with
     | None -> reject t "target guest has no grant table"
     | Some table ->
-        (* The declared group is immutable between grant-table
-           mutations, so cache the shared-page scan keyed by the table
-           generation ({!Grant_table.generation}). *)
-        let gen = Grant_table.generation table in
-        let key = (Vm.id target, grant_ref) in
-        let declared =
-          match Hashtbl.find_opt t.grant_cache key with
-          | Some (ops, cached_gen) when cached_gen = gen ->
-              t.audit.Audit.grant_cache_hits <-
-                t.audit.Audit.grant_cache_hits + 1;
-              ops
-          | Some _ | None ->
-              let ops = Grant_table.lookup table grant_ref in
-              Hashtbl.replace t.grant_cache key (ops, gen);
-              ops
-        in
-        if not (Grant_table.authorises_ops declared ~requested) then begin
+        if not (Grant_table.authorises table ~grant_ref ~requested) then begin
           (* charged to the guest whose grant failed, on its own table:
              the backend scores each guest from that counter *)
           Grant_table.note_violation table;
@@ -225,11 +191,8 @@ let check_grant t ~target ~grant_ref ~requested =
 
 (* ---- guest process registry ---- *)
 
-let register_process t vm ~pid ~pt =
-  Hashtbl.replace t.process_registry (Vm.id vm, pid) pt
-
-let find_process_pt t vm ~pid =
-  Hashtbl.find_opt t.process_registry (Vm.id vm, pid)
+let register_process t vm ~pid ~pt = Hashtbl.replace (state t vm).processes pid pt
+let find_process_pt t vm ~pid = Hashtbl.find_opt (state t vm).processes pid
 
 (* ---- memory-operation API (§5.2) ---- *)
 
@@ -300,12 +263,12 @@ let map_page_into_process t req ~gva ~spa ~perms =
     ~requested:(Grant_table.Map_page { addr = gva; len = Memory.Addr.page_size });
   if not (Memory.Guest_pt.leaf_ready req.pt ~gva) then
     reject t "map_page: guest page-table levels not prepared by frontend";
-  let key = (Vm.id req.target, Memory.Guest_pt.id req.pt, gva) in
-  if Hashtbl.mem t.mmap_registry key then reject t "map_page: gva already mapped";
+  let mmaps = (state t req.target).mmaps and key = (Memory.Guest_pt.id req.pt, gva) in
+  if Hashtbl.mem mmaps key then reject t "map_page: gva already mapped";
   let gpa = Memory.Allocator.reserve_unused req.target.Vm.gpa_alloc in
   Memory.Ept.map req.target.Vm.ept ~gpa ~spa ~perms;
   Memory.Guest_pt.map req.pt ~gva ~gpa ~perms;
-  Hashtbl.replace t.mmap_registry key gpa;
+  Hashtbl.replace mmaps key gpa;
   t.audit.Audit.maps_performed <- t.audit.Audit.maps_performed + 1
 
 (** Tear down a mapping made by {!map_page_into_process}.  The guest
@@ -320,10 +283,10 @@ let map_page_into_process t req ~gva ~spa ~perms =
     immediately. *)
 let unmap_page_from_process t req ~gva =
   check_caller t req;
-  let key = (Vm.id req.target, Memory.Guest_pt.id req.pt, gva) in
-  match Hashtbl.find_opt t.mmap_registry key with
+  let s = state t req.target and key = (Memory.Guest_pt.id req.pt, gva) in
+  match Hashtbl.find_opt s.mmaps key with
   | None -> reject t "unmap_page: no such mapping"
-  | Some gpa -> drop_mapping t ~target:req.target (Some req.pt) key gpa
+  | Some gpa -> drop_mapping t s (Some req.pt) key gpa
 
 let mapped_via_hypervisor t ~target ~pt ~gva =
-  Hashtbl.mem t.mmap_registry (Vm.id target, Memory.Guest_pt.id pt, gva)
+  Hashtbl.mem (state t target).mmaps (Memory.Guest_pt.id pt, gva)

@@ -77,7 +77,8 @@ val copy_to_process : t -> request -> gva:int -> data:bytes -> unit
 
 (** Zero-copy variants — the data-plane fast path: the bytes move
     between guest frames and a caller-supplied buffer without an
-    intermediate copy, though the grant check still allocates. *)
+    intermediate copy; the only allocation is the requested-op record
+    the grant check reads. *)
 val copy_from_process_into :
   t -> request -> gva:int -> dst:bytes -> dst_off:int -> len:int -> unit
 

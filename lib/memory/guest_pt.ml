@@ -15,7 +15,7 @@ let max_va = (1 lsl 32) - 1
 
 (* Unique ids let the hypervisor key per-address-space state (its mmap
    registry) without structural comparison of whole tables.  The
-   hypervisor always keys by [(vm id, pt id)], so callers building
+   hypervisor keys them within each VM's record, so callers building
    process page tables pass a per-VM id explicitly (Kernel allocates
    them) and independent machines stay deterministic.  Standalone
    tables (tests, microbenchmarks) fall back to a domain-local counter

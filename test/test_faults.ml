@@ -386,6 +386,68 @@ let test_crash_aborts_spans_reattach_is_clean () =
     true
     (r.Obs.Trace.r_max_gap_us <= 1.)
 
+(* An operation that outlives a session fault must not release its
+   grant on the way out: the fault revoked the table wholesale, and
+   after the reattach its slot can hold a later operation's group.  Op
+   X, a null ioctl, hangs on a silently dead driver VM past the
+   watchdog's fault and the reboot; op Y's mouse read then declares
+   into X's old slot, and X's deadline expires before Y's event
+   arrives.  Y must still read its event, with no grant fault charged
+   to the honest guest. *)
+let test_fault_outlived_op_keeps_later_grant () =
+  let config =
+    {
+      Config.default with
+      Config.rpc_timeout_us = 20_000.;
+      rpc_retries = 0;
+      heartbeat_interval_us = 1_000.;
+      heartbeat_miss_limit = 2;
+      driver_reboot_us = 1_000.;
+    }
+  in
+  let m = M.create ~config () in
+  let (_ : Defs.device) = M.attach_null m in
+  let mouse = M.attach_mouse m in
+  let g = M.add_guest m ~name:"g1" () in
+  let eng = M.engine m in
+  let wait_until t = Sim.Engine.wait (t -. Sim.Engine.now eng) in
+  let x_result = ref None and y_result = ref None in
+  Sim.Engine.spawn eng (fun () ->
+      let app = M.spawn_app m g.M.kernel ~name:"x" in
+      let k = g.M.kernel in
+      let fd = ok (Vfs.openf k app "/dev/null0") in
+      wait_until 2_200.;
+      x_result := Some (Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L));
+  Sim.Engine.at eng ~delay:1_990. (fun () -> M.kill_driver_vm ~poison:false m);
+  Sim.Engine.spawn eng (fun () ->
+      wait_until 8_000.;
+      Alcotest.(check bool) "the watchdog faulted the session" true
+        (Cvd_front.session g.M.frontend = Cvd_front.Faulted);
+      M.reboot_driver_vm m;
+      wait_until 12_000.;
+      let app = M.spawn_app m g.M.kernel ~name:"y" in
+      let k = g.M.kernel in
+      let fd = ok (Vfs.openf k app "/dev/input/event0") in
+      let buf = Task.alloc_buf app 64 in
+      y_result := Some (Vfs.read k app fd ~buf ~len:64));
+  Sim.Engine.at eng ~delay:25_000. (fun () ->
+      Devices.Evdev.inject mouse
+        { Devices.Evdev.time_us = 25_000.; ev_type = Devices.Evdev.ev_rel;
+          code = Devices.Evdev.rel_x; value = 3 });
+  Sim.Engine.run ~until:60_000. eng;
+  Cvd_front.stop_watchdog g.M.frontend;
+  (match !x_result with
+  | Some (Error e) -> Alcotest.check errno "X outlived the fault, then timed out" Errno.ETIMEDOUT e
+  | Some (Ok _) -> Alcotest.fail "X was answered by a dead driver VM"
+  | None -> Alcotest.fail "X never finished");
+  (match !y_result with
+  | Some (Ok n) -> Alcotest.(check int) "Y read its event" Devices.Evdev.event_bytes n
+  | Some (Error e) -> Alcotest.failf "Y failed with %s" (Errno.to_string e)
+  | None -> Alcotest.fail "Y never finished");
+  Alcotest.(check int) "no grant fault charged to the guest" 0
+    g.M.link.Cvd_back.grant_faults;
+  Alcotest.(check int) "and no misbehaviour score" 0 g.M.link.Cvd_back.score
+
 (* ---- poll forwarding backoff (ring starvation) ---- *)
 
 (* A device that is never ready used to turn the frontend's forwarded
@@ -551,6 +613,8 @@ let suites =
         Alcotest.test_case "fault tears down cross-VM mappings" `Quick
           test_fault_tears_down_mappings;
         Alcotest.test_case "kill, reboot, reopen" `Quick test_kill_reboot_reopen;
+        Alcotest.test_case "op outliving a fault keeps a later grant" `Quick
+          test_fault_outlived_op_keeps_later_grant;
         Alcotest.test_case "cvd.crash site kills mid-rpc" `Quick
           test_crash_site_kills_mid_rpc;
         Alcotest.test_case "timed-out op span closes with error" `Quick

@@ -322,6 +322,54 @@ let test_quiesced_op_parks_until_resume () =
   Sim.Engine.run eng;
   Alcotest.(check bool) "op waited for the resume" true (!op_done_at >= 5_000.)
 
+(* A mouse read made at [read_at] across an upgrade that starts at
+   1,000 us and quiesces once the successor has booted, at 2,000 us; an
+   event arrives at 3,000 us.  Returns the read's result, the grant
+   groups the restore revoked and the grant faults charged to the
+   guest. *)
+let read_across_upgrade ~read_at =
+  let m = M.create ~config:(upgrade_config ()) () in
+  let mouse = M.attach_mouse m in
+  let g = M.add_guest m ~name:"g1" () in
+  let eng = M.engine m in
+  let result = ref None and revoked = ref (-1) in
+  Sim.Engine.spawn eng (fun () ->
+      let app = M.spawn_app m g.M.kernel ~name:"reader" in
+      let k = g.M.kernel in
+      let fd = ok (Vfs.openf k app "/dev/input/event0") in
+      let buf = Task.alloc_buf app 64 in
+      Sim.Engine.wait (read_at -. Sim.Engine.now eng);
+      result := Some (Vfs.read k app fd ~buf ~len:64));
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.wait 1_000.;
+      match M.upgrade_driver_vm m with
+      | M.Upgraded s -> revoked := s.M.up_grants_revoked
+      | _ -> Alcotest.fail "expected Upgraded");
+  Sim.Engine.at eng ~delay:3_000. (fun () ->
+      Devices.Evdev.inject mouse
+        { Devices.Evdev.time_us = 3_000.; ev_type = Devices.Evdev.ev_rel;
+          code = Devices.Evdev.rel_x; value = 1 });
+  Sim.Engine.run eng;
+  (!result, !revoked, g.M.link.Cvd_back.grant_faults)
+
+(* An op that arrives during the handoff blackout waits at the pause
+   gate before declaring, so the restore, which revokes every group its
+   checkpoint did not see, finds none of it.  One made just before the
+   quiesce, whose declare is still being written when the checkpoint is
+   taken, gives its group back and declares again after the resume. *)
+let test_blackout_op_keeps_its_grant () =
+  List.iter
+    (fun read_at ->
+      let what fmt = Printf.sprintf ("read at %.2f us: " ^^ fmt) read_at in
+      let result, revoked, grant_faults = read_across_upgrade ~read_at in
+      (match result with
+      | Some (Ok n) -> Alcotest.(check int) (what "the event") Devices.Evdev.event_bytes n
+      | Some (Error e) -> Alcotest.failf "%s" (what "failed with %s" (Errno.to_string e))
+      | None -> Alcotest.fail (what "never finished"));
+      Alcotest.(check int) (what "no group revoked") 0 revoked;
+      Alcotest.(check int) (what "no grant fault") 0 grant_faults)
+    [ 1_500.; 1_999.6; 2_000.1; 2_000.5; 2_003. ]
+
 (* ---- satellite: idempotency / races ---- *)
 
 let test_kill_twice_then_reboot () =
@@ -647,6 +695,8 @@ let suites =
           test_watchdog_suspended_across_quiesce;
         Alcotest.test_case "quiesced op parks until resume" `Quick
           test_quiesced_op_parks_until_resume;
+        Alcotest.test_case "blackout op keeps its grant" `Quick
+          test_blackout_op_keeps_its_grant;
         Alcotest.test_case "kill twice then reboot" `Quick
           test_kill_twice_then_reboot;
         Alcotest.test_case "reboot races armed cvd.crash" `Quick
