@@ -300,7 +300,14 @@ let rec admit t (task : Defs.task) ~ops ~trace =
       ~name:"front:declare" ()
   in
   Hypervisor.Hyp.register_process t.hyp t.guest_vm ~pid:task.Defs.pid ~pt:task.Defs.pt;
-  let grant_ref = declare t ops in
+  let grant_ref =
+    match declare t ops with
+    | grant_ref -> grant_ref
+    | exception exn ->
+        (* ENOMEM past the grant quota: the op fails here *)
+        Obs.Trace.span_end ~status:"error" tracer decl_sp;
+        raise exn
+  in
   Obs.Trace.span_end tracer decl_sp;
   if t.paused then begin
     release t grant_ref;

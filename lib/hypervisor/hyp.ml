@@ -14,8 +14,9 @@ type vm_state = {
      process named in a driver-VM request (the real system reads the
      guest CR3 at trap time) *)
   processes : (int, Memory.Guest_pt.t) Hashtbl.t;
-  (* (pt id, gva) -> gpa backing an mmap performed via map_page *)
-  mmaps : (int * int, int) Hashtbl.t;
+  (* (pt id, gva) -> gpa backing an mmap performed via map_page; most
+     VMs map nothing, so the table is made on the first map *)
+  mutable mmaps : (int * int, int) Hashtbl.t option;
 }
 
 type t = {
@@ -83,10 +84,7 @@ let create_vm t ~name ~kind ~mem_bytes =
       alive = true;
     }
   in
-  (* most VMs hold a few processes and no mmaps: start the tables small *)
-  let state =
-    { vm; grants = None; processes = Hashtbl.create 1; mmaps = Hashtbl.create 1 }
-  in
+  let state = { vm; grants = None; processes = Hashtbl.create 1; mmaps = None } in
   t.vms <- Array.append t.vms [| state |];
   vm
 
@@ -107,14 +105,17 @@ let drop_mapping t s pt ((_, gva) as key) gpa =
   Option.iter (fun pt -> ignore (Memory.Guest_pt.unmap pt ~gva)) pt;
   ignore (Memory.Ept.unmap s.vm.Vm.ept ~gpa);
   Memory.Allocator.unreserve s.vm.Vm.gpa_alloc gpa;
-  Hashtbl.remove s.mmaps key;
+  Option.iter (fun mmaps -> Hashtbl.remove mmaps key) s.mmaps;
   t.audit.Audit.unmaps_performed <- t.audit.Audit.unmaps_performed + 1
 
 (* The registered process page table with id [pt_id], if any. *)
 let registered_pt s pt_id =
   Seq.find (fun pt -> Memory.Guest_pt.id pt = pt_id) (Hashtbl.to_seq_values s.processes)
 
-let mappings s = Hashtbl.fold (fun key gpa acc -> (key, gpa) :: acc) s.mmaps []
+let mappings s =
+  match s.mmaps with
+  | None -> []
+  | Some mmaps -> Hashtbl.fold (fun key gpa acc -> (key, gpa) :: acc) mmaps []
 
 (** Tear down every cross-VM mapping installed into [target] by
     {!map_page_into_process}: EPT entries are unmapped, the backing
@@ -125,11 +126,13 @@ let mappings s = Hashtbl.fold (fun key gpa acc -> (key, gpa) :: acc) s.mmaps []
     number of mappings destroyed. *)
 let teardown_vm_mappings t ~target =
   let s = state t target in
-  let doomed = mappings s in
-  List.iter
-    (fun (((pt_id, _) as key), gpa) -> drop_mapping t s (registered_pt s pt_id) key gpa)
-    doomed;
-  List.length doomed
+  match mappings s with
+  | [] -> 0
+  | doomed ->
+      List.iter
+        (fun (((pt_id, _) as key), gpa) -> drop_mapping t s (registered_pt s pt_id) key gpa)
+        doomed;
+      List.length doomed
 
 (** Re-validate every cross-VM mapping installed into [target] after a
     planned driver-VM handoff.  Mappings are keyed by the {e guest}
@@ -263,7 +266,15 @@ let map_page_into_process t req ~gva ~spa ~perms =
     ~requested:(Grant_table.Map_page { addr = gva; len = Memory.Addr.page_size });
   if not (Memory.Guest_pt.leaf_ready req.pt ~gva) then
     reject t "map_page: guest page-table levels not prepared by frontend";
-  let mmaps = (state t req.target).mmaps and key = (Memory.Guest_pt.id req.pt, gva) in
+  let s = state t req.target and key = (Memory.Guest_pt.id req.pt, gva) in
+  let mmaps =
+    match s.mmaps with
+    | Some mmaps -> mmaps
+    | None ->
+        let mmaps = Hashtbl.create 16 in
+        s.mmaps <- Some mmaps;
+        mmaps
+  in
   if Hashtbl.mem mmaps key then reject t "map_page: gva already mapped";
   let gpa = Memory.Allocator.reserve_unused req.target.Vm.gpa_alloc in
   Memory.Ept.map req.target.Vm.ept ~gpa ~spa ~perms;
@@ -284,9 +295,11 @@ let map_page_into_process t req ~gva ~spa ~perms =
 let unmap_page_from_process t req ~gva =
   check_caller t req;
   let s = state t req.target and key = (Memory.Guest_pt.id req.pt, gva) in
-  match Hashtbl.find_opt s.mmaps key with
+  match Option.bind s.mmaps (fun mmaps -> Hashtbl.find_opt mmaps key) with
   | None -> reject t "unmap_page: no such mapping"
   | Some gpa -> drop_mapping t s (Some req.pt) key gpa
 
 let mapped_via_hypervisor t ~target ~pt ~gva =
-  Hashtbl.mem (state t target).mmaps (Memory.Guest_pt.id pt, gva)
+  match (state t target).mmaps with
+  | None -> false
+  | Some mmaps -> Hashtbl.mem mmaps (Memory.Guest_pt.id pt, gva)

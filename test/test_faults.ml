@@ -386,6 +386,36 @@ let test_crash_aborts_spans_reattach_is_clean () =
     true
     (r.Obs.Trace.r_max_gap_us <= 1.)
 
+(* A write refused at the grant quota fails with ENOMEM inside the
+   declare stage: that stage's span closes with an error status along
+   with the op's, so nothing stays open. *)
+let test_refused_declare_closes_its_span () =
+  let tracer = Obs.Trace.create () in
+  let config = { Config.default with Config.tracer = tracer; max_grant_entries = 1 } in
+  let m = M.create ~config () in
+  let (_ : Defs.device) = M.attach_null m in
+  let g = M.add_guest m ~name:"g1" () in
+  let table = Option.get (Hypervisor.Hyp.grant_table_of (M.hyp m) g.M.vm) in
+  run_in_process (M.engine m) (fun () ->
+      let app = M.spawn_app m g.M.kernel ~name:"app" in
+      let k = g.M.kernel in
+      let fd = ok (Vfs.openf k app "/dev/null0") in
+      let buf = Task.alloc_buf app 8 in
+      (* the one entry the quota allows stays outstanding *)
+      ignore
+        (Hypervisor.Grant_table.declare table
+           [ Hypervisor.Grant_table.Copy_from_user { addr = buf; len = 8 } ]);
+      match Vfs.write k app fd ~buf ~len:8 with
+      | Error e -> Alcotest.check errno "refused at the quota" Errno.ENOMEM e
+      | Ok _ -> Alcotest.fail "a write past the grant quota succeeded");
+  Alcotest.(check int) "no span left open" 0 (Obs.Trace.open_count tracer);
+  let declares =
+    List.filter
+      (fun c -> c.Obs.Trace.c_name = "front:declare" && c.Obs.Trace.c_status = "error")
+      (Obs.Trace.completed tracer)
+  in
+  Alcotest.(check int) "the declare stage closed with an error" 1 (List.length declares)
+
 (* An operation that outlives a session fault must not release its
    grant on the way out: the fault revoked the table wholesale, and
    after the reattach its slot can hold a later operation's group.  Op
@@ -621,6 +651,8 @@ let suites =
           test_timed_out_op_span_closes_with_error;
         Alcotest.test_case "crash aborts spans, reattach clean" `Quick
           test_crash_aborts_spans_reattach_is_clean;
+        Alcotest.test_case "refused declare closes its span" `Quick
+          test_refused_declare_closes_its_span;
         Alcotest.test_case "poll spin does not starve the ring" `Quick
           test_poll_spin_does_not_starve_ring;
         Alcotest.test_case "hostile responses fail one op with EIO" `Quick

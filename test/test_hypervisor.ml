@@ -32,6 +32,25 @@ let test_create_vm_ram () =
     | _ -> false
     | exception Memory.Fault.Ept_violation _ -> true)
 
+(* A VM's mapping table is made on its first map: on a VM that never
+   registered a process or mapped a page, every lookup reads "none" and
+   allocates nothing. *)
+let test_unused_vm_lookups () =
+  let hyp = make_hyp () in
+  let vm = Hyp.create_vm hyp ~name:"g" ~kind:Vm.Guest ~mem_bytes:mib in
+  let pt = Memory.Guest_pt.create () in
+  let n = 1000 and answers = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    if Hyp.find_process_pt hyp vm ~pid:1 <> None then incr answers;
+    if Hyp.mapped_via_hypervisor hyp ~target:vm ~pt ~gva:0x1000 then incr answers;
+    answers := !answers + Hyp.teardown_vm_mappings hyp ~target:vm
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every lookup reads none" 0 !answers;
+  if words >= float_of_int n then
+    Alcotest.failf "%d rounds of lookups allocated %.0f words" n words
+
 let test_vm_isolated_ram () =
   let hyp = make_hyp () in
   let a = Hyp.create_vm hyp ~name:"a" ~kind:Vm.Guest ~mem_bytes:mib in
@@ -474,6 +493,7 @@ let suites =
       [
         Alcotest.test_case "vm ram" `Quick test_create_vm_ram;
         Alcotest.test_case "vm ram isolation" `Quick test_vm_isolated_ram;
+        Alcotest.test_case "unused vm lookups allocate nothing" `Quick test_unused_vm_lookups;
         Alcotest.test_case "gva access" `Quick test_gva_access;
       ] );
     ( "hypervisor.shared_page",

@@ -122,6 +122,122 @@ let test_deadlock_detection () =
   Sim.Engine.run eng;
   Alcotest.(check bool) "stuck process detected" true (Sim.Engine.deadlocked eng)
 
+(* ---- in-place waits ---- *)
+
+(* Minor words per call of [wait 1.] over [n] calls from the running
+   process: none in place, about 13 queued. *)
+let words_per_wait n =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Sim.Engine.wait 1.
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let check_in_place what words =
+  if words >= 1. then Alcotest.failf "%s: %.2f words per wait, not in place" what words
+
+let test_wait_yields_to_event_at_wake_time () =
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  Sim.Engine.at eng ~delay:1. (fun () -> log := "callback" :: !log);
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.wait 1.;
+      log := "waiter" :: !log);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "the event queued at the wake time runs first"
+    [ "callback"; "waiter" ] (List.rev !log);
+  check_float "clock" 1. (Sim.Engine.now eng)
+
+let test_in_place_wait_stops_at_limit () =
+  let eng = Sim.Engine.create () in
+  let woke = ref [] in
+  Sim.Engine.spawn eng (fun () ->
+      for _ = 1 to 3 do
+        Sim.Engine.wait 1.;
+        woke := Sim.Engine.now eng :: !woke
+      done);
+  Sim.Engine.run ~until:2. eng;
+  Alcotest.(check (list (float 0.))) "waits up to the limit" [ 1.; 2. ] (List.rev !woke);
+  check_float "clock stops at the limit" 2. (Sim.Engine.now eng);
+  Sim.Engine.run ~until:2.5 eng;
+  check_float "a wake past the limit stays queued" 2.5 (Sim.Engine.now eng);
+  Sim.Engine.run eng;
+  Alcotest.(check (list (float 0.))) "resumed by the next run" [ 1.; 2.; 3. ]
+    (List.rev !woke);
+  check_float "clock" 3. (Sim.Engine.now eng)
+
+let test_negative_wait_raises_in_process () =
+  let eng = Sim.Engine.create () in
+  let raised = ref "" in
+  Sim.Engine.spawn eng (fun () ->
+      (try Sim.Engine.wait (-1.) with Invalid_argument msg -> raised := msg);
+      Sim.Engine.wait 2.);
+  Sim.Engine.run eng;
+  Alcotest.(check string) "raised in the process" "Engine.wait: negative delay" !raised;
+  check_float "the process went on" 2. (Sim.Engine.now eng)
+
+let test_callback_wait_unhandled () =
+  let eng = Sim.Engine.create () in
+  Sim.Engine.spawn eng (fun () -> Sim.Engine.wait 10.);
+  Sim.Engine.at eng ~delay:1. (fun () -> Sim.Engine.wait 5.);
+  (match Sim.Engine.run eng with
+  | () -> Alcotest.fail "a wait in a callback returned"
+  | exception Effect.Unhandled _ -> ());
+  check_float "the clock did not move past the callback" 1. (Sim.Engine.now eng)
+
+let test_slot_restored_after_nested_run () =
+  let eng = Sim.Engine.create () and inner = Sim.Engine.create () in
+  let words = ref [] in
+  Sim.Engine.spawn inner (fun () -> Sim.Engine.wait 7.);
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.wait 1.;
+      Sim.Engine.run inner;
+      words := words_per_wait 100 :: !words;
+      (* the same engine, run from one of its own processes with a
+         nearer limit than the outer run's *)
+      Sim.Engine.at eng ~delay:1. ignore;
+      Sim.Engine.run ~until:(Sim.Engine.now eng +. 2.) eng;
+      words := words_per_wait 100 :: !words);
+  Sim.Engine.run ~until:1000. eng;
+  check_float "inner clock" 7. (Sim.Engine.now inner);
+  check_float "outer clock" 202. (Sim.Engine.now eng);
+  List.iter (check_in_place "after a nested run") !words
+
+let test_slot_restored_after_exception () =
+  let eng = Sim.Engine.create () and inner = Sim.Engine.create () in
+  let words = ref nan in
+  Sim.Engine.at inner ~delay:1. (fun () -> raise Exit);
+  Sim.Engine.spawn eng (fun () ->
+      (try Sim.Engine.run inner with Exit -> ());
+      words := words_per_wait 100);
+  Sim.Engine.run eng;
+  check_in_place "after an exception left a nested run" !words;
+  check_float "outer clock" 100. (Sim.Engine.now eng);
+  (* with no run active any more, a wait is unhandled again *)
+  Sim.Engine.at eng ~delay:1. (fun () -> raise Exit);
+  (try Sim.Engine.run eng with Exit -> ());
+  match Sim.Engine.wait 1. with
+  | () -> Alcotest.fail "a wait outside every run returned"
+  | exception Effect.Unhandled _ -> check_float "clock" 101. (Sim.Engine.now eng)
+
+let test_wait_allocation () =
+  let n = 10_000 in
+  let eng = Sim.Engine.create () in
+  let queued = ref nan and alone = ref nan in
+  (* two processes waiting in step: each wake finds the other's due
+     first, so every wait is queued, and the first process's window
+     holds both processes' waits *)
+  Sim.Engine.spawn eng (fun () ->
+      queued := words_per_wait n /. 2.;
+      alone := words_per_wait n);
+  Sim.Engine.spawn eng (fun () ->
+      for _ = 1 to n do
+        Sim.Engine.wait 1.
+      done);
+  Sim.Engine.run eng;
+  if !queued > 13.01 then Alcotest.failf "a queued wait allocates %.2f words" !queued;
+  check_in_place "a lone process" !alone
+
 let test_mailbox_fifo () =
   let eng = Sim.Engine.create () in
   let mb = Sim.Mailbox.create eng in
@@ -389,6 +505,86 @@ let prop_engine_time_monotonic =
       in
       monotonic observed)
 
+(* A random script for [Queued_model]: 2-5 processes of up to 8 steps,
+   delays from {0, 0.5, 1, 2} us so that ties abound, and up to three
+   [run ~until] slices on the half-microsecond grid. *)
+let gen_script seed =
+  let open Queued_model in
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let delay () = [| 0.; 0.5; 1.; 2. |].(int 4) in
+  let value = ref 0 in
+  let step () =
+    let mb = int mailboxes in
+    match int 6 with
+    | 0 | 1 -> Wait (delay ())
+    | 2 -> incr value; Send (mb, !value)
+    | 3 -> Recv mb
+    | 4 -> Recv_timeout (mb, delay ())
+    | _ -> incr value; At (delay (), mb, !value)
+  in
+  let procs = List.init (2 + int 4) (fun _ -> List.init (1 + int 8) (fun _ -> step ())) in
+  let slices = List.sort compare (List.init (int 4) (fun _ -> float_of_int (int 13) /. 2.)) in
+  { procs; slices }
+
+(* The same script on [Sim.Engine] and [Sim.Mailbox], logged as the
+   model logs it. *)
+let run_script (script : Queued_model.script) =
+  let open Queued_model in
+  let eng = Sim.Engine.create () in
+  let mbs = Array.init mailboxes (fun _ -> Sim.Mailbox.create eng) in
+  let log = ref [] in
+  let note p i what = log := (Sim.Engine.now eng, p, i, what) :: !log in
+  List.iteri
+    (fun p steps ->
+      Sim.Engine.spawn eng (fun () ->
+          List.iteri
+            (fun i -> function
+              | Wait d ->
+                  Sim.Engine.wait d;
+                  note p i "waited"
+              | Send (mb, v) ->
+                  Sim.Mailbox.send mbs.(mb) v;
+                  note p i "sent"
+              | At (d, mb, v) ->
+                  Sim.Engine.at eng ~delay:d (fun () ->
+                      note p i "fired";
+                      Sim.Mailbox.send mbs.(mb) v);
+                  note p i "armed"
+              | Recv mb -> note p i (got (Some (Sim.Mailbox.recv mbs.(mb))))
+              | Recv_timeout (mb, timeout) ->
+                  note p i (got (Sim.Mailbox.recv_timeout mbs.(mb) ~timeout)))
+            steps))
+    script.procs;
+  let live () = Sim.Engine.live_processes eng in
+  List.iteri
+    (fun k until ->
+      Sim.Engine.run ~until eng;
+      note (-1) k (Printf.sprintf "slice, %d live" (live ())))
+    script.slices;
+  Sim.Engine.run eng;
+  note (-1) (List.length script.slices) (Printf.sprintf "end, %d live" (live ()));
+  List.rev !log
+
+let prop_in_place_matches_queued =
+  QCheck.Test.make ~name:"in-place waits match the queued engine" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.(int_bound 0x3FFFFFFF))
+    (fun seed ->
+      let script = gen_script seed in
+      let engine = run_script script and model = Queued_model.run script in
+      engine = model
+      ||
+      let show (time, p, i, what) = Printf.sprintf "%g p%d.%d %s" time p i what in
+      let rec first_diff = function
+        | a :: x, b :: y -> if a = b then first_diff (x, y) else (show a, show b)
+        | a :: _, [] -> (show a, "(end)")
+        | [], b :: _ -> ("(end)", show b)
+        | [], [] -> ("", "")
+      in
+      let e, m = first_diff (engine, model) in
+      QCheck.Test.fail_reportf "seed %d: the engine logged %s where the queued model logged %s"
+        seed e m)
+
 let prop_stats_mean_bounded =
   QCheck.Test.make ~name:"stats mean lies within [min, max]" ~count:200
     QCheck.(list_of_size Gen.(1 -- 50) (float_bound_exclusive 1e6))
@@ -414,7 +610,21 @@ let suites =
         Alcotest.test_case "suspend/wake" `Quick test_suspend_wake;
         Alcotest.test_case "waker idempotent" `Quick test_suspend_waker_idempotent;
         Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
+        Alcotest.test_case "wait yields to an event at its wake time" `Quick
+          test_wait_yields_to_event_at_wake_time;
+        Alcotest.test_case "in-place wait stops at the run limit" `Quick
+          test_in_place_wait_stops_at_limit;
+        Alcotest.test_case "negative wait raises in the process" `Quick
+          test_negative_wait_raises_in_process;
+        Alcotest.test_case "wait from a callback is unhandled" `Quick
+          test_callback_wait_unhandled;
+        Alcotest.test_case "slot restored after a nested run" `Quick
+          test_slot_restored_after_nested_run;
+        Alcotest.test_case "slot restored after an exception" `Quick
+          test_slot_restored_after_exception;
+        Alcotest.test_case "wait allocation" `Quick test_wait_allocation;
         QCheck_alcotest.to_alcotest prop_engine_time_monotonic;
+        QCheck_alcotest.to_alcotest prop_in_place_matches_queued;
       ] );
     ( "sim.mailbox",
       [
