@@ -382,77 +382,65 @@ let absorb_grant_counters t link worker =
    escapes to the worker loop.
 
    [bytes] is the channel's private copy, valid until the worker first
-   suspends, so it is read before that: the trace id first, then the
-   decode.  Absorbing the grant counters can block only by
-   quarantining the link, and a quarantined link's descriptor is not
-   read. *)
+   suspends, so it is read before that: the trace id first, then one
+   decode-and-sanitize pass ([Proto.read_request]) that builds the
+   request value the checks ran on, and the header words it checked.
+   Absorbing the grant counters can block only by quarantining the
+   link, and a quarantined link's descriptor is not read. *)
 let serve_one t link worker (bytes : bytes) : Proto.response =
   let trace = Proto.get_trace bytes in
   absorb_grant_counters t link worker;
   if link.quarantined then Proto.Rerr (Errno.to_code Errno.EPERM)
   else
-    match Proto.decode_request bytes with
+    match
+      Proto.read_request ~limits:t.limits
+        ~sanitize:t.config.Config.sanitize_requests bytes
+    with
     | exception Proto.Malformed _ ->
         link.malformed <- link.malformed + 1;
         note_sanitize_rejection t;
         note_misbehavior t link worker score_malformed;
         Proto.Rerr (Errno.to_code Errno.EINVAL)
-    | (_, grant_ref, pid) as decoded -> (
-        let sanitized =
-          if t.config.Config.sanitize_requests then
-            Proto.validate_limits ~limits:t.limits decoded
-          else
-            let r, _, _ = decoded in
-            Ok r
-        in
-        match sanitized with
-        | Error _ ->
-            link.rejected <- link.rejected + 1;
-            note_sanitize_rejection t;
-            note_misbehavior t link worker score_rejected;
-            Proto.Rerr (Errno.to_code Errno.EINVAL)
-        | Ok req -> (
-            link.ops_served <- link.ops_served + 1;
-            match req with
-            | Proto.Rnoop ->
-                Proto.Rok 0 (* immediate return, no marking (§6.1.1) *)
-            | _ -> (
-                match Hypervisor.Hyp.find_process_pt t.hyp link.guest_vm ~pid with
-                | None -> Proto.Rerr (Errno.to_code Errno.EFAULT)
-                | Some pt ->
-                    throttle t link;
-                    let rc =
-                      {
-                        Defs.rc_hyp = t.hyp;
-                        rc_req =
-                          {
-                            Hypervisor.Hyp.caller = worker.Defs.vm;
-                            target = link.guest_vm;
-                            pt;
-                            grant_ref;
-                          };
-                        rc_charge = link.charge_hypercalls;
-                        rc_trace = trace;
-                      }
-                    in
-                    link.cpu_used_us <-
-                      link.cpu_used_us +. Kernel.syscall_cost t.kernel;
-                    let resp =
-                      try
-                        Task.with_remote worker rc (fun () ->
-                            dispatch t link worker req)
-                      with
-                      | Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e)
-                      | _ ->
-                          (* an unexpected driver/backend exception is
-                             contained as EIO, never propagated into
-                             the worker loop *)
-                          Proto.Rerr (Errno.to_code Errno.EIO)
-                    in
-                    absorb_grant_counters t link worker;
-                    if link.quarantined then
-                      Proto.Rerr (Errno.to_code Errno.EPERM)
-                    else resp)))
+    | exception Proto.Rejected _ ->
+        link.rejected <- link.rejected + 1;
+        note_sanitize_rejection t;
+        note_misbehavior t link worker score_rejected;
+        Proto.Rerr (Errno.to_code Errno.EINVAL)
+    | Proto.Rnoop ->
+        link.ops_served <- link.ops_served + 1;
+        Proto.Rok 0 (* immediate return, no marking (§6.1.1) *)
+    | req -> (
+        link.ops_served <- link.ops_served + 1;
+        let pid = Proto.get_pid bytes and grant_ref = Proto.get_grant_ref bytes in
+        match Hypervisor.Hyp.find_process_pt t.hyp link.guest_vm ~pid with
+        | None -> Proto.Rerr (Errno.to_code Errno.EFAULT)
+        | Some pt ->
+            throttle t link;
+            let rc =
+              {
+                Defs.rc_hyp = t.hyp;
+                rc_req =
+                  {
+                    Hypervisor.Hyp.caller = worker.Defs.vm;
+                    target = link.guest_vm;
+                    pt;
+                    grant_ref;
+                  };
+                rc_charge = link.charge_hypercalls;
+                rc_trace = trace;
+              }
+            in
+            link.cpu_used_us <- link.cpu_used_us +. Kernel.syscall_cost t.kernel;
+            let resp =
+              try Task.with_remote worker rc (fun () -> dispatch t link worker req) with
+              | Errno.Unix_error (e, _) -> Proto.Rerr (Errno.to_code e)
+              | _ ->
+                  (* an unexpected driver/backend exception is contained
+                     as EIO, never propagated into the worker loop *)
+                  Proto.Rerr (Errno.to_code Errno.EIO)
+            in
+            absorb_grant_counters t link worker;
+            if link.quarantined then Proto.Rerr (Errno.to_code Errno.EPERM) else resp)
 
 (* Forward driver fasync events on files [task] subscribed to the
    guest as channel notifications — but only while this guest is in
@@ -631,9 +619,10 @@ type restore_stats = {
   rs_fasync : int; (* SIGIO subscriptions re-armed *)
 }
 
-(* Restore validation runs the {e same} sanitization pass as a live
-   request: a snapshotted path or VMA range the backend would refuse
-   from the wire is refused from the checkpoint too. *)
+(* Restore validation runs the {e same} compiled sanitizer rules, on
+   typed values, as a live request: a snapshotted path or VMA range the
+   backend would refuse from the wire is refused from the checkpoint
+   too. *)
 let sanitize t decoded = Proto.validate_limits ~limits:t.limits decoded
 
 (** Restore a checkpointed session onto {e this} (successor) backend:

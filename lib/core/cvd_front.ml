@@ -397,6 +397,14 @@ let transfer_result ~len resp =
       (Printf.sprintf "response claims %d bytes of a %d-byte transfer" n len)
   else n
 
+(* ioctl(2) returns an [int] and errors travel as [Rerr]: a result the
+   driver VM reports outside [0, 2^31 - 1] fails the operation instead
+   of reaching the application. *)
+let ioctl_result v =
+  if v < 0 || v > 0x7fff_ffff then
+    Errno.fail Errno.EIO ("ioctl result " ^ string_of_int v ^ " outside int")
+  else v
+
 (** Forward an io_uring-style multi-op batch: every request rides one
     ring slot / one doorbell and is executed sequentially by the
     backend.  Returns one response per sub-op, in submission order (a
@@ -429,13 +437,13 @@ let vfd_of t (file : Defs.file) =
     ioctls such as netmap txsync or the no-op probe) on one open file
     as a single multi-op descriptor.  Returns the per-sub-op int
     results in submission order; the first failing sub-op raises its
-    errno. *)
+    errno, and so does a result outside [int]. *)
 let batch_ioctl t task file cmds =
   let vfd = vfd_of t file in
   let reqs = List.map (fun (cmd, arg) -> Proto.Rioctl { vfd; cmd; arg }) cmds in
   forward_batch t task ~ops:[] reqs
   |> List.map (function
-       | Proto.Rok v -> v
+       | Proto.Rok v -> ioctl_result v
        | Proto.Rerr code ->
            Errno.fail (errno_of_code code) "batched ioctl sub-op failed"
        | Proto.Rpoll_reply _ | Proto.Rbatch_reply _ ->
@@ -531,8 +539,9 @@ let export t ?entries (drv : Defs.device) =
       fop_ioctl =
         (fun task file ~cmd ~arg ->
           let ops = ioctl_ops t task ~path ~cmd ~arg in
-          remote_fail
-            (forward t task ~ops (Proto.Rioctl { vfd = vfd_of t file; cmd; arg })));
+          ioctl_result
+            (remote_fail
+               (forward t task ~ops (Proto.Rioctl { vfd = vfd_of t file; cmd; arg }))));
       fop_mmap =
         (fun task file vma ->
           let gva = vma.Defs.vma_start and len = vma.Defs.vma_len in

@@ -96,7 +96,8 @@ val forward_batch :
     [(cmd, arg)] ioctls such as netmap txsync or the no-op probe — on
     one open guest file as a single multi-op descriptor.  Returns the
     per-sub-op int results in submission order; the first failing
-    sub-op raises its errno. *)
+    sub-op raises its errno, and a result outside [0, 2^31 - 1] (the
+    [int] ioctl(2) returns) raises EIO. *)
 val batch_ioctl :
   t -> Oskit.Defs.task -> Oskit.Defs.file -> (int * int64) list -> int list
 

@@ -74,9 +74,9 @@ let trace_off = 1004
 let set_trace b id = w32 b trace_off id
 let get_trace b = r32 b trace_off
 
-exception Batch_overflow
 exception Malformed = W.Malformed
 exception Oversized = W.Oversized
+exception Rejected = W.Rejected
 
 type violation = W.violation = { field : string; detail : string }
 
@@ -84,8 +84,34 @@ let max_vfd = W.max_vfd
 
 (* ---- the spec table: one declaration per message form ---- *)
 
-let fu63 fname off = { W.fname; off; kind = W.Int W.U63 }
-let fflag fname off = { W.fname; off; kind = W.Flag }
+(* Typed getters: projections, shared by the forms that carry the same
+   field; each field's layout is still declared once per spec. *)
+let req_vfd = function
+  | Rrelease { vfd }
+  | Rread { vfd; _ }
+  | Rwrite { vfd; _ }
+  | Rioctl { vfd; _ }
+  | Rmmap { vfd; _ }
+  | Rfault { vfd; _ }
+  | Rmunmap { vfd; _ }
+  | Rpoll { vfd; _ }
+  | Rfasync { vfd; _ } ->
+      vfd
+  | Ropen _ | Rnoop | Rbatch _ -> 0
+
+let get_buf = function Rread { buf; _ } | Rwrite { buf; _ } -> buf | _ -> assert false
+
+let get_len = function
+  | Rread { len; _ } | Rwrite { len; _ } | Rmmap { len; _ } | Rmunmap { len; _ } -> len
+  | _ -> assert false
+
+let get_gva = function
+  | Rmmap { gva; _ } | Rfault { gva; _ } | Rmunmap { gva; _ } -> gva
+  | _ -> assert false
+
+let fu63 fname off get = { W.fname; off; kind = W.Int W.U63; get }
+let fflag fname off get = { W.fname; off; kind = W.Flag; get }
+let no_vfd _ = 0
 
 let vfd_ok =
   W.Vrange { field = "vfd"; min = 0; max = W.Max_vfd; detail = "out of range" }
@@ -96,21 +122,23 @@ let open_spec : request W.spec =
     name = "open";
     takes_vfd = false;
     batchable = false;
-    fields =
-      [
+    vfd = req_vfd;
+    payload =
+      W.P1
         {
-          W.fname = "path";
-          off = 16;
-          kind = W.Str { len_off = 12; max = 256; reject = "path length" };
+          f1 =
+            {
+              W.fname = "path";
+              off = 16;
+              kind = W.Str { len_off = 12; max = 256; reject = "path length" };
+              get = (function Ropen { path } -> path | _ -> assert false);
+            };
+          make = (fun ~vfd:_ path -> Ropen { path });
         };
-      ];
     vchecks =
       [
         W.Vpath { field = "path"; detail = "not a devfs path (or NUL / dot-dot)" };
       ];
-    build =
-      (fun ~vfd:_ -> function [ W.S path ] -> Ropen { path } | _ -> assert false);
-    parts = (function Ropen { path } -> (0, [ W.S path ]) | _ -> assert false);
   }
 
 let release_spec : request W.spec =
@@ -119,19 +147,19 @@ let release_spec : request W.spec =
     name = "release";
     takes_vfd = true;
     batchable = true;
-    fields = [];
+    vfd = req_vfd;
+    payload = W.P0 { make = (fun ~vfd -> Rrelease { vfd }) };
     vchecks = [ vfd_ok ];
-    build = (fun ~vfd _ -> Rrelease { vfd });
-    parts = (function Rrelease { vfd } -> (vfd, []) | _ -> assert false);
   }
 
-let transfer_spec op name make split : request W.spec =
+let transfer_spec op name make : request W.spec =
   {
     W.op;
     name;
     takes_vfd = true;
     batchable = true;
-    fields = [ fu63 "buf" 16; fu63 "len" 24 ];
+    vfd = req_vfd;
+    payload = W.P2 { f1 = fu63 "buf" 16 get_buf; f2 = fu63 "len" 24 get_len; make };
     vchecks =
       [
         vfd_ok;
@@ -145,23 +173,10 @@ let transfer_spec op name make split : request W.spec =
         W.Vrange
           { field = "buf"; min = 0; max = W.No_bound; detail = "negative user address" };
       ];
-    build =
-      (fun ~vfd -> function
-        | [ W.I buf; W.I len ] -> make ~vfd ~buf ~len
-        | _ -> assert false);
-    parts = split;
   }
 
-let read_spec =
-  transfer_spec 3 "read"
-    (fun ~vfd ~buf ~len -> Rread { vfd; buf; len })
-    (function Rread { vfd; buf; len } -> (vfd, [ W.I buf; W.I len ]) | _ -> assert false)
-
-let write_spec =
-  transfer_spec 4 "write"
-    (fun ~vfd ~buf ~len -> Rwrite { vfd; buf; len })
-    (function
-      | Rwrite { vfd; buf; len } -> (vfd, [ W.I buf; W.I len ]) | _ -> assert false)
+let read_spec = transfer_spec 3 "read" (fun ~vfd buf len -> Rread { vfd; buf; len })
+let write_spec = transfer_spec 4 "write" (fun ~vfd buf len -> Rwrite { vfd; buf; len })
 
 let ioctl_spec : request W.spec =
   {
@@ -169,7 +184,20 @@ let ioctl_spec : request W.spec =
     name = "ioctl";
     takes_vfd = true;
     batchable = true;
-    fields = [ fu63 "cmd" 16; { W.fname = "arg"; off = 24; kind = W.Raw64 } ];
+    vfd = req_vfd;
+    payload =
+      W.P2
+        {
+          f1 = fu63 "cmd" 16 (function Rioctl { cmd; _ } -> cmd | _ -> assert false);
+          f2 =
+            {
+              W.fname = "arg";
+              off = 24;
+              kind = W.Raw64;
+              get = (function Rioctl { arg; _ } -> arg | _ -> assert false);
+            };
+          make = (fun ~vfd cmd arg -> Rioctl { vfd; cmd; arg });
+        };
     vchecks =
       [
         vfd_ok;
@@ -181,12 +209,6 @@ let ioctl_spec : request W.spec =
             detail = "not a u32 ioctl number";
           };
       ];
-    build =
-      (fun ~vfd -> function
-        | [ W.I cmd; W.I64 arg ] -> Rioctl { vfd; cmd; arg } | _ -> assert false);
-    parts =
-      (function
-      | Rioctl { vfd; cmd; arg } -> (vfd, [ W.I cmd; W.I64 arg ]) | _ -> assert false);
   }
 
 let mmap_spec : request W.spec =
@@ -195,7 +217,15 @@ let mmap_spec : request W.spec =
     name = "mmap";
     takes_vfd = true;
     batchable = false;
-    fields = [ fu63 "gva" 16; fu63 "len" 24; fu63 "pgoff" 32 ];
+    vfd = req_vfd;
+    payload =
+      W.P3
+        {
+          f1 = fu63 "gva" 16 get_gva;
+          f2 = fu63 "len" 24 get_len;
+          f3 = fu63 "pgoff" 32 (function Rmmap { pgoff; _ } -> pgoff | _ -> assert false);
+          make = (fun ~vfd gva len pgoff -> Rmmap { vfd; gva; len; pgoff });
+        };
     vchecks =
       [
         vfd_ok;
@@ -204,14 +234,6 @@ let mmap_spec : request W.spec =
         W.Vwrap { base = "gva"; len = "len"; detail = "range wraps" };
         W.Vrange { field = "pgoff"; min = 0; max = W.No_bound; detail = "negative" };
       ];
-    build =
-      (fun ~vfd -> function
-        | [ W.I gva; W.I len; W.I pgoff ] -> Rmmap { vfd; gva; len; pgoff }
-        | _ -> assert false);
-    parts =
-      (function
-      | Rmmap { vfd; gva; len; pgoff } -> (vfd, [ W.I gva; W.I len; W.I pgoff ])
-      | _ -> assert false);
   }
 
 let fault_spec : request W.spec =
@@ -220,12 +242,11 @@ let fault_spec : request W.spec =
     name = "fault";
     takes_vfd = true;
     batchable = false;
-    fields = [ fu63 "gva" 16 ];
+    vfd = req_vfd;
+    payload =
+      W.P1 { f1 = fu63 "gva" 16 get_gva; make = (fun ~vfd gva -> Rfault { vfd; gva }) };
     vchecks =
       [ vfd_ok; W.Vrange { field = "gva"; min = 0; max = W.No_bound; detail = "negative" } ];
-    build =
-      (fun ~vfd -> function [ W.I gva ] -> Rfault { vfd; gva } | _ -> assert false);
-    parts = (function Rfault { vfd; gva } -> (vfd, [ W.I gva ]) | _ -> assert false);
   }
 
 let munmap_spec : request W.spec =
@@ -234,7 +255,14 @@ let munmap_spec : request W.spec =
     name = "munmap";
     takes_vfd = true;
     batchable = false;
-    fields = [ fu63 "gva" 16; fu63 "len" 24 ];
+    vfd = req_vfd;
+    payload =
+      W.P2
+        {
+          f1 = fu63 "gva" 16 get_gva;
+          f2 = fu63 "len" 24 get_len;
+          make = (fun ~vfd gva len -> Rmunmap { vfd; gva; len });
+        };
     vchecks =
       [
         vfd_ok;
@@ -242,12 +270,6 @@ let munmap_spec : request W.spec =
           { field = "len"; min = 1; max = W.Max_mmap; detail = "munmap length out of range" };
         W.Vwrap { base = "gva"; len = "len"; detail = "range wraps" };
       ];
-    build =
-      (fun ~vfd -> function
-        | [ W.I gva; W.I len ] -> Rmunmap { vfd; gva; len } | _ -> assert false);
-    parts =
-      (function
-      | Rmunmap { vfd; gva; len } -> (vfd, [ W.I gva; W.I len ]) | _ -> assert false);
   }
 
 let poll_spec : request W.spec =
@@ -256,23 +278,25 @@ let poll_spec : request W.spec =
     name = "poll";
     takes_vfd = true;
     batchable = true;
-    fields =
-      [
-        fflag "want_in" 16;
-        fflag "want_out" 20;
-        { W.fname = "timeout"; off = 24; kind = W.Timeout { reject = "poll timeout" } };
-      ];
+    vfd = req_vfd;
+    payload =
+      W.P3
+        {
+          f1 = fflag "want_in" 16 (function Rpoll { want_in; _ } -> want_in | _ -> assert false);
+          f2 =
+            fflag "want_out" 20 (function Rpoll { want_out; _ } -> want_out | _ -> assert false);
+          f3 =
+            {
+              W.fname = "timeout";
+              off = 24;
+              kind = W.Timeout { reject = "poll timeout" };
+              get = (function Rpoll { timeout_us; _ } -> timeout_us | _ -> assert false);
+            };
+          make =
+            (fun ~vfd want_in want_out timeout_us ->
+              Rpoll { vfd; want_in; want_out; timeout_us });
+        };
     vchecks = [ vfd_ok; W.Vtimeout { field = "timeout"; detail = "non-finite" } ];
-    build =
-      (fun ~vfd -> function
-        | [ W.B want_in; W.B want_out; W.F timeout_us ] ->
-            Rpoll { vfd; want_in; want_out; timeout_us }
-        | _ -> assert false);
-    parts =
-      (function
-      | Rpoll { vfd; want_in; want_out; timeout_us } ->
-          (vfd, [ W.B want_in; W.B want_out; W.F timeout_us ])
-      | _ -> assert false);
   }
 
 let fasync_spec : request W.spec =
@@ -281,10 +305,14 @@ let fasync_spec : request W.spec =
     name = "fasync";
     takes_vfd = true;
     batchable = true;
-    fields = [ fflag "on" 16 ];
+    vfd = req_vfd;
+    payload =
+      W.P1
+        {
+          f1 = fflag "on" 16 (function Rfasync { on; _ } -> on | _ -> assert false);
+          make = (fun ~vfd on -> Rfasync { vfd; on });
+        };
     vchecks = [ vfd_ok ];
-    build = (fun ~vfd -> function [ W.B on ] -> Rfasync { vfd; on } | _ -> assert false);
-    parts = (function Rfasync { vfd; on } -> (vfd, [ W.B on ]) | _ -> assert false);
   }
 
 let noop_spec : request W.spec =
@@ -293,10 +321,9 @@ let noop_spec : request W.spec =
     name = "noop";
     takes_vfd = false;
     batchable = true;
-    fields = [];
+    vfd = req_vfd;
+    payload = W.P0 { make = (fun ~vfd:_ -> Rnoop) };
     vchecks = [];
-    build = (fun ~vfd:_ _ -> Rnoop);
-    parts = (function Rnoop -> (0, []) | _ -> assert false);
   }
 
 let req_specs =
@@ -310,26 +337,168 @@ let req_specs =
    batchable specs — and is handled by the shims below. *)
 let batch_op = 12
 
-let spec_of_req = function
-  | Ropen _ -> open_spec
-  | Rrelease _ -> release_spec
-  | Rread _ -> read_spec
-  | Rwrite _ -> write_spec
-  | Rioctl _ -> ioctl_spec
-  | Rmmap _ -> mmap_spec
-  | Rfault _ -> fault_spec
-  | Rmunmap _ -> munmap_spec
-  | Rpoll _ -> poll_spec
-  | Rfasync _ -> fasync_spec
-  | Rnoop -> noop_spec
-  | Rbatch _ -> invalid_arg "Proto.spec_of_req: batch has no singleton spec"
+let ok_spec : response W.spec =
+  {
+    W.op = 1;
+    name = "ok";
+    takes_vfd = false;
+    batchable = true;
+    vfd = no_vfd;
+    payload =
+      W.P1
+        {
+          f1 = fu63 "value" 8 (function Rok v -> v | _ -> assert false);
+          make = (fun ~vfd:_ v -> Rok v);
+        };
+    vchecks = [];
+  }
 
-let find_req_spec op = List.find_opt (fun s -> s.W.op = op) req_specs
+let err_spec : response W.spec =
+  {
+    W.op = 2;
+    name = "err";
+    takes_vfd = false;
+    batchable = true;
+    vfd = no_vfd;
+    payload =
+      W.P1
+        {
+          f1 =
+            {
+              W.fname = "code";
+              off = 8;
+              kind = W.Int W.U32;
+              get = (function Rerr code -> code | _ -> assert false);
+            };
+          make = (fun ~vfd:_ code -> Rerr code);
+        };
+    vchecks = [];
+  }
 
-let find_batchable tag =
-  List.find_opt (fun s -> s.W.batchable && s.W.op = tag) req_specs
+let poll_reply_spec : response W.spec =
+  {
+    W.op = 3;
+    name = "poll_reply";
+    takes_vfd = false;
+    batchable = true;
+    vfd = no_vfd;
+    payload =
+      W.P2
+        {
+          f1 =
+            fflag "pollin" 8 (function Rpoll_reply { pollin; _ } -> pollin | _ -> assert false);
+          f2 =
+            fflag "pollout" 12 (function
+              | Rpoll_reply { pollout; _ } -> pollout
+              | _ -> assert false);
+          make = (fun ~vfd:_ pollin pollout -> Rpoll_reply { pollin; pollout });
+        };
+    vchecks = [];
+  }
 
-(* ---- derived encoding ---- *)
+let resp_specs = [ ok_spec; err_spec; poll_reply_spec ]
+let batch_reply_op = 4
+
+(* ---- the compiled table ---- *)
+
+(* A spec compiled once, with what its forms cost on the wire and the
+   coverage labels its decodes report, built once. *)
+type 'm entry = {
+  spec : 'm W.spec;
+  codec : 'm W.codec;
+  record_len : int; (* its length-prefixed batch record, header included *)
+  decode_label : string; (* a singleton decode *)
+  record_label : string; (* a batch-record decode *)
+}
+
+(* A batch record is [header] bytes of [u32 len][u32 tag] (and [u32
+   vfd] for a request), then the payload at its singleton offsets
+   shifted from the singleton payload [base] onto the record body. *)
+let entry ~header ~base ~single ~record spec =
+  let codec = W.compile spec in
+  {
+    spec;
+    codec;
+    record_len = header + max 0 (codec.W.field_end - base);
+    decode_label = single ^ spec.W.name;
+    record_label = record ^ spec.W.name;
+  }
+
+let req_entry spec = entry ~header:12 ~base:16 ~single:"decode.req." ~record:"decode.sub." spec
+
+let resp_entry spec =
+  entry ~header:8 ~base:8 ~single:"decode.resp." ~record:"decode.subresp." spec
+
+let open_e = req_entry open_spec
+and release_e = req_entry release_spec
+and read_e = req_entry read_spec
+and write_e = req_entry write_spec
+and ioctl_e = req_entry ioctl_spec
+and mmap_e = req_entry mmap_spec
+and fault_e = req_entry fault_spec
+and munmap_e = req_entry munmap_spec
+and poll_e = req_entry poll_spec
+and fasync_e = req_entry fasync_spec
+and noop_e = req_entry noop_spec
+
+let ok_e = resp_entry ok_spec
+and err_e = resp_entry err_spec
+and poll_reply_e = resp_entry poll_reply_spec
+
+let entry_of_req = function
+  | Ropen _ -> open_e
+  | Rrelease _ -> release_e
+  | Rread _ -> read_e
+  | Rwrite _ -> write_e
+  | Rioctl _ -> ioctl_e
+  | Rmmap _ -> mmap_e
+  | Rfault _ -> fault_e
+  | Rmunmap _ -> munmap_e
+  | Rpoll _ -> poll_e
+  | Rfasync _ -> fasync_e
+  | Rnoop -> noop_e
+  | Rbatch _ -> invalid_arg "Proto.entry_of_req: batch has no singleton spec"
+
+let entry_of_resp = function
+  | Rok _ -> ok_e
+  | Rerr _ -> err_e
+  | Rpoll_reply _ -> poll_reply_e
+  | Rbatch_reply _ -> invalid_arg "Proto.entry_of_resp: batch reply has no spec"
+
+(* Entries by wire opcode / tag. *)
+let by_op entries =
+  let op e = e.spec.W.op in
+  let table = Array.make (1 + List.fold_left (fun m e -> max m (op e)) 0 entries) None in
+  List.iter (fun e -> table.(op e) <- Some e) entries;
+  table
+
+let req_table =
+  by_op
+    [
+      open_e; release_e; read_e; write_e; ioctl_e; mmap_e; fault_e; munmap_e; poll_e;
+      fasync_e; noop_e;
+    ]
+
+let resp_table = by_op [ ok_e; err_e; poll_reply_e ]
+let find table op = if op < Array.length table then table.(op) else None
+
+(* Batch geometry, checked once here rather than per record: a full
+   batch of the largest records must end below the trace word. *)
+let () =
+  let fits table =
+    let longest =
+      Array.fold_left
+        (fun m -> function
+          | Some e when e.spec.W.batchable -> max m e.record_len
+          | _ -> m)
+        0 table
+    in
+    16 + (max_batch_ops * longest) <= trace_off
+  in
+  if not (fits req_table && fits resp_table) then
+    invalid_arg "Proto: a full batch would overlap the trace word"
+
+(* ---- encoding ---- *)
 
 (* Every refusal of the request encoder, made before it writes a byte. *)
 let check_request req =
@@ -338,31 +507,26 @@ let check_request req =
       let n = List.length reqs in
       if n < 1 || n > max_batch_ops then
         invalid_arg "Proto.encode_request: batch size out of range";
-      List.iter
-        (fun sub ->
-          let batchable =
-            match sub with Rbatch _ -> false | _ -> (spec_of_req sub).W.batchable
-          in
-          if not batchable then invalid_arg "Proto.encode_subop: operation not batchable")
-        reqs
-  | _ -> W.check_fields (spec_of_req req) req
+      if
+        List.exists
+          (function Rbatch _ -> true | sub -> not (entry_of_req sub).spec.W.batchable)
+          reqs
+      then invalid_arg "Proto.encode_subop: operation not batchable"
+  | _ -> let e = entry_of_req req in
+      e.codec.W.refuse req
 
-(* One length-prefixed sub-op record: [u32 record len][u32 tag =
-   opcode][u32 vfd][op payload].  Returns the offset just past the
-   record.  Only the small fixed-size data-path operations are
-   batchable ([check_request] has refused the others). *)
-let encode_subop b off req =
-  let s = spec_of_req req in
-  let vfd, _ = s.W.parts req in
-  let len = 12 + W.payload_span ~payload_base:16 s in
-  if off + len > trace_off then raise Batch_overflow;
-  w32 b off len;
-  w32 b (off + 4) s.W.op;
-  w32 b (off + 8) vfd;
-  (* record payload fields sit at their singleton offsets shifted
-     onto the record body (singleton payload base 16 -> off + 12) *)
-  W.encode_fields s b ~base:(off + 12 - 16) req;
-  off + len
+(* Length-prefixed sub-op records from [off]: [u32 record len][u32 tag
+   = opcode][u32 vfd][op payload].  [check_request] has refused every
+   record that is not batchable. *)
+let rec write_subops b off = function
+  | [] -> ()
+  | sub :: rest ->
+      let e = entry_of_req sub in
+      w32 b off e.record_len;
+      w32 b (off + 4) e.spec.W.op;
+      w32 b (off + 8) (e.spec.W.vfd sub);
+      e.codec.W.write b (off + 12 - 16) sub;
+      write_subops b (off + e.record_len) rest
 
 let encode_request_into b ~grant_ref ~pid req =
   check_request req;
@@ -373,193 +537,29 @@ let encode_request_into b ~grant_ref ~pid req =
   | Rbatch reqs ->
       w32 b 0 batch_op;
       w32 b 12 (List.length reqs);
-      let off = ref 16 in
-      List.iter (fun sub -> off := encode_subop b !off sub) reqs
+      write_subops b 16 reqs
   | _ ->
-      let s = spec_of_req req in
-      let vfd, _ = s.W.parts req in
-      w32 b 0 s.W.op;
-      w32 b 8 vfd;
-      W.encode_fields s b ~base:0 req
+      let e = entry_of_req req in
+      w32 b 0 e.spec.W.op;
+      w32 b 8 (e.spec.W.vfd req);
+      e.codec.W.write b 0 req
 
 let encode_request ~grant_ref ~pid req =
   let b = Bytes.create slot_size in
   encode_request_into b ~grant_ref ~pid req;
   b
 
-(* ---- derived decoding ---- *)
-
-let reject label msg =
-  W.Coverage.hit ("reject." ^ label);
-  raise (Malformed msg)
-
-let decode_subop b off =
-  if off + 12 > trace_off then reject "batch.header" "batch record header";
-  let len = r32 b off in
-  if len < 12 || off + len > trace_off then
-    reject "batch.length" "batch record length";
-  let tag = r32 b (off + 4) in
-  let vfd = r32 b (off + 8) in
-  match find_batchable tag with
-  | None -> reject "batch.tag" (Printf.sprintf "batch sub-op tag %d" tag)
-  | Some s ->
-      if len < 12 + W.payload_span ~payload_base:16 s then
-        reject "batch.payload" "batch record payload";
-      if W.Coverage.enabled () then W.Coverage.hit ("decode.sub." ^ s.W.name);
-      (W.decode_fields s b ~base:(off + 12 - 16) ~msg_prefix:"batch " ~vfd, off + len)
-
-let decode_request b =
-  let opcode = r32 b 0 in
-  let grant_ref = r32 b 4 in
-  let vfd = r32 b 8 in
-  let pid = r32 b pid_off in
-  let req =
-    if opcode = batch_op then begin
-      let count = r32 b 12 in
-      if count < 1 || count > max_batch_ops then reject "batch.count" "batch count";
-      W.Coverage.hit "decode.req.batch";
-      let rec go off i acc =
-        if i = count then List.rev acc
-        else
-          let sub, off = decode_subop b off in
-          go off (i + 1) (sub :: acc)
-      in
-      Rbatch (go 16 0 [])
-    end
-    else
-      match find_req_spec opcode with
-      | None -> reject "opcode" (Printf.sprintf "opcode %d" opcode)
-      | Some s ->
-          if W.Coverage.enabled () then W.Coverage.hit ("decode.req." ^ s.W.name);
-          W.decode_fields s b ~base:0 ~msg_prefix:"" ~vfd
-  in
-  (req, grant_ref, pid)
-
-(* ---- derived request sanitization (§4, §7.1: the backend does not
-   trust the frontend) ----
-
-   A decoded request is only well-formed bytes; nothing guarantees its
-   fields are sane.  The sanitizer runs each spec's [vchecks] in
-   declaration order after decode and before dispatch, returning
-   either a (possibly clamped) request or the field that failed.  Wire
-   signedness is settled by the spec table's read policies: [U32]
-   fields can never be negative, and a [U63] read drops bit 63, so a
-   hostile u64 with bit 62 set surfaces as a negative int and is
-   caught by the derived [>= min] range checks, while one with only
-   bit 63 set reads as its low 63 bits and is checked as that
-   value. *)
-
-let validate_limits ~(limits : W.limits) ((req : request), grant_ref, pid) :
-    (request, violation) result =
-  if grant_ref < 0 || grant_ref >= limits.W.grant_capacity then begin
-    W.Coverage.hit "sanitize.grant_ref";
-    Error { field = "grant_ref"; detail = "outside grant table" }
-  end
-  else if pid < 0 then begin
-    W.Coverage.hit "sanitize.pid";
-    Error { field = "pid"; detail = "negative" }
-  end
-  else
-    match req with
-    | Rbatch reqs ->
-        (* every sub-op passes through the same gate as a singleton;
-           the first offending sub-op fails the whole batch, named by
-           its index *)
-        let n = List.length reqs in
-        if n < 1 || n > max_batch_ops then begin
-          W.Coverage.hit "sanitize.batch.count";
-          Error { field = "batch"; detail = "count out of range" }
-        end
-        else
-          let rec go i acc = function
-            | [] -> Ok (Rbatch (List.rev acc))
-            | sub :: rest -> (
-                match sub with
-                | Ropen _ | Rmmap _ | Rfault _ | Rmunmap _ | Rbatch _ ->
-                    W.Coverage.hit "sanitize.batch.not_batchable";
-                    Error
-                      {
-                        field = Printf.sprintf "batch[%d]" i;
-                        detail = "operation not batchable";
-                      }
-                | _ -> (
-                    match W.validate (spec_of_req sub) limits sub with
-                    | Ok sub -> go (i + 1) (sub :: acc) rest
-                    | Error e ->
-                        Error { e with field = Printf.sprintf "batch[%d].%s" i e.field }))
-          in
-          go 0 [] reqs
-    | _ -> W.validate (spec_of_req req) limits req
-
-(* ---- responses ---- *)
-
-let ok_spec : response W.spec =
-  {
-    W.op = 1;
-    name = "ok";
-    takes_vfd = false;
-    batchable = true;
-    fields = [ fu63 "value" 8 ];
-    vchecks = [];
-    build = (fun ~vfd:_ -> function [ W.I v ] -> Rok v | _ -> assert false);
-    parts = (function Rok v -> (0, [ W.I v ]) | _ -> assert false);
-  }
-
-let err_spec : response W.spec =
-  {
-    W.op = 2;
-    name = "err";
-    takes_vfd = false;
-    batchable = true;
-    fields = [ { W.fname = "code"; off = 8; kind = W.Int W.U32 } ];
-    vchecks = [];
-    build = (fun ~vfd:_ -> function [ W.I code ] -> Rerr code | _ -> assert false);
-    parts = (function Rerr code -> (0, [ W.I code ]) | _ -> assert false);
-  }
-
-let poll_reply_spec : response W.spec =
-  {
-    W.op = 3;
-    name = "poll_reply";
-    takes_vfd = false;
-    batchable = true;
-    fields = [ fflag "pollin" 8; fflag "pollout" 12 ];
-    vchecks = [];
-    build =
-      (fun ~vfd:_ -> function
-        | [ W.B pollin; W.B pollout ] -> Rpoll_reply { pollin; pollout }
-        | _ -> assert false);
-    parts =
-      (function
-      | Rpoll_reply { pollin; pollout } -> (0, [ W.B pollin; W.B pollout ])
-      | _ -> assert false);
-  }
-
-let resp_specs = [ ok_spec; err_spec; poll_reply_spec ]
-let batch_reply_op = 4
-
-let spec_of_resp = function
-  | Rok _ -> ok_spec
-  | Rerr _ -> err_spec
-  | Rpoll_reply _ -> poll_reply_spec
-  | Rbatch_reply _ -> invalid_arg "Proto.spec_of_resp: batch reply has no spec"
-
-let find_resp_spec tag = List.find_opt (fun s -> s.W.op = tag) resp_specs
-
-(* one length-prefixed sub-response record: [u32 len][u32 tag][payload] *)
-let encode_subresp b off sub =
-  match sub with
-  | Rbatch_reply _ -> invalid_arg "Proto.encode_response: nested batch reply"
-  | _ ->
-      let s = spec_of_resp sub in
-      let len = 8 + W.payload_span ~payload_base:8 s in
-      if off + len > trace_off then raise Batch_overflow;
-      w32 b off len;
-      w32 b (off + 4) s.W.op;
-      (* payload fields at singleton offsets shifted onto the record
-         (singleton payload base 8 -> off + 8), i.e. base = off *)
-      W.encode_fields s b ~base:off sub;
-      off + len
+(* one length-prefixed sub-response record: [u32 len][u32 tag][payload],
+   the payload at its singleton offsets (base 8 -> off + 8) *)
+let rec write_subresps b off = function
+  | [] -> ()
+  | Rbatch_reply _ :: _ -> invalid_arg "Proto.encode_response: nested batch reply"
+  | sub :: rest ->
+      let e = entry_of_resp sub in
+      w32 b off e.record_len;
+      w32 b (off + 4) e.spec.W.op;
+      e.codec.W.write b off sub;
+      write_subresps b (off + e.record_len) rest
 
 let encode_response_into b resp =
   Bytes.fill b 0 slot_size '\000';
@@ -570,53 +570,176 @@ let encode_response_into b resp =
         invalid_arg "Proto.encode_response: batch size out of range";
       w32 b 0 batch_reply_op;
       w32 b 8 n;
-      let off = ref 16 in
-      List.iter (fun sub -> off := encode_subresp b !off sub) subs
+      write_subresps b 16 subs
   | _ ->
-      let s = spec_of_resp resp in
-      w32 b 0 s.W.op;
-      W.encode_fields s b ~base:0 resp
+      let e = entry_of_resp resp in
+      w32 b 0 e.spec.W.op;
+      e.codec.W.write b 0 resp
 
 let encode_response resp =
   let b = Bytes.create slot_size in
   encode_response_into b resp;
   b
 
-let decode_subresp b off =
-  if off + 8 > trace_off then reject "batch_reply.header" "batch reply header";
-  let len = r32 b off in
-  if len < 8 || off + len > trace_off then
-    reject "batch_reply.length" "batch reply length";
-  let tag = r32 b (off + 4) in
-  match find_resp_spec tag with
-  | None -> reject "batch_reply.tag" (Printf.sprintf "batch reply tag %d" tag)
-  | Some s ->
-      if len < 8 + W.payload_span ~payload_base:8 s then
-        reject "batch_reply.payload" "batch reply payload";
-      if W.Coverage.enabled () then W.Coverage.hit ("decode.subresp." ^ s.W.name);
-      (W.decode_fields s b ~base:off ~msg_prefix:"" ~vfd:0, off + len)
+(* ---- decoding ---- *)
+
+let reject label msg =
+  W.Coverage.hit label;
+  raise (Malformed msg)
+
+(* [count - i] records from [off], in order. *)
+let rec read_subops b off i count =
+  if i = count then []
+  else begin
+    if off + 12 > trace_off then reject "reject.batch.header" "batch record header";
+    let len = r32 b off in
+    if len < 12 || off + len > trace_off then
+      reject "reject.batch.length" "batch record length";
+    let tag = r32 b (off + 4) in
+    match find req_table tag with
+    | Some e when e.spec.W.batchable ->
+        if len < e.record_len then reject "reject.batch.payload" "batch record payload";
+        W.Coverage.hit e.record_label;
+        let sub = e.codec.W.read b (off + 12 - 16) (r32 b (off + 8)) true in
+        sub :: read_subops b (off + len) (i + 1) count
+    | _ -> reject "reject.batch.tag" ("batch sub-op tag " ^ string_of_int tag)
+  end
+
+let read_body b =
+  let opcode = r32 b 0 in
+  if opcode = batch_op then begin
+    let count = r32 b 12 in
+    if count < 1 || count > max_batch_ops then reject "reject.batch.count" "batch count";
+    W.Coverage.hit "decode.req.batch";
+    Rbatch (read_subops b 16 0 count)
+  end
+  else
+    match find req_table opcode with
+    | Some e ->
+        W.Coverage.hit e.decode_label;
+        e.codec.W.read b 0 (r32 b 8) false
+    | None -> reject "reject.opcode" ("opcode " ^ string_of_int opcode)
+
+let get_grant_ref b = r32 b 4
+let get_pid b = r32 b pid_off
+let decode_request b = (read_body b, get_grant_ref b, get_pid b)
+
+let rec read_subresps b off i count =
+  if i = count then []
+  else begin
+    if off + 8 > trace_off then reject "reject.batch_reply.header" "batch reply header";
+    let len = r32 b off in
+    if len < 8 || off + len > trace_off then
+      reject "reject.batch_reply.length" "batch reply length";
+    let tag = r32 b (off + 4) in
+    match find resp_table tag with
+    | Some e ->
+        if len < e.record_len then reject "reject.batch_reply.payload" "batch reply payload";
+        W.Coverage.hit e.record_label;
+        let sub = e.codec.W.read b off 0 false in
+        sub :: read_subresps b (off + len) (i + 1) count
+    | None -> reject "reject.batch_reply.tag" ("batch reply tag " ^ string_of_int tag)
+  end
 
 let decode_response b =
   let tag = r32 b 0 in
   if tag = batch_reply_op then begin
     let count = r32 b 8 in
     if count < 1 || count > max_batch_ops then
-      reject "batch_reply.count" "batch reply count";
+      reject "reject.batch_reply.count" "batch reply count";
     W.Coverage.hit "decode.resp.batch_reply";
-    let rec go off i acc =
-      if i = count then List.rev acc
-      else
-        let sub, off = decode_subresp b off in
-        go off (i + 1) (sub :: acc)
-    in
-    Rbatch_reply (go 16 0 [])
+    Rbatch_reply (read_subresps b 16 0 count)
   end
   else
-    match find_resp_spec tag with
-    | None -> reject "response_tag" (Printf.sprintf "response tag %d" tag)
-    | Some s ->
-        if W.Coverage.enabled () then W.Coverage.hit ("decode.resp." ^ s.W.name);
-        W.decode_fields s b ~base:0 ~msg_prefix:"" ~vfd:0
+    match find resp_table tag with
+    | Some e ->
+        W.Coverage.hit e.decode_label;
+        e.codec.W.read b 0 0 false
+    | None -> reject "reject.response_tag" ("response tag " ^ string_of_int tag)
+
+(* ---- request sanitization (§4, §7.1: the backend does not trust the
+   frontend) ----
+
+   A decoded request is only well-formed bytes; nothing guarantees its
+   fields are sane.  Each spec's compiled [vchecks] run in declaration
+   order on the typed value, returning it (possibly clamped) or raising
+   the field that failed.  Wire signedness is settled by the spec
+   table's read policies: [U32] fields can never be negative, and a
+   [U63] read drops bit 63, so a hostile u64 with bit 62 set surfaces
+   as a negative int and is caught by the derived [>= min] range
+   checks, while one with only bit 63 set reads as its low 63 bits and
+   is checked as that value. *)
+
+let rejected label v =
+  W.Coverage.hit label;
+  raise (Rejected v)
+
+let bad_grant_ref = { field = "grant_ref"; detail = "outside grant table" }
+let bad_pid = { field = "pid"; detail = "negative" }
+let bad_count = { field = "batch"; detail = "count out of range" }
+
+let check_header ~(limits : W.limits) ~grant_ref ~pid =
+  if grant_ref < 0 || grant_ref >= limits.W.grant_capacity then
+    rejected "sanitize.grant_ref" bad_grant_ref
+  else if pid < 0 then rejected "sanitize.pid" bad_pid
+
+let batch_field i = "batch[" ^ string_of_int i ^ "]"
+
+let not_batchable i =
+  rejected "sanitize.batch.not_batchable"
+    { field = batch_field i; detail = "operation not batchable" }
+
+(* Every sub-op passes through the same gate as a singleton; the first
+   offending sub-op fails the whole batch, named by its index.  The
+   list comes back physically unchanged unless a clamp rebuilt a
+   sub-op. *)
+let rec check_subops limits i = function
+  | [] -> []
+  | sub :: rest as subs ->
+      let sub' =
+        match sub with
+        | Rbatch _ -> not_batchable i
+        | _ -> (
+            let e = entry_of_req sub in
+            if not e.spec.W.batchable then not_batchable i
+            else
+              try e.codec.W.check limits sub
+              with Rejected v ->
+                raise (Rejected { v with field = batch_field i ^ "." ^ v.field }))
+      in
+      let rest' = check_subops limits (i + 1) rest in
+      if sub' == sub && rest' == rest then subs else sub' :: rest'
+
+let check_body limits req =
+  match req with
+  | Rbatch reqs ->
+      let n = List.length reqs in
+      if n < 1 || n > max_batch_ops then rejected "sanitize.batch.count" bad_count;
+      let reqs' = check_subops limits 0 reqs in
+      if reqs' == reqs then req else Rbatch reqs'
+  | _ -> (entry_of_req req).codec.W.check limits req
+
+let validate_limits ~(limits : W.limits) ((req : request), grant_ref, pid) :
+    (request, violation) result =
+  match
+    check_header ~limits ~grant_ref ~pid;
+    check_body limits req
+  with
+  | req -> Ok req
+  | exception Rejected v -> Error v
+
+(* One pass over the descriptor: every word is read once, into the
+   typed value the checks then run on, so the value checked is the
+   value dispatched.  A batch's checks run after its last record has
+   decoded, because a malformed record anywhere fails the descriptor as
+   malformed, ahead of any field violation. *)
+let read_request ~limits ~sanitize b =
+  let req = read_body b in
+  if sanitize then begin
+    check_header ~limits ~grant_ref:(get_grant_ref b) ~pid:(get_pid b);
+    check_body limits req
+  end
+  else req
 
 (* ---- derived fuzzing: valid skeletons, one field driven hostile ---- *)
 
@@ -629,6 +752,15 @@ module Fuzz = struct
       poll_timeout_cap_us = 1e6;
       grant_capacity = 4096;
     }
+
+  (* the declared fields of the form [op] names (of a batchable one
+     inside a batch record) *)
+  let fields_of ~in_batch op =
+    match find req_table op with
+    | Some e when e.spec.W.batchable || not in_batch -> W.fields e.spec
+    | _ -> []
+
+  let pick_field rng fields = List.nth fields (Sim.Rng.int rng (List.length fields))
 
   let generate ?(limits = default_limits) rng =
     let n = List.length req_specs in
@@ -700,18 +832,14 @@ module Fuzz = struct
       | _, records -> (
           (* drive one record field hostile under its own spec *)
           let off, tag = List.nth records (Sim.Rng.int rng (List.length records)) in
-          match find_batchable tag with
-          | Some s when s.W.fields <> [] ->
-              let f = List.nth s.W.fields (Sim.Rng.int rng (List.length s.W.fields)) in
-              W.hostile_field rng b ~base:(off + 12 - 16) f
-          | _ -> w32 b (off + 8) (max_vfd + 1) (* record vfd attack *))
+          match fields_of ~in_batch:true tag with
+          | [] -> w32 b (off + 8) (max_vfd + 1) (* record vfd attack *)
+          | fields -> W.hostile_field rng b ~base:(off + 12 - 16) (pick_field rng fields))
     end
     else
-      match find_req_spec opcode with
-      | Some s when s.W.fields <> [] ->
-          let f = List.nth s.W.fields (Sim.Rng.int rng (List.length s.W.fields)) in
-          W.hostile_field rng b ~base:0 f
-      | _ -> header_attack ()
+      match fields_of ~in_batch:false opcode with
+      | [] -> header_attack ()
+      | fields -> W.hostile_field rng b ~base:0 (pick_field rng fields)
 
   let descriptor ?limits rng ~grant_ref ~pid =
     let b = encode_request ~grant_ref ~pid (generate ?limits rng) in
@@ -725,4 +853,4 @@ end
 
 let request_name = function
   | Rbatch reqs -> Printf.sprintf "batch(%d)" (List.length reqs)
-  | req -> (spec_of_req req).W.name
+  | req -> (entry_of_req req).spec.W.name

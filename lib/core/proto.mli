@@ -2,9 +2,10 @@
     shared page (§5.1).
 
     Every message form is declared exactly once as a {!Wire_spec}
-    field spec ({!req_specs} / {!resp_specs}); the encoder, the
-    bounds-checked decoder, the sanitizer and the {!Fuzz} generator /
-    grammar-aware mutator are all derived from that single table. *)
+    field spec ({!req_specs} / {!resp_specs}), compiled once at module
+    initialisation into the encoder, the bounds-checked decoder and the
+    sanitizer; the {!Fuzz} generator and grammar-aware mutator draw
+    from the same table. *)
 
 type request =
   | Ropen of { path : string }
@@ -61,7 +62,7 @@ exception Malformed of string
     decoder would, instead of blitting past the path slot. *)
 exception Oversized of { field : string; length : int; limit : int }
 
-(** The spec table the codecs are derived from: one
+(** The spec table the codecs are compiled from: one
     {!Wire_spec.spec} per singleton request opcode (the structural
     [Rbatch] form, opcode 12, is the count @12 / length-prefixed
     record grammar over the [batchable] entries). *)
@@ -89,8 +90,16 @@ val check_request : request -> unit
     garbage (a malicious frontend cannot crash the backend). *)
 val decode_request : bytes -> request * int * int
 
+(** Header words of a descriptor (u32, so never negative). *)
+val get_grant_ref : bytes -> int
+
+val get_pid : bytes -> int
+
 (** A field that failed sanitization. *)
 type violation = Wire_spec.violation = { field : string; detail : string }
+
+(** Raised by {!read_request} with the field that failed sanitization. *)
+exception Rejected of violation
 
 (** Post-decode, pre-dispatch sanitization (§4, §7.1): bound every
     field of a decoded request.  Returns the request (poll timeouts
@@ -102,6 +111,15 @@ type violation = Wire_spec.violation = { field : string; detail : string }
     request. *)
 val validate_limits :
   limits:Wire_spec.limits -> request * int * int -> (request, violation) result
+
+(** The backend's read of a descriptor: decode and, when [sanitize],
+    the {!validate_limits} checks, in one pass over the (private) copy
+    that allocates only the request value.  The checks run on the typed
+    value the decode built, so the request returned is the one checked.
+    Raises {!Malformed} on garbage — ahead of any field violation, as a
+    {!decode_request} followed by {!validate_limits} would — and
+    {!Rejected} on the first violation. *)
+val read_request : limits:Wire_spec.limits -> sanitize:bool -> bytes -> request
 
 (** Largest virtual descriptor number {!validate_limits} accepts. *)
 val max_vfd : int

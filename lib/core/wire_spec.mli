@@ -2,19 +2,24 @@
 
     Every CVD message is declared {e once} as a typed field spec —
     name, slot offset, read width, bounds, clamp/reject policy — and
-    four artifacts are derived from that single source of truth:
+    {!compile} turns each declaration, once at module initialisation,
+    into a {!codec}:
 
-    - the encoder ({!encode_fields}), which refuses to build a message
-      the decoder would reject ({!Oversized}), so encode and decode
-      agree about which messages exist;
-    - the bounds-checked decoder ({!decode_fields}), raising
-      {!Malformed} on any out-of-spec input;
-    - the post-decode sanitizer ({!validate}), reproducing the field
-      bounds and clamp policies of the hand-written sanitizer it
-      replaced;
-    - a seeded random message generator ({!generate}) and a
-      grammar-aware hostile mutator ({!hostile_field}) for the fuzz
-      suites: valid skeleton, one field driven hostile.
+    - a direct writer, which refuses to build a message the reader
+      would reject ({!Oversized}), so encode and decode agree about
+      which messages exist;
+    - a direct, bounds-checked reader, raising {!Malformed} on any
+      out-of-spec input;
+    - a sanitizer over the typed value the reader built, reproducing
+      the field bounds and clamp policies of the hand-written
+      sanitizer it replaced ({!Rejected});
+
+    with offsets resolved, each sanitizer rule pointing at its field's
+    typed getter, and every reject message and {!Coverage} label built
+    once per spec.  Nothing on the forwarding path interprets the
+    table.  The table also drives a seeded random message generator
+    ({!generate}) and a grammar-aware hostile mutator ({!hostile_field})
+    for the fuzz suites: valid skeleton, one field driven hostile.
 
     Hand-written offset code described each operation three times
     (encode, decode, validate) and the copies drifted; here the spec
@@ -38,15 +43,6 @@ type limits = {
   grant_capacity : int;
 }
 
-(** Universal field value: the meeting point between a message variant
-    and its wire representation. *)
-type fval =
-  | I of int
-  | I64 of int64
-  | F of float
-  | S of string
-  | B of bool
-
 (** Integer read policy — the one place wire signedness is decided.
     [U32] reads 4 bytes and masks to a non-negative int (so [< 0]
     checks downstream are dead by construction); [U63] reads 8 bytes
@@ -60,23 +56,50 @@ type width = U32 | U63
     the rest resolve against {!limits} at validation time. *)
 type bound = Lit of int | Max_transfer | Max_mmap | Max_vfd | No_bound
 
-type kind =
-  | Int of width
-  | Raw64  (** opaque 64-bit payload (ioctl arg), no integer policy *)
-  | Flag  (** u32, non-zero = true *)
-  | Timeout of { reject : string }
+(** A field's wire kind, indexed by the OCaml type it carries. *)
+type _ kind =
+  | Int : width -> int kind
+  | Raw64 : int64 kind  (** opaque 64-bit payload (ioctl arg), no integer policy *)
+  | Flag : bool kind  (** u32, non-zero = true *)
+  | Timeout : { reject : string } -> float kind
       (** float as raw IEEE-754 bits; NaN / negative / infinity are
           rejected at {e decode} with [Malformed reject] — the single
           consolidated poll-timeout policy *)
-  | Str of { len_off : int; max : int; reject : string }
+  | Str : { len_off : int; max : int; reject : string } -> string kind
       (** u32 length at [len_off], bytes at the field offset; decode
           rejects length > [max] with [Malformed reject], encode
           rejects the same lengths with {!Oversized} *)
 
-type field = { fname : string; off : int; kind : kind }
+(** One payload field of message type ['m]: its one declaration, plus
+    the typed getter that projects it out of a message. *)
+type ('m, 'a) field = { fname : string; off : int; kind : 'a kind; get : 'm -> 'a }
+
+type 'm any_field = Field : ('m, 'a) field -> 'm any_field
+
+(** A message's payload, in wire order, with its constructor of fixed
+    arity (no message has more than three payload fields). *)
+type 'm payload =
+  | P0 : { make : vfd:int -> 'm } -> 'm payload
+  | P1 : { f1 : ('m, 'a) field; make : vfd:int -> 'a -> 'm } -> 'm payload
+  | P2 : {
+      f1 : ('m, 'a) field;
+      f2 : ('m, 'b) field;
+      make : vfd:int -> 'a -> 'b -> 'm;
+    }
+      -> 'm payload
+  | P3 : {
+      f1 : ('m, 'a) field;
+      f2 : ('m, 'b) field;
+      f3 : ('m, 'c) field;
+      make : vfd:int -> 'a -> 'b -> 'c -> 'm;
+    }
+      -> 'm payload
 
 (** One ordered sanitization rule; rules run in declaration order and
-    the first failure names its field. *)
+    the first failure names its field.  A rule names its field
+    (["vfd"] is the header word); {!compile} resolves the name to the
+    field's typed getter and rejects a rule whose field is missing or
+    of the wrong kind. *)
 type vcheck =
   | Vrange of { field : string; min : int; max : bound; detail : string }
   | Vwrap of { base : string; len : string; detail : string }
@@ -88,54 +111,66 @@ type vcheck =
 
 type violation = { field : string; detail : string }
 
+(** Raised by a codec's sanitizer: the first rule the message
+    breaks.  [Proto] re-exports it as [Proto.Rejected]. *)
+exception Rejected of violation
+
 (** The complete declaration of one message form. *)
 type 'm spec = {
   op : int;  (** wire opcode / tag *)
   name : string;
   takes_vfd : bool;  (** header vfd word is meaningful *)
   batchable : bool;  (** may ride in a multi-op descriptor *)
-  fields : field list;  (** payload, in wire order, singleton offsets *)
+  vfd : 'm -> int;  (** the header vfd word (0 unless [takes_vfd]) *)
+  payload : 'm payload;  (** singleton offsets *)
   vchecks : vcheck list;  (** sanitizer rules, in evaluation order *)
-  build : vfd:int -> fval list -> 'm;
-  parts : 'm -> int * fval list;  (** inverse of [build] *)
 }
+
+(** The payload fields, in wire order. *)
+val fields : 'm spec -> 'm any_field list
 
 val max_vfd : int
 
+(** The devfs-path predicate shared by live sanitization and checkpoint
+    restore: under [/dev/], at most 256 bytes, no NUL, no [..]. *)
+val valid_path : string -> bool
+
 (** Raw little-endian slot words: the byte-level primitives every
-    derived slot codec (and [Proto]'s header shims) is built from.
+    codec (and [Proto]'s header and record words) is built from.
     [r32] masks to non-negative; 8-byte words read under the [U63]
     policy of {!width}. *)
 val w32 : bytes -> int -> int -> unit
 
 val r32 : bytes -> int -> int
 
-(** Payload byte span of a batchable record: the highest slot offset
-    just past a field's payload bytes, relative to [payload_base] (16
-    for requests, 8 for responses). *)
-val payload_span : payload_base:int -> 'm spec -> int
+(** A spec compiled once into direct code: a closure per field with
+    its offset, policy and reject message resolved, and a sanitizer
+    chain with each rule resolved to its field's typed getter and its
+    bound.  Payload offsets are the spec's singleton offsets plus a
+    [base] the caller picks (0 for a singleton slot, the record start
+    minus the singleton header for a batch record). *)
+type 'm codec = {
+  field_end : int;  (** the slot offset just past the last payload byte (0: none) *)
+  write : bytes -> int -> 'm -> unit;
+      (** [write b base m] stores every payload field; raises
+          {!Oversized} per the field specs *)
+  read : bytes -> int -> int -> bool -> 'm;
+      (** [read b base vfd in_batch] reads every payload field under
+          its policy, in wire order, and builds the message;
+          [in_batch] prefixes a policy reject message with ["batch "],
+          as the historical batch decoder did *)
+  refuse : 'm -> unit;
+      (** raise the {!Oversized} that [write] would raise on a whole
+          slot, without writing anything *)
+  check : limits -> 'm -> 'm;
+      (** run the spec's [vchecks] in order on the typed value: raise
+          {!Rejected} at the first failure, else return the message,
+          physically unchanged unless a clamp rule fired *)
+}
 
-(** Derived encoder: project [m] through [spec.parts] and write every
-    field at [off + base].  Raises {!Oversized} per the field specs. *)
-val encode_fields : 'm spec -> bytes -> base:int -> 'm -> unit
-
-(** Raise the {!Oversized} that {!encode_fields} would raise for [m] on
-    a whole slot, without writing anything (and, for a spec with no
-    string field, without projecting [m]). *)
-val check_fields : 'm spec -> 'm -> unit
-
-(** Derived decoder: read every field at [off + base] under its
-    policy and rebuild through [spec.build].  [msg_prefix] is
-    prepended to policy reject messages (["batch "] inside multi-op
-    records, so message strings match the historical decoder). *)
-val decode_fields :
-  'm spec -> bytes -> base:int -> msg_prefix:string -> vfd:int -> 'm
-
-(** Derived sanitizer: run [spec.vchecks] in order.  On success the
-    message is returned unchanged unless a clamp rule fired (then it
-    is rebuilt with the clamped fields).  On failure the violation
-    names the offending field (a batch caller prefixes ["batch[i]."]). *)
-val validate : 'm spec -> limits -> 'm -> ('m, violation) result
+(** Raises [Invalid_argument] if a rule names a missing field or one
+    of the wrong kind. *)
+val compile : 'm spec -> 'm codec
 
 (** Derived generator: a random message that satisfies every decode
     policy and sanitizer rule under [limits] (a valid skeleton for the
@@ -148,13 +183,13 @@ val generate : 'm spec -> limits -> Sim.Rng.t -> 'm
     (negative once read when bit 62 is set too, see {!width}), NaN /
     negative / infinity bits into [Timeout] words, over-limit lengths
     into [Str] length words. *)
-val hostile_field : Sim.Rng.t -> bytes -> base:int -> field -> unit
+val hostile_field : Sim.Rng.t -> bytes -> base:int -> 'm any_field -> unit
 
-(** Decode-branch / sanitizer coverage registry.  Derived decoders and
-    sanitizers report every branch they take ({!hit}) when enabled;
-    the fuzz suites count the labels in a {!snapshot} to compare how
-    much of the message grammar a campaign reached.  Disabled
-    (zero-cost beyond one load) by default. *)
+(** Decode-branch / sanitizer coverage registry.  Codecs report every
+    branch they take ({!hit}) when enabled; the fuzz suites count the
+    labels in a {!snapshot} to compare how much of the message grammar
+    a campaign reached.  Disabled (zero-cost beyond one load) by
+    default. *)
 module Coverage : sig
   val enable : unit -> unit
   val disable : unit -> unit

@@ -3,38 +3,49 @@
     Keeps every sample (experiments are small enough) so exact
     percentiles are available alongside the running mean. *)
 
+(* The running sums sit in an all-float record, stored flat, so [add]
+   allocates nothing. *)
+type sums = { mutable sum : float; mutable min : float; mutable max : float }
+
 type t = {
-  mutable samples : float list;
-  mutable sorted : float array option; (* cache, invalidated by [add] *)
+  mutable samples : Float.Array.t; (* [count] samples, in arrival order; doubles when full *)
+  mutable sorted : Float.Array.t option; (* cache, invalidated by [add] *)
   mutable count : int;
-  mutable sum : float;
-  mutable min : float;
-  mutable max : float;
+  sums : sums;
 }
 
 let create (_ : string) =
   {
-    samples = [];
+    samples = Float.Array.create 0;
     sorted = None;
     count = 0;
-    sum = 0.;
-    min = infinity;
-    max = neg_infinity;
+    sums = { sum = 0.; min = infinity; max = neg_infinity };
   }
 
+(* Room for [n] more samples. *)
+let reserve t n =
+  let cap = Float.Array.length t.samples in
+  if t.count + n > cap then begin
+    let grown = Float.Array.create (max (t.count + n) (max 16 (2 * cap))) in
+    Float.Array.blit t.samples 0 grown 0 t.count;
+    t.samples <- grown
+  end
+
 let add t x =
-  t.samples <- x :: t.samples;
+  reserve t 1;
+  Float.Array.unsafe_set t.samples t.count x;
   t.sorted <- None;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. x;
-  if x < t.min then t.min <- x;
-  if x > t.max then t.max <- x
+  let s = t.sums in
+  s.sum <- s.sum +. x;
+  if x < s.min then s.min <- x;
+  if x > s.max then s.max <- x
 
 let count t = t.count
-let sum t = t.sum
-let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
-let min_value t = if t.count = 0 then nan else t.min
-let max_value t = if t.count = 0 then nan else t.max
+let sum t = t.sums.sum
+let mean t = if t.count = 0 then nan else t.sums.sum /. float_of_int t.count
+let min_value t = if t.count = 0 then nan else t.sums.min
+let max_value t = if t.count = 0 then nan else t.sums.max
 
 (* Sorting every call was quadratic across a report's percentile
    columns, and rounding the fractional rank to the nearest sample
@@ -43,8 +54,8 @@ let sorted_samples t =
   match t.sorted with
   | Some arr -> arr
   | None ->
-      let arr = Array.of_list t.samples in
-      Array.sort Float.compare arr;
+      let arr = Float.Array.sub t.samples 0 t.count in
+      Float.Array.sort Float.compare arr;
       t.sorted <- Some arr;
       arr
 
@@ -52,7 +63,7 @@ let percentile t p =
   if t.count = 0 then nan
   else begin
     let arr = sorted_samples t in
-    let n = Array.length arr in
+    let n = t.count in
     let rank = p /. 100. *. float_of_int (n - 1) in
     let rank =
       if rank < 0. then 0.
@@ -63,7 +74,7 @@ let percentile t p =
     let hi = Stdlib.min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
     (* linear interpolation between the neighbouring order statistics *)
-    (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac)
+    (Float.Array.get arr lo *. (1. -. frac)) +. (Float.Array.get arr hi *. frac)
   end
 
 let median t = percentile t 50.
@@ -77,12 +88,14 @@ let p999 t = percentile t 99.9
     after the shard domains have been joined. *)
 let merge_into ~into t =
   if t.count > 0 then begin
-    into.samples <- List.rev_append t.samples into.samples;
+    reserve into t.count;
+    Float.Array.blit t.samples 0 into.samples into.count t.count;
     into.sorted <- None;
     into.count <- into.count + t.count;
-    into.sum <- into.sum +. t.sum;
-    if t.min < into.min then into.min <- t.min;
-    if t.max > into.max then into.max <- t.max
+    let s = into.sums in
+    s.sum <- s.sum +. t.sums.sum;
+    if t.sums.min < s.min then s.min <- t.sums.min;
+    if t.sums.max > s.max then s.max <- t.sums.max
   end
 
 (** [merge ts] pools the samples of [ts] into a fresh accumulator. *)

@@ -663,8 +663,8 @@ let test_forwarded_ioctl_allocation () =
         (Gc.minor_words () -. before) /. float_of_int ops)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words per forwarded null ioctl (at most 900)" words)
-    true (words <= 900.)
+    (Printf.sprintf "%.0f minor words per forwarded null ioctl (at most 400)" words)
+    true (words <= 400.)
 
 let suites =
   [

@@ -579,7 +579,7 @@ let test_hostile_responses_fail_one_op () =
   let module P = Paradice.Proto in
   let bad_tag = Bytes.make P.slot_size '\000' in
   Bytes.set_int32_le bad_tag 0 99l;
-  let hostile = ref [ `Bad_tag; `Long_read ] in
+  let hostile = ref [ `Bad_tag; `Big_ioctl; `Long_read; `Big_batch ] in
   Sim.Engine.spawn (M.engine m) ~name:"hostile-responder" (fun () ->
       let rec loop () =
         match Channel.next_request ch with
@@ -592,10 +592,20 @@ let test_hostile_responses_fail_one_op () =
               | P.Rioctl _, `Bad_tag :: rest ->
                   hostile := rest;
                   bad_tag
+              | P.Rioctl _, `Big_ioctl :: rest ->
+                  (* ioctl(2) returns an int: this result is outside it *)
+                  hostile := rest;
+                  P.encode_response (P.Rok 0x7fff_ffff_ffff)
               | P.Rread { len; _ }, `Long_read :: rest ->
                   hostile := rest;
                   P.encode_response (P.Rok (len + 1))
               | P.Rread { len; _ }, _ -> P.encode_response (P.Rok len)
+              | P.Rbatch subs, `Big_batch :: rest ->
+                  hostile := rest;
+                  P.encode_response
+                    (P.Rbatch_reply (List.mapi (fun i _ -> P.Rok (i lsl 40)) subs))
+              | P.Rbatch subs, _ ->
+                  P.encode_response (P.Rbatch_reply (List.map (fun _ -> P.Rok 0) subs))
               | _ -> P.encode_response (P.Rok 0)
             in
             Channel.respond ch ~slot resp;
@@ -612,11 +622,19 @@ let test_hostile_responses_fail_one_op () =
         | Ok _ -> Alcotest.failf "%s: hostile response accepted" what
       in
       eio "unknown response tag" (Vfs.ioctl k app fd ~cmd:1 ~arg:0L);
+      eio "ioctl result outside int" (Vfs.ioctl k app fd ~cmd:1 ~arg:0L);
       Alcotest.(check int) "next ioctl succeeds" 0
         (ok (Vfs.ioctl k app fd ~cmd:1 ~arg:0L));
       eio "read count past len" (Vfs.read k app fd ~buf ~len:64);
       Alcotest.(check int) "next read succeeds" 64
-        (ok (Vfs.read k app fd ~buf ~len:64)));
+        (ok (Vfs.read k app fd ~buf ~len:64));
+      let file = Hashtbl.find app.Defs.fds fd in
+      let batch () = Cvd_front.batch_ioctl g.M.frontend app file [ (1, 0L); (1, 0L) ] in
+      (match batch () with
+      | _ -> Alcotest.fail "batched ioctl result outside int accepted"
+      | exception Errno.Unix_error (e, _) ->
+          Alcotest.check errno "batched ioctl result outside int" Errno.EIO e);
+      Alcotest.(check (list int)) "next batch succeeds" [ 0; 0 ] (batch ()));
   Alcotest.(check bool) "session still healthy" true
     (Cvd_front.session g.M.frontend = Cvd_front.Healthy)
 

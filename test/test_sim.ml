@@ -454,6 +454,26 @@ let test_stats_merge () =
   check_float "max after later add" 1.0e9 (Sim.Stats.max_value merged);
   check_float "p100 after later add" 1.0e9 (Sim.Stats.percentile merged 100.)
 
+(* Samples sit in a flat float array that doubles when full, and the
+   running sums in an all-float record: between growths [add] allocates
+   nothing. *)
+let test_stats_add_allocation () =
+  let s = Sim.Stats.create "alloc" in
+  let x = 1.5 in
+  (* 513 samples grow the array to room for 1,024 *)
+  for _ = 1 to 513 do
+    Sim.Stats.add s x
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 511 do
+    Sim.Stats.add s x
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 511 adds (at most 4, the reading's own)" words)
+    true (words <= 4.);
+  check_float "mean kept" 1.5 (Sim.Stats.mean s)
+
 (* Property tests *)
 
 (* A model test: random pushes and pops, interleaved, on a handful of
@@ -645,6 +665,7 @@ let suites =
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
         Alcotest.test_case "stats merge = pooled" `Quick test_stats_merge;
+        Alcotest.test_case "stats add allocates nothing" `Quick test_stats_add_allocation;
         QCheck_alcotest.to_alcotest prop_heap_pops_sorted;
         QCheck_alcotest.to_alcotest prop_stats_mean_bounded;
       ] );

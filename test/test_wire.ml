@@ -1,7 +1,9 @@
-(* Derived-codec properties: the Wire_spec-derived encoder, decoder and
-   sanitizer agree with each other, with the golden corpus captured
-   from the hand-written encoders, and with the historical rejection
-   behavior (Ropen over-long paths, hostile top-bit-set u64s). *)
+(* Compiled-codec properties: the encoder, decoder and sanitizer
+   compiled from the Wire_spec table agree with each other, with the
+   golden corpus captured from the hand-written encoders, and with the
+   historical rejection behavior (Ropen over-long paths, hostile
+   top-bit-set u64s); and the compiled forwarding path allocates only
+   the values it returns. *)
 
 module P = Paradice.Proto
 module W = Paradice.Wire_spec
@@ -254,7 +256,7 @@ let test_u64_injection () =
   List.iter
     (fun spec ->
       List.iter
-        (fun f ->
+        (fun (W.Field f) ->
           match f.W.kind with
           | W.Int W.U32 | W.Flag | W.Str _ -> ()
           | W.Int W.U63 | W.Raw64 | W.Timeout _ -> (
@@ -292,7 +294,7 @@ let test_u64_injection () =
                       | Ok _ ->
                           Alcotest.failf "%s.%s: hostile u64 sanitized Ok"
                             spec.W.name f.W.fname))))
-        spec.W.fields)
+        (W.fields spec))
     P.req_specs
 
 (* the same injection through a batch record: the sub-op's field is
@@ -354,6 +356,60 @@ let test_poll_timeout_policy () =
         timeout_us
   | _ -> Alcotest.fail "over-cap timeout not clamped"
 
+(* ---- the compiled forwarding path allocates only what it returns ---- *)
+
+(* Minor words [f] allocates per call over [n] warm calls, net of the
+   measuring loop's own. *)
+let words_per_call f =
+  let n = 1000 in
+  let measure g =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      g ()
+    done;
+    Gc.minor_words () -. before
+  in
+  for _ = 1 to 100 do
+    f ()
+  done;
+  (measure f -. measure ignore) /. float_of_int n
+
+let test_codec_allocation () =
+  let b = Bytes.create P.slot_size in
+  let reqs =
+    List.filter_map
+      (fun (_, _, _, req) -> match req with P.Rbatch _ -> None | r -> Some r)
+      golden_reqs
+  in
+  List.iter
+    (fun req ->
+      let words =
+        words_per_call (fun () -> P.encode_request_into b ~grant_ref:1 ~pid:2 req)
+      in
+      Alcotest.(check (float 0.))
+        (P.request_name req ^ ": words per encode") 0. words)
+    reqs;
+  List.iter
+    (fun resp ->
+      match resp with
+      | P.Rbatch_reply _ -> ()
+      | _ ->
+          Alcotest.(check (float 0.))
+            "response: words per encode" 0.
+            (words_per_call (fun () -> P.encode_response_into b resp)))
+    (List.map snd golden_resps);
+  (* decode and sanitize an ioctl: the Rioctl record (4 words) and its
+     boxed int64 arg (3) *)
+  P.encode_request_into b ~grant_ref:1 ~pid:2
+    (P.Rioctl { vfd = 1; cmd = 0xC018640B; arg = 0x1122334455667788L });
+  let words =
+    words_per_call (fun () ->
+        ignore (P.read_request ~limits ~sanitize:true b : P.request))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per ioctl decode-and-sanitize (at most 7)" words)
+    true (words <= 7.)
+
 let suites =
   [
     ( "wire_spec",
@@ -377,5 +433,7 @@ let suites =
           test_u64_injection_batched;
         Alcotest.test_case "one poll-timeout policy at all sites" `Quick
           test_poll_timeout_policy;
+        Alcotest.test_case "compiled codec allocates only its values" `Quick
+          test_codec_allocation;
       ] );
   ]
