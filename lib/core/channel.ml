@@ -35,7 +35,7 @@
     cold) receiver needs one.
 
     {b Sequencing.}  Every publish stamps a fresh sequence number into
-    the descriptor ({!Proto.seq_off}); the backend echoes the sequence
+    the descriptor ({!Proto.set_seq}); the backend echoes the sequence
     it drained into its response.  A waiter discards a response whose
     sequence is not its current attempt's (a late answer to a
     timed-out attempt — at-least-once retries make these legitimate)
@@ -169,6 +169,13 @@ let fallback_uids = Domain.DLS.new_key (fun () -> ref 1_000_000)
 let front_copy = Domain.DLS.new_key (fun () -> Bytes.create Proto.slot_size)
 let back_copy = Domain.DLS.new_key (fun () -> Bytes.create Proto.slot_size)
 
+(* Private copies of the control page's slot-state words, under the
+   same contract: a scan reads all of them in one access and decides
+   from its copy before anything can suspend. *)
+let states_size = 4 * Config.ring_slots
+let front_states = Domain.DLS.new_key (fun () -> Bytes.create states_size)
+let back_states = Domain.DLS.new_key (fun () -> Bytes.create states_size)
+
 (* The [encode] of a ready-encoded slot [src]. *)
 let copy_slot src copy = Bytes.blit src 0 copy 0 Proto.slot_size
 
@@ -183,6 +190,14 @@ let state_off slot = 4 * slot
 let notify_off = 512
 let slot_off slot = Memory.Addr.page_size + (slot * Proto.slot_size)
 
+(* Read every slot-state word of [view] into [states], in one access. *)
+let read_states (view : Hypervisor.Shared_page.view) states =
+  view.Hypervisor.Shared_page.read_into ~offset:0 ~len:states_size states
+
+(* [slot]'s state word, from a copy {!read_states} filled. *)
+let state_of states slot =
+  Int32.to_int (Bytes.get_int32_le states (state_off slot)) land 0xffffffff
+
 (* ---- the two signalling directions ---- *)
 
 (* A request signal landed: a leg wakes the backend into draining. *)
@@ -192,19 +207,20 @@ let wake_backend t ~leg =
 
 (* A response signal landed: deliver every response published since it
    was raised (engine context: page reads and mailbox sends only, no
-   waits). *)
+   waits; a send only schedules its receiver, so the state copy stays
+   current through the loop). *)
 let deliver_responses t ~leg:_ =
-  if not t.dead then
+  if not t.dead then begin
+    let states = Domain.DLS.get front_states in
+    read_states t.front_view states;
     for slot = 0 to Config.ring_slots - 1 do
-      if
-        t.front_view.Hypervisor.Shared_page.read_u32 ~offset:(state_off slot)
-        = st_resp_ready
-      then begin
+      if state_of states slot = st_resp_ready then begin
         t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
           st_delivered;
         Sim.Mailbox.send t.resp_box.(slot) ()
       end
     done
+  end
 
 let req_spec =
   {
@@ -467,13 +483,13 @@ let ring_req_doorbell t ~trace ~slot =
   signal t t.req ~trace ~slot
 
 (* Publish one request descriptor: marshal, encode it into the
-   domain's private copy and write that to the slot, stamp the
-   attempt's sequence number into it, mark it ready, ring.  Encoding
-   happens at the write, after the marshal wait, so every publish
-   (a republish too) writes freshly encoded bytes.  Corruption garbles
-   the opcode byte in the shared slot (the backend must reject, not
-   crash); the sequence number is stamped first, so even a corrupt
-   descriptor's rejection pairs with its attempt. *)
+   domain's private copy, stamp the attempt's sequence number into
+   that copy, write it to the slot in one access, mark it ready, ring.
+   Encoding happens at the write, after the marshal wait, so every
+   publish (a republish too) writes freshly encoded bytes.  Corruption
+   garbles the opcode byte in the shared slot (the backend must
+   reject, not crash); the sequence number is already in the slot, so
+   even a corrupt descriptor's rejection pairs with its attempt. *)
 let publish t ~slot ~seq ~trace encode =
   let sp =
     Obs.Trace.span_begin t.tracer ~trace ~lane:Obs.Trace.Frontend ~cat:"stage"
@@ -483,8 +499,8 @@ let publish t ~slot ~seq ~trace encode =
   let view = t.front_view and off = slot_off slot in
   let copy = Domain.DLS.get front_copy in
   encode copy;
+  Proto.set_seq copy seq;
   view.Hypervisor.Shared_page.write ~offset:off copy;
-  view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.seq_off) seq;
   if Config.fires t.config site_corrupt_req then begin
     (* the opcode is the low byte of the little-endian first word *)
     let word = view.Hypervisor.Shared_page.read_u32 ~offset:off in
@@ -669,22 +685,21 @@ let inject_raw t ~slot (bytes : bytes) =
     once the channel is dead (the worker should exit).  One wakeup
     drains many: after serving, the worker's next call re-scans the
     ring head and picks up everything published meanwhile without any
-    further interrupt.  The descriptor is read once, into the domain's
-    private back copy, which is returned: the caller decodes it before
-    it next suspends. *)
+    further interrupt.  Each scan reads the slot-state words once, into
+    the domain's private copy, and the descriptor is read once, into
+    the domain's private back copy, which is returned: the caller
+    decodes it before it next suspends. *)
 let next_request t : (int * bytes) option =
   if t.dead then None
   else begin
     let scan () =
+      let states = Domain.DLS.get back_states in
+      read_states t.back_view states;
       let rec go i =
         if i >= Config.ring_slots then None
         else
           let slot = (t.scan_cursor + i) mod Config.ring_slots in
-          if
-            t.back_view.Hypervisor.Shared_page.read_u32 ~offset:(state_off slot)
-            = st_req_ready
-          then Some slot
-          else go (i + 1)
+          if state_of states slot = st_req_ready then Some slot else go (i + 1)
       in
       go 0
     in
@@ -757,15 +772,16 @@ let next_request t : (int * bytes) option =
     next ()
   end
 
-(** Backend: complete the descriptor claimed from slot [slot] with the
-    response [encode] writes into the private back copy (after the
-    marshal wait, right before the slot write), echoing the sequence
-    number it was drained with, and signal the frontend ([signal]: a
-    leg already in flight covers this response too).  Dropped silently
-    on a dead channel (a crashed driver VM answers nobody); the
-    response-drop fault loses the leg (the descriptor stays ready and
-    would ride a later response's leg — or the frontend deadline
-    recovers). *)
+(** Backend: complete the descriptor claimed from slot [slot].
+    [encode] writes the response into the private back copy (after the
+    marshal wait, right before the slot write), the sequence number and
+    trace id the descriptor was drained with are stamped into that
+    copy, the copy goes to the slot in one access, and the frontend is
+    signalled ([signal]: a leg already in flight covers this response
+    too).  Dropped silently on a dead channel (a crashed driver VM
+    answers nobody); the response-drop fault loses the leg (the
+    descriptor stays ready and would ride a later response's leg — or
+    the frontend deadline recovers). *)
 let respond_with t ~slot encode =
   if not t.dead then begin
     if slot < 0 || slot >= Config.ring_slots then
@@ -794,10 +810,9 @@ let respond_with t ~slot encode =
     let view = t.back_view and off = slot_off slot in
     let copy = Domain.DLS.get back_copy in
     encode copy;
+    Proto.set_seq copy t.service_seq.(slot);
+    Proto.set_trace copy trace;
     view.Hypervisor.Shared_page.write ~offset:off copy;
-    view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.seq_off)
-      t.service_seq.(slot);
-    view.Hypervisor.Shared_page.write_u32 ~offset:(off + Proto.trace_off) trace;
     view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot) st_resp_ready;
     mark_ready t t.resp slot;
     t.in_service <- t.in_service - 1;

@@ -63,6 +63,7 @@ let pid_off = 1012
    publish time (it is transport state, not operation state). *)
 let seq_off = 1008
 
+let set_seq b seq = w32 b seq_off seq
 let get_seq b = r32 b seq_off
 
 (* The operation's trace id (Obs tracing), minted by the frontend and

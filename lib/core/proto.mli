@@ -42,7 +42,7 @@ val max_batch_ops : int
 (** Transport sequence number, stamped into a descriptor by the
     channel at publish time and echoed back in the response so a late
     answer to a timed-out attempt can never be paired with a resend. *)
-val seq_off : int
+val set_seq : bytes -> int -> unit
 
 val get_seq : bytes -> int
 

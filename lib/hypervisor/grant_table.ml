@@ -18,7 +18,10 @@
       u32 len
       u64 addr      guest virtual address
       u64 (pad)
-    v} *)
+    v}
+    The first 16 bytes are the entry's record: the frontend writes it
+    in one access and the hypervisor reads it in one access into its
+    own copy, deciding from that copy alone (a single fetch). *)
 
 type op =
   | Copy_to_user of { addr : int; len : int } (* driver writes process memory *)
@@ -26,11 +29,18 @@ type op =
   | Map_page of { addr : int; len : int } (* map device/system pages at gva *)
 
 let entry_size = 24
+let record_size = 16
 let capacity = Memory.Addr.page_size / entry_size
 
 type t = {
   guest : Shared_page.view; (* frontend's mapping *)
   hyp : Shared_page.view; (* hypervisor's direct view *)
+  (* Each side's private copy of one entry record, filled and consumed
+     with no suspension point in between: the frontend encodes into
+     [guest_rec] right before its slot write, the hypervisor decodes
+     [hyp_rec] right after its slot read. *)
+  guest_rec : bytes;
+  hyp_rec : bytes;
   (* Outstanding-entry quota: a guest may be capped below the physical
      table capacity, bounding how much validation state it can pin.
      [active] mirrors the non-free slot count (declare, release and
@@ -55,6 +65,8 @@ let create phys ~guest_vm =
   {
     guest = Shared_page.view_of page guest_vm;
     hyp = Shared_page.hypervisor_view page;
+    guest_rec = Bytes.create record_size;
+    hyp_rec = Bytes.create record_size;
     quota = capacity;
     active = 0;
     quota_breaches = 0;
@@ -88,19 +100,24 @@ let last_flag = 0x100
 
 let is_op kind = kind >= 1 && kind <= 3
 
-let write_entry (view : Shared_page.view) ~slot ~op ~last =
-  let base = slot * entry_size in
-  view.Shared_page.write_u32 ~offset:base
-    (kind_code op lor (if last then last_flag else 0));
-  view.Shared_page.write_u32 ~offset:(base + 4) (op_len op);
-  view.Shared_page.write_u64 ~offset:(base + 8) (Int64.of_int (op_addr op))
+(* An entry record's words, decoded from a private copy. *)
+let rec_word r = Int32.to_int (Bytes.get_int32_le r 0)
+let rec_len r = Int32.to_int (Bytes.get_int32_le r 4) land 0xffffffff
 
-let read_entry (view : Shared_page.view) ~slot =
-  let base = slot * entry_size in
-  let word = view.Shared_page.read_u32 ~offset:base in
+(* Encode the entry into the guest's copy and write it in one access. *)
+let write_entry t ~slot ~op ~last =
+  let r = t.guest_rec in
+  Bytes.set_int32_le r 0 (Int32.of_int (kind_code op lor if last then last_flag else 0));
+  Bytes.set_int32_le r 4 (Int32.of_int (op_len op));
+  Bytes.set_int64_le r 8 (Int64.of_int (op_addr op));
+  t.guest.Shared_page.write ~offset:(slot * entry_size) r
+
+let read_entry t ~slot =
+  let r = t.guest_rec in
+  t.guest.Shared_page.read_into ~offset:(slot * entry_size) ~len:record_size r;
+  let word = rec_word r in
   let kind = word land 0xff and last = word land last_flag <> 0 in
-  let len = view.Shared_page.read_u32 ~offset:(base + 4) in
-  let addr = Int64.to_int (view.Shared_page.read_u64 ~offset:(base + 8)) in
+  let len = rec_len r and addr = Int64.to_int (Bytes.get_int64_le r 8) in
   let op =
     match kind with
     | 0 -> None
@@ -137,9 +154,7 @@ let declare t ops =
     else find (start + 1)
   in
   let start = find 0 in
-  List.iteri
-    (fun i op -> write_entry t.guest ~slot:(start + i) ~op ~last:(i = n - 1))
-    ops;
+  List.iteri (fun i op -> write_entry t ~slot:(start + i) ~op ~last:(i = n - 1)) ops;
   t.active <- t.active + n;
   start
 
@@ -197,7 +212,7 @@ let snapshot t =
     else begin
       (* walk to the end of this group *)
       let rec span s ops =
-        match read_entry t.guest ~slot:s with
+        match read_entry t ~slot:s with
         | None, _ -> (s, List.rev ops)
         | Some op, true -> (s + 1, List.rev (op :: ops))
         | Some op, false -> span (s + 1) (op :: ops)
@@ -228,29 +243,34 @@ let verify_snapshot t snap =
 
 (* ---- hypervisor side ---- *)
 
-(* Does the entry at [base] span [addr, addr + len)?  Its address is
-   read as two 32-bit halves, which keeps the check free of boxed
-   integers. *)
-let spans (view : Shared_page.view) ~base ~addr ~len =
-  let decl_len = view.Shared_page.read_u32 ~offset:(base + 4)
-  and decl_addr =
-    view.Shared_page.read_u32 ~offset:(base + 8)
-    lor (view.Shared_page.read_u32 ~offset:(base + 12) lsl 32)
-  in
-  len >= 0 && addr >= decl_addr && addr + len <= decl_addr + decl_len
+(* Does the record in [r] span [addr, addr + len)?  The comparisons
+   cannot overflow: [addr - decl_addr] and [decl_len - len] are both
+   in [0, max_int] once the first three tests pass.  The address is
+   decoded as two 32-bit halves, which keeps the check free of boxed
+   integers; one whose 64 bits do not fit a non-negative [int] lies
+   past every request, so it spans nothing. *)
+let spans r ~addr ~len =
+  let decl_len = rec_len r
+  and lo = Int32.to_int (Bytes.get_int32_le r 8) land 0xffffffff
+  and hi = Int32.to_int (Bytes.get_int32_le r 12) land 0xffffffff in
+  hi < 0x4000_0000
+  &&
+  let decl_addr = lo lor (hi lsl 32) in
+  len >= 0 && addr >= decl_addr && len <= decl_len && addr - decl_addr <= decl_len - len
 
-(* Scan the group from [slot] through the hypervisor's view: it ends
-   at the entry flagged last, or before the first entry that names no
-   operation. *)
-let rec covers (view : Shared_page.view) ~kind ~addr ~len slot =
+(* Scan the group from [slot] through the hypervisor's view, one record
+   read into the hypervisor's copy per entry: it ends at the entry
+   flagged last, or before the first entry that names no operation. *)
+let rec covers t ~kind ~addr ~len slot =
   slot < capacity
   &&
-  let base = slot * entry_size in
-  let word = view.Shared_page.read_u32 ~offset:base in
+  let r = t.hyp_rec in
+  t.hyp.Shared_page.read_into ~offset:(slot * entry_size) ~len:record_size r;
+  let word = rec_word r in
   let k = word land 0xff in
   is_op k
-  && ((k = kind && spans view ~base ~addr ~len)
-     || (word land last_flag = 0 && covers view ~kind ~addr ~len (slot + 1)))
+  && ((k = kind && spans r ~addr ~len)
+     || (word land last_flag = 0 && covers t ~kind ~addr ~len (slot + 1)))
 
 (** Does the group under [grant_ref] cover [requested]?  A request is
     covered when it falls inside a declared entry of the same kind —
@@ -259,7 +279,7 @@ let rec covers (view : Shared_page.view) ~kind ~addr ~len slot =
     authorising the moment its slots are cleared. *)
 let authorises t ~grant_ref ~requested =
   grant_ref >= 0
-  && covers t.hyp ~kind:(kind_code requested) ~addr:(op_addr requested)
+  && covers t ~kind:(kind_code requested) ~addr:(op_addr requested)
        ~len:(op_len requested) grant_ref
 
 let pp_op ppf = function

@@ -218,6 +218,13 @@ let check_caller t req =
   if Vm.id req.target = Vm.id req.caller then
     reject t "target must be a guest VM"
 
+(* The driver's own buffer range, checked once the grant has passed and
+   before the first guest-memory access, so a malformed copy touches
+   nothing. *)
+let check_buffer what buf ~off ~len =
+  if len < 0 || off < 0 || off > Bytes.length buf - len then
+    invalid_arg (what ^ ": buffer range out of bounds")
+
 (** Copy [len] bytes out of the target process's memory into
     [dst] at [dst_off] (the driver's [copy_from_user]).  Translation
     is per page — guest PT walk then EPT walk (§5.2), both served from
@@ -227,6 +234,7 @@ let copy_from_process_into t req ~gva ~dst ~dst_off ~len =
   check_caller t req;
   check_grant t ~target:req.target ~grant_ref:req.grant_ref
     ~requested:(Grant_table.Copy_from_user { addr = gva; len });
+  check_buffer "Hyp.copy_from_process_into" dst ~off:dst_off ~len;
   (try Vm.read_into req.target ~pt:req.pt ~addr:gva ~dst ~dst_off ~len
    with Memory.Fault.Page_fault info ->
      reject t (Fmt.str "target translation failed: %a" Memory.Fault.pp_info info));
@@ -243,6 +251,7 @@ let copy_to_process_from t req ~gva ~src ~src_off ~len =
   check_caller t req;
   check_grant t ~target:req.target ~grant_ref:req.grant_ref
     ~requested:(Grant_table.Copy_to_user { addr = gva; len });
+  check_buffer "Hyp.copy_to_process_from" src ~off:src_off ~len;
   (try Vm.write_from req.target ~pt:req.pt ~addr:gva ~src ~src_off ~len
    with Memory.Fault.Page_fault info ->
      reject t (Fmt.str "target translation failed: %a" Memory.Fault.pp_info info));

@@ -78,7 +78,9 @@ val copy_to_process : t -> request -> gva:int -> data:bytes -> unit
 (** Zero-copy variants — the data-plane fast path: the bytes move
     between guest frames and a caller-supplied buffer without an
     intermediate copy; the only allocation is the requested-op record
-    the grant check reads. *)
+    the grant check reads.  A buffer range outside the caller's buffer
+    raises [Invalid_argument] once the grant check has passed, before
+    any guest memory is touched. *)
 val copy_from_process_into :
   t -> request -> gva:int -> dst:bytes -> dst_off:int -> len:int -> unit
 

@@ -25,8 +25,6 @@ type view = {
   write : offset:int -> bytes -> unit;
   read_u32 : offset:int -> int;
   write_u32 : offset:int -> int -> unit;
-  read_u64 : offset:int -> int64;
-  write_u64 : offset:int -> int64 -> unit;
 }
 
 let allocate ?(pages = 1) phys =
@@ -64,7 +62,9 @@ let no_frame = Memory.Phys_mem.no_frame
    were found under.  While both read the same, the page's TLB entry is
    unchanged (entries leave only by a flush, every EPT change bumps the
    generation, and a RAM frame's bytes are never replaced), so a lookup
-   would hit with that very frame. *)
+   would hit with that very frame.  The shared zero page a read of a
+   never-written frame finds is used for that access only, never held:
+   the frame gets bytes of its own on its first write, by any VM. *)
 type held = {
   region : t;
   vm : Vm.t;
@@ -104,7 +104,7 @@ let frame h ~offset ~len ~kind =
         h.gen <- gen;
         h.epoch <- epoch
       end;
-      h.frames.(i) <- f;
+      if not (Memory.Phys_mem.is_zero_page f) then h.frames.(i) <- f;
       f
     end
   end
@@ -147,16 +147,6 @@ let view_of t vm =
         if f != no_frame then
           Bytes.set_int32_le f (Memory.Addr.offset offset) (Int32.of_int v)
         else Vm.write_u32 h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset) v);
-    read_u64 =
-      (fun ~offset ->
-        let f = frame h ~offset ~len:8 ~kind:0 in
-        if f != no_frame then Bytes.get_int64_le f (Memory.Addr.offset offset)
-        else Vm.read_u64 h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset));
-    write_u64 =
-      (fun ~offset v ->
-        let f = frame h ~offset ~len:8 ~kind:1 in
-        if f != no_frame then Bytes.set_int64_le f (Memory.Addr.offset offset) v
-        else Vm.write_u64 h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset) v);
   }
 
 (** The hypervisor's own view bypasses EPTs: it addresses the frames
@@ -176,6 +166,4 @@ let hypervisor_view t =
     write;
     read_u32 = (fun ~offset -> Memory.Phys_mem.read_u32 t.phys ~spa:(base + offset));
     write_u32 = (fun ~offset v -> Memory.Phys_mem.write_u32 t.phys ~spa:(base + offset) v);
-    read_u64 = (fun ~offset -> Memory.Phys_mem.read_u64 t.phys ~spa:(base + offset));
-    write_u64 = (fun ~offset v -> Memory.Phys_mem.write_u64 t.phys ~spa:(base + offset) v);
   }

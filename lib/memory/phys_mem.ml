@@ -6,8 +6,9 @@
     an spn is populated exactly when [0 < spn < next_spn]; looking a
     frame up is one bounds check and one array load — no hashing, no
     allocation.  Two kinds of backing exist:
-    - [Ram]: an ordinary 4 KiB byte frame, materialised on first use
-      (until then the slot reads [Unbacked]);
+    - [Ram]: an ordinary 4 KiB byte frame, materialised on its first
+      write (until then the slot reads [Unbacked], and reads are served
+      from one shared zero page);
     - [Mmio]: a device register page whose reads/writes are routed to
       handler callbacks (the GPU register file, the NIC doorbells).
 
@@ -23,7 +24,7 @@ type mmio_handler = {
 
 type backing =
   | Ram of Bytes.t
-  | Unbacked (* allocated RAM, zero-filled, materialised on first use *)
+  | Unbacked (* allocated RAM, zero-filled, materialised on first write *)
   | Mmio of mmio_handler
 
 type t = {
@@ -73,15 +74,26 @@ let populated t spn = spn > 0 && spn < t.next_spn
 let is_mmio t spn =
   populated t spn && match t.frames.(spn) with Mmio _ -> true | Ram _ | Unbacked -> false
 
+(* The one zero page: a read of a frame never written is served from
+   it, so only a write materialises a frame.  Nothing writes through it
+   (every write access materialises first), and no holder may keep it:
+   the frame it stands for gets its own bytes on that first write. *)
+let zero_page = Bytes.make Addr.page_size '\000'
+let zero_ram = Ram zero_page
+let is_zero_page frame = frame == zero_page
+
 let backing t ~spn ~access =
   if not (populated t spn) then
     Fault.bus_error ~addr:(Addr.of_pfn spn) ~access "unpopulated frame"
   else
     match t.frames.(spn) with
-    | Unbacked ->
-        let b = Ram (Bytes.make Addr.page_size '\000') in
-        t.frames.(spn) <- b;
-        b
+    | Unbacked -> (
+        match access with
+        | Perm.Write ->
+            let b = Ram (Bytes.make Addr.page_size '\000') in
+            t.frames.(spn) <- b;
+            b
+        | Perm.Read | Perm.Exec -> zero_ram)
     | b -> b
 
 (* The page loops behind {!read_into} and {!write_from}: one frame per
@@ -94,7 +106,7 @@ let rec read_frames t ~spa ~dst ~dst_off ~len =
     let chunk = if room < len then room else len in
     (match backing t ~spn:(Addr.pfn spa) ~access:Perm.Read with
     | Ram frame -> Bytes.blit frame off dst dst_off chunk
-    | Unbacked -> assert false (* materialised by [backing] *)
+    | Unbacked -> assert false (* served by [backing] *)
     | Mmio h -> Bytes.blit (h.mmio_read ~offset:off ~len:chunk) 0 dst dst_off chunk);
     read_frames t ~spa:(spa + chunk) ~dst ~dst_off:(dst_off + chunk) ~len:(len - chunk)
   end
@@ -152,7 +164,7 @@ let no_frame = Bytes.create 0
 let[@inline] ram_frame t ~spn ~access =
   match backing t ~spn ~access with
   | Ram frame -> frame
-  | Unbacked -> assert false (* materialised by [backing] *)
+  | Unbacked -> assert false (* served by [backing] *)
   | Mmio _ -> no_frame
 
 (* The frame a scalar of [width] bytes at [spa] can be accessed in

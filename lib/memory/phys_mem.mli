@@ -13,7 +13,8 @@ type t
 val create : unit -> t
 
 (** Allocate [n] fresh contiguous RAM frames; returns the base spn.
-    Backing bytes materialise on first access. *)
+    Backing bytes materialise on a frame's first write; until then its
+    reads are served from one shared zero page. *)
 val alloc_frames : t -> int -> int
 
 val alloc_frame : t -> int
@@ -43,11 +44,19 @@ val write_u64 : t -> spa:int -> int64 -> unit
 (** The empty sentinel {!ram_frame} returns for an MMIO page. *)
 val no_frame : bytes
 
-(** The bytes of RAM frame [spn], materialised on first use, or
-    {!no_frame} for an MMIO page; raises {!Fault.Bus_error} on an
-    unpopulated one.  Allocates nothing once materialised, and a RAM
-    frame's bytes are never replaced, so a holder may keep them. *)
+(** The bytes of RAM frame [spn] for [access], or {!no_frame} for an
+    MMIO page; raises {!Fault.Bus_error} on an unpopulated one.  A
+    write materialises the frame; a read of a frame never written
+    returns the shared zero page, which must be neither written nor
+    kept ({!is_zero_page}).  Allocates nothing once materialised, and
+    a materialised frame's bytes are never replaced, so a holder may
+    keep them. *)
 val ram_frame : t -> spn:int -> access:Perm.access -> bytes
+
+(** Is [frame] the shared zero page {!ram_frame} serves reads of a
+    never-written frame from?  Such a frame gets bytes of its own on
+    its first write, so a holder of the zero page would miss it. *)
+val is_zero_page : bytes -> bool
 
 (** Scrub a frame to zero (protected-region recycling, §5.3). *)
 val zero_frame : t -> int -> unit

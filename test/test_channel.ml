@@ -666,6 +666,99 @@ let test_forwarded_ioctl_allocation () =
     (Printf.sprintf "%.0f minor words per forwarded null ioctl (at most 400)" words)
     true (words <= 400.)
 
+(* The private copies are per domain and shared by every ring, so the
+   encoders' whole-slot zero fill is what keeps one guest's descriptor
+   bytes out of another guest's slot.  Guest A sends a long [Ropen],
+   answered with a long batch reply; guest B then sends a null ioctl on
+   its own ring.  On both sides of B's exchange, every byte below the
+   trace word is B's own message, zero past its end. *)
+let test_zero_fill_keeps_guests_apart () =
+  let module P = Paradice.Proto in
+  let m = M.create () in
+  let ga = M.add_guest m ~name:"a" () and gb = M.add_guest m ~name:"b" () in
+  let channel (g : M.guest) =
+    Paradice.Channel.create (M.engine m) ~config:(M.config m) ~phys:m.M.phys
+      ~guest_vm:g.M.vm ~driver_vm:m.M.driver_vm
+  in
+  let cha = channel ga and chb = channel gb in
+  let long_open = P.Ropen { path = "/dev/" ^ String.make 240 'a' }
+  and long_reply =
+    P.Rbatch_reply (List.init P.max_batch_ops (fun i -> P.Rok (0x0101_0101 + i)))
+  and null = P.Rioctl { vfd = 3; cmd = M.null_ioctl; arg = 0L } in
+  let seen_a = ref Bytes.empty and seen_b = ref Bytes.empty in
+  let serve ch seen resp =
+    Sim.Engine.spawn (M.engine m) (fun () ->
+        match Paradice.Channel.next_request ch with
+        | None -> Alcotest.fail "ring died"
+        | Some (slot, copy) ->
+            seen := Bytes.copy copy;
+            Paradice.Channel.respond_with ch ~slot (fun copy ->
+                P.encode_response_into copy resp))
+  in
+  serve cha seen_a long_reply;
+  serve chb seen_b (P.Rok 0);
+  let call ch req =
+    Paradice.Channel.call ch ~trace:0
+      ~encode:(fun copy -> P.encode_request_into copy ~grant_ref:1 ~pid:7 req)
+      ~decode:Bytes.copy
+  in
+  let answer_a, answer_b =
+    run_in (M.engine m) (fun () ->
+        let a = call cha long_open in
+        (a, call chb null))
+  in
+  let check side ~earlier ~got ~fresh =
+    let leaked = ref false in
+    for i = 0 to P.trace_off - 1 do
+      if Bytes.get fresh i = '\000' && Bytes.get earlier i <> '\000' then leaked := true
+    done;
+    Alcotest.(check bool) (side ^ ": A's message reaches past B's") true !leaked;
+    Alcotest.(check string)
+      (side ^ ": B's own message below the trace word, zero past its end")
+      (Bytes.sub_string fresh 0 P.trace_off)
+      (Bytes.sub_string got 0 P.trace_off)
+  in
+  check "request" ~earlier:!seen_a ~got:!seen_b
+    ~fresh:(P.encode_request ~grant_ref:1 ~pid:7 null);
+  check "response" ~earlier:answer_a ~got:answer_b ~fresh:(P.encode_response (P.Rok 0))
+
+(* Shared-memory accesses per forwarded null ioctl, after warm-up: each
+   ring access touches one whole record, so the op makes 16 (the
+   grant declare's free-slot read and record write, the release's read
+   and clear, and 12 on the ring: one write per descriptor and one per
+   state change, one read per descriptor and one per state scan).
+   Every access is a held translation, so it counts a TLB hit and no
+   miss or walk, under each signalling preset. *)
+let test_forwarded_ioctl_accesses ~config () =
+  let m = M.create ~config () in
+  let (_ : Oskit.Defs.device) = M.attach_null m in
+  let g = M.add_guest m ~name:"g" () in
+  let k = g.M.kernel and ops = 200 in
+  let audit = Hypervisor.Hyp.audit (M.hyp m) in
+  let counts () = Hypervisor.Audit.(tlb_hits audit, tlb_misses audit, walks_performed audit) in
+  let (h0, m0, w0), (h1, m1, w1) =
+    run_in (M.engine m) (fun () ->
+        let app = M.spawn_app m k ~name:"app" in
+        let fd = Fixtures.ok (Oskit.Vfs.openf k app "/dev/null0") in
+        let ioctl () =
+          ignore (Fixtures.ok (Oskit.Vfs.ioctl k app fd ~cmd:M.null_ioctl ~arg:0L) : int)
+        in
+        for _ = 1 to 50 do
+          ioctl ()
+        done;
+        let before = counts () in
+        for _ = 1 to ops do
+          ioctl ()
+        done;
+        (before, counts ()))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f TLB hits per forwarded null ioctl (at most 16)"
+       (float_of_int (h1 - h0) /. float_of_int ops))
+    true (h1 - h0 <= 16 * ops);
+  Alcotest.(check int) "no TLB miss" 0 (m1 - m0);
+  Alcotest.(check int) "no walk" 0 (w1 - w0)
+
 let suites =
   [
     ( "channel.failure_injection",
@@ -719,5 +812,13 @@ let suites =
           test_unencodable_open_refused_before_rpc;
         Alcotest.test_case "forwarded null ioctl allocation" `Quick
           test_forwarded_ioctl_allocation;
+        Alcotest.test_case "slot zero fill keeps guests apart" `Quick
+          test_zero_fill_keeps_guests_apart;
+        Alcotest.test_case "forwarded null ioctl accesses, interrupts" `Quick
+          (test_forwarded_ioctl_accesses ~config:Paradice.Config.default);
+        Alcotest.test_case "forwarded null ioctl accesses, hybrid" `Quick
+          (test_forwarded_ioctl_accesses ~config:Paradice.Config.hybrid);
+        Alcotest.test_case "forwarded null ioctl accesses, polling" `Quick
+          (test_forwarded_ioctl_accesses ~config:Paradice.Config.polling);
       ] );
   ]

@@ -99,6 +99,30 @@ let test_shared_page_respects_ept_perms () =
     | exception Memory.Fault.Ept_violation info ->
         info.Memory.Fault.addr = gpa && info.Memory.Fault.access = Memory.Perm.Write)
 
+(* A frame no one has written reads as the shared zero page, which a
+   view must never hold: the first write, by either VM, gives the frame
+   its own bytes, and the other VM's next read must see them. *)
+let test_shared_page_zero_page_not_held () =
+  let round ~writer_is_a =
+    let hyp = make_hyp () in
+    let a = Hyp.create_vm hyp ~name:"a" ~kind:Vm.Guest ~mem_bytes:mib in
+    let b = Hyp.create_vm hyp ~name:"b" ~kind:Vm.Driver ~mem_bytes:mib in
+    let page = Shared_page.allocate (Hyp.phys hyp) in
+    let (_ : int) = Shared_page.map_into page a ~perms:Memory.Perm.rw in
+    let (_ : int) = Shared_page.map_into page b ~perms:Memory.Perm.rw in
+    let va = Shared_page.view_of page a and vb = Shared_page.view_of page b in
+    let who = if writer_is_a then "a" else "b" in
+    Alcotest.(check int) (who ^ " writes: a reads an untouched word as 0") 0
+      (va.Shared_page.read_u32 ~offset:64);
+    (if writer_is_a then va else vb).Shared_page.write_u32 ~offset:64 0xbeef;
+    Alcotest.(check int) (who ^ " writes: a reads the new value") 0xbeef
+      (va.Shared_page.read_u32 ~offset:64);
+    Alcotest.(check int) (who ^ " writes: b reads the new value") 0xbeef
+      (vb.Shared_page.read_u32 ~offset:64)
+  in
+  round ~writer_is_a:false;
+  round ~writer_is_a:true
+
 (* ---- grant tables ---- *)
 
 let test_grant_declare_lookup () =
@@ -148,6 +172,27 @@ let test_grant_table_full () =
           (Grant_table.declare table
              [ Grant_table.Copy_to_user { addr = i * 16; len = 16 } ])
       done)
+
+(* One group declares copy_to_user [0x1000, 0x1100).  Each request
+   below ends past it, and its [addr + len] overflows an [int]: a check
+   that sums the ends wraps to a negative end and accepts. *)
+let test_grant_overflowing_requests_refused () =
+  let hyp = make_hyp () in
+  let guest = Hyp.create_vm hyp ~name:"g" ~kind:Vm.Guest ~mem_bytes:mib in
+  let table = Hyp.setup_grant_table hyp guest in
+  let r =
+    Grant_table.declare table [ Grant_table.Copy_to_user { addr = 0x1000; len = 0x100 } ]
+  in
+  let authorised addr len =
+    Grant_table.authorises table ~grant_ref:r
+      ~requested:(Grant_table.Copy_to_user { addr; len })
+  in
+  Alcotest.(check bool) "the declared range authorised" true (authorised 0x1000 0x100);
+  List.iter
+    (fun (addr, len) ->
+      Alcotest.(check bool) (Printf.sprintf "(0x%x, %d) refused" addr len) false
+        (authorised addr len))
+    [ (0x2000, max_int); (max_int - 50, 100); (max_int, 1) ]
 
 (* ---- memory-operation API ---- *)
 
@@ -204,6 +249,53 @@ let test_attack_copy_to_guest_kernel () =
      with
     | () -> false
     | exception Hyp.Rejected _ -> true)
+
+(* The overflowing request as a copy: refused by the grant check before
+   any guest memory is touched, and charged to the guest's table. *)
+let test_overflowing_copy_touches_nothing () =
+  let hyp, driver, guest, pt, table = driver_and_guest () in
+  let r =
+    Grant_table.declare table [ Grant_table.Copy_to_user { addr = 0x1000; len = 0x100 } ]
+  in
+  let req = { Hyp.caller = driver; target = guest; pt; grant_ref = r } in
+  let before = Vm.read guest ~pt ~addr:0x2000 ~len:8192 in
+  Alcotest.(check bool) "copy of max_int bytes refused" true
+    (match
+       Hyp.copy_to_process_from hyp req ~gva:0x2000 ~src:(Bytes.make 8192 'X') ~src_off:0
+         ~len:max_int
+     with
+    | () -> false
+    | exception Hyp.Rejected _ -> true);
+  Alcotest.(check string) "undeclared guest memory unchanged" (Bytes.to_string before)
+    (Bytes.to_string (Vm.read guest ~pt ~addr:0x2000 ~len:8192));
+  Alcotest.(check int) "one grant violation" 1 (Grant_table.violations table)
+
+(* A granted copy whose own buffer is shorter than [len] is refused
+   whole, before its first page moves. *)
+let test_malformed_copy_touches_nothing () =
+  let hyp, driver, guest, pt, table = driver_and_guest () in
+  let len = 2 * Memory.Addr.page_size in
+  let r =
+    Grant_table.declare table
+      [
+        Grant_table.Copy_to_user { addr = 0x1000; len };
+        Grant_table.Copy_from_user { addr = 0x1000; len };
+      ]
+  in
+  let req = { Hyp.caller = driver; target = guest; pt; grant_ref = r } in
+  let before = Vm.read guest ~pt ~addr:0x1000 ~len in
+  let invalid f = match f () with () -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "short source refused" true
+    (invalid (fun () ->
+         Hyp.copy_to_process_from hyp req ~gva:0x1000
+           ~src:(Bytes.make Memory.Addr.page_size 'X')
+           ~src_off:0 ~len));
+  Alcotest.(check string) "guest memory unchanged" (Bytes.to_string before)
+    (Bytes.to_string (Vm.read guest ~pt ~addr:0x1000 ~len));
+  let dst = Bytes.make len '.' in
+  Alcotest.(check bool) "destination range past its end refused" true
+    (invalid (fun () -> Hyp.copy_from_process_into hyp req ~gva:0x1000 ~dst ~dst_off:1 ~len));
+  Alcotest.(check string) "destination unchanged" (String.make len '.') (Bytes.to_string dst)
 
 let test_guest_cannot_call_api () =
   let hyp, _driver, guest, pt, table = driver_and_guest () in
@@ -467,6 +559,152 @@ let prop_grant_authorisation_sound =
              Grant_table.authorises table ~grant_ref:r ~requested = model requested)
            requests)
 
+(* The grant check against a word-by-word reference model with exact
+   bounds.  Each case writes raw entries into the table page through
+   the guest's own mapping: any kind byte 0-255, any flags, lengths 0
+   and 2^32 - 1, addresses with both 32-bit halves set (some too large
+   for a non-negative [int]).  Requests sit at and across each entry's
+   bounds, with lengths up to [max_int].  The model reads the table a
+   u32 at a time and compares in base-2^32 pairs, so nothing in it can
+   overflow. *)
+type raw_entry = { w0 : int; len : int; lo : int; hi : int; tail : int }
+
+let entry_size = 24
+
+(* The table is the first page the hypervisor reserves in a fresh guest,
+   the top page of its RAM; a declared entry is checked there before the
+   page is used. *)
+let raw_table () =
+  let hyp = make_hyp () in
+  let guest = Hyp.create_vm hyp ~name:"g" ~kind:Vm.Guest ~mem_bytes:mib in
+  let table = Hyp.setup_grant_table hyp guest in
+  let gpa = mib - Memory.Addr.page_size in
+  let r =
+    Grant_table.declare table [ Grant_table.Map_page { addr = 0x1234_5678_9abc; len = 0x77 } ]
+  in
+  let word off = Vm.read_u32 guest ~pt:Vm.no_pt ~addr:(gpa + (r * entry_size) + off) in
+  if (word 0, word 4, word 8, word 12) <> (0x103, 0x77, 0x5678_9abc, 0x1234) then
+    Alcotest.fail "the grant table is not the top page of guest RAM";
+  Grant_table.release table r;
+  (guest, gpa, table)
+
+let write_raw guest ~gpa slot e =
+  let b = Bytes.create entry_size in
+  let set off v = Bytes.set_int32_le b off (Int32.of_int v) in
+  set 0 e.w0;
+  set 4 e.len;
+  set 8 e.lo;
+  set 12 e.hi;
+  set 16 e.tail;
+  set 20 (e.tail lxor 0x5a5a_5a5a);
+  Vm.write guest ~pt:Vm.no_pt ~addr:(gpa + (slot * entry_size)) b
+
+(* Exact arithmetic on (high, low) pairs in base 2^32. *)
+let split n = (n lsr 32, n land 0xffff_ffff)
+
+let add (h1, l1) (h2, l2) =
+  let l = l1 + l2 in
+  (h1 + h2 + (l lsr 32), l land 0xffff_ffff)
+
+let le (h1, l1) (h2, l2) = h1 < h2 || (h1 = h2 && l1 <= l2)
+
+let model_authorises guest ~gpa ~grant_ref ~kind ~addr ~len =
+  let word slot off = Vm.read_u32 guest ~pt:Vm.no_pt ~addr:(gpa + (slot * entry_size) + off) in
+  let within slot =
+    let decl = (word slot 12, word slot 8) in
+    addr >= 0 && len >= 0
+    && le decl (split addr)
+    && le (add (split addr) (split len)) (add decl (0, word slot 4))
+  in
+  let rec scan slot =
+    slot < Grant_table.capacity
+    &&
+    let w0 = word slot 0 in
+    let k = w0 land 0xff in
+    k >= 1 && k <= 3
+    && ((k = kind && within slot) || (w0 land 0x100 = 0 && scan (slot + 1)))
+  in
+  grant_ref >= 0 && scan grant_ref
+
+let raw_case_gen =
+  let open QCheck.Gen in
+  let u32 = map2 (fun h l -> (h lsl 16) lor l) (int_bound 0xffff) (int_bound 0xffff) in
+  let entry =
+    let kind = frequency [ (6, int_range 1 3); (1, int_bound 255) ] in
+    let flags = frequency [ (2, return 0); (1, return 1); (1, int_bound 255) ] in
+    let len =
+      frequency [ (1, return 0); (1, return 0xffff_ffff); (3, int_bound 0x1000); (2, u32) ]
+    in
+    let lo =
+      frequency
+        [ (2, int_bound 0xffff); (1, map (fun d -> 0xffff_ffff - d) (int_bound 0xff)); (2, u32) ]
+    in
+    let hi =
+      frequency [ (3, return 0); (2, int_range 1 0xff); (1, return 0x3fff_ffff); (1, u32) ]
+    in
+    map
+      (fun ((kind, flags, pad), (len, lo, hi), tail) ->
+        { w0 = kind lor (flags lsl 8) lor (pad lsl 16); len; lo; hi; tail })
+      (triple (triple kind flags (int_bound 0xffff)) (triple len lo hi) u32)
+  in
+  (* which entry a request derives from (past the list: any address),
+     where it starts and how long it is relative to that entry, and its
+     kind (0: the entry's own) *)
+  let request = quad (int_bound 12) (int_bound 7) (int_bound 9) (int_bound 3) in
+  triple
+    (frequency [ (4, int_bound 40); (1, int_range (Grant_table.capacity - 4) Grant_table.capacity) ])
+    (list_size (int_range 1 10) entry)
+    (list_size (int_range 1 24) request)
+
+let raw_case_print (grant_ref, entries, requests) =
+  Printf.sprintf "grant_ref %d, entries [%s], %d requests" grant_ref
+    (String.concat "; "
+       (List.map
+          (fun e -> Printf.sprintf "%08x %08x %08x:%08x" e.w0 e.len e.hi e.lo)
+          entries))
+    (List.length requests)
+
+(* Saturating, so a derived address stays a non-negative [int]. *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+let sat_sub a b = if a < b then 0 else a - b
+
+let prop_grant_matches_word_model =
+  QCheck.Test.make ~name:"grant check matches a word-by-word model with exact bounds"
+    ~count:400
+    (QCheck.make ~print:raw_case_print raw_case_gen)
+    (fun (grant_ref, entries, requests) ->
+      let guest, gpa, table = raw_table () in
+      List.iteri
+        (fun i e ->
+          let slot = grant_ref + i in
+          if slot < Grant_table.capacity then write_raw guest ~gpa slot e)
+        entries;
+      let entries = Array.of_list entries in
+      List.for_all
+        (fun (src, at, size, kind) ->
+          let a, l, k =
+            if src < Array.length entries then
+              let e = entries.(src) in
+              let a = if e.hi < 0x4000_0000 then e.lo lor (e.hi lsl 32) else max_int - e.lo in
+              (a, e.len, e.w0 land 0xff)
+            else ((src * 0x1_0001_0001) + 0x7000, 0x40, 1)
+          in
+          let stop = sat_add a l in
+          let addr =
+            [| a; sat_sub a 1; sat_add a 1; sat_sub stop 1; stop; sat_add stop 1; max_int; a lxor 0xfff |].(at)
+          in
+          let len =
+            [| 0; 1; l; sat_sub l 1; l + 1; sat_sub stop addr; sat_add (sat_sub stop addr) 1; max_int; -1; max_int - addr |].(size)
+          in
+          let kind = if kind = 0 then (if k >= 1 && k <= 3 then k else 1) else kind in
+          let requested = make_op kind addr len in
+          let got = Grant_table.authorises table ~grant_ref ~requested
+          and want = model_authorises guest ~gpa ~grant_ref ~kind ~addr ~len in
+          got = want
+          || QCheck.Test.fail_reportf "%a under grant %d: authorises %b, model %b"
+               Grant_table.pp_op requested grant_ref got want)
+        requests)
+
 let prop_copy_api_identity =
   QCheck.Test.make ~name:"copy_from(copy_to(x)) = x under valid grants" ~count:100
     QCheck.(string_of_size Gen.(1 -- 2048))
@@ -500,19 +738,27 @@ let suites =
       [
         Alcotest.test_case "two-vm sharing" `Quick test_shared_page_two_vms;
         Alcotest.test_case "ept perms respected" `Quick test_shared_page_respects_ept_perms;
+        Alcotest.test_case "zero page never held" `Quick test_shared_page_zero_page_not_held;
       ] );
     ( "hypervisor.grant_table",
       [
         Alcotest.test_case "declare/lookup/authorise" `Quick test_grant_declare_lookup;
         Alcotest.test_case "release and reuse" `Quick test_grant_release_reuse;
         Alcotest.test_case "table full" `Quick test_grant_table_full;
+        Alcotest.test_case "overflowing requests refused" `Quick
+          test_grant_overflowing_requests_refused;
         QCheck_alcotest.to_alcotest prop_grant_authorisation_sound;
+        QCheck_alcotest.to_alcotest prop_grant_matches_word_model;
       ] );
     ( "hypervisor.memory_ops",
       [
         Alcotest.test_case "copy round trip" `Quick test_copy_roundtrip_via_api;
         Alcotest.test_case "undeclared copy rejected" `Quick test_undeclared_copy_rejected;
         Alcotest.test_case "attack: copy to guest kernel" `Quick test_attack_copy_to_guest_kernel;
+        Alcotest.test_case "overflowing copy touches nothing" `Quick
+          test_overflowing_copy_touches_nothing;
+        Alcotest.test_case "malformed copy touches nothing" `Quick
+          test_malformed_copy_touches_nothing;
         Alcotest.test_case "guest cannot call api" `Quick test_guest_cannot_call_api;
         Alcotest.test_case "map page into process" `Quick test_map_page_into_process;
         Alcotest.test_case "map requires prepared levels" `Quick test_map_page_requires_prepared_levels;

@@ -366,7 +366,10 @@ let test_held_translations_match_fresh () =
               let o = offset 8 in
               both
                 (Printf.sprintf "read_u64 %d" o)
-                (fun () -> Int64.to_string (view.Shared_page.read_u64 ~offset:o))
+                (fun () ->
+                  let dst = Bytes.create 8 in
+                  view.Shared_page.read_into ~offset:o ~len:8 dst;
+                  Int64.to_string (Bytes.get_int64_le dst 0))
                 (fun () ->
                   Int64.to_string (Vm.read_u64 vm_f ~pt:Vm.no_pt ~addr:(gpa + o)))
           | 3 ->
