@@ -190,11 +190,9 @@ let state_off slot = 4 * slot
 let notify_off = 512
 let slot_off slot = Memory.Addr.page_size + (slot * Proto.slot_size)
 
-(* Read every slot-state word of [view] into [states], in one access. *)
 let read_states (view : Hypervisor.Shared_page.view) states =
   view.Hypervisor.Shared_page.read_into ~offset:0 ~len:states_size states
 
-(* [slot]'s state word, from a copy {!read_states} filled. *)
 let state_of states slot =
   Int32.to_int (Bytes.get_int32_le states (state_off slot)) land 0xffffffff
 

@@ -100,11 +100,9 @@ let last_flag = 0x100
 
 let is_op kind = kind >= 1 && kind <= 3
 
-(* An entry record's words, decoded from a private copy. *)
 let rec_word r = Int32.to_int (Bytes.get_int32_le r 0)
 let rec_len r = Int32.to_int (Bytes.get_int32_le r 4) land 0xffffffff
 
-(* Encode the entry into the guest's copy and write it in one access. *)
 let write_entry t ~slot ~op ~last =
   let r = t.guest_rec in
   Bytes.set_int32_le r 0 (Int32.of_int (kind_code op lor if last then last_flag else 0));
