@@ -57,6 +57,12 @@ let check_bounds t ~offset ~len =
 
 let no_frame = Memory.Phys_mem.no_frame
 
+(* A region offset's page and in-page offset.  Every view access
+   computes them, and under the dev profile's -opaque a call to
+   [Addr.pfn] or [Addr.offset] is never inlined. *)
+let[@inline] page_of offset = offset lsr Memory.Addr.page_shift
+let[@inline] in_page offset = offset land Memory.Addr.page_mask
+
 (* The translations a view holds: per page and access kind, the RAM
    frame last found, and the EPT generation and TLB epoch all of them
    were found under.  While both read the same, the page's TLB entry is
@@ -82,9 +88,9 @@ type held = {
    the TLB as it fills it. *)
 let frame h ~offset ~len ~kind =
   check_bounds h.region ~offset ~len;
-  if len = 0 || Memory.Addr.offset offset + len > Memory.Addr.page_size then no_frame
+  if len = 0 || in_page offset + len > Memory.Addr.page_size then no_frame
   else begin
-    let i = (2 * Memory.Addr.pfn offset) + kind in
+    let i = (2 * page_of offset) + kind in
     let f = h.frames.(i) in
     if
       f != no_frame
@@ -127,25 +133,25 @@ let view_of t vm =
     read_into =
       (fun ~offset ~len dst ->
         let f = frame h ~offset ~len ~kind:0 in
-        if f != no_frame then Bytes.blit f (Memory.Addr.offset offset) dst 0 len
+        if f != no_frame then Bytes.blit f (in_page offset) dst 0 len
         else Vm.read_into h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset) ~dst ~dst_off:0 ~len);
     write =
       (fun ~offset data ->
         let len = Bytes.length data in
         let f = frame h ~offset ~len ~kind:1 in
-        if f != no_frame then Bytes.blit data 0 f (Memory.Addr.offset offset) len
+        if f != no_frame then Bytes.blit data 0 f (in_page offset) len
         else Vm.write h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset) data);
     read_u32 =
       (fun ~offset ->
         let f = frame h ~offset ~len:4 ~kind:0 in
         if f != no_frame then
-          Int32.to_int (Bytes.get_int32_le f (Memory.Addr.offset offset)) land 0xffffffff
+          Int32.to_int (Bytes.get_int32_le f (in_page offset)) land 0xffffffff
         else Vm.read_u32 h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset));
     write_u32 =
       (fun ~offset v ->
         let f = frame h ~offset ~len:4 ~kind:1 in
         if f != no_frame then
-          Bytes.set_int32_le f (Memory.Addr.offset offset) (Int32.of_int v)
+          Bytes.set_int32_le f (in_page offset) (Int32.of_int v)
         else Vm.write_u32 h.vm ~pt:Vm.no_pt ~addr:(h.gpa + offset) v);
   }
 

@@ -6,6 +6,12 @@
 
 val page_size : int
 
+(** [page_size = 1 lsl page_shift] and [page_mask = page_size - 1], for
+    hot paths that compute a page's index and offset in place. *)
+val page_shift : int
+
+val page_mask : int
+
 (** Page frame number of an address. *)
 val pfn : int -> int
 
