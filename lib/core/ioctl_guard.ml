@@ -61,21 +61,24 @@ let check ~dev_class ~cmd ~(arg : int64) ~limits ~read : verdict =
   | Some hf ->
       let checks = Analyzer.Facts.checks hf in
       let verdict =
-        if hf.Analyzer.Facts.hf_arg_len = 0 || checks = [] then Pass
+        if hf.Analyzer.Facts.hf_arg_len = 0 then Pass
         else
-          match read ~addr:(Int64.to_int arg) ~len:hf.Analyzer.Facts.hf_arg_len with
-          | exception _ -> Pass (* let the handler produce its own EFAULT *)
-          | data ->
-              let rec go = function
-                | [] -> Pass
-                | c :: rest -> (
-                    match eval_check ~limits data c with
-                    | Some label ->
-                        Reject
-                          { handler = hf.Analyzer.Facts.hf_name; violated = label }
-                    | None -> go rest)
-              in
-              go checks
+          match checks with
+          | [] -> Pass
+          | _ :: _ -> (
+              match read ~addr:(Int64.to_int arg) ~len:hf.Analyzer.Facts.hf_arg_len with
+              | exception _ -> Pass (* let the handler produce its own EFAULT *)
+              | data ->
+                  let rec go = function
+                    | [] -> Pass
+                    | c :: rest -> (
+                        match eval_check ~limits data c with
+                        | Some label ->
+                            Reject
+                              { handler = hf.Analyzer.Facts.hf_name; violated = label }
+                        | None -> go rest)
+                  in
+                  go checks)
       in
       if Wire_spec.Coverage.enabled () then (
         match verdict with

@@ -133,7 +133,7 @@ let slot_free (view : Shared_page.view) slot =
 
 (** Declare a group of operations; returns the grant reference. *)
 let declare t ops =
-  if ops = [] then invalid_arg "Grant_table.declare: empty group";
+  (match ops with [] -> invalid_arg "Grant_table.declare: empty group" | _ :: _ -> ());
   let n = List.length ops in
   (* Quota check only when the guest is capped below the physical
      table: at full quota an overflowing declare is simply Table_full,
