@@ -186,7 +186,7 @@ type entry =
 type t = {
   driver : string;
   version : string;
-  by_cmd : (int, entry) Hashtbl.t;
+  by_cmd : entry Sim.Int_table.t;
   mutable static_count : int;
   mutable jit_count : int;
   mutable extracted_lines : int; (* total lines of extracted slices *)
@@ -197,7 +197,7 @@ let analyze (driver : driver) =
     {
       driver = driver.driver_name;
       version = driver.version;
-      by_cmd = Hashtbl.create 32;
+      by_cmd = Sim.Int_table.create 32;
       static_count = 0;
       jit_count = 0;
       extracted_lines = 0;
@@ -209,19 +209,19 @@ let analyze (driver : driver) =
       match offline_eval slice with
       | protos ->
           t.static_count <- t.static_count + 1;
-          Hashtbl.replace t.by_cmd h.cmd (Static protos)
+          Sim.Int_table.replace t.by_cmd h.cmd (Static protos)
       | exception Needs_runtime _ ->
           t.jit_count <- t.jit_count + 1;
           t.extracted_lines <- t.extracted_lines + Slice.extracted_lines slice;
-          Hashtbl.replace t.by_cmd h.cmd (Jit slice))
+          Sim.Int_table.replace t.by_cmd h.cmd (Jit slice))
     driver.handlers;
   t
 
-let entry_for t cmd = Hashtbl.find_opt t.by_cmd cmd
+let entry_for t cmd = Sim.Int_table.find_opt t.by_cmd cmd
 
 (** Commands whose slices contain nested copies. *)
 let nested_cmds t =
-  Hashtbl.fold
+  Sim.Int_table.fold
     (fun cmd entry acc ->
       match entry with
       | Jit slice when Slice.has_nested_ops slice -> cmd :: acc

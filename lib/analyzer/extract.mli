@@ -31,7 +31,7 @@ type entry = Static of proto_op list | Jit of Ir.stmt list
 type t = {
   driver : string;
   version : string;
-  by_cmd : (int, entry) Hashtbl.t;
+  by_cmd : entry Sim.Int_table.t;
   mutable static_count : int;
   mutable jit_count : int;
   mutable extracted_lines : int;

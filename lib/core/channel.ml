@@ -338,7 +338,7 @@ let quiescent t = t.in_flight = 0 && t.in_service = 0
     with a whole ring's worth of penalty while the backend worker is
     inside the driver (it may be blocked indefinitely in a read or
     poll, so new work should prefer a channel whose worker is free). *)
-let load t = t.in_flight + (Config.ring_slots * min t.in_service 1)
+let load t = t.in_flight + (Config.ring_slots * Int.min t.in_service 1)
 
 (** Declare the channel dead (driver-VM crash).  With [poison] (the
     default) every blocked party — each slot's response waiter, the
@@ -597,7 +597,7 @@ let call ?timeout_us t ~trace ~encode ~decode =
                    a watcher, [respond] hands completions over instead
                    of raising a leg *)
                 let window =
-                  if deadline > 0. then min window deadline else window
+                  if deadline > 0. && deadline < window then deadline else window
                 in
                 t.resp.watchers <- t.resp.watchers + 1;
                 let watched = Sim.Mailbox.recv_timeout box ~timeout:window in
@@ -651,7 +651,7 @@ let call ?timeout_us t ~trace ~encode ~decode =
                   Oskit.Errno.fail Oskit.Errno.ETIMEDOUT
                     "rpc deadline exceeded after retries"
           in
-          attempt (max 0 t.config.Config.rpc_retries)))
+          attempt (Int.max 0 t.config.Config.rpc_retries)))
 
 (** {!call} with a ready-encoded slot: [req] (a whole slot) is copied
     in at each publish and the answer returned as a fresh copy. *)
@@ -672,7 +672,7 @@ let inject_raw t ~slot (bytes : bytes) =
   if not t.dead then begin
     let wire = Domain.DLS.get front_copy in
     Bytes.fill wire 0 Proto.slot_size '\000';
-    Bytes.blit bytes 0 wire 0 (min (Bytes.length bytes) Proto.slot_size);
+    Bytes.blit bytes 0 wire 0 (Int.min (Bytes.length bytes) Proto.slot_size);
     t.front_view.Hypervisor.Shared_page.write ~offset:(slot_off slot) wire;
     t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
       st_req_ready;
@@ -741,7 +741,9 @@ let next_request t : (int * bytes) option =
                publishes hand over instead of raising a leg — and only
                sleep once a whole window passes with nothing arriving
                (or the episode's dry-poll budget runs out). *)
-            let window = min window t.poll_budget_left in
+            let window =
+              if t.poll_budget_left < window then t.poll_budget_left else window
+            in
             t.req.watchers <- t.req.watchers + 1;
             t.poll_windows <- t.poll_windows + 1;
             let t0 = Sim.Engine.now t.engine in

@@ -13,12 +13,13 @@ open Oskit
 type file_state = {
   file : Defs.file; (* the real device file, shared by all workers *)
   mutable vmas : Defs.vma list; (* backend mirrors of guest mmaps *)
+  guard : Ioctl_guard.facts; (* the device class's checks, resolved at open *)
 }
 
 type guest_link = {
   guest_vm : Hypervisor.Vm.t;
   pool : Chan_pool.t;
-  files : (int, file_state) Hashtbl.t; (* vfd -> state, shared by workers *)
+  files : vfd_table; (* shared by workers *)
   mutable next_vfd : int;
   mutable ops_served : int;
   (* -- containment (§4, §7.1: the backend treats every guest as
@@ -41,6 +42,8 @@ type guest_link = {
       (* [rc_charge] of every op on this link: simulated time, billed to
          the link's CPU budget; built once at connect *)
 }
+
+and vfd_table = file_state Sim.Int_table.t
 
 type t = {
   kernel : Kernel.t; (* the driver VM's kernel *)
@@ -116,16 +119,21 @@ let note_sanitize_rejection t =
   a.Hypervisor.Audit.sanitize_rejections <-
     a.Hypervisor.Audit.sanitize_rejections + 1
 
-(* Force-release every backend file the link holds, as [task]:
-   subscribers dropped and open counts restored, so exclusive devices
-   do not stay EBUSY.  A raising driver must not block the teardown. *)
+let open_files link =
+  Sim.Int_table.fold (fun vfd fs acc -> (vfd, fs) :: acc) link.files []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* Force-release every backend file the link holds, in ascending vfd
+   order, as [task]: subscribers dropped and open counts restored, so
+   exclusive devices do not stay EBUSY.  A raising driver must not
+   block the teardown. *)
 let force_release_files link task =
-  Hashtbl.iter
-    (fun _ fs ->
+  List.iter
+    (fun (_, fs) ->
       if not fs.file.Defs.closed then
         try Vfs.release_file task fs.file with _ -> ())
-    link.files;
-  Hashtbl.reset link.files
+    (open_files link);
+  Sim.Int_table.reset link.files
 
 (** Quarantine a misbehaving guest: §4.1's fault containment turned
     around — the backend protects itself and the sibling guests from a
@@ -179,15 +187,15 @@ let throttle t link =
   end
 
 let find_file link vfd =
-  match Hashtbl.find_opt link.files vfd with
-  | Some fs -> fs
-  | None -> Errno.fail Errno.EINVAL "bad virtual descriptor"
+  match Sim.Int_table.find link.files vfd with
+  | fs -> fs
+  | exception Not_found -> Errno.fail Errno.EINVAL "bad virtual descriptor"
 
 (* The first vfd from [v] on that no open file holds, wrapping within
    [1, Proto.max_vfd]: [Ropen]'s cap keeps a free one. *)
 let rec free_vfd link v =
   if v < 1 || v > Proto.max_vfd then free_vfd link 1
-  else if Hashtbl.mem link.files v then free_vfd link (v + 1)
+  else if Sim.Int_table.mem link.files v then free_vfd link (v + 1)
   else v
 
 (* Open [path] for the guest at virtual descriptor [vfd]: the one open
@@ -198,8 +206,10 @@ let open_vfd t link task ~vfd path =
   let file =
     Vfs.open_file task dev ~file_id:((Hypervisor.Vm.id link.guest_vm * 100_000) + vfd)
   in
-  let fs = { file; vmas = [] } in
-  Hashtbl.replace link.files vfd fs;
+  let fs =
+    { file; vmas = []; guard = Ioctl_guard.resolve ~dev_class:dev.Defs.dev_class }
+  in
+  Sim.Int_table.replace link.files vfd fs;
   fs
 
 (* The analyzer-generated per-ioctl argument sanitizer (the §5.1
@@ -216,10 +226,9 @@ let guard_ioctl t link worker fs ~cmd ~arg =
     match worker.Defs.remote with
     | None -> None (* local caller: its memory is its own *)
     | Some rc -> (
-        let dev_class = fs.file.Defs.dev.Defs.dev_class in
         let { Hypervisor.Hyp.target; pt; _ } = rc.Defs.rc_req in
         let read ~addr ~len = Hypervisor.Vm.read target ~pt ~addr ~len in
-        match Ioctl_guard.check ~dev_class ~cmd ~arg ~limits:t.limits ~read with
+        match Ioctl_guard.check_resolved fs.guard ~cmd ~arg ~limits:t.limits ~read with
         | Ioctl_guard.Pass -> None
         | Ioctl_guard.Reject _ ->
             link.rejected <- link.rejected + 1;
@@ -275,7 +284,7 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       in
       Proto.Rbatch_reply (List.mapi serve_sub reqs)
   | Proto.Ropen { path } ->
-      if Hashtbl.length link.files >= min t.config.Config.max_open_vfds Proto.max_vfd
+      if Sim.Int_table.length link.files >= Int.min t.config.Config.max_open_vfds Proto.max_vfd
       then begin
         (* per-guest descriptor cap: an open loop exhausts the guest's
            own allowance, not the backend's tables *)
@@ -294,18 +303,18 @@ let rec dispatch t link worker (req : Proto.request) : Proto.response =
       end
   | Proto.Rrelease { vfd } ->
       let fs = find_file link vfd in
-      Hashtbl.remove link.files vfd;
+      Sim.Int_table.remove link.files vfd;
       Kernel.charge_syscall kernel;
       Vfs.release_file worker fs.file;
       Proto.Rok 0
   | Proto.Rread { vfd; buf; len } ->
       let fs = find_file link vfd in
-      link.max_dispatch_len <- max link.max_dispatch_len len;
+      link.max_dispatch_len <- Int.max link.max_dispatch_len len;
       Kernel.charge_syscall kernel;
       Proto.Rok (Vfs.read_file worker fs.file ~buf ~len)
   | Proto.Rwrite { vfd; buf; len } ->
       let fs = find_file link vfd in
-      link.max_dispatch_len <- max link.max_dispatch_len len;
+      link.max_dispatch_len <- Int.max link.max_dispatch_len len;
       Kernel.charge_syscall kernel;
       Proto.Rok (Vfs.write_file worker fs.file ~buf ~len)
   | Proto.Rioctl { vfd; cmd; arg } -> (
@@ -480,7 +489,7 @@ let connect t ~guest_vm =
     {
       guest_vm;
       pool;
-      files = Hashtbl.create 8;
+      files = Sim.Int_table.create 8;
       next_vfd = 1;
       ops_served = 0;
       malformed = 0;
@@ -567,10 +576,6 @@ let grants_of t guest_vm =
     containment record — a hostile guest must not launder its
     misbehavior history through an upgrade. *)
 let checkpoint_link t link : Snapshot.link_snap =
-  let files =
-    Hashtbl.fold (fun vfd fs acc -> (vfd, fs) :: acc) link.files []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   {
     Snapshot.ls_guest_vm_id = Hypervisor.Vm.id link.guest_vm;
     ls_next_vfd = link.next_vfd;
@@ -596,7 +601,7 @@ let checkpoint_link t link : Snapshot.link_snap =
                 (fun v -> (v.Defs.vma_start, v.Defs.vma_len, v.Defs.vma_pgoff))
                 fs.vmas;
           })
-        files;
+        (open_files link);
     ls_grants = grants_of t link.guest_vm;
   }
 
@@ -607,7 +612,7 @@ let checkpoint_link t link : Snapshot.link_snap =
     mappings are left intact: they are guest-keyed and the successor
     re-validates them in place. *)
 let release_link_files t link =
-  if Hashtbl.length link.files > 0 then
+  if Sim.Int_table.length link.files > 0 then
     force_release_files link (Kernel.spawn_task t.kernel ~name:"cvd-reaper")
 
 let detach_link t link = t.links <- List.filter (fun l -> l != link) t.links
@@ -662,8 +667,8 @@ let restore_link t ~(snap : Snapshot.link_snap) ~guest_vm ?fail_site () =
         | Error _ -> false)
         && vfd >= 1
         && vfd <= Proto.max_vfd
-        && (not (Hashtbl.mem link.files vfd))
-        && Hashtbl.length link.files < t.config.Config.max_open_vfds
+        && (not (Sim.Int_table.mem link.files vfd))
+        && Sim.Int_table.length link.files < t.config.Config.max_open_vfds
         && List.mem path t.exports
       in
       if not admissible then false

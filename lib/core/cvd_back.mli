@@ -5,7 +5,7 @@
 type guest_link = {
   guest_vm : Hypervisor.Vm.t;
   pool : Chan_pool.t;
-  files : (int, file_state) Hashtbl.t;
+  files : vfd_table;
   mutable next_vfd : int;
   mutable ops_served : int;
   mutable malformed : int;  (** undecodable descriptors *)
@@ -32,7 +32,14 @@ type guest_link = {
 and file_state = {
   file : Oskit.Defs.file;
   mutable vmas : Oskit.Defs.vma list;
+  guard : Ioctl_guard.facts;  (** the device class's checks, resolved at open *)
 }
+
+(** The link's open files by virtual descriptor. *)
+and vfd_table
+
+(** The link's open files, in ascending vfd order. *)
+val open_files : guest_link -> (int * file_state) list
 
 type t
 

@@ -27,15 +27,7 @@ type t = {
   mutable pool : Chan_pool.t; (* replaced on reattach after a reboot *)
   grant_table : Hypervisor.Grant_table.t;
   config : Config.t;
-  (* analyzer output per device class, keyed by devfs path *)
-  entries : (string, Analyzer.Extract.t) Hashtbl.t;
-  vfds : (int, int) Hashtbl.t; (* guest file_id -> backend vfd *)
-  (* guest files whose backend session died under them: their vfds are
-     meaningless, operations fail ENODEV until the file is reopened.
-     The value records why the file went stale, so callers can tell a
-     retryable staleness (driver VM rebooted: reopen succeeds) from a
-     hard one (session still down). *)
-  stale_vfds : (int, string) Hashtbl.t;
+  mutable live_files : Defs.file list; (* open, holding a backend vfd *)
   mutable fasync_files : Defs.file list; (* forward notifications here *)
   mutable session : session;
   (* Planned-handoff gate (hot upgrade / migration): while [paused],
@@ -51,6 +43,16 @@ type t = {
   mutable hb_stop : bool; (* watchdog shutdown flag *)
   mutable fstats : fault_stats;
 }
+
+(* What a virtual file keeps in its [private_data]. *)
+type Defs.private_data +=
+  | Vfd of int (* the backend's descriptor for the open file *)
+  | Stale of string
+      (* the backend session died under the file: its vfd is
+         meaningless and operations fail ENODEV until the file is
+         reopened.  The reason tells a retryable staleness (driver VM
+         rebooted: reopen succeeds) from a hard one (session still
+         down). *)
 
 let stats t = (t.ops_forwarded, t.jit_evaluations, Chan_pool.stats t.pool)
 let session t = t.session
@@ -95,10 +97,8 @@ let fault_session t ~reason =
            ~reason:(String.map (fun c -> if c = ' ' then '_' else c) reason));
       let began = Sim.Engine.now (Kernel.engine t.kernel) in
       (* all open virtual files lose their backend descriptors *)
-      Hashtbl.iter
-        (fun file_id _ -> Hashtbl.replace t.stale_vfds file_id reason)
-        t.vfds;
-      Hashtbl.reset t.vfds;
+      List.iter (fun (f : Defs.file) -> f.Defs.private_data <- Stale reason) t.live_files;
+      t.live_files <- [];
       t.fasync_files <- [];
       let revoked = Hypervisor.Grant_table.revoke_all t.grant_table in
       let torn = Hypervisor.Hyp.teardown_vm_mappings t.hyp ~target:t.guest_vm in
@@ -233,9 +233,7 @@ let create ~kernel ~hyp ~guest_vm ~pool ~config =
       pool;
       grant_table;
       config;
-      entries = Hashtbl.create 8;
-      vfds = Hashtbl.create 16;
-      stale_vfds = Hashtbl.create 16;
+      live_files = [];
       fasync_files = [];
       session = Healthy;
       paused = false;
@@ -424,15 +422,13 @@ let forward_batch t (task : Defs.task) ~ops reqs : Proto.response list =
   | Proto.Rok _ | Proto.Rpoll_reply _ ->
       Errno.fail Errno.EIO "unexpected batch reply shape"
 
-let vfd_of t (file : Defs.file) =
-  match Hashtbl.find_opt t.stale_vfds file.Defs.file_id with
-  | Some reason ->
+let vfd_of (file : Defs.file) =
+  match file.Defs.private_data with
+  | Vfd vfd -> vfd
+  | Stale reason ->
       Errno.fail Errno.ENODEV
         ("backend session died under this file (" ^ reason ^ ")")
-  | None -> (
-      match Hashtbl.find_opt t.vfds file.Defs.file_id with
-      | Some vfd -> vfd
-      | None -> Errno.fail Errno.EINVAL "virtual file has no backend descriptor")
+  | _ -> Errno.fail Errno.EINVAL "virtual file has no backend descriptor"
 
 (** Convenience over {!forward_batch}: issue [cmds] (pointer-free
     ioctls such as netmap txsync or the no-op probe) on one open file
@@ -440,7 +436,7 @@ let vfd_of t (file : Defs.file) =
     results in submission order; the first failing sub-op raises its
     errno, and so does a result outside [int]. *)
 let batch_ioctl t task file cmds =
-  let vfd = vfd_of t file in
+  let vfd = vfd_of file in
   let reqs = List.map (fun (cmd, arg) -> Proto.Rioctl { vfd; cmd; arg }) cmds in
   forward_batch t task ~ops:[] reqs
   |> List.map (function
@@ -462,19 +458,20 @@ type file_status =
   | Unknown  (** never opened here (or already released) *)
 
 let file_status t (file : Defs.file) =
-  match Hashtbl.find_opt t.stale_vfds file.Defs.file_id with
-  | Some reason ->
+  match file.Defs.private_data with
+  | Vfd _ -> Live
+  | Stale reason ->
       if t.session = Healthy then Stale_retryable reason else Stale_dead reason
-  | None -> if Hashtbl.mem t.vfds file.Defs.file_id then Live else Unknown
+  | _ -> Unknown
 
 (* ---- ioctl memory-operation identification (§4.1) ---- *)
 
-let ioctl_ops t (task : Defs.task) ~path ~cmd ~arg =
+let ioctl_ops t (task : Defs.task) ~entries ~cmd ~arg =
   let arg_int = Int64.to_int arg in
   match t.config.Config.ioctl_id_mode with
   | Config.Macro_only -> Analyzer.Cmd_macro.ops_of_cmd cmd ~arg:arg_int
   | Config.Analyzer_table -> (
-      match Hashtbl.find_opt t.entries path with
+      match entries with
       | None -> Analyzer.Cmd_macro.ops_of_cmd cmd ~arg:arg_int
       | Some table ->
           (match Analyzer.Extract.entry_for table cmd with
@@ -490,9 +487,6 @@ let ioctl_ops t (task : Defs.task) ~path ~cmd ~arg =
     is the analyzer's table for the driver (ioctl-capable classes). *)
 let export t ?entries (drv : Defs.device) =
   let path = drv.Defs.dev_path and kinds = drv.Defs.ops.Defs.fop_kinds in
-  (match entries with
-  | Some e -> Hashtbl.replace t.entries path e
-  | None -> ());
   (* the guest kernel must know every forwarded operation kind *)
   List.iter
     (fun k ->
@@ -511,38 +505,39 @@ let export t ?entries (drv : Defs.device) =
           let vfd =
             remote_fail (forward t task ~ops:[] (Proto.Ropen { path }))
           in
-          Hashtbl.replace t.vfds file.Defs.file_id vfd);
+          file.Defs.private_data <- Vfd vfd;
+          t.live_files <- file :: t.live_files);
       fop_release =
         (fun task file ->
-          if Hashtbl.mem t.stale_vfds file.Defs.file_id then begin
-            (* the backend died under this file: nothing to tell a dead
-               (or rebooted and amnesiac) driver VM, clean up locally
-               so close() succeeds and the slot is reusable *)
-            Hashtbl.remove t.stale_vfds file.Defs.file_id;
-            t.fasync_files <- List.filter (fun f -> f != file) t.fasync_files
-          end
-          else begin
-            let vfd = vfd_of t file in
-            Hashtbl.remove t.vfds file.Defs.file_id;
-            t.fasync_files <- List.filter (fun f -> f != file) t.fasync_files;
-            ignore (remote_fail (forward t task ~ops:[] (Proto.Rrelease { vfd })))
-          end);
+          match file.Defs.private_data with
+          | Stale _ ->
+              (* the backend died under this file: nothing to tell a dead
+                 (or rebooted and amnesiac) driver VM, clean up locally
+                 so close() succeeds *)
+              file.Defs.private_data <- Defs.No_private_data;
+              t.fasync_files <- List.filter (fun f -> f != file) t.fasync_files
+          | _ ->
+              let vfd = vfd_of file in
+              file.Defs.private_data <- Defs.No_private_data;
+              t.live_files <- List.filter (fun f -> f != file) t.live_files;
+              t.fasync_files <- List.filter (fun f -> f != file) t.fasync_files;
+              ignore (remote_fail (forward t task ~ops:[] (Proto.Rrelease { vfd }))));
       fop_read =
         (fun task file ~buf ~len ->
           let ops = [ Hypervisor.Grant_table.Copy_to_user { addr = buf; len } ] in
           transfer_result ~len
-            (forward t task ~ops (Proto.Rread { vfd = vfd_of t file; buf; len })));
+            (forward t task ~ops (Proto.Rread { vfd = vfd_of file; buf; len })));
       fop_write =
         (fun task file ~buf ~len ->
           let ops = [ Hypervisor.Grant_table.Copy_from_user { addr = buf; len } ] in
           transfer_result ~len
-            (forward t task ~ops (Proto.Rwrite { vfd = vfd_of t file; buf; len })));
+            (forward t task ~ops (Proto.Rwrite { vfd = vfd_of file; buf; len })));
       fop_ioctl =
         (fun task file ~cmd ~arg ->
-          let ops = ioctl_ops t task ~path ~cmd ~arg in
+          let ops = ioctl_ops t task ~entries ~cmd ~arg in
           ioctl_result
             (remote_fail
-               (forward t task ~ops (Proto.Rioctl { vfd = vfd_of t file; cmd; arg }))));
+               (forward t task ~ops (Proto.Rioctl { vfd = vfd_of file; cmd; arg }))));
       fop_mmap =
         (fun task file vma ->
           let gva = vma.Defs.vma_start and len = vma.Defs.vma_len in
@@ -553,7 +548,7 @@ let export t ?entries (drv : Defs.device) =
             (remote_fail
                (forward t task ~ops
                   (Proto.Rmmap
-                     { vfd = vfd_of t file; gva; len; pgoff = vma.Defs.vma_pgoff }))));
+                     { vfd = vfd_of file; gva; len; pgoff = vma.Defs.vma_pgoff }))));
       fop_fault =
         (fun task file _vma ~gva ->
           Memory.Guest_pt.prepare_range task.Defs.pt ~gva ~len:Memory.Addr.page_size;
@@ -561,7 +556,7 @@ let export t ?entries (drv : Defs.device) =
             [ Hypervisor.Grant_table.Map_page { addr = gva; len = Memory.Addr.page_size } ]
           in
           ignore
-            (remote_fail (forward t task ~ops (Proto.Rfault { vfd = vfd_of t file; gva }))));
+            (remote_fail (forward t task ~ops (Proto.Rfault { vfd = vfd_of file; gva }))));
       fop_vma_close =
         (fun task file vma ->
           ignore
@@ -569,7 +564,7 @@ let export t ?entries (drv : Defs.device) =
                (forward t task ~ops:[]
                   (Proto.Rmunmap
                      {
-                       vfd = vfd_of t file;
+                       vfd = vfd_of file;
                        gva = vma.Defs.vma_start;
                        len = vma.Defs.vma_len;
                      }))));
@@ -588,7 +583,7 @@ let export t ?entries (drv : Defs.device) =
              a never-ready device from starving the ring.  Without a
              window the backoff is that constant from the first
              chunk. *)
-          let vfd = vfd_of t file in
+          let vfd = vfd_of file in
           let cap = t.config.Config.poll_forward_backoff_us in
           let window = (Chan_pool.signalling t.pool).Config.window_us in
           let initial = if window > 0. then Float.min window cap else cap in
@@ -621,7 +616,7 @@ let export t ?entries (drv : Defs.device) =
              accepted the registration: a failed Rfasync must not leave
              the frontend delivering (or dropping) SIGIO for a file the
              driver never subscribed *)
-          match forward t task ~ops:[] (Proto.Rfasync { vfd = vfd_of t file; on }) with
+          match forward t task ~ops:[] (Proto.Rfasync { vfd = vfd_of file; on }) with
           | Proto.Rok _ ->
               if on then begin
                 if not (List.memq file t.fasync_files) then

@@ -22,6 +22,22 @@ val check :
   read:(addr:int -> len:int -> bytes) ->
   verdict
 
+(** A device class's generated checks, resolved once (when the backend
+    opens a file of the class) into a table by command number. *)
+type facts
+
+val resolve : dev_class:string -> facts
+
+(** {!check} over resolved facts: the same verdict and coverage hits,
+    with no lookup by class name. *)
+val check_resolved :
+  facts ->
+  cmd:int ->
+  arg:int64 ->
+  limits:Wire_spec.limits ->
+  read:(addr:int -> len:int -> bytes) ->
+  verdict
+
 module Fuzz : sig
   type mem = {
     alloc : int -> int;

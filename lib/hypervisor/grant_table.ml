@@ -164,7 +164,7 @@ let release t grant_ref =
     if slot < capacity then begin
       let offset = slot * entry_size in
       let word = t.guest.Shared_page.read_u32 ~offset in
-      if is_op (word land 0xff) then t.active <- max 0 (t.active - 1);
+      if is_op (word land 0xff) then t.active <- Int.max 0 (t.active - 1);
       t.guest.Shared_page.write_u32 ~offset 0;
       if word land last_flag = 0 then go (slot + 1)
     end

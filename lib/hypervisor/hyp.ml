@@ -13,7 +13,7 @@ type vm_state = {
   (* pid -> process page table: how the hypervisor resolves a guest
      process named in a driver-VM request (the real system reads the
      guest CR3 at trap time) *)
-  processes : (int, Memory.Guest_pt.t) Hashtbl.t;
+  processes : Memory.Guest_pt.t Sim.Int_table.t;
   (* (pt id, gva) -> gpa backing an mmap performed via map_page; most
      VMs map nothing, so the table is made on the first map *)
   mutable mmaps : (int * int, int) Hashtbl.t option;
@@ -84,7 +84,7 @@ let create_vm t ~name ~kind ~mem_bytes =
       alive = true;
     }
   in
-  let state = { vm; grants = None; processes = Hashtbl.create 1; mmaps = None } in
+  let state = { vm; grants = None; processes = Sim.Int_table.create 1; mmaps = None } in
   t.vms <- Array.append t.vms [| state |];
   vm
 
@@ -110,7 +110,9 @@ let drop_mapping t s pt ((_, gva) as key) gpa =
 
 (* The registered process page table with id [pt_id], if any. *)
 let registered_pt s pt_id =
-  Seq.find (fun pt -> Memory.Guest_pt.id pt = pt_id) (Hashtbl.to_seq_values s.processes)
+  Seq.find
+    (fun pt -> Memory.Guest_pt.id pt = pt_id)
+    (Sim.Int_table.to_seq_values s.processes)
 
 let mappings s =
   match s.mmaps with
@@ -194,8 +196,15 @@ let check_grant t ~target ~grant_ref ~requested =
 
 (* ---- guest process registry ---- *)
 
-let register_process t vm ~pid ~pt = Hashtbl.replace (state t vm).processes pid pt
-let find_process_pt t vm ~pid = Hashtbl.find_opt (state t vm).processes pid
+(* Every forwarded operation registers its process, so only a new
+   binding writes. *)
+let register_process t vm ~pid ~pt =
+  let processes = (state t vm).processes in
+  match Sim.Int_table.find processes pid with
+  | known when known == pt -> ()
+  | _ | (exception Not_found) -> Sim.Int_table.replace processes pid pt
+
+let find_process_pt t vm ~pid = Sim.Int_table.find_opt (state t vm).processes pid
 
 (* ---- memory-operation API (§5.2) ---- *)
 

@@ -40,7 +40,7 @@ let page_chunks ~addr ~len =
     if remaining <= 0 then List.rev acc
     else begin
       let in_page = page_size - offset addr in
-      let chunk = min in_page remaining in
+      let chunk = Int.min in_page remaining in
       go (addr + chunk) (remaining - chunk) ((addr, chunk) :: acc)
     end
   in

@@ -6,6 +6,11 @@
     modules around this one ({!Task}, {!Vfs}, {!Devfs}, {!Uaccess})
     provide the behaviour. *)
 
+(* A driver's per-open-file state, Linux's [file->private_data]: each
+   driver adds the constructors it stores there. *)
+type private_data = ..
+type private_data += No_private_data
+
 type task = {
   pid : int;
   task_name : string;
@@ -31,6 +36,7 @@ and file = {
   mutable nonblock : bool;
   mutable fasync_subscribers : task list;
   mutable closed : bool;
+  mutable private_data : private_data; (* set by the driver's open *)
 }
 
 and vma = {

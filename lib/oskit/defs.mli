@@ -2,6 +2,12 @@
     together; behaviour lives in {!Task}, {!Vfs}, {!Devfs} and
     {!Uaccess}. *)
 
+(** A driver's per-open-file state, as Linux's [file->private_data]:
+    each driver adds the constructors it stores there. *)
+type private_data = ..
+
+type private_data += No_private_data  (** what a fresh file holds *)
+
 type task = {
   pid : int;
   task_name : string;
@@ -26,6 +32,7 @@ and file = {
   mutable nonblock : bool;
   mutable fasync_subscribers : task list;
   mutable closed : bool;
+  mutable private_data : private_data;  (** set by the driver's [fop_open] *)
 }
 
 and vma = {

@@ -37,6 +37,7 @@ let open_file task dev ~file_id =
       nonblock = false;
       fasync_subscribers = [];
       closed = false;
+      private_data = No_private_data;
     }
   in
   dev.ops.fop_open task file;

@@ -417,7 +417,7 @@ let with_class_machine ~dev_class ~attach ~path ~config f =
       in
       (* blocking handlers (e.g. a streaming camera's DQBUF on an
          empty queue) must return EAGAIN, not wedge the sweep *)
-      (match Hashtbl.find_opt link.CB.files vfd with
+      (match List.assoc_opt vfd (CB.open_files link) with
       | Some fs -> fs.CB.file.Defs.nonblock <- true
       | None -> ());
       let serve req =

@@ -188,7 +188,7 @@ let test_release_with_raising_handler_still_cleans_up () =
       (match serve (P.Rfasync { vfd; on = true }) with
       | P.Rok 0 -> ()
       | _ -> Alcotest.fail "fasync failed");
-      let file = (Hashtbl.find link.CB.files vfd).CB.file in
+      let file = (List.assoc vfd (CB.open_files link)).CB.file in
       Alcotest.(check int) "subscriber armed" 1
         (List.length file.Defs.fasync_subscribers);
       (* release while armed: the driver's handler raises, but the
@@ -199,7 +199,7 @@ let test_release_with_raising_handler_still_cleans_up () =
         (List.length file.Defs.fasync_subscribers);
       Alcotest.(check bool) "file closed" true file.Defs.closed;
       Alcotest.(check int) "open count restored" 0 flaky.Defs.open_count;
-      Alcotest.(check bool) "vfd gone" false (Hashtbl.mem link.CB.files vfd))
+      Alcotest.(check bool) "vfd gone" false (List.mem_assoc vfd (CB.open_files link)))
 
 (* ---- per-guest quotas ---- *)
 
@@ -221,7 +221,119 @@ let test_open_vfd_cap () =
       | _ -> Alcotest.fail "first two opens must succeed");
       check_rerr "third open hits the vfd cap" "EBUSY" (open_one ());
       Alcotest.(check int) "quota breach counted" 1 link.CB.quota_breaches;
-      Alcotest.(check int) "only two vfds live" 2 (Hashtbl.length link.CB.files))
+      Alcotest.(check int) "only two vfds live" 2 (List.length (CB.open_files link)))
+
+(* The cap counts the vfds open now, not those ever opened: a release
+   frees a place under it. *)
+let test_vfd_cap_counts_live_vfds () =
+  let config = { Paradice.Config.default with Paradice.Config.max_open_vfds = 2 } in
+  let m, g = boot_null ~config () in
+  let pid = spawn_app_pid m g in
+  let w = worker_of m in
+  run_in (M.engine m) (fun () ->
+      let link = g.M.link in
+      let serve req = CB.serve_one m.M.backend link w (P.encode_request ~grant_ref:0 ~pid req) in
+      let open_null () = serve (P.Ropen { path = "/dev/null0" }) in
+      (match (open_null (), open_null ()) with
+      | P.Rok 1, P.Rok 2 -> ()
+      | _ -> Alcotest.fail "first two opens must get vfds 1 and 2");
+      check_rerr "third open hits the cap" "EBUSY" (open_null ());
+      (match serve (P.Rrelease { vfd = 1 }) with
+      | P.Rok 0 -> ()
+      | _ -> Alcotest.fail "release failed");
+      (match open_null () with
+      | P.Rok 3 -> ()
+      | _ -> Alcotest.fail "an open after a release must fit under the cap");
+      Alcotest.(check (list int)) "live vfds" [ 2; 3 ] (List.map fst (CB.open_files link));
+      check_rerr "the cap holds again" "EBUSY" (open_null ()))
+
+(* A vfd no open file holds is EINVAL at dispatch, whatever its value:
+   with sanitization off, 0, -1 and max_vfd + 1 reach the backend's
+   table lookup, as does a released vfd. *)
+let test_bad_vfds_are_einval () =
+  let config = { Paradice.Config.default with Paradice.Config.sanitize_requests = false } in
+  let m, g = boot_null ~config () in
+  let pid = spawn_app_pid m g in
+  let w = worker_of m in
+  run_in (M.engine m) (fun () ->
+      let link = g.M.link in
+      let serve req = CB.serve_one m.M.backend link w (P.encode_request ~grant_ref:0 ~pid req) in
+      let vfd =
+        match serve (P.Ropen { path = "/dev/null0" }) with
+        | P.Rok vfd -> vfd
+        | _ -> Alcotest.fail "open failed"
+      in
+      (match serve (P.Rrelease { vfd }) with
+      | P.Rok 0 -> ()
+      | _ -> Alcotest.fail "release failed");
+      List.iter
+        (fun (what, vfd) ->
+          check_rerr what "EINVAL" (serve (P.Rioctl { vfd; cmd = M.null_ioctl; arg = 0L }));
+          check_rerr (what ^ " release") "EINVAL" (serve (P.Rrelease { vfd })))
+        [ ("vfd 0", 0); ("vfd -1", -1); ("vfd max_vfd + 1", P.max_vfd + 1); ("released vfd", vfd) ];
+      Alcotest.(check int) "nothing open" 0 (List.length (CB.open_files link)))
+
+(* A new open takes the first free vfd from the link's counter on. *)
+let test_reopen_takes_first_free_vfd () =
+  let m, g = boot_null () in
+  let pid = spawn_app_pid m g in
+  let w = worker_of m in
+  run_in (M.engine m) (fun () ->
+      let link = g.M.link in
+      let serve req = CB.serve_one m.M.backend link w (P.encode_request ~grant_ref:0 ~pid req) in
+      let open_null () =
+        match serve (P.Ropen { path = "/dev/null0" }) with
+        | P.Rok vfd -> vfd
+        | _ -> Alcotest.fail "open failed"
+      in
+      Alcotest.(check (list int)) "fresh vfds" [ 1; 2; 3 ]
+        (List.init 3 (fun _ -> open_null ()));
+      (match serve (P.Rrelease { vfd = 2 }) with
+      | P.Rok 0 -> ()
+      | _ -> Alcotest.fail "release failed");
+      Alcotest.(check int) "counter moves on past the hole" 4 (open_null ());
+      link.CB.next_vfd <- 1;
+      Alcotest.(check int) "first free from the counter" 2 (open_null ());
+      Alcotest.(check int) "then past the taken ones" 5 (open_null ()))
+
+(* Handing a link's files off releases each open file once, in
+   ascending vfd order, and an exclusive device then opens again. *)
+let test_force_release_once_each () =
+  let m = M.create () in
+  let (_ : Defs.device) = M.attach_null m in
+  let released = ref [] in
+  let ops =
+    {
+      Defs.default_ops with
+      Defs.fop_release = (fun _ file -> released := file.Defs.file_id :: !released);
+    }
+  in
+  let dk = M.driver_kernel m in
+  Devfs.register (Kernel.devfs dk)
+    (Defs.make_device ~path:"/dev/count0" ~cls:"test" ~driver:"count" ops);
+  Devfs.register (Kernel.devfs dk)
+    (Defs.make_device ~path:"/dev/excl0" ~cls:"test" ~driver:"excl" ~exclusive:true ops);
+  CB.export m.M.backend "/dev/count0";
+  CB.export m.M.backend "/dev/excl0";
+  let g = M.add_guest m ~name:"g" () in
+  let pid = spawn_app_pid m g in
+  let w = worker_of m in
+  run_in (M.engine m) (fun () ->
+      let link = g.M.link in
+      let serve req = CB.serve_one m.M.backend link w (P.encode_request ~grant_ref:0 ~pid req) in
+      let open_path path =
+        match serve (P.Ropen { path }) with
+        | P.Rok vfd -> vfd
+        | _ -> Alcotest.failf "open %s failed" path
+      in
+      let vfds = List.map open_path [ "/dev/count0"; "/dev/excl0"; "/dev/count0" ] in
+      check_rerr "exclusive device held" "EBUSY" (serve (P.Ropen { path = "/dev/excl0" }));
+      let ids = List.map (fun (_, fs) -> fs.CB.file.Defs.file_id) (CB.open_files link) in
+      CB.release_link_files m.M.backend link;
+      Alcotest.(check (list int)) "each file released once, ascending" ids (List.rev !released);
+      Alcotest.(check int) "three files" (List.length vfds) (List.length ids);
+      Alcotest.(check int) "no file left" 0 (List.length (CB.open_files link));
+      ignore (open_path "/dev/excl0" : int))
 
 (* Backend vfds wrap within [1, Proto.max_vfd]: a link whose counter
    sits at the top of the range still hands out valid, distinct vfds,
@@ -366,7 +478,7 @@ let test_quarantine_isolates_attacker_keeps_victim () =
       Alcotest.(check int) "attacker grants revoked" 0
         (Hypervisor.Grant_table.active_entries table);
       Alcotest.(check int) "attacker files torn down" 0
-        (Hashtbl.length link.CB.files);
+        (List.length (CB.open_files link));
       let dead = ref 0 and total = ref 0 in
       Paradice.Chan_pool.iter_channels link.CB.pool (fun c ->
           incr total;
@@ -622,6 +734,11 @@ let suites =
     ( "containment.quotas",
       [
         Alcotest.test_case "open vfd cap" `Quick test_open_vfd_cap;
+        Alcotest.test_case "vfd cap counts live vfds" `Quick test_vfd_cap_counts_live_vfds;
+        Alcotest.test_case "bad vfds are EINVAL" `Quick test_bad_vfds_are_einval;
+        Alcotest.test_case "reopen takes the first free vfd" `Quick
+          test_reopen_takes_first_free_vfd;
+        Alcotest.test_case "force release once each" `Quick test_force_release_once_each;
         Alcotest.test_case "vfd numbers wrap below max_vfd" `Quick
           test_vfd_numbers_wrap;
         Alcotest.test_case "grant entry quota" `Quick test_grant_entry_quota;

@@ -296,6 +296,51 @@ let test_sanitizer_passthrough () =
   | Paradice.Ioctl_guard.Pass -> ()
   | _ -> Alcotest.fail "unanalyzed class must pass through"
 
+(* The backend checks an ioctl against the facts its file's class
+   resolved to at open.  For every analyzed class and the unanalyzed
+   null class, every handler command and one unknown command, random
+   arguments — seeded structs, fact violations, wild pointers and
+   random words — get the same verdict from the resolved facts as from
+   the by-class check. *)
+let test_resolved_guard_agrees () =
+  let rand = make_rand 23 in
+  let compared = ref 0 and rejected = ref 0 in
+  List.iter
+    (fun cls ->
+      let facts = Paradice.Ioctl_guard.resolve ~dev_class:cls in
+      List.iter
+        (fun cmd ->
+          for _ = 1 to 16 do
+            let mem, read = make_store () in
+            let arg =
+              match rand 3 with
+              | 0 -> Paradice.Ioctl_guard.Fuzz.seed ~rand mem ~dev_class:cls ~cmd
+              | 1 -> Paradice.Ioctl_guard.Fuzz.mutate ~rand ~limits mem ~dev_class:cls ~cmd
+              | _ ->
+                  let base = mem.Paradice.Ioctl_guard.Fuzz.alloc 256 in
+                  for i = 0 to 63 do
+                    mem.Paradice.Ioctl_guard.Fuzz.write32 ~addr:(base + (4 * i))
+                      (if rand 2 = 0 then rand 16 else rand 0x3FFF_FFFF)
+                  done;
+                  Int64.of_int base
+            in
+            let by_class = Paradice.Ioctl_guard.check ~dev_class:cls ~cmd ~arg ~limits ~read
+            and resolved =
+              Paradice.Ioctl_guard.check_resolved facts ~cmd ~arg ~limits ~read
+            in
+            incr compared;
+            (match resolved with
+            | Paradice.Ioctl_guard.Reject _ -> incr rejected
+            | Paradice.Ioctl_guard.Pass -> ());
+            if by_class <> resolved then
+              Alcotest.failf "%s %#x arg %Lx: resolved facts disagree with the class" cls
+                cmd arg
+          done)
+        (0xdead_beef :: Paradice.Ioctl_guard.Fuzz.cmds ~dev_class:cls))
+    ("test" :: List.map fst Classes.all);
+  Alcotest.(check bool) "every class compared" true (!compared > 16 * 6);
+  Alcotest.(check bool) "some arguments rejected" true (!rejected > 0)
+
 let test_sanitizer_coverage_labels () =
   Paradice.Wire_spec.Coverage.enable ();
   Paradice.Wire_spec.Coverage.reset ();
@@ -443,6 +488,8 @@ let suites =
         Alcotest.test_case "unknown/unreadable pass through" `Quick
           test_sanitizer_passthrough;
         Alcotest.test_case "coverage labels" `Quick test_sanitizer_coverage_labels;
+        Alcotest.test_case "resolved facts agree with the class" `Quick
+          test_resolved_guard_agrees;
       ] );
     ( "slice taint",
       [

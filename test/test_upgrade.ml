@@ -276,6 +276,52 @@ let test_stale_retryable_vs_dead () =
       ok (Vfs.close k app fd);
       ok (Vfs.close k app fd2))
 
+(* Each virtual file carries its own backend binding: a file staled by
+   one fault keeps that fault's reason through the next, a file opened
+   after the reattach is live beside it, and a closed file is unknown. *)
+let test_stale_reason_survives_later_faults () =
+  let m = M.create () in
+  let (_ : Defs.device) = M.attach_null m in
+  let g = M.add_guest m ~name:"g1" () in
+  run_in_process (M.engine m) (fun () ->
+      let app = M.spawn_app m g.M.kernel ~name:"app" in
+      let k = g.M.kernel and front = g.M.frontend in
+      let open_null () =
+        let fd = ok (Vfs.openf k app "/dev/null0") in
+        (fd, Hashtbl.find app.Defs.fds fd)
+      in
+      let status what expected file =
+        Alcotest.(check string) what expected
+          (match Cvd_front.file_status front file with
+          | Cvd_front.Live -> "live"
+          | Cvd_front.Stale_retryable r -> "retryable: " ^ r
+          | Cvd_front.Stale_dead r -> "dead: " ^ r
+          | Cvd_front.Unknown -> "unknown")
+      in
+      let fault reason =
+        M.kill_driver_vm m;
+        Cvd_front.fault_session front ~reason
+      in
+      let fd1, f1 = open_null () in
+      fault "fault 1";
+      M.reboot_driver_vm m;
+      let fd2, f2 = open_null () in
+      status "reopened file" "live" f2;
+      status "old file" "retryable: fault 1" f1;
+      fault "fault 2";
+      status "first file keeps fault 1" "dead: fault 1" f1;
+      status "second file staled by fault 2" "dead: fault 2" f2;
+      M.reboot_driver_vm m;
+      let fd3, f3 = open_null () in
+      status "file opened after the second reattach" "live" f3;
+      status "first file after the second reattach" "retryable: fault 1" f1;
+      ok (Vfs.close k app fd1);
+      ok (Vfs.close k app fd3);
+      status "closed stale file" "unknown" f1;
+      status "closed live file" "unknown" f3;
+      status "still open" "retryable: fault 2" f2;
+      ok (Vfs.close k app fd2))
+
 (* ---- satellite: watchdog suspension across a long quiesce ---- *)
 
 let test_watchdog_suspended_across_quiesce () =
@@ -590,10 +636,9 @@ let test_restore_revalidates_snapshot () =
         (audit.Hypervisor.Audit.sanitize_rejections - rejections);
       Alcotest.(check int) "good entry and filler restored" 2 s.Cvd_back.rs_files;
       Alcotest.(check (list int)) "restored vfds" [ 3; 4 ]
-        (List.sort compare
-           (Hashtbl.fold (fun vfd _ acc -> vfd :: acc) link.Cvd_back.files []));
+        (List.map fst (Cvd_back.open_files link));
       Alcotest.(check int) "exclusive device still held once" 1 excl.Defs.open_count;
-      let fs = Hashtbl.find link.Cvd_back.files 3 in
+      let fs = List.assoc 3 (Cvd_back.open_files link) in
       Alcotest.(check bool) "nonblock carried over" true fs.Cvd_back.file.Defs.nonblock;
       Alcotest.(check int) "one VMA mirror" 1 s.Cvd_back.rs_vmas;
       Alcotest.(check (list int)) "the valid VMA" [ 0x4000_0000 ]
@@ -649,7 +694,7 @@ let test_restore_never_reissues_a_restored_vfd () =
              (Paradice.Proto.Ropen { path = "/dev/null0" }))
       in
       Alcotest.(check bool) "fresh open gets vfd 2" true (resp = Paradice.Proto.Rok 2);
-      Alcotest.(check int) "both files held" 2 (Hashtbl.length link.Cvd_back.files))
+      Alcotest.(check int) "both files held" 2 (List.length (Cvd_back.open_files link)))
 
 let test_migration_restore_crash_lands_on_source () =
   let inj = FI.create ~seed:17L () in
@@ -691,6 +736,8 @@ let suites =
           test_upgrade_preserves_quarantine;
         Alcotest.test_case "stale: retryable vs dead" `Quick
           test_stale_retryable_vs_dead;
+        Alcotest.test_case "stale reason survives later faults" `Quick
+          test_stale_reason_survives_later_faults;
         Alcotest.test_case "watchdog suspended across quiesce" `Quick
           test_watchdog_suspended_across_quiesce;
         Alcotest.test_case "quiesced op parks until resume" `Quick
