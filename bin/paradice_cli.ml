@@ -273,7 +273,7 @@ let fleet shards guests ops seed alpha domains =
 (* ---- analyze ---- *)
 
 let analyze () =
-  print_string (Analyzer.Facts.render_table (Lazy.force Analyzer.Classes.facts));
+  print_string (Analyzer.Facts.render_table Analyzer.Classes.facts);
   print_newline ();
   let table = Analyzer.Extract.analyze Analyzer.Radeon_ir.driver_3_2_0 in
   Printf.printf "radeon %s: %d static, %d JIT handlers; %d extracted lines\n\n"

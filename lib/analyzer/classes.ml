@@ -12,11 +12,12 @@ let all : (string * Ir.driver) list =
     ("net", Netmap_ir.driver);
   ]
 
-(* Facts are pure functions of the IR: extract once. *)
-let facts : (string * Facts.t) list Lazy.t =
-  lazy (List.map (fun (cls, d) -> (cls, Facts.of_driver d)) all)
-
-let facts_for cls = List.assoc_opt cls (Lazy.force facts)
+(* Facts are pure functions of the IR, cheap to extract, and read from
+   parallel domains (fleet shards resolve them when they open files):
+   extract them once, at start-up.  A lazy value that two domains force
+   at once raises [CamlinternalLazy.Undefined] in one of them. *)
+let facts = List.map (fun (cls, d) -> (cls, Facts.of_driver d)) all
+let facts_for cls = List.assoc_opt cls facts
 
 let fact_for ~dev_class ~cmd =
   match facts_for dev_class with None -> None | Some t -> Facts.find t cmd

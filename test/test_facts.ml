@@ -465,7 +465,7 @@ let golden_table =
 
 let test_golden_table () =
   Alcotest.(check string) "analyze fact table" golden_table
-    (Facts.render_table (Lazy.force Classes.facts))
+    (Facts.render_table Classes.facts)
 
 let suites =
   [
