@@ -672,7 +672,7 @@ let inject_raw t ~slot (bytes : bytes) =
   if not t.dead then begin
     let wire = Domain.DLS.get front_copy in
     Bytes.fill wire 0 Proto.slot_size '\000';
-    Bytes.blit bytes 0 wire 0 (Int.min (Bytes.length bytes) Proto.slot_size);
+    Bytes.blit bytes 0 wire 0 (min (Bytes.length bytes) Proto.slot_size);
     t.front_view.Hypervisor.Shared_page.write ~offset:(slot_off slot) wire;
     t.front_view.Hypervisor.Shared_page.write_u32 ~offset:(state_off slot)
       st_req_ready;

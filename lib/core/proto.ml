@@ -782,7 +782,7 @@ module Fuzz = struct
   (* Walk a batch descriptor's record table, as far as it stays
      well-formed, so mutations can target interior records. *)
   let batch_records b =
-    let count = Int.min (r32 b 12) max_batch_ops in
+    let count = min (r32 b 12) max_batch_ops in
     let rec go off i acc =
       if i >= count || off + 12 > trace_off then List.rev acc
       else
