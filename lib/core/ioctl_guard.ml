@@ -55,52 +55,16 @@ let eval_check ~(limits : Wire_spec.limits) data (c : Analyzer.Facts.check) =
           then Some (Analyzer.Facts.check_label c)
           else None)
 
-(* One analyzed handler's verdict on [arg], under its generated
-   [checks]. *)
-let check_handler ~dev_class (hf : Analyzer.Facts.handler_fact) checks ~(arg : int64)
-    ~limits ~read =
-  let verdict =
-    if hf.Analyzer.Facts.hf_arg_len = 0 then Pass
-    else
-      match checks with
-      | [] -> Pass
-      | _ :: _ -> (
-          match read ~addr:(Int64.to_int arg) ~len:hf.Analyzer.Facts.hf_arg_len with
-          | exception _ -> Pass (* let the handler produce its own EFAULT *)
-          | data ->
-              let rec go = function
-                | [] -> Pass
-                | c :: rest -> (
-                    match eval_check ~limits data c with
-                    | Some label ->
-                        Reject { handler = hf.Analyzer.Facts.hf_name; violated = label }
-                    | None -> go rest)
-              in
-              go checks)
-  in
-  if Wire_spec.Coverage.enabled () then (
-    match verdict with
-    | Pass ->
-        Wire_spec.Coverage.hit
-          (Printf.sprintf "handler.%s.%s" dev_class hf.Analyzer.Facts.hf_name)
-    | Reject { handler; violated } ->
-        Wire_spec.Coverage.hit
-          (Printf.sprintf "sanitize.%s.%s.%s" dev_class handler violated));
-  verdict
-
-let check ~dev_class ~cmd ~arg ~limits ~read =
-  match Analyzer.Classes.fact_for ~dev_class ~cmd with
-  | None -> Pass (* not an analyzed command: the driver answers ENOTTY *)
-  | Some hf -> check_handler ~dev_class hf (Analyzer.Facts.checks hf) ~arg ~limits ~read
-
 type rule = { fact : Analyzer.Facts.handler_fact; checks : Analyzer.Facts.check list }
 
 type facts = Unanalyzed | Analyzed of { dev_class : string; rules : rule Sim.Int_table.t }
 
-let resolve ~dev_class =
-  match Analyzer.Classes.facts_for dev_class with
-  | None -> Unanalyzed
-  | Some t ->
+(* Every analyzed class's checks by command number, built once at
+   start-up from [Analyzer.Classes.facts] and only read afterwards:
+   fleet shards open files, and so take these, on parallel domains. *)
+let by_class =
+  List.map
+    (fun (dev_class, (t : Analyzer.Facts.t)) ->
       let rules = Sim.Int_table.create 16 in
       (* the first handler of a command wins, as in [Facts.find] *)
       List.iter
@@ -109,15 +73,52 @@ let resolve ~dev_class =
             Sim.Int_table.replace rules hf.hf_cmd
               { fact = hf; checks = Analyzer.Facts.checks hf })
         t.Analyzer.Facts.fd_handlers;
-      Analyzed { dev_class; rules }
+      (dev_class, Analyzed { dev_class; rules }))
+    Analyzer.Classes.facts
 
-let check_resolved facts ~cmd ~arg ~limits ~read =
+let resolve ~dev_class =
+  match List.find_opt (fun (c, _) -> String.equal c dev_class) by_class with
+  | Some (_, facts) -> facts
+  | None -> Unanalyzed
+
+let check_resolved facts ~cmd ~(arg : int64) ~limits ~read =
   match facts with
   | Unanalyzed -> Pass
   | Analyzed { dev_class; rules } -> (
       match Sim.Int_table.find rules cmd with
-      | { fact; checks } -> check_handler ~dev_class fact checks ~arg ~limits ~read
-      | exception Not_found -> Pass)
+      | exception Not_found -> Pass (* not an analyzed command: the driver answers ENOTTY *)
+      | { fact = hf; checks } ->
+          let verdict =
+            if hf.Analyzer.Facts.hf_arg_len = 0 then Pass
+            else
+              match checks with
+              | [] -> Pass
+              | _ :: _ -> (
+                  match read ~addr:(Int64.to_int arg) ~len:hf.Analyzer.Facts.hf_arg_len with
+                  | exception _ -> Pass (* let the handler produce its own EFAULT *)
+                  | data ->
+                      let rec go = function
+                        | [] -> Pass
+                        | c :: rest -> (
+                            match eval_check ~limits data c with
+                            | Some label ->
+                                Reject { handler = hf.Analyzer.Facts.hf_name; violated = label }
+                            | None -> go rest)
+                      in
+                      go checks)
+          in
+          if Wire_spec.Coverage.enabled () then (
+            match verdict with
+            | Pass ->
+                Wire_spec.Coverage.hit
+                  (Printf.sprintf "handler.%s.%s" dev_class hf.Analyzer.Facts.hf_name)
+            | Reject { handler; violated } ->
+                Wire_spec.Coverage.hit
+                  (Printf.sprintf "sanitize.%s.%s.%s" dev_class handler violated));
+          verdict)
+
+let check ~dev_class ~cmd ~arg ~limits ~read =
+  check_resolved (resolve ~dev_class) ~cmd ~arg ~limits ~read
 
 (* ------------------------------------------------------------------ *)
 (* Fact-driven hostile generators (the wire_spec grammar idea applied  *)

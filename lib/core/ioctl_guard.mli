@@ -10,28 +10,29 @@ type verdict =
   | Reject of { handler : string; violated : string }
       (** handler name and the violated check's label *)
 
-(** [check ~dev_class ~cmd ~arg ~limits ~read] re-reads the depth-1
-    argument struct via [read] and evaluates the generated checks.
-    Unknown commands and unreadable argument pointers [Pass] (the
-    driver keeps its own ENOTTY/EFAULT semantics). *)
-val check :
-  dev_class:string ->
+(** A device class's generated checks by command number, or
+    [Unanalyzed] for a class the analyzer has no facts for.  Every
+    analyzed class's checks are built once, at start-up, and only read
+    afterwards; the backend takes its file's when it opens it. *)
+type facts
+
+val resolve : dev_class:string -> facts
+
+(** [check_resolved facts ~cmd ~arg ~limits ~read] re-reads the depth-1
+    argument struct via [read] and evaluates the command's generated
+    checks.  Unknown commands and unreadable argument pointers [Pass]
+    (the driver keeps its own ENOTTY/EFAULT semantics). *)
+val check_resolved :
+  facts ->
   cmd:int ->
   arg:int64 ->
   limits:Wire_spec.limits ->
   read:(addr:int -> len:int -> bytes) ->
   verdict
 
-(** A device class's generated checks, resolved once (when the backend
-    opens a file of the class) into a table by command number. *)
-type facts
-
-val resolve : dev_class:string -> facts
-
-(** {!check} over resolved facts: the same verdict and coverage hits,
-    with no lookup by class name. *)
-val check_resolved :
-  facts ->
+(** [check ~dev_class] is [check_resolved (resolve ~dev_class)]. *)
+val check :
+  dev_class:string ->
   cmd:int ->
   arg:int64 ->
   limits:Wire_spec.limits ->
