@@ -6,17 +6,12 @@
    function and per module.
 
      dune build tools/hostprof/hostprof.exe
-     _build/default/tools/hostprof/hostprof.exe --workload noop --ops 2000000
+     _build/default/tools/hostprof/hostprof.exe --ops 2000000
      python3 tools/hostprof/hostprof.py hostprof.out
 
-   Workloads:
-   - noop: back-to-back null ioctls from one guest process, on the
-     machine [Baselines.Setup.make ~devices:[Null]] builds under
-     [Config.default] (perfbench's noop_rtt);
-   - fleet: [Fleet_load.run_shard] over the 4 shards of a zipf(1.0)
-     load on 256 guests (perfbench's fleet_zipf), repeated until [--ops]
-     operations have run.  Each shard builds its machine inside the
-     sampled loop.
+   The loop is back-to-back null ioctls from one guest process, on the
+   machine [Baselines.Setup.make ~devices:[Null]] builds under
+   [Config.default] (perfbench's noop_rtt).
 
    PC sampling needs Linux on x86-64; elsewhere the tool exits with a
    message. *)
@@ -33,9 +28,8 @@ let capacity = 1_000_000
 let warmup_ops = 20_000
 
 module R = Workloads.Runner
-module F = Workloads.Fleet_load
 
-let sample_noop ~ops =
+let sample ~ops =
   let _, env =
     Baselines.Setup.make ~devices:[ Baselines.Setup.Null ]
       (Baselines.Setup.Paradice Paradice.Config.default)
@@ -56,49 +50,24 @@ let sample_noop ~ops =
       done;
       stop ())
 
-let sample_fleet ~ops =
-  let specs =
-    F.make_specs ~shards:4 ~seed:1L
-      ~ops:(F.zipf_ops ~guests:256 ~base:24 ~alpha:1.0)
-      ()
-  in
-  let completed (r : F.result) = r.F.r_ok + r.F.r_err in
-  let (_ : F.result) = F.run_shard specs.(0) in
-  start capacity hz;
-  let rec go i ran =
-    if ran < ops then go (i + 1) (ran + completed (F.run_shard specs.(i mod Array.length specs)))
-  in
-  go 0 0;
-  stop ()
-
 let () =
-  let workload = ref "noop" and ops = ref 2_000_000 and out = ref "hostprof.out" in
+  let ops = ref 2_000_000 and out = ref "hostprof.out" in
   Arg.parse
     [
-      ("--workload", Arg.Set_string workload, "NAME noop|fleet (default noop)");
       ("--ops", Arg.Set_int ops, "N operations in the sampled loop (default 2000000)");
       ("--out", Arg.Set_string out, "FILE where the samples go (default hostprof.out)");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "hostprof.exe [--workload noop|fleet] [--ops N] [--out FILE]";
+    "hostprof.exe [--ops N] [--out FILE]";
   if not (supported ()) then begin
     prerr_endline "hostprof: PC sampling needs Linux on x86-64; nothing sampled";
     exit 2
   end;
-  let sample =
-    match !workload with
-    | "noop" -> sample_noop
-    | "fleet" -> sample_fleet
-    | w ->
-        prerr_endline ("hostprof: unknown workload " ^ w);
-        exit 2
-  in
   let t0 = Unix.gettimeofday () in
   let n = sample ~ops:!ops in
   let seconds = Unix.gettimeofday () -. t0 in
   let oc = open_out !out in
-  Printf.fprintf oc "workload %s\nops %d\nhz %d\nexe %s\n" !workload !ops hz
-    Sys.executable_name;
+  Printf.fprintf oc "workload noop\nops %d\nhz %d\nexe %s\n" !ops hz Sys.executable_name;
   let maps = open_in "/proc/self/maps" in
   (try
      while true do
@@ -107,5 +76,5 @@ let () =
    with End_of_file -> close_in maps);
   close_out oc;
   write_samples !out;
-  Printf.eprintf "hostprof: %d samples over %d %s ops (%.2f s with set-up) -> %s\n" n !ops !workload
-    seconds !out
+  Printf.eprintf "hostprof: %d samples over %d null ioctls (%.2f s with set-up) -> %s\n" n
+    !ops seconds !out
